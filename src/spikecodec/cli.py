@@ -20,7 +20,7 @@ import json
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import replace
+from dataclasses import fields, replace
 from typing import Optional
 
 import numpy as np
@@ -66,16 +66,35 @@ DEFAULT_SWEEP_ENCODER = {
 
 DEFAULT_SIGNAL = {"type": "sine", "amplitude": 2.0, "frequency": 500.0, "offset": 3.0}
 DEFAULT_SFT = {"frame_size": 128}
+SIGNAL_KEYS = ("type", "amplitude", "frequency", "offset", "level", "duration", "windows")
+SFT_KEYS = ("frame_size", "charge_phase_steps", "readout_phase_steps", "decoder")
+SECTIONS = ("encoder", "noise", "tuner", "sft", "signal")
+
+
+def _check_keys(name: Optional[str], section: dict, allowed) -> None:
+    """Reject keys a section (or, for name None, the whole config) does
+    not know, so a typo cannot silently fall back to a default."""
+    unknown = sorted(set(section) - set(allowed))
+    if unknown:
+        where = "config" if name is None else f"config section {name!r}"
+        raise ValueError(f"{where} has unknown key(s): {', '.join(map(repr, unknown))}")
+
+
+def _field_names(cls) -> set:
+    return {f.name for f in fields(cls)}
 
 
 def _load_config(path: Optional[str]) -> dict:
     if path is None:
         return {}
     with open(path) as fh:
-        return json.load(fh)
+        doc = json.load(fh)
+    _check_keys(None, doc, SECTIONS)
+    return doc
 
 
 def _build_encoder(section: dict, defaults: dict = DEFAULT_ENCODER) -> EncoderConfig:
+    _check_keys("encoder", section, _field_names(EncoderConfig) | {"resolution"})
     d = {**defaults, **section}
     if "reader_period" not in d:
         d["reader_period"] = d["sample_period"] / d["resolution"]
@@ -86,7 +105,9 @@ def _build_encoder(section: dict, defaults: dict = DEFAULT_ENCODER) -> EncoderCo
 
 
 def _build_noise(section: Optional[dict], seed: Optional[int]) -> Optional[ThermalNoiseModel]:
-    if not section or section.get("delta_u", 0.0) == 0.0:
+    section = section or {}
+    _check_keys("noise", section, _field_names(ThermalNoiseModel))
+    if section.get("delta_u", 0.0) == 0.0:
         return None
     kw = dict(section)
     if seed is not None:
@@ -94,18 +115,22 @@ def _build_noise(section: Optional[dict], seed: Optional[int]) -> Optional[Therm
     return ThermalNoiseModel(**kw)
 
 
-def _build_tuner(section: Optional[dict], seed: Optional[int]) -> TunerConfig:
+def _build_tuner(section: Optional[dict]) -> TunerConfig:
     kw = dict(section or {})
+    _check_keys("tuner", kw, _field_names(TunerConfig))
     for key in ("k1_bounds", "k2_bounds"):
         if key in kw:
             kw[key] = tuple(kw[key])
-    if seed is not None:
-        kw["rng_seed"] = seed
     return TunerConfig(**kw)
 
 
-def _build_signal(section: dict, enc: EncoderConfig, default_windows: int):
-    d = {**DEFAULT_SIGNAL, **section}
+def _signal_section(cfg: dict) -> dict:
+    section = cfg.get("signal", {})
+    _check_keys("signal", section, SIGNAL_KEYS)
+    return {**DEFAULT_SIGNAL, **section}
+
+
+def _build_signal(d: dict, enc: EncoderConfig, default_windows: int):
     if "duration" in d:
         duration = float(d["duration"])
     else:
@@ -118,15 +143,17 @@ def _build_signal(section: dict, enc: EncoderConfig, default_windows: int):
     raise ValueError(f"unknown signal type {d['type']!r}")
 
 
-def _resolve_decoder(cfg: dict, enc: EncoderConfig, seed: Optional[int]) -> LinearDecoderParams:
+def _resolve_decoder(cfg: dict, enc: EncoderConfig) -> LinearDecoderParams:
     """Decoder from the sft section: inline params, a tuning file, or
-    a fresh (seeded, hence reproducible) fit."""
-    spec = (cfg.get("sft") or {}).get("decoder")
+    a fresh fit, which is deterministic, so reruns reproduce it."""
+    section = cfg.get("sft") or {}
+    _check_keys("sft", section, SFT_KEYS)
+    spec = section.get("decoder")
     if isinstance(spec, str):
         return read_decoder(spec)
     if isinstance(spec, dict):
         return LinearDecoderParams(**spec)
-    return fit_linear_decoder(enc, _build_tuner(cfg.get("tuner"), seed)).params
+    return fit_linear_decoder(enc, _build_tuner(cfg.get("tuner"))).params
 
 
 def _spectrum_rmse(measured: Spectrum, reference: Spectrum):
@@ -151,7 +178,7 @@ def cmd_encode(args) -> int:
     cfg = _load_config(args.config)
     enc = _build_encoder(cfg.get("encoder", {}))
     noise = _build_noise(cfg.get("noise"), args.seed)
-    sig = _build_signal(cfg.get("signal", {}), enc, default_windows=128)
+    sig = _build_signal(_signal_section(cfg), enc, default_windows=128)
     train = encode_signal(sig, enc, noise)
     write_spike_train(train, args.out)
     fired = int(train.fired.sum())
@@ -223,9 +250,8 @@ def cmd_sweep_constant(args) -> int:
 def cmd_tune(args) -> int:
     cfg = _load_config(args.config)
     enc = _build_encoder(cfg.get("encoder", {}))
-    tuner = _build_tuner(cfg.get("tuner"), args.seed)
-    result = fit_linear_decoder(enc, tuner)
-    write_tuning(result, enc, args.out)
+    result = fit_linear_decoder(enc, _build_tuner(cfg.get("tuner")))
+    write_tuning(result, enc, args.out, seed=args.seed)
     print(
         f"k1={result.k1:.6g} k2={result.k2:.6g} eps_lin={result.eps_lin:.6g} "
         f"mu={result.mu:.6g} -> {args.out}"
@@ -256,8 +282,8 @@ def cmd_sft(args) -> int:
     cfg = _load_config(args.config)
     enc = _build_encoder(cfg.get("encoder", {}))
     noise = _build_noise(cfg.get("noise"), args.seed)
-    decoder = _resolve_decoder(cfg, enc, args.seed)
-    sig_cfg = {**DEFAULT_SIGNAL, **cfg.get("signal", {})}
+    decoder = _resolve_decoder(cfg, enc)
+    sig_cfg = _signal_section(cfg)
     measured, reference, rmse_mag, rmse_cplx = _sft_point(
         enc, decoder, cfg.get("sft", {}), noise,
         sig_cfg["amplitude"], sig_cfg["offset"], sig_cfg["frequency"],
@@ -287,8 +313,8 @@ def cmd_sft_sweep(args) -> int:
     cfg = _load_config(args.config)
     enc = _build_encoder(cfg.get("encoder", {}))
     noise = _build_noise(cfg.get("noise"), args.seed)
-    decoder = _resolve_decoder(cfg, enc, args.seed)
-    sig_cfg = {**DEFAULT_SIGNAL, **cfg.get("signal", {})}
+    decoder = _resolve_decoder(cfg, enc)
+    sig_cfg = _signal_section(cfg)
     freqs = [float(v) for v in args.freqs.split(",")]
     os.makedirs(args.out_dir, exist_ok=True)
 

@@ -18,7 +18,7 @@ All times are seconds, all voltages volt.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -81,6 +81,9 @@ class EncoderConfig:
     u_rest: float = 0.0
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            if not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite")
         if not (self.tau > 0):
             raise ValueError("tau must be positive")
         if not (0 < self.u_th < self.u_min < self.u_max):

@@ -129,10 +129,10 @@ class SpikeTrain:
 def _crossing_times(u_held, threshold, tau):
     """Vectorised closed-form crossing times; inf where no crossing."""
     u = np.asarray(u_held, dtype=float)
+    th = np.broadcast_to(np.asarray(threshold, dtype=float), u.shape)
     out = np.full(u.shape, np.inf)
-    m = u > threshold
-    if np.any(m):
-        out[m] = -tau * np.log1p(-threshold / u[m])
+    m = u > th
+    out[m] = -tau * np.log1p(-th[m] / u[m])
     return out
 
 

@@ -2,7 +2,7 @@
 
 The exact code t = f(y) is logarithmic, so reading it back with an
 affine decoder leaves a shape error. The fit stretches the endpoint
-time span by factors (1 + k1), (1 + k2) and searches (k1, k2) to
+time span by factors (1 + k1), (1 + k2) and chooses (k1, k2) to
 minimise
 
     loss = alpha * eps_lin - mu
@@ -13,9 +13,13 @@ more of the window on the informative part of the code. mu does not
 depend on (k1, k2); it keeps reported losses comparable across
 encoder configurations.
 
-The search is a small self-contained differential evolution
-(rand/1/bin, greedy selection) so results are reproducible from a
-seed alone and there is no optimizer dependency.
+The trapezoid sum sum_i w_i |y_i - A - B t_i| is a weighted L1 line
+fit: convex and piecewise linear in (A, B), with the (k1, k2) box as
+linear constraints (Barrodale & Roberts, SIAM J. Numer. Anal. 10(5),
+1973). Written over the decoder's time offset c = t_lin_min and span
+T = t_lin_max - t_lin_min, the best c for a fixed T is a weighted
+median, and the remaining minimum is convex in the slope 1/T, so a
+golden-section search over T solves the fit without any randomness.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ import json
 import math
 import os
 from dataclasses import dataclass, asdict
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -37,8 +41,6 @@ from .codec import (
 
 __all__ = [
     "TunerConfig",
-    "DEResult",
-    "differential_evolution",
     "linear_error",
     "loss",
     "TuningResult",
@@ -48,20 +50,25 @@ __all__ = [
     "read_decoder",
 ]
 
+# Golden-section steps over the span T. Each shrinks the bracket by
+# 0.618, so 80 steps take it below float resolution of the span.
+_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+_SEARCH_STEPS = 80
+
 
 @dataclass(frozen=True)
 class TunerConfig:
-    """Loss weight, search bounds and evolution hyperparameters."""
+    """Loss weight, stretch bounds and quadrature size of the fit.
+
+    generations is accepted and ignored, so configs written for the
+    earlier evolutionary search still load.
+    """
 
     alpha: float = 1.0
     k1_bounds: Tuple[float, float] = (-1.0, 2.0)
     k2_bounds: Tuple[float, float] = (-1.0, 2.0)
-    population: int = 30
-    mutation: float = 0.8
-    crossover: float = 0.9
-    generations: int = 300
-    rng_seed: int = 0
     grid_points: int = 1024
+    generations: Optional[int] = None
 
     def __post_init__(self) -> None:
         if self.alpha < 0:
@@ -71,82 +78,16 @@ class TunerConfig:
                 raise ValueError(f"{name}: stretch factors below -1 invert the code")
             if not (math.isfinite(hi) and hi > lo):
                 raise ValueError(f"{name}: need finite upper > lower")
-        if self.population < 4:
-            raise ValueError("population must be at least 4")
-        if not (0 < self.mutation < 2):
-            raise ValueError("mutation must be in (0, 2)")
-        if not (0 < self.crossover <= 1):
-            raise ValueError("crossover must be in (0, 1]")
-        if self.generations < 1:
-            raise ValueError("generations must be at least 1")
         if self.grid_points < 2:
             raise ValueError("grid_points must be at least 2")
 
 
-@dataclass(frozen=True)
-class DEResult:
-    """Best point, its objective value, and best-so-far per generation."""
-
-    x: np.ndarray
-    fun: float
-    history: np.ndarray
-
-
-def _safe(objective: Callable, x: np.ndarray) -> float:
-    val = float(objective(x))
-    return val if math.isfinite(val) else math.inf
-
-
-def differential_evolution(
-    objective: Callable[[np.ndarray], float],
-    bounds: Sequence[Tuple[float, float]],
-    population: int = 30,
-    mutation: float = 0.8,
-    crossover: float = 0.9,
-    generations: int = 300,
-    rng_seed: int = 0,
-    init: Optional[Sequence[float]] = None,
-) -> DEResult:
-    """Minimise a box-bounded objective with DE/rand/1/bin.
-
-    Mutants are clipped back into the box, non-finite objective values
-    count as +inf, and a trial replaces its target when it is no worse
-    (greedy selection). init, when given, is clipped into the box and
-    seeds the first population member, which guarantees the result is
-    at least as good as that starting point.
-    """
-    lo = np.array([b[0] for b in bounds], dtype=float)
-    hi = np.array([b[1] for b in bounds], dtype=float)
-    if lo.ndim != 1 or lo.size == 0 or not np.all(np.isfinite(lo) & np.isfinite(hi)):
-        raise ValueError("bounds must be finite (lo, hi) pairs")
-    if np.any(hi < lo):
-        raise ValueError("each bound needs hi >= lo")
-    dim = lo.size
-
-    rng = np.random.default_rng(rng_seed)
-    pop = lo + rng.random((population, dim)) * (hi - lo)
-    if init is not None:
-        pop[0] = np.clip(np.asarray(init, dtype=float), lo, hi)
-    fit = np.array([_safe(objective, x) for x in pop])
-
-    history = [float(fit.min())]
-    for _ in range(generations):
-        for i in range(population):
-            idx = rng.choice(population - 1, size=3, replace=False)
-            idx[idx >= i] += 1  # three distinct partners, none equal to i
-            a, b, c = pop[idx]
-            mutant = np.clip(a + mutation * (b - c), lo, hi)
-            cross = rng.random(dim) < crossover
-            cross[rng.integers(dim)] = True
-            trial = np.where(cross, mutant, pop[i])
-            f_trial = _safe(objective, trial)
-            if f_trial <= fit[i]:
-                pop[i] = trial
-                fit[i] = f_trial
-        history.append(float(fit.min()))
-
-    best = int(np.argmin(fit))
-    return DEResult(x=pop[best].copy(), fun=float(fit[best]), history=np.array(history))
+def _code_grid(cfg: EncoderConfig, grid_points: int):
+    """Quadrature nodes y over [u_min, u_max] and their exact spike times."""
+    if grid_points < 2:
+        raise ValueError("grid_points must be at least 2")
+    y = np.linspace(cfg.u_min, cfg.u_max, grid_points)
+    return y, -cfg.tau * np.log1p(-cfg.u_th / y)
 
 
 def linear_error(cfg: EncoderConfig, p: LinearDecoderParams, grid_points: int = 1024) -> float:
@@ -156,10 +97,7 @@ def linear_error(cfg: EncoderConfig, p: LinearDecoderParams, grid_points: int = 
     integrates |y - decode_linear(f(y))| dy by the trapezoid rule.
     tau cancels: both f and the fitted time span scale with it.
     """
-    if grid_points < 2:
-        raise ValueError("grid_points must be at least 2")
-    y = np.linspace(cfg.u_min, cfg.u_max, grid_points)
-    t = -cfg.tau * np.log1p(-cfg.u_th / y)
+    y, t = _code_grid(cfg, grid_points)
     return float(np.trapezoid(np.abs(y - decode_linear(t, p)), y))
 
 
@@ -178,7 +116,6 @@ class TuningResult:
     eps_lin: float
     mu: float
     loss: float
-    seed: int
 
 
 def _params_from_k(k: np.ndarray, cfg: EncoderConfig) -> Optional[LinearDecoderParams]:
@@ -190,46 +127,74 @@ def _params_from_k(k: np.ndarray, cfg: EncoderConfig) -> Optional[LinearDecoderP
     return LinearDecoderParams(t_lin_min=t_lo, t_lin_max=t_hi, y_min=cfg.u_min, y_max=cfg.u_max)
 
 
-def fit_linear_decoder(cfg: EncoderConfig, tuner: Optional[TunerConfig] = None) -> TuningResult:
-    """Search (k1, k2) for the decoder minimising the tuner loss.
+def _solve_offset_span(cfg: EncoderConfig, tuner: TunerConfig, t_min: float, t_max: float):
+    """Minimise eps_lin over (c, T) = (t_lin_min, t_lin_max - t_lin_min).
 
-    (0, 0), the plain endpoint interpolation, seeds the population, so
-    the fit never comes back worse than no stretching at all.
-    Degenerate candidates (collapsed or inverted time span) score +inf
-    and die out.
+    The box puts c in [lo1, hi1] and c + T in [lo2, hi2]. On the
+    quadrature nodes, y - decode_linear(t) = (u_max - u_min) / T * (z - c)
+    with z = t + (y - u_max) * T / (u_max - u_min), so for a fixed T
+    the best c is the trapezoid-weighted median of z, clipped into the
+    c-range the box leaves for that T.
+    """
+    y, t = _code_grid(cfg, tuner.grid_points)
+    w = np.convolve(np.diff(y), [0.5, 0.5])  # the trapezoid weights of linear_error
+    y_span = cfg.u_max - cfg.u_min
+    lo1, hi1 = (t_min * (1.0 + k) for k in tuner.k1_bounds)
+    lo2, hi2 = (t_max * (1.0 + k) for k in tuner.k2_bounds)
+    if not hi2 > lo1:
+        raise ValueError("stretch bounds admit no decoder with t_lin_max > t_lin_min")
+
+    def best_offset(span: float) -> Tuple[float, float]:
+        z = t + (y - cfg.u_max) * (span / y_span)
+        order = np.argsort(z)
+        cum = np.cumsum(w[order])
+        c = z[order[np.searchsorted(cum, 0.5 * cum[-1])]]
+        c = min(max(c, lo1, lo2 - span), hi1, hi2 - span)
+        return c, y_span / span * float(np.dot(w, np.abs(z - c)))
+
+    a, b = max(lo2 - hi1, 0.0), hi2 - lo1
+    x1, x2 = b - _GOLDEN * (b - a), a + _GOLDEN * (b - a)
+    f1, f2 = best_offset(x1)[1], best_offset(x2)[1]
+    for _ in range(_SEARCH_STEPS):
+        if f1 <= f2:
+            b, x2, f2 = x2, x1, f1
+            x1 = b - _GOLDEN * (b - a)
+            f1 = best_offset(x1)[1]
+        else:
+            a, x1, f1 = x1, x2, f2
+            x2 = a + _GOLDEN * (b - a)
+            f2 = best_offset(x2)[1]
+    span = x1 if f1 <= f2 else x2
+    return best_offset(span)[0], span
+
+
+def fit_linear_decoder(cfg: EncoderConfig, tuner: Optional[TunerConfig] = None) -> TuningResult:
+    """Find the (k1, k2) in the tuner's box that minimise the tuner loss.
+
+    The exact solve competes with (0, 0), the plain endpoint
+    interpolation clipped into the box, and the lower eps_lin wins, so
+    the fit never comes back worse than that endpoint, rounding
+    included. Raises ValueError when the box admits no decoder.
     """
     if tuner is None:
         tuner = TunerConfig()
     ts = timing_summary(cfg)
-
-    def objective(k: np.ndarray) -> float:
+    c, span = _solve_offset_span(cfg, tuner, ts.t_min, ts.t_max)
+    lo, hi = zip(tuner.k1_bounds, tuner.k2_bounds)
+    scored = []
+    for k in ((c / ts.t_min - 1.0, (c + span) / ts.t_max - 1.0), (0.0, 0.0)):
+        k = np.clip(k, lo, hi)
         p = _params_from_k(k, cfg)
-        if p is None:
-            return math.inf
-        return tuner.alpha * linear_error(cfg, p, tuner.grid_points) - ts.mu
-
-    res = differential_evolution(
-        objective,
-        bounds=(tuner.k1_bounds, tuner.k2_bounds),
-        population=tuner.population,
-        mutation=tuner.mutation,
-        crossover=tuner.crossover,
-        generations=tuner.generations,
-        rng_seed=tuner.rng_seed,
-        init=(0.0, 0.0),
-    )
-    k1, k2 = float(res.x[0]), float(res.x[1])
-    params = _params_from_k(res.x, cfg)
-    assert params is not None  # the seeded point keeps the best finite
-    eps = linear_error(cfg, params, tuner.grid_points)
+        if p is not None:
+            scored.append((linear_error(cfg, p, tuner.grid_points), float(k[0]), float(k[1]), p))
+    eps, k1, k2, params = min(scored, key=lambda s: s[0])
     return TuningResult(
         params=params,
         k1=k1,
         k2=k2,
         eps_lin=eps,
         mu=ts.mu,
-        loss=float(res.fun),
-        seed=tuner.rng_seed,
+        loss=tuner.alpha * eps - ts.mu,
     )
 
 
@@ -263,8 +228,13 @@ def fit_with_threshold_search(
     return best
 
 
-def write_tuning(result: TuningResult, cfg: EncoderConfig, path: str) -> None:
-    """Persist a fit as JSON, config snapshot included."""
+def write_tuning(result: TuningResult, cfg: EncoderConfig, path: str,
+                 seed: Optional[int] = None) -> None:
+    """Persist a fit as JSON, config snapshot included.
+
+    seed records the run's seed for the manifest; the fit itself draws
+    no random numbers.
+    """
     doc = {
         "k1": result.k1,
         "k2": result.k2,
@@ -275,7 +245,7 @@ def write_tuning(result: TuningResult, cfg: EncoderConfig, path: str) -> None:
         "eps_lin": result.eps_lin,
         "mu": result.mu,
         "loss": result.loss,
-        "seed": result.seed,
+        "seed": seed,
         "encoder": asdict(cfg),
     }
     tmp = f"{path}.tmp.{os.getpid()}"

@@ -88,6 +88,11 @@ class TestTune:
         assert doc["encoder"]["u_max"] == 5.0
         assert "eps_lin" in capsys.readouterr().out
 
+    def test_seed_is_null_without_the_flag(self, tmp_path):
+        out = tmp_path / "tuning.json"
+        assert main(["tune", "--config", write_config(tmp_path, BASE), "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["seed"] is None
+
 
 class TestSweepConstant:
     def test_per_threshold_reports(self, tmp_path):
@@ -142,6 +147,19 @@ class TestFailureModes:
         rc = main(["encode", "--config", cfg, "--out", str(tmp_path / "t.csv")])
         assert rc == 1
         assert "square" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("doc, named", [
+        ({"encoder": {**BASE["encoder"], "tua": 3e-3}}, ["'encoder'", "'tua'"]),
+        ({"tuner": {"populaton": 30}}, ["'tuner'", "'populaton'"]),
+        ({"tuner": {"rng_seed": 0}}, ["'tuner'", "'rng_seed'"]),
+        ({"encodr": {}}, ["'encodr'"]),
+    ])
+    def test_unknown_config_key_is_named(self, tmp_path, capsys, doc, named):
+        cfg = write_config(tmp_path, doc)
+        rc = main(["tune", "--config", cfg, "--out", str(tmp_path / "t.json")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and all(word in err for word in named)
 
     def test_missing_train_file(self, tmp_path, capsys):
         rc = main(["decode", "--train", str(tmp_path / "nope.csv"),

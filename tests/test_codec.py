@@ -165,3 +165,14 @@ class TestEncoderConfig:
         with pytest.raises(ValueError, match="tau"):
             EncoderConfig(tau=0.0, u_th=0.1, u_min=1.0, u_max=5.0,
                           sample_period=1e-2, reader_period=1e-4)
+
+    @pytest.mark.parametrize("name, value", [
+        ("u_max", math.inf), ("u_min", math.nan), ("tau", math.inf),
+        ("sample_period", math.inf), ("reader_period", math.nan), ("u_rest", -math.inf),
+    ])
+    def test_rejects_non_finite_fields(self, name, value):
+        kw = dict(tau=3e-3, u_th=0.1, u_min=1.0, u_max=5.0,
+                  sample_period=1e-2, reader_period=1e-4)
+        kw[name] = value
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            EncoderConfig(**kw)

@@ -143,6 +143,18 @@ class TestEncodeSignal:
             k = simulate_window(float(u), cfg3k, noise, window_index=m)
             assert train.bins[m] == (0 if k is None else k)
 
+    def test_per_window_noise_with_subthreshold_windows(self, cfg3k):
+        # held inputs alternate 3.0 V and 0.05 V; the low ones sit below
+        # every lowered threshold and must read as silence, not crash
+        period = cfg3k.sample_period
+        sig = AnalogSignal(lambda t: np.where(np.rint(t / period) % 2 == 0, 3.0, 0.05),
+                           8 * period)
+        noise = ThermalNoiseModel(delta_u=0.05, mode="per-window", rng_seed=4)
+        train = encode_signal(sig, cfg3k, noise)
+        assert np.all(train.bins[1::2] == 0)
+        for m in range(0, 8, 2):
+            assert train.bins[m] == simulate_window(3.0, cfg3k, noise, window_index=m)
+
     def test_deterministic_reruns(self, cfg3k):
         noise = ThermalNoiseModel(delta_u=0.05, mode="per-window", rng_seed=17)
         sig = sine(SineSpec(2.0, 250.0, 3.0), 50 * cfg3k.sample_period)

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from spikecodec import (
     EncoderConfig,
     LinearDecoderParams,
     TunerConfig,
-    differential_evolution,
     fit_linear_decoder,
     fit_with_threshold_search,
     linear_error,
@@ -22,82 +22,39 @@ def endpoint_params(cfg) -> LinearDecoderParams:
                                y_min=cfg.u_min, y_max=cfg.u_max)
 
 
-class TestDifferentialEvolution:
-    def test_sphere_minimum(self):
-        target = np.array([1.2, -2.3])
-        res = differential_evolution(
-            lambda x: float(np.sum((x - target) ** 2)),
-            bounds=[(-5, 5), (-5, 5)], generations=200, rng_seed=1,
-        )
-        assert res.fun < 1e-10
-        assert np.allclose(res.x, target, atol=1e-4)
+def stretched_error(cfg, k1, k2):
+    """linear_error of the decoder stretched by (k1, k2); None when the
+    stretch collapses or inverts the time span."""
+    ts = timing_summary(cfg)
+    t_lo, t_hi = ts.t_min * (1 + k1), ts.t_max * (1 + k2)
+    if not t_hi > t_lo:
+        return None
+    return linear_error(cfg, LinearDecoderParams(t_lin_min=t_lo, t_lin_max=t_hi,
+                                                 y_min=cfg.u_min, y_max=cfg.u_max))
 
-    def test_four_dimensional(self):
-        res = differential_evolution(
-            lambda x: float(np.sum(x**2)),
-            bounds=[(-3, 3)] * 4, generations=400, rng_seed=2,
-        )
-        assert res.fun < 1e-8
 
-    def test_optimum_outside_box_clips_to_boundary(self):
-        res = differential_evolution(
-            lambda x: float((x[0] - 10.0) ** 2),
-            bounds=[(-1, 2)], generations=100, rng_seed=3,
-        )
-        assert res.x[0] == pytest.approx(2.0, abs=1e-9)
+def assert_fit_is_box_minimum(cfg, tuner, n=15):
+    """The fit stays in the box and scores no worse than the clipped
+    endpoint or any point of an n x n grid over the box."""
+    fit = fit_linear_decoder(cfg, tuner)
+    (lo1, hi1), (lo2, hi2) = tuner.k1_bounds, tuner.k2_bounds
+    assert lo1 <= fit.k1 <= hi1 and lo2 <= fit.k2 <= hi2
+    probes = [(min(max(0.0, lo1), hi1), min(max(0.0, lo2), hi2))]
+    probes += [(a, b) for a in np.linspace(lo1, hi1, n) for b in np.linspace(lo2, hi2, n)]
+    for k1, k2 in probes:
+        eps = stretched_error(cfg, k1, k2)
+        if eps is not None:
+            assert fit.eps_lin <= eps * (1 + 1e-12), (k1, k2, eps, fit.eps_lin)
+    return fit
 
-    def test_population_stays_in_bounds(self):
-        seen = []
-        def probe(x):
-            seen.append(x.copy())
-            return float(np.sum(x**2))
-        differential_evolution(probe, bounds=[(-1, 2), (0, 4)], generations=20, rng_seed=4)
-        pts = np.array(seen)
-        assert np.all(pts[:, 0] >= -1) and np.all(pts[:, 0] <= 2)
-        assert np.all(pts[:, 1] >= 0) and np.all(pts[:, 1] <= 4)
 
-    def test_constant_objective_returns_point_in_bounds(self):
-        res = differential_evolution(lambda x: 7.0, bounds=[(2, 3)], generations=10, rng_seed=5)
-        assert 2 <= res.x[0] <= 3
-        assert res.fun == 7.0
-
-    def test_non_finite_values_are_rejected_as_worse(self):
-        def holed(x):
-            return float("nan") if x[0] > 0 else float(x[0] ** 2)
-        res = differential_evolution(holed, bounds=[(-4, 4)], generations=150, rng_seed=6)
-        assert res.x[0] <= 0
-        assert res.fun < 1e-6
-
-    def test_history_best_so_far_never_worsens(self):
-        res = differential_evolution(
-            lambda x: float(np.sum(x**2)),
-            bounds=[(-5, 5), (-5, 5)], generations=80, rng_seed=7,
-        )
-        assert res.history.size == 81
-        assert np.all(np.diff(res.history) <= 0)
-        assert res.history[-1] == res.fun
-
-    def test_seed_reproducibility(self):
-        f = lambda x: float(np.sum((x - 0.5) ** 2))
-        a = differential_evolution(f, bounds=[(-2, 2)] * 2, generations=50, rng_seed=9)
-        b = differential_evolution(f, bounds=[(-2, 2)] * 2, generations=50, rng_seed=9)
-        assert np.array_equal(a.x, b.x)
-        assert a.fun == b.fun
-        assert np.array_equal(a.history, b.history)
-
-    def test_init_point_bounds_the_result(self):
-        # a deliberately hostile objective: flat except a narrow well
-        # at the init point, which the seeded member must retain
-        def f(x):
-            return 0.0 if abs(x[0] - 1.0) < 1e-6 else 5.0
-        res = differential_evolution(f, bounds=[(-2, 2)], generations=5, rng_seed=10, init=[1.0])
-        assert res.fun == 0.0
-
-    def test_rejects_bad_bounds(self):
-        with pytest.raises(ValueError):
-            differential_evolution(lambda x: 0.0, bounds=[(1, -1)], generations=5)
-        with pytest.raises(ValueError):
-            differential_evolution(lambda x: 0.0, bounds=[(0, float("inf"))], generations=5)
+@st.composite
+def stretch_boxes(draw):
+    """TunerConfigs over random sub-boxes of [-1, 2]^2."""
+    k = st.floats(-1.0, 2.0)
+    (lo1, hi1), (lo2, hi2) = sorted((draw(k), draw(k))), sorted((draw(k), draw(k)))
+    assume(lo1 < hi1 and lo2 < hi2)
+    return TunerConfig(k1_bounds=(lo1, hi1), k2_bounds=(lo2, hi2))
 
 
 class TestLinearError:
@@ -162,16 +119,39 @@ class TestFitLinearDecoder:
         assert fit.params.t_lin_min == pytest.approx(
             timing_summary(cfg3k).t_min * (1 + fit.k1), rel=1e-12)
 
-    def test_deterministic_for_a_seed(self, cfg3k):
-        a = fit_linear_decoder(cfg3k, TunerConfig(generations=40, rng_seed=3))
-        b = fit_linear_decoder(cfg3k, TunerConfig(generations=40, rng_seed=3))
-        assert a.k1 == b.k1 and a.k2 == b.k2 and a.eps_lin == b.eps_lin
+    def test_repeat_fits_are_identical(self, cfg3k):
+        a = fit_linear_decoder(cfg3k, TunerConfig())
+        b = fit_linear_decoder(cfg3k, TunerConfig())
+        assert a == b
 
     def test_stretch_bounds_respected(self, cfg3k):
         tc = TunerConfig(k1_bounds=(-0.5, 0.5), k2_bounds=(-0.2, 0.0), generations=40)
         fit = fit_linear_decoder(cfg3k, tc)
         assert -0.5 <= fit.k1 <= 0.5
         assert -0.2 <= fit.k2 <= 0.0
+
+    @settings(max_examples=60, deadline=None)
+    @given(u_min=st.floats(0.5, 4.5), th_ratio=st.floats(0.01, 0.95), tuner=stretch_boxes())
+    def test_fit_is_the_minimum_over_its_box(self, u_min, th_ratio, tuner):
+        cfg = EncoderConfig(tau=3e-3, u_th=th_ratio * u_min, u_min=u_min, u_max=5.0,
+                            sample_period=1e-2, reader_period=1e-4)
+        ts = timing_summary(cfg)
+        # boxes whose every stretch collapses the span have no decoder
+        assume(ts.t_max * (1 + tuner.k2_bounds[1]) > ts.t_min * (1 + tuner.k1_bounds[0]))
+        assert_fit_is_box_minimum(cfg, tuner)
+
+    def test_box_excluding_the_endpoint_decoder(self, cfg3k):
+        # (0, 0) clips to the corner (-0.6, -0.1); the free optimum
+        # (-0.85, -0.29) lies inside the box and must still be found
+        tuner = TunerConfig(k1_bounds=(-0.95, -0.6), k2_bounds=(-0.4, -0.1))
+        fit = assert_fit_is_box_minimum(cfg3k, tuner)
+        assert fit.eps_lin == pytest.approx(fit_linear_decoder(cfg3k).eps_lin, rel=1e-12)
+        assert fit.eps_lin < 0.9 * stretched_error(cfg3k, -0.6, -0.1)
+
+    def test_box_without_a_decoder_is_rejected(self, cfg3k):
+        # every t_lin_min = t_min * (1 + k1) lies above every t_lin_max
+        with pytest.raises(ValueError, match="no decoder"):
+            fit_linear_decoder(cfg3k, TunerConfig(k1_bounds=(1.0, 2.0), k2_bounds=(-1.0, -0.9)))
 
     def test_threshold_search_picks_the_better_threshold(self):
         base = EncoderConfig(tau=3e-3, u_th=0.1, u_min=1.0, u_max=5.0,
@@ -191,14 +171,8 @@ class TestTunerConfigValidation:
         with pytest.raises(ValueError, match="invert"):
             TunerConfig(k1_bounds=(-1.5, 0.0))
 
-    def test_rejects_bad_de_parameters(self):
-        with pytest.raises(ValueError):
-            TunerConfig(population=2)
-        with pytest.raises(ValueError):
-            TunerConfig(mutation=2.5)
-        with pytest.raises(ValueError):
-            TunerConfig(crossover=0.0)
-        with pytest.raises(ValueError):
+    def test_rejects_negative_alpha(self):
+        with pytest.raises(ValueError, match="alpha"):
             TunerConfig(alpha=-1.0)
 
 
