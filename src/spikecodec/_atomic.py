@@ -1,0 +1,25 @@
+"""Atomic file output shared by every writer in the package."""
+
+from __future__ import annotations
+
+import contextlib
+import os
+
+
+@contextlib.contextmanager
+def atomic_write(path: str):
+    """Yield a text handle on a temporary file next to path.
+
+    On a clean exit the file replaces path in one step, so readers see
+    either the old file or the complete new one. If the body raises,
+    the temporary file is removed and path is left as it was.
+    """
+    tmp = f"{path}.tmp.{os.getpid()}"
+    try:
+        with open(tmp, "w", newline="") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise

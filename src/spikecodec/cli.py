@@ -19,12 +19,12 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import fields, replace
 from typing import Optional
 
 import numpy as np
 
+from ._atomic import atomic_write
 from .codec import (
     EncoderConfig,
     LinearDecoderParams,
@@ -69,6 +69,7 @@ DEFAULT_SFT = {"frame_size": 128}
 SIGNAL_KEYS = ("type", "amplitude", "frequency", "offset", "level", "duration", "windows")
 SFT_KEYS = ("frame_size", "charge_phase_steps", "readout_phase_steps", "decoder")
 SECTIONS = ("encoder", "noise", "tuner", "sft", "signal")
+TIMING_KEYS = ("sample_period", "reader_period", "resolution")
 
 
 def _check_keys(name: Optional[str], section: dict, allowed) -> None:
@@ -94,14 +95,26 @@ def _load_config(path: Optional[str]) -> dict:
 
 
 def _build_encoder(section: dict, defaults: dict = DEFAULT_ENCODER) -> EncoderConfig:
+    """Encoder from a config section over defaults. Two of the three
+    timing keys fix the third, so when the section gives two or more,
+    the defaults' timing keys are ignored."""
     _check_keys("encoder", section, _field_names(EncoderConfig) | {"resolution"})
+    given = [key for key in TIMING_KEYS if key in section]
+    if len(given) >= 2:
+        defaults = {k: v for k, v in defaults.items() if k not in TIMING_KEYS}
     d = {**defaults, **section}
+    resolution = d.pop("resolution", None)
     if "reader_period" not in d:
-        d["reader_period"] = d["sample_period"] / d["resolution"]
+        d["reader_period"] = d["sample_period"] / resolution
     if "sample_period" not in d:
-        d["sample_period"] = d["reader_period"] * d["resolution"]
-    d.pop("resolution", None)
-    return EncoderConfig(**d)
+        d["sample_period"] = d["reader_period"] * resolution
+    enc = EncoderConfig(**d)
+    if len(given) == 3 and enc.resolution != resolution:
+        raise ValueError(
+            f"encoder resolution {resolution!r} disagrees with "
+            f"sample_period / reader_period = {enc.resolution}"
+        )
+    return enc
 
 
 def _build_noise(section: Optional[dict], seed: Optional[int]) -> Optional[ThermalNoiseModel]:
@@ -164,11 +177,9 @@ def _spectrum_rmse(measured: Spectrum, reference: Spectrum):
 
 
 def _write_json(doc: dict, path: str) -> None:
-    tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w") as fh:
+    with atomic_write(path) as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    os.replace(tmp, path)
 
 
 # ---------------------------------------------------------------------------
@@ -192,21 +203,14 @@ def cmd_decode(args) -> int:
     decoder = read_decoder(args.tuning) if args.tuning else None
     if args.mode == "linear" and decoder is None:
         raise ValueError("linear mode needs --tuning with fitted decoder parameters")
-    rows = ["window,u_hat"]
-    for m, k in enumerate(train.bins):
-        if k == 0:
-            rows.append(f"{m},")
-            continue
-        t = k * enc.reader_period
-        if args.mode == "ideal":
-            u = decode_ideal(t, enc)
-        else:
-            u = decode_linear(t, decoder)
-        rows.append(f"{m},{u!r}")
-    tmp = f"{args.out}.tmp.{os.getpid()}"
-    with open(tmp, "w", newline="") as fh:
-        fh.write("\n".join(rows) + "\n")
-    os.replace(tmp, args.out)
+    t = train.bins[train.fired] * enc.reader_period
+    # One cell per window: the decoded value as a Python float (so it
+    # prints as its repr), or "" for a silent window.
+    cells = np.full(len(train), "", dtype=object)
+    cells[train.fired] = decode_ideal(t, enc) if args.mode == "ideal" else decode_linear(t, decoder)
+    with atomic_write(args.out) as fh:
+        fh.write("window,u_hat\n")
+        fh.writelines(map("{},{}\n".format, range(len(cells)), cells))
     print(f"decoded {len(train)} windows ({args.mode}) -> {args.out}")
     return 0
 
@@ -221,12 +225,9 @@ def cmd_sweep_constant(args) -> int:
         enc = replace(enc_base, u_th=u_th)
         u = np.linspace(enc.u_min, enc.u_max, args.points)
         t_true = -enc.tau * np.log1p(-enc.u_th / u)
-        bins = np.empty(args.points, dtype=np.int64)
-        for i, ui in enumerate(u):
-            k = simulate_window(float(ui), enc, noise, window_index=i)
-            if k is None:
-                raise ValueError(f"window stayed silent at u_in={ui:.4g} V")
-            bins[i] = k
+        bins = simulate_window(u, enc, noise)
+        if not bins.all():
+            raise ValueError(f"window stayed silent at u_in={u[bins == 0][0]:.4g} V")
         t_meas = bins * enc.reader_period
         report = empirical_errors(u, t_true, t_meas, enc)
         ts = timing_summary(enc)
@@ -317,25 +318,19 @@ def cmd_sft_sweep(args) -> int:
     sig_cfg = _signal_section(cfg)
     freqs = [float(v) for v in args.freqs.split(",")]
     os.makedirs(args.out_dir, exist_ok=True)
-
-    def run_point(nu: float):
-        measured, reference, rmse_mag, rmse_cplx = _sft_point(
+    results = []
+    for nu in sorted(freqs):
+        measured, _, rmse_mag, rmse_cplx = _sft_point(
             enc, decoder, cfg.get("sft", {}), noise,
             sig_cfg["amplitude"], sig_cfg["offset"], nu,
         )
         write_spectrum(measured, os.path.join(args.out_dir, f"spectrum_{nu:g}hz.csv"))
-        return nu, rmse_mag, rmse_cplx
+        results.append((nu, rmse_mag, rmse_cplx))
 
-    with ThreadPoolExecutor(max_workers=min(8, len(freqs))) as pool:
-        results = list(pool.map(run_point, freqs))
-
-    results.sort(key=lambda r: r[0])
-    tmp = os.path.join(args.out_dir, f"summary.csv.tmp.{os.getpid()}")
-    with open(tmp, "w", newline="") as fh:
+    with atomic_write(os.path.join(args.out_dir, "summary.csv")) as fh:
         fh.write("freq_hz,rmse_mag,rmse_complex\n")
         for nu, rmse_mag, rmse_cplx in results:
             fh.write(f"{nu!r},{rmse_mag!r},{rmse_cplx!r}\n")
-    os.replace(tmp, os.path.join(args.out_dir, "summary.csv"))
     for nu, rmse_mag, _ in results:
         print(f"nu={nu:g} Hz: rmse_mag={rmse_mag:.6g}")
     print(f"summary -> {os.path.join(args.out_dir, 'summary.csv')}")

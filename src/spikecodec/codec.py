@@ -176,15 +176,18 @@ def encode_time(u_in: float, cfg: EncoderConfig) -> SpikeTime:
     return SpikeTime(-cfg.tau * math.log1p(-cfg.u_th / u_in))
 
 
-def decode_ideal(t_s: float, cfg: EncoderConfig) -> float:
+def decode_ideal(t_s, cfg: EncoderConfig):
     """Invert encode_time: the voltage whose crossing time is t_s.
 
     Exact inverse of the closed form, so decode_ideal(encode_time(u))
-    recovers u to float precision. t_s must be positive and finite.
+    recovers u to float precision. Accepts scalars or arrays; every
+    time must be positive and finite.
     """
-    if not (t_s > 0) or math.isinf(t_s):
+    t = np.asarray(t_s, dtype=float)
+    if not np.all((t > 0) & np.isfinite(t)):
         raise ValueError("t_s must be a positive finite time")
-    return cfg.u_th / -math.expm1(-t_s / cfg.tau)
+    u = cfg.u_th / -np.expm1(-t / cfg.tau)
+    return float(u) if u.ndim == 0 else u
 
 
 def encode_linear(y, p: LinearDecoderParams):

@@ -22,6 +22,7 @@ from typing import Optional
 
 import numpy as np
 
+from ._atomic import atomic_write
 from .codec import EncoderConfig, encode_time, decode_ideal
 
 __all__ = [
@@ -120,10 +121,7 @@ def empirical_errors(u_true, t_true, t_meas, cfg: EncoderConfig) -> ErrorReport:
     t_meas = np.asarray(t_meas, dtype=float)
     if not (u_true.size == t_true.size == t_meas.size):
         raise ValueError("inputs must have equal length")
-    if np.any(t_meas <= 0) or not np.all(np.isfinite(t_meas)):
-        raise ValueError("measured times must be positive and finite")
-    u_hat = cfg.u_th / -np.expm1(-t_meas / cfg.tau)
-    eps_u = np.abs(u_true - u_hat)
+    eps_u = np.abs(u_true - decode_ideal(t_meas, cfg))
     eps_ts = np.abs(t_true - t_meas) / cfg.reader_period
     rmse = float(np.sqrt(np.mean(eps_u**2)))
     return ErrorReport(u_in=u_true, eps_u=eps_u, eps_ts=eps_ts, rmse=rmse)
@@ -138,18 +136,14 @@ def write_error_report(
     """CSV of per-sample errors plus a JSON summary sidecar."""
     if json_path is None:
         json_path = os.path.splitext(csv_path)[0] + ".json"
-    tmp = f"{csv_path}.tmp.{os.getpid()}"
-    with open(tmp, "w", newline="") as fh:
+    with atomic_write(csv_path) as fh:
         w = csv.writer(fh)
         w.writerow(["u_in", "eps_u", "eps_ts"])
         for row in zip(report.u_in, report.eps_u, report.eps_ts):
             w.writerow([repr(float(v)) for v in row])
-    os.replace(tmp, csv_path)
     summary = {"rmse": report.rmse, "samples": int(report.u_in.size)}
     if meta:
         summary.update(meta)
-    tmp = f"{json_path}.tmp.{os.getpid()}"
-    with open(tmp, "w") as fh:
+    with atomic_write(json_path) as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    os.replace(tmp, json_path)

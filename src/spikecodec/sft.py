@@ -10,24 +10,27 @@ in the DFT coefficient of the decoded samples, and the constant part
 is carried by the weight-row sum, which vanishes for every bin except
 DC. A readout phase then drives each neuron with a constant current
 against a threshold, so its output spike time is again a linear code,
-now for the membrane value.
+now for the membrane value. In this ideal model the readout returns
+each membrane value exactly (the +/- pair difference is twice the +w
+membrane), so sft_frame reads the +w membranes directly and the
+readout length changes no value.
 
-sft_frame runs the mechanism and returns the spectrum calibrated to
-plain DFT units of the decoded sample values: subtract the row-sum
-term, halve the +/- pair difference, divide by the code slope. That
-makes it directly comparable to an FFT of ideally sampled values.
+sft_frame returns the spectrum calibrated to plain DFT units of the
+decoded sample values: subtract the row-sum term and divide by the
+code slope. That makes it directly comparable to an FFT of ideally
+sampled values.
 """
 
 from __future__ import annotations
 
 import csv
-import os
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import List, Optional
 
 import numpy as np
 
+from ._atomic import atomic_write
 from .codec import EncoderConfig, LinearDecoderParams
 from .simulate import SpikeTrain
 
@@ -48,7 +51,9 @@ class SftConfig:
     frame_size          K, windows per frame and output bins
     decoder             affine time code the frame was produced with
     charge_phase_steps  length of the charge phase, in ticks
-    readout_phase_steps length of the readout phase, in ticks
+    readout_phase_steps length of the readout phase, in ticks; the
+                        ideal readout is exact, so it is validated
+                        but changes no value
     tick                seconds per step (the reader period upstream)
     sample_period       window length T_S, used only to label bins
                         with physical frequencies k / (K * T_S)
@@ -94,10 +99,6 @@ class SftConfig:
     @property
     def charge_duration(self) -> float:
         return self.charge_phase_steps * self.tick
-
-    @property
-    def readout_duration(self) -> float:
-        return self.readout_phase_steps * self.tick
 
 
 @dataclass(frozen=True)
@@ -153,19 +154,6 @@ def _membranes(times: np.ndarray, cfg: SftConfig) -> np.ndarray:
     return cos_w @ dur + 1j * (sin_w @ dur)
 
 
-def _readout_pair(v: np.ndarray, theta: float, i_read: float) -> np.ndarray:
-    """Run one membrane bank through the +/- readout pair.
-
-    Each neuron fires when the constant drive closes the gap to the
-    threshold, t = (theta -+ v) / i_read, and the time is decoded back
-    to a membrane value. Differencing the pair cancels the common mode
-    and doubles the signal.
-    """
-    t_pos = (theta - v) / i_read
-    t_neg = (theta + v) / i_read
-    return (theta - i_read * t_pos) - (theta - i_read * t_neg)
-
-
 def sft_frame(times, cfg: SftConfig) -> Spectrum:
     """Transform one frame of spike times into a calibrated spectrum.
 
@@ -181,24 +169,16 @@ def sft_frame(times, cfg: SftConfig) -> Spectrum:
 
     v = _membranes(times, cfg)
 
-    # Readout threshold bounds any reachable membrane magnitude, so
-    # both neurons of every pair fire within the readout phase.
-    t_charge = cfg.charge_duration
-    theta = cfg.frame_size * t_charge
-    i_read = 2.0 * theta / cfg.readout_duration
-    v_pair = _readout_pair(v.real, theta, i_read) + 1j * _readout_pair(
-        v.imag, theta, i_read
-    )
-
     # Calibrate to DFT units of the decoded values. With the affine
     # code t = a - slope*y the membrane is
     #   v_k = (T_charge - a) * rowsum_k + slope * (W y)_k
     # so strip the row-sum term (nonzero only near DC) and rescale.
     p = cfg.decoder
+    t_charge = cfg.charge_duration
     a = p.t_lin_min + p.slope * p.y_max
     cos_w, sin_w = _weights_cached(cfg.frame_size)
     rowsum = cos_w.sum(axis=1) + 1j * sin_w.sum(axis=1)
-    coeff = (0.5 * v_pair - (t_charge - a) * rowsum) / p.slope
+    coeff = (v - (t_charge - a) * rowsum) / p.slope
     return Spectrum(coefficients=coeff, sample_period=cfg.sample_period)
 
 
@@ -227,13 +207,11 @@ def sft_stream(train: SpikeTrain, cfg: SftConfig, hop: Optional[int] = None) -> 
 
 def write_spectrum(spec: Spectrum, path: str) -> None:
     """CSV dump: bin, physical frequency, re, im, magnitude."""
-    tmp = f"{path}.tmp.{os.getpid()}"
     freqs = spec.bin_frequencies
     mags = spec.magnitude()
-    with open(tmp, "w", newline="") as fh:
+    with atomic_write(path) as fh:
         w = csv.writer(fh)
         w.writerow(["bin", "freq_hz", "re", "im", "mag"])
         for k, c in enumerate(spec.coefficients):
             w.writerow([k, repr(float(freqs[k])), repr(float(c.real)),
                         repr(float(c.imag)), repr(float(mags[k]))])
-    os.replace(tmp, path)

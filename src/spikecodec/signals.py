@@ -11,11 +11,11 @@ its input, so the two pipelines see identical values.
 from __future__ import annotations
 
 import csv
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._atomic import atomic_write
 from .sft import Spectrum
 from .simulate import AnalogSignal
 
@@ -96,10 +96,8 @@ def write_signal(sig: AnalogSignal, dt: float, path: str) -> None:
     n = int(np.floor(sig.duration / dt)) + 1
     t = np.arange(n) * dt
     u = np.asarray(sig(t), dtype=float)
-    tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w", newline="") as fh:
+    with atomic_write(path) as fh:
         w = csv.writer(fh)
         w.writerow(["t", "u"])
         for row in zip(t, u):
             w.writerow([repr(float(row[0])), repr(float(row[1]))])
-    os.replace(tmp, path)

@@ -25,6 +25,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from ._atomic import atomic_write
 from .codec import EncoderConfig
 
 __all__ = [
@@ -149,25 +150,33 @@ def _register(t_s, cfg: EncoderConfig):
 
 
 def simulate_window(
-    u_in: float,
+    u_in,
     cfg: EncoderConfig,
     noise: Optional[ThermalNoiseModel] = None,
     window_index: int = 0,
-) -> Optional[int]:
-    """Simulate one window: held voltage in, reader bin out.
+):
+    """Simulate windows: held voltages in, reader bins out.
 
-    Returns the bin index (1..N) or None when the window stays silent.
-    window_index only matters for per-window noise, where it selects
-    the window's random draw.
+    A scalar u_in is one window and returns its bin index (1..N), or
+    None when the window stays silent. An array holds one voltage per
+    window and returns an int64 bin array with 0 for silence; element
+    i is window window_index + i. window_index only matters for
+    per-window noise, where it selects each window's random draw.
     """
+    u = np.asarray(u_in, dtype=float)
     delta = 0.0
     if noise is not None:
         if noise.delta_u >= cfg.u_th:
             raise ValueError("delta_u must stay below u_th")
-        delta = noise.offset(window_index)
-    t = _crossing_times([u_in], cfg.u_th - delta, cfg.tau)
-    k = int(_register(t, cfg)[0])
-    return k if k > 0 else None
+        if noise.mode == "constant":
+            delta = noise.delta_u
+        else:
+            delta = np.array([noise.offset(window_index + i) for i in range(u.size)])
+            delta = delta.reshape(u.shape)
+    bins = _register(_crossing_times(u, cfg.u_th - delta, cfg.tau), cfg)
+    if u.ndim:
+        return bins
+    return int(bins) or None
 
 
 def encode_signal(
@@ -178,29 +187,15 @@ def encode_signal(
     """Encode a signal window by window into a SpikeTrain.
 
     The signal is sampled and held at each window start m*T_S; windows
-    are independent, so the whole run reduces to one vectorised pass.
+    are independent, so the whole run is one simulate_window call.
     The signal must cover at least one full window.
     """
     m_windows = int(math.floor(sig.duration / cfg.sample_period + _TICK_SNAP))
     if m_windows < 1:
         raise ValueError("signal shorter than one sample window")
-    starts = np.arange(m_windows) * cfg.sample_period
-    u_held = np.asarray(sig(starts), dtype=float)
-
-    if noise is None:
-        delta = 0.0
-        seed = None
-    else:
-        if noise.delta_u >= cfg.u_th:
-            raise ValueError("delta_u must stay below u_th")
-        seed = noise.rng_seed
-        if noise.mode == "constant":
-            delta = noise.delta_u
-        else:
-            delta = np.array([noise.offset(m) for m in range(m_windows)])
-
-    t = _crossing_times(u_held, cfg.u_th - delta, cfg.tau)
-    return SpikeTrain(bins=_register(t, cfg), config=cfg, seed=seed)
+    u_held = sig(np.arange(m_windows) * cfg.sample_period)
+    seed = None if noise is None else noise.rng_seed
+    return SpikeTrain(bins=simulate_window(u_held, cfg, noise), config=cfg, seed=seed)
 
 
 def membrane_trace(u_in: float, cfg: EncoderConfig, dt: float):
@@ -224,13 +219,6 @@ def membrane_trace(u_in: float, cfg: EncoderConfig, dt: float):
 # ---------------------------------------------------------------------------
 # persistence
 
-def _atomic_write(path: str, text: str) -> None:
-    tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w", newline="") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
-
-
 def write_spike_train(train: SpikeTrain, csv_path: str, json_path: Optional[str] = None) -> None:
     """Write a train as CSV (window,bin; bin empty for silence) plus a
     JSON sidecar holding the config and seed."""
@@ -239,16 +227,24 @@ def write_spike_train(train: SpikeTrain, csv_path: str, json_path: Optional[str]
     lines = ["window,bin"]
     for m, k in enumerate(train.bins):
         lines.append(f"{m},{k}" if k > 0 else f"{m},")
-    _atomic_write(csv_path, "\n".join(lines) + "\n")
+    with atomic_write(csv_path) as fh:
+        fh.write("\n".join(lines) + "\n")
     meta = {
         "encoder": asdict(train.config),
         "seed": train.seed,
         "windows": len(train),
     }
-    _atomic_write(json_path, json.dumps(meta, indent=2, sort_keys=True) + "\n")
+    with atomic_write(json_path) as fh:
+        fh.write(json.dumps(meta, indent=2, sort_keys=True) + "\n")
 
 
 def read_spike_train(csv_path: str, json_path: Optional[str] = None) -> SpikeTrain:
+    """Read a train written by write_spike_train.
+
+    The window column must run 0..n-1, with n the window count the
+    sidecar records, so a truncated or reordered file is rejected
+    instead of being read as a shorter train.
+    """
     if json_path is None:
         json_path = os.path.splitext(csv_path)[0] + ".json"
     with open(json_path) as fh:
@@ -256,7 +252,11 @@ def read_spike_train(csv_path: str, json_path: Optional[str] = None) -> SpikeTra
     cfg = EncoderConfig(**meta["encoder"])
     bins = []
     with open(csv_path, newline="") as fh:
-        for row in csv.DictReader(fh):
+        for m, row in enumerate(csv.DictReader(fh)):
+            if row["window"].strip() != str(m):
+                raise ValueError(f"{csv_path}: row {m + 1} has window {row['window']!r}, expected {m}")
             cell = row["bin"].strip()
             bins.append(int(cell) if cell else 0)
+    if len(bins) != meta["windows"]:
+        raise ValueError(f"{csv_path} has {len(bins)} windows, its sidecar records {meta['windows']}")
     return SpikeTrain(bins=np.array(bins, dtype=np.int64), config=cfg, seed=meta.get("seed"))

@@ -26,12 +26,12 @@ from __future__ import annotations
 
 import json
 import math
-import os
 from dataclasses import dataclass, asdict
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
+from ._atomic import atomic_write
 from .codec import (
     EncoderConfig,
     LinearDecoderParams,
@@ -248,11 +248,9 @@ def write_tuning(result: TuningResult, cfg: EncoderConfig, path: str,
         "seed": seed,
         "encoder": asdict(cfg),
     }
-    tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w") as fh:
+    with atomic_write(path) as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    os.replace(tmp, path)
 
 
 def read_decoder(path: str) -> LinearDecoderParams:

@@ -1,0 +1,31 @@
+import os
+
+import pytest
+
+from spikecodec._atomic import atomic_write
+
+
+class TestAtomicWrite:
+    def test_clean_exit_replaces_target(self, tmp_path):
+        path = tmp_path / "out.csv"
+        path.write_text("old\n")
+        with atomic_write(str(path)) as fh:
+            fh.write("new\n")
+        assert path.read_text() == "new\n"
+        assert os.listdir(tmp_path) == ["out.csv"]
+
+    def test_raising_body_leaves_target_and_no_temp_file(self, tmp_path):
+        path = tmp_path / "out.csv"
+        path.write_text("old\n")
+        with pytest.raises(RuntimeError, match="mid-write"):
+            with atomic_write(str(path)) as fh:
+                fh.write("partial")
+                raise RuntimeError("mid-write")
+        assert path.read_text() == "old\n"
+        assert os.listdir(tmp_path) == ["out.csv"]
+
+    def test_raising_body_without_target_leaves_nothing(self, tmp_path):
+        with pytest.raises(ValueError):
+            with atomic_write(str(tmp_path / "out.json")):
+                raise ValueError("bad value")
+        assert os.listdir(tmp_path) == []

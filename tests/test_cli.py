@@ -163,6 +163,48 @@ class TestFailureModes:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and all(word in err for word in named)
 
+    def test_two_timing_keys_fix_the_third(self, tmp_path):
+        enc = {k: v for k, v in BASE["encoder"].items() if k != "sample_period"}
+        cfg = write_config(tmp_path, {**BASE, "encoder": {**enc, "reader_period": 1.0 / 300000.0,
+                                                          "resolution": 200}})
+        assert main(["encode", "--config", cfg, "--out", str(tmp_path / "t.csv")]) == 0
+        meta = json.loads((tmp_path / "t.json").read_text())["encoder"]
+        assert meta["reader_period"] == 1.0 / 300000.0
+        assert meta["sample_period"] / meta["reader_period"] == pytest.approx(200, rel=1e-12)
+
+    def test_two_timing_keys_that_leave_too_short_a_window(self, tmp_path, capsys):
+        # 50 bins of 1/300000 s make a window shorter than the slowest
+        # spike; the defaults' sample_period must not take over
+        enc = {k: v for k, v in BASE["encoder"].items() if k != "sample_period"}
+        cfg = write_config(tmp_path, {"encoder": {**enc, "reader_period": 1.0 / 300000.0,
+                                                  "resolution": 50}})
+        rc = main(["tune", "--config", cfg, "--out", str(tmp_path / "t.json")])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: slowest spike")
+
+    def test_inconsistent_timing_keys_are_rejected(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"encoder": {**BASE["encoder"],
+                                                  "reader_period": 1.0 / 300000.0,
+                                                  "resolution": 50}})
+        rc = main(["tune", "--config", cfg, "--out", str(tmp_path / "t.json")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: encoder resolution 50") and "100" in err
+        assert not (tmp_path / "t.json").exists()
+
+    @pytest.mark.parametrize("keep", [slice(0, 5), slice(1, None)])
+    def test_truncated_train_is_rejected(self, tmp_path, capsys, keep):
+        cfg = write_config(tmp_path, BASE)
+        train = tmp_path / "train.csv"
+        main(["encode", "--config", cfg, "--out", str(train)])
+        lines = train.read_text().splitlines(keepends=True)
+        train.write_text(lines[0] + "".join(lines[1:][keep]))
+        out = tmp_path / "decoded.csv"
+        rc = main(["decode", "--train", str(train), "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
     def test_missing_train_file(self, tmp_path, capsys):
         rc = main(["decode", "--train", str(tmp_path / "nope.csv"),
                    "--out", str(tmp_path / "d.csv")])

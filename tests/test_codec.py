@@ -66,6 +66,18 @@ class TestDecodeIdeal:
         with pytest.raises(ValueError):
             decode_ideal(NO_SPIKE.time, cfg3k)
 
+    def test_array_matches_scalar_calls(self, cfg3k):
+        t = np.random.default_rng(29).uniform(1e-7, 2e-3, 500)
+        u = decode_ideal(t, cfg3k)
+        assert u.shape == t.shape
+        scalar = np.array([decode_ideal(float(v), cfg3k) for v in t])
+        np.testing.assert_array_max_ulp(u, scalar, maxulp=1)
+
+    @pytest.mark.parametrize("bad", [0.0, -1e-6, np.inf, np.nan])
+    def test_array_rejects_any_bad_element(self, cfg3k, bad):
+        with pytest.raises(ValueError, match="positive finite"):
+            decode_ideal(np.array([1e-4, bad, 2e-4]), cfg3k)
+
     def test_large_time_approaches_threshold(self, cfg3k):
         # as t -> inf the only voltage still crossing "just now" is u_th
         assert decode_ideal(1.0, cfg3k) == pytest.approx(cfg3k.u_th, rel=1e-9)

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spikecodec import (
     AnalogSignal,
@@ -67,6 +68,42 @@ class TestSimulateWindow:
             t = encode_time(float(u), cfg3k).time
             lag = k * cfg3k.reader_period - t
             assert -1e-15 <= lag < cfg3k.reader_period
+
+
+# The reference channel of conftest.cfg3k, built here because
+# Hypothesis does not reset function-scoped fixtures between examples.
+CFG3K = EncoderConfig(tau=3e-3, u_th=0.1, u_min=1.0, u_max=5.0,
+                      sample_period=1.0 / 3000.0, reader_period=1.0 / 300000.0)
+
+NOISE_MODELS = [
+    None,
+    ThermalNoiseModel(delta_u=0.05, mode="constant"),
+    ThermalNoiseModel(delta_u=0.05, mode="per-window", rng_seed=3),
+]
+
+# held voltages, including ones at the threshold, at the lowered
+# threshold and below it, and ones whose crossing misses the window
+held_voltages = st.one_of(
+    st.floats(0.0, 6.0),
+    st.sampled_from([0.0, 0.04, 0.05, 0.0500001, 0.1, 0.1000001, 0.5, 1.0, 5.0]),
+)
+
+
+class TestSimulateWindowArrays:
+    @settings(max_examples=150, deadline=None)
+    @given(u=st.lists(held_voltages, max_size=30), first=st.integers(0, 2**40),
+           noise=st.sampled_from(NOISE_MODELS))
+    def test_array_call_equals_scalar_calls(self, u, first, noise):
+        bins = simulate_window(np.array(u, dtype=float), CFG3K, noise, window_index=first)
+        assert bins.dtype == np.int64 and bins.shape == (len(u),)
+        for i, v in enumerate(u):
+            k = simulate_window(v, CFG3K, noise, window_index=first + i)
+            assert bins[i] == (0 if k is None else k)
+
+    def test_scalar_call_returns_int_or_none(self, cfg3k):
+        k = simulate_window(np.float64(3.0), cfg3k)
+        assert type(k) is int and k == 31
+        assert simulate_window(np.float64(0.05), cfg3k) is None
 
 
 class TestEulerOracle:
