@@ -70,15 +70,26 @@ SIGNAL_KEYS = ("type", "amplitude", "frequency", "offset", "level", "duration", 
 SFT_KEYS = ("frame_size", "charge_phase_steps", "readout_phase_steps", "decoder")
 SECTIONS = ("encoder", "noise", "tuner", "sft", "signal")
 TIMING_KEYS = ("sample_period", "reader_period", "resolution")
+# Section keys whose values are not numbers; every other key takes one.
+_NON_NUMERIC_KEYS = ("mode", "type", "decoder", "k1_bounds", "k2_bounds")
 
 
 def _check_keys(name: Optional[str], section: dict, allowed) -> None:
     """Reject keys a section (or, for name None, the whole config) does
-    not know, so a typo cannot silently fall back to a default."""
+    not know, so a typo cannot silently fall back to a default, and
+    section values that should be numbers but are not (a null
+    tuner generations is allowed: it means the default)."""
     unknown = sorted(set(section) - set(allowed))
     if unknown:
         where = "config" if name is None else f"config section {name!r}"
         raise ValueError(f"{where} has unknown key(s): {', '.join(map(repr, unknown))}")
+    if name is None:
+        return
+    for key, value in section.items():
+        if key in _NON_NUMERIC_KEYS or (key == "generations" and value is None):
+            continue
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ValueError(f"config section {name!r} key {key!r} must be a number, got {value!r}")
 
 
 def _field_names(cls) -> set:

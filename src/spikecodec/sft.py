@@ -146,12 +146,34 @@ def dft_weights(frame_size: int):
     return cos_w.copy(), sin_w.copy()
 
 
-def _membranes(times: np.ndarray, cfg: SftConfig) -> np.ndarray:
-    """Charge-phase membrane values, complex per bin, for +w neurons."""
+# Frames per chunk in sft_stream. Small chunks keep the stream's result
+# arrays in reused heap, so its peak memory stays near that of
+# transforming one frame at a time.
+_CHUNK_FRAMES = 64
+
+
+def _check_times(times: np.ndarray) -> None:
+    if not np.all(np.isfinite(times)) or np.any(times < 0):
+        raise ValueError("spike times must be finite and non-negative")
+
+
+def _coefficients(frames: np.ndarray, cfg: SftConfig) -> np.ndarray:
+    """Calibrated spectra of an (F, K) stack of frames of spike times.
+
+    Each +w membrane charges w * (T_charge - t) per spike. With the
+    affine code t = a - slope*y the membrane of bin k is
+      v_k = (T_charge - a) * rowsum_k + slope * (W y)_k
+    so strip the row-sum term (nonzero only near DC) and rescale to
+    DFT units of the decoded values. Returns (F, K) complex.
+    """
+    p = cfg.decoder
     t_charge = cfg.charge_duration
-    dur = np.clip(t_charge - times, 0.0, None)
     cos_w, sin_w = _weights_cached(cfg.frame_size)
-    return cos_w @ dur + 1j * (sin_w @ dur)
+    dur = np.clip(t_charge - frames, 0.0, None)
+    v = dur @ cos_w.T + 1j * (dur @ sin_w.T)
+    a = p.t_lin_min + p.slope * p.y_max
+    rowsum = cos_w.sum(axis=1) + 1j * sin_w.sum(axis=1)
+    return (v - (t_charge - a) * rowsum) / p.slope
 
 
 def sft_frame(times, cfg: SftConfig) -> Spectrum:
@@ -164,21 +186,8 @@ def sft_frame(times, cfg: SftConfig) -> Spectrum:
     times = np.asarray(times, dtype=float)
     if times.shape != (cfg.frame_size,):
         raise ValueError(f"expected {cfg.frame_size} spike times, got {times.shape}")
-    if not np.all(np.isfinite(times)) or np.any(times < 0):
-        raise ValueError("spike times must be finite and non-negative")
-
-    v = _membranes(times, cfg)
-
-    # Calibrate to DFT units of the decoded values. With the affine
-    # code t = a - slope*y the membrane is
-    #   v_k = (T_charge - a) * rowsum_k + slope * (W y)_k
-    # so strip the row-sum term (nonzero only near DC) and rescale.
-    p = cfg.decoder
-    t_charge = cfg.charge_duration
-    a = p.t_lin_min + p.slope * p.y_max
-    cos_w, sin_w = _weights_cached(cfg.frame_size)
-    rowsum = cos_w.sum(axis=1) + 1j * sin_w.sum(axis=1)
-    coeff = (v - (t_charge - a) * rowsum) / p.slope
+    _check_times(times)
+    coeff = _coefficients(times[None, :], cfg)[0]
     return Spectrum(coefficients=coeff, sample_period=cfg.sample_period)
 
 
@@ -187,7 +196,9 @@ def sft_stream(train: SpikeTrain, cfg: SftConfig, hop: Optional[int] = None) -> 
 
     hop defaults to frame_size (back-to-back frames). Windows without
     a spike enter as the decoder's largest code time, clipped to the
-    charge phase. The train must cover at least one frame.
+    charge phase. The train must cover at least one frame. Frames are
+    transformed a chunk at a time, as matrix products; each Spectrum
+    holds a row of its chunk's result.
     """
     k = cfg.frame_size
     if hop is None:
@@ -199,9 +210,12 @@ def sft_stream(train: SpikeTrain, cfg: SftConfig, hop: Optional[int] = None) -> 
     silent_time = min(cfg.decoder.t_lin_max, cfg.charge_duration)
     t = train.bins * train.config.reader_period
     times = np.where(train.fired, t, silent_time)
+    _check_times(times)
+    frames = np.lib.stride_tricks.sliding_window_view(times, k)[::hop]
     out = []
-    for start in range(0, len(train) - k + 1, hop):
-        out.append(sft_frame(times[start : start + k], cfg))
+    for start in range(0, len(frames), _CHUNK_FRAMES):
+        coeff = _coefficients(frames[start : start + _CHUNK_FRAMES], cfg)
+        out.extend(Spectrum(coefficients=c, sample_period=cfg.sample_period) for c in coeff)
     return out
 
 

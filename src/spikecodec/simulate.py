@@ -162,8 +162,15 @@ def simulate_window(
     window and returns an int64 bin array with 0 for silence; element
     i is window window_index + i. window_index only matters for
     per-window noise, where it selects each window's random draw.
+    A non-finite held voltage raises ValueError: it would otherwise
+    read as a silent window.
     """
     u = np.asarray(u_in, dtype=float)
+    bad = ~np.isfinite(u)
+    if bad.any():
+        i = int(np.flatnonzero(bad)[0])
+        v = float(u.flat[i])
+        raise ValueError(f"window {window_index + i} holds a non-finite input voltage ({v!r})")
     delta = 0.0
     if noise is not None:
         if noise.delta_u >= cfg.u_th:
@@ -224,11 +231,12 @@ def write_spike_train(train: SpikeTrain, csv_path: str, json_path: Optional[str]
     JSON sidecar holding the config and seed."""
     if json_path is None:
         json_path = os.path.splitext(csv_path)[0] + ".json"
-    lines = ["window,bin"]
-    for m, k in enumerate(train.bins):
-        lines.append(f"{m},{k}" if k > 0 else f"{m},")
+    # One cell per window, "" for silence, streamed row by row.
+    cells = np.full(len(train), "", dtype=object)
+    cells[train.fired] = train.bins[train.fired]
     with atomic_write(csv_path) as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("window,bin\n")
+        fh.writelines(map("{},{}\n".format, range(len(cells)), cells))
     meta = {
         "encoder": asdict(train.config),
         "seed": train.seed,

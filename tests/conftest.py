@@ -4,18 +4,24 @@ import pytest
 from spikecodec import EncoderConfig
 
 
+# The reference channel: tau 3 ms, 100 mV threshold, 1-5 V range,
+# 3 kHz sampling with 100 reader bins per window. Hypothesis tests use
+# the constant, because Hypothesis does not reset function-scoped
+# fixtures between examples.
+CFG3K = EncoderConfig(
+    tau=3e-3,
+    u_th=0.1,
+    u_min=1.0,
+    u_max=5.0,
+    sample_period=1.0 / 3000.0,
+    reader_period=1.0 / 300000.0,
+)
+
+
 @pytest.fixture
 def cfg3k() -> EncoderConfig:
-    """The reference channel: tau 3 ms, 100 mV threshold, 1-5 V range,
-    3 kHz sampling with 100 reader bins per window."""
-    return EncoderConfig(
-        tau=3e-3,
-        u_th=0.1,
-        u_min=1.0,
-        u_max=5.0,
-        sample_period=1.0 / 3000.0,
-        reader_period=1.0 / 300000.0,
-    )
+    """The reference channel, CFG3K."""
+    return CFG3K
 
 
 def naive_dft(y):

@@ -205,6 +205,31 @@ class TestFailureModes:
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
 
+    def test_non_finite_signal_is_rejected(self, tmp_path, capsys):
+        # a NaN input used to encode as a train of silent windows
+        cfg = write_config(tmp_path, {**BASE, "signal": {"type": "constant", "level": float("nan")}})
+        out = tmp_path / "t.csv"
+        rc = main(["encode", "--config", cfg, "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: window 0 holds a non-finite input voltage")
+        assert not out.exists() and not (tmp_path / "t.json").exists()
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("encoder", "tau", "abc"),
+        ("noise", "delta_u", True),
+        ("sft", "frame_size", [128]),
+        ("signal", "amplitude", None),
+    ])
+    def test_wrongly_typed_config_value_is_named(self, tmp_path, capsys, section, key, value):
+        doc = {**BASE, "noise": {"delta_u": 0.01}, "sft": {"frame_size": 4}}
+        doc[section] = {**doc[section], key: value}
+        cfg = write_config(tmp_path, doc)
+        rc = main(["sft", "--config", cfg, "--out-prefix", str(tmp_path / "run")])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: config section {section!r} key {key!r} must be a number, got {value!r}\n")
+        assert list(tmp_path.iterdir()) == [tmp_path / "config.json"]
+
     def test_missing_train_file(self, tmp_path, capsys):
         rc = main(["decode", "--train", str(tmp_path / "nope.csv"),
                    "--out", str(tmp_path / "d.csv")])

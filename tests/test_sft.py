@@ -2,6 +2,7 @@ import csv
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spikecodec import (
     LinearDecoderParams,
@@ -14,7 +15,8 @@ from spikecodec import (
     sft_stream,
     write_spectrum,
 )
-from conftest import naive_dft
+from spikecodec.sft import _CHUNK_FRAMES
+from conftest import CFG3K, naive_dft
 
 
 DEC = LinearDecoderParams(t_lin_min=5e-5, t_lin_max=3e-4, y_min=1.0, y_max=5.0)
@@ -150,6 +152,37 @@ class TestSftStream:
         long_train = SpikeTrain(bins=np.tile([31], 8), config=cfg3k)
         with pytest.raises(ValueError, match="hop"):
             sft_stream(long_train, cfg, hop=0)
+
+
+@st.composite
+def streams(draw):
+    """A train, frame size and hop giving more frames than one chunk,
+    with a frame count that is not a multiple of the chunk size."""
+    k = draw(st.integers(2, 24))
+    hop = draw(st.integers(1, 2 * k))
+    n_frames = draw(st.integers(_CHUNK_FRAMES + 1, 3 * _CHUNK_FRAMES)
+                    .filter(lambda f: f % _CHUNK_FRAMES))
+    # windows past the last full frame, too few to start another
+    tail = draw(st.integers(0, hop - 1))
+    n = k + (n_frames - 1) * hop + tail
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    bins = rng.integers(1, CFG3K.resolution + 1, n)
+    bins[rng.random(n) < draw(st.sampled_from([0.0, 0.05, 0.5, 1.0]))] = 0
+    return SpikeTrain(bins=bins, config=CFG3K), k, hop
+
+
+class TestSftStreamChunks:
+    @settings(max_examples=40, deadline=None)
+    @given(stream=streams())
+    def test_every_frame_equals_sft_frame(self, stream):
+        train, k, hop = stream
+        cfg = SftConfig.for_encoder(CFG3K, DEC, frame_size=k)
+        spectra = sft_stream(train, cfg, hop=hop)
+        assert len(spectra) == (len(train) - k) // hop + 1
+        times = np.where(train.fired, train.bins * CFG3K.reader_period, DEC.t_lin_max)
+        for f, spec in enumerate(spectra):
+            ref = sft_frame(times[f * hop : f * hop + k], cfg).coefficients
+            assert np.abs(spec.coefficients - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 class TestSpectrum:

@@ -19,6 +19,7 @@ from spikecodec import (
     SineSpec,
     write_spike_train,
 )
+from conftest import CFG3K
 
 
 class TestSimulateWindow:
@@ -70,11 +71,6 @@ class TestSimulateWindow:
             assert -1e-15 <= lag < cfg3k.reader_period
 
 
-# The reference channel of conftest.cfg3k, built here because
-# Hypothesis does not reset function-scoped fixtures between examples.
-CFG3K = EncoderConfig(tau=3e-3, u_th=0.1, u_min=1.0, u_max=5.0,
-                      sample_period=1.0 / 3000.0, reader_period=1.0 / 300000.0)
-
 NOISE_MODELS = [
     None,
     ThermalNoiseModel(delta_u=0.05, mode="constant"),
@@ -104,6 +100,17 @@ class TestSimulateWindowArrays:
         k = simulate_window(np.float64(3.0), cfg3k)
         assert type(k) is int and k == 31
         assert simulate_window(np.float64(0.05), cfg3k) is None
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_scalar_non_finite_voltage_is_rejected(self, cfg3k, bad):
+        # it must not read as a silent window
+        with pytest.raises(ValueError, match="window 7 holds a non-finite input voltage"):
+            simulate_window(bad, cfg3k, window_index=7)
+
+    def test_array_non_finite_voltage_is_rejected(self, cfg3k):
+        u = np.array([3.0, 1e12, np.nan, np.inf, 3.0])
+        with pytest.raises(ValueError, match=r"window 12 holds a non-finite input voltage \(nan\)"):
+            simulate_window(u, cfg3k, window_index=10)
 
 
 class TestEulerOracle:
@@ -261,7 +268,7 @@ class TestSpikeTrainIO:
         csv_path = str(tmp_path / "train.csv")
         write_spike_train(train, csv_path)
         text = (tmp_path / "train.csv").read_text()
-        assert "1,\n" in text
+        assert text == "window,bin\n0,31\n1,\n2,19\n"
         back = read_spike_train(csv_path)
         assert list(back.bins) == [31, 0, 19]
         assert back.seed is None
