@@ -97,12 +97,28 @@ def _field_names(cls) -> set:
 
 
 def _load_config(path: Optional[str]) -> dict:
+    """Config sections by name; a null section reads as an empty one."""
     if path is None:
         return {}
     with open(path) as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ValueError(f"config must be a JSON object, got {doc!r}")
     _check_keys(None, doc, SECTIONS)
+    for name, section in doc.items():
+        if section is None:
+            doc[name] = {}
+        elif not isinstance(section, dict):
+            raise ValueError(f"config section {name!r} must be a JSON object, got {section!r}")
     return doc
+
+
+def _float_list(option: str, text: str) -> list:
+    """Comma-separated numbers from a command-line option."""
+    try:
+        return [float(v) for v in text.split(",")]
+    except ValueError:
+        raise ValueError(f"{option} must be a comma-separated list of numbers, got {text!r}") from None
 
 
 def _build_encoder(section: dict, defaults: dict = DEFAULT_ENCODER) -> EncoderConfig:
@@ -129,14 +145,17 @@ def _build_encoder(section: dict, defaults: dict = DEFAULT_ENCODER) -> EncoderCo
 
 
 def _build_noise(section: Optional[dict], seed: Optional[int]) -> Optional[ThermalNoiseModel]:
+    """The noise model, validated whenever the section is given; None
+    when it is missing or its delta_u is 0."""
     section = section or {}
     _check_keys("noise", section, _field_names(ThermalNoiseModel))
-    if section.get("delta_u", 0.0) == 0.0:
+    if not section:
         return None
-    kw = dict(section)
+    kw = {"delta_u": 0.0, **section}
     if seed is not None:
         kw["rng_seed"] = seed
-    return ThermalNoiseModel(**kw)
+    noise = ThermalNoiseModel(**kw)
+    return noise if noise.delta_u else None
 
 
 def _build_tuner(section: Optional[dict]) -> TunerConfig:
@@ -227,10 +246,12 @@ def cmd_decode(args) -> int:
 
 
 def cmd_sweep_constant(args) -> int:
+    thresholds = _float_list("--thresholds", args.thresholds)
+    if args.points < 1:
+        raise ValueError(f"--points must be at least 1, got {args.points}")
     cfg = _load_config(args.config)
     enc_base = _build_encoder(cfg.get("encoder", {}), defaults=DEFAULT_SWEEP_ENCODER)
     noise = _build_noise(cfg.get("noise"), args.seed)
-    thresholds = [float(v) for v in args.thresholds.split(",")]
     os.makedirs(args.out_dir, exist_ok=True)
     for u_th in thresholds:
         enc = replace(enc_base, u_th=u_th)
@@ -322,12 +343,12 @@ def cmd_sft(args) -> int:
 
 
 def cmd_sft_sweep(args) -> int:
+    freqs = _float_list("--freqs", args.freqs)
     cfg = _load_config(args.config)
     enc = _build_encoder(cfg.get("encoder", {}))
     noise = _build_noise(cfg.get("noise"), args.seed)
     decoder = _resolve_decoder(cfg, enc)
     sig_cfg = _signal_section(cfg)
-    freqs = [float(v) for v in args.freqs.split(",")]
     os.makedirs(args.out_dir, exist_ok=True)
     results = []
     for nu in sorted(freqs):

@@ -26,6 +26,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from ._atomic import atomic_write
+from ._draws import window_doubles
 from .codec import EncoderConfig
 
 __all__ = [
@@ -51,9 +52,11 @@ class ThermalNoiseModel:
     """Additive membrane offset, expressed as a threshold drop delta_u.
 
     mode "constant" applies the full delta_u in every window;
-    "per-window" draws a fresh offset uniformly from [0, delta_u] per
-    window, seeded per (rng_seed, window_index) so runs are
-    reproducible and windows are independent of evaluation order.
+    "per-window" gives window m the offset
+    np.random.default_rng([rng_seed, m]).uniform(0, delta_u), so runs
+    are reproducible and windows are independent of evaluation order.
+    The draws are computed for many windows at once (see _draws.py).
+    rng_seed must be a non-negative integer and delta_u finite.
     """
 
     delta_u: float
@@ -61,16 +64,22 @@ class ThermalNoiseModel:
     rng_seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.delta_u < 0:
-            raise ValueError("delta_u must be >= 0")
+        if not math.isfinite(self.delta_u) or self.delta_u < 0:
+            raise ValueError(f"delta_u must be finite and >= 0, got {self.delta_u!r}")
         if self.mode not in NOISE_MODES:
             raise ValueError(f"mode must be one of {NOISE_MODES}")
+        seed = self.rng_seed
+        if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+            raise ValueError(f"rng_seed must be a non-negative integer, got {seed!r}")
 
     def offset(self, window_index: int) -> float:
+        return float(self._offsets(window_index, 1)[0])
+
+    def _offsets(self, first: int, n: int) -> np.ndarray:
+        """Offsets of windows first..first+n-1."""
         if self.mode == "constant":
-            return self.delta_u
-        rng = np.random.default_rng([self.rng_seed, window_index])
-        return float(rng.uniform(0.0, self.delta_u))
+            return np.full(n, self.delta_u)
+        return self.delta_u * window_doubles(self.rng_seed, first, n)
 
 
 @dataclass(frozen=True)
@@ -175,11 +184,7 @@ def simulate_window(
     if noise is not None:
         if noise.delta_u >= cfg.u_th:
             raise ValueError("delta_u must stay below u_th")
-        if noise.mode == "constant":
-            delta = noise.delta_u
-        else:
-            delta = np.array([noise.offset(window_index + i) for i in range(u.size)])
-            delta = delta.reshape(u.shape)
+        delta = noise._offsets(window_index, u.size).reshape(u.shape)
     bins = _register(_crossing_times(u, cfg.u_th - delta, cfg.tau), cfg)
     if u.ndim:
         return bins

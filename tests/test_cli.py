@@ -230,6 +230,56 @@ class TestFailureModes:
             f"error: config section {section!r} key {key!r} must be a number, got {value!r}\n")
         assert list(tmp_path.iterdir()) == [tmp_path / "config.json"]
 
+    @pytest.mark.parametrize("doc, message", [
+        ({"encoder": 5}, "config section 'encoder' must be a JSON object, got 5"),
+        ({"signal": [1]}, "config section 'signal' must be a JSON object, got [1]"),
+        (5, "config must be a JSON object, got 5"),
+    ])
+    def test_section_that_is_not_an_object_is_named(self, tmp_path, capsys, doc, message):
+        out = tmp_path / "t.csv"
+        rc = main(["encode", "--config", write_config(tmp_path, doc), "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_null_sections_read_as_empty(self, tmp_path):
+        cfg = write_config(tmp_path, {"encoder": None})
+        assert main(["encode", "--config", cfg, "--out", str(tmp_path / "t.csv")]) == 0
+        cfg = write_config(tmp_path, {name: None for name in ("encoder", "noise", "tuner",
+                                                               "sft", "signal")})
+        assert main(["sft", "--config", cfg, "--out-prefix", str(tmp_path / "run")]) == 0
+
+    @pytest.mark.parametrize("noise, named", [
+        ({"delta_u": 0.01, "mode": "per-window", "rng_seed": 1.5}, "rng_seed"),
+        ({"delta_u": 0.01, "mode": "per-window", "rng_seed": -3}, "rng_seed"),
+        ({"delta_u": float("nan"), "mode": "per-window"}, "delta_u"),
+        ({"delta_u": float("nan"), "mode": "constant"}, "delta_u"),
+        ({"delta_u": 0.0, "rng_seed": -3}, "rng_seed"),  # checked even when noiseless
+    ])
+    def test_invalid_noise_field_is_named(self, tmp_path, capsys, noise, named):
+        # a NaN delta_u used to encode every window as silence
+        cfg = write_config(tmp_path, {**BASE, "noise": noise})
+        out = tmp_path / "t.csv"
+        rc = main(["encode", "--config", cfg, "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {named} must be") and err.count("\n") == 1
+        assert not out.exists() and not (tmp_path / "t.json").exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["sweep-constant", "--points", "0"], "error: --points must be at least 1, got 0\n"),
+        (["sweep-constant", "--thresholds", ""],
+         "error: --thresholds must be a comma-separated list of numbers, got ''\n"),
+        (["sft-sweep", "--freqs", ""],
+         "error: --freqs must be a comma-separated list of numbers, got ''\n"),
+    ])
+    def test_bad_list_or_count_argument_is_named(self, tmp_path, capsys, argv, message):
+        out_dir = tmp_path / "out"
+        rc = main(argv + ["--out-dir", str(out_dir)])
+        assert rc == 1
+        assert capsys.readouterr().err == message
+        assert not out_dir.exists()
+
     def test_missing_train_file(self, tmp_path, capsys):
         rc = main(["decode", "--train", str(tmp_path / "nope.csv"),
                    "--out", str(tmp_path / "d.csv")])

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -151,6 +152,51 @@ class TestThermalNoise:
         forward = [noise.offset(m) for m in range(50)]
         backward = [noise.offset(m) for m in reversed(range(50))]
         assert forward == backward[::-1]
+
+    @pytest.mark.parametrize("seed, first, n", [
+        (0, 0, 40),
+        (1, 0, 40),
+        (2**32 - 1, 0, 40),
+        (2**32, 0, 40),
+        (2**64 + 5, 0, 40),
+        (2**96 + 7, 0, 40),  # five entropy words, one more than the pool
+        (42, 8190, 2 * 8192 + 5),  # across two chunk boundaries
+        (42, 2**32 - 3, 8),  # window index from one uint32 word to two
+        (7, 2**32 - 8195, 8200),  # a chunk boundary, then 2**32
+        (2**32, 2**40, 40),
+    ])
+    def test_batched_draws_equal_per_window_generators(self, seed, first, n):
+        noise = ThermalNoiseModel(delta_u=0.02, mode="per-window", rng_seed=seed)
+        expected = np.array([np.random.default_rng([seed, m]).uniform(0.0, 0.02)
+                             for m in range(first, first + n)])
+        assert np.array_equal(noise._offsets(first, n), expected)
+        assert noise.offset(first + n - 1) == expected[-1]
+
+    def test_per_window_simulation_stays_chunked(self):
+        # drawing 1e5 windows at once held about 28 MiB of temporaries
+        noise = ThermalNoiseModel(delta_u=0.01, mode="per-window", rng_seed=11)
+        u = 3.0 + 2.0 * np.sin(0.01 * np.arange(100_000))
+        tracemalloc.start()
+        try:
+            simulate_window(u, CFG3K, noise)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * 2**20
+
+    @pytest.mark.parametrize("seed", [1.5, -3, True, "7"])
+    def test_rejects_seed_that_is_not_a_non_negative_integer(self, seed):
+        with pytest.raises(ValueError, match="rng_seed must be a non-negative integer"):
+            ThermalNoiseModel(delta_u=0.01, mode="per-window", rng_seed=seed)
+
+    def test_accepts_numpy_integer_seed(self):
+        noise = ThermalNoiseModel(delta_u=0.01, mode="per-window", rng_seed=np.uint64(2**63))
+        assert noise.offset(3) == np.random.default_rng([2**63, 3]).uniform(0.0, 0.01)
+
+    @pytest.mark.parametrize("delta_u", [math.nan, math.inf])
+    def test_rejects_non_finite_delta(self, delta_u):
+        with pytest.raises(ValueError, match="delta_u must be finite"):
+            ThermalNoiseModel(delta_u=delta_u)
 
     def test_rejects_offset_at_threshold(self, cfg3k):
         with pytest.raises(ValueError, match="delta_u"):
