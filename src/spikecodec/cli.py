@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import fields, replace
@@ -25,6 +26,7 @@ from typing import Optional
 import numpy as np
 
 from ._atomic import atomic_write
+from ._rows import write_rows
 from .codec import (
     EncoderConfig,
     LinearDecoderParams,
@@ -158,12 +160,20 @@ def _build_noise(section: Optional[dict], seed: Optional[int]) -> Optional[Therm
     return noise if noise.delta_u else None
 
 
+def _is_finite_number(value) -> bool:
+    return not isinstance(value, bool) and isinstance(value, (int, float)) and math.isfinite(value)
+
+
 def _build_tuner(section: Optional[dict]) -> TunerConfig:
     kw = dict(section or {})
     _check_keys("tuner", kw, _field_names(TunerConfig))
     for key in ("k1_bounds", "k2_bounds"):
         if key in kw:
-            kw[key] = tuple(kw[key])
+            pair = kw[key]
+            if not (isinstance(pair, list) and len(pair) == 2 and all(map(_is_finite_number, pair))):
+                raise ValueError(f"config section 'tuner' key {key!r} must be a pair of finite "
+                                 f"numbers, got {pair!r}")
+            kw[key] = tuple(pair)
     return TunerConfig(**kw)
 
 
@@ -192,11 +202,17 @@ def _resolve_decoder(cfg: dict, enc: EncoderConfig) -> LinearDecoderParams:
     section = cfg.get("sft") or {}
     _check_keys("sft", section, SFT_KEYS)
     spec = section.get("decoder")
+    if spec is None:
+        return fit_linear_decoder(enc, _build_tuner(cfg.get("tuner"))).params
     if isinstance(spec, str):
         return read_decoder(spec)
-    if isinstance(spec, dict):
+    if not (isinstance(spec, dict) and all(map(_is_finite_number, spec.values()))):
+        raise ValueError(f"config section 'sft' key 'decoder' must be a path string or an object "
+                         f"of finite numbers, got {spec!r}")
+    try:
         return LinearDecoderParams(**spec)
-    return fit_linear_decoder(enc, _build_tuner(cfg.get("tuner"))).params
+    except TypeError as exc:
+        raise ValueError(f"config section 'sft' key 'decoder': {exc}") from None
 
 
 def _spectrum_rmse(measured: Spectrum, reference: Spectrum):
@@ -233,14 +249,13 @@ def cmd_decode(args) -> int:
     decoder = read_decoder(args.tuning) if args.tuning else None
     if args.mode == "linear" and decoder is None:
         raise ValueError("linear mode needs --tuning with fitted decoder parameters")
-    t = train.bins[train.fired] * enc.reader_period
-    # One cell per window: the decoded value as a Python float (so it
-    # prints as its repr), or "" for a silent window.
-    cells = np.full(len(train), "", dtype=object)
-    cells[train.fired] = decode_ideal(t, enc) if args.mode == "ideal" else decode_linear(t, decoder)
+    # Decode each of the N bins once; a window's cell is its bin's
+    # entry in that table, "" for a silent window.
+    t = np.arange(1, enc.resolution + 1) * enc.reader_period
+    u = decode_ideal(t, enc) if args.mode == "ideal" else decode_linear(t, decoder)
+    table = np.array(["", *map(repr, u.tolist())], dtype=object)
     with atomic_write(args.out) as fh:
-        fh.write("window,u_hat\n")
-        fh.writelines(map("{},{}\n".format, range(len(cells)), cells))
+        write_rows(fh, "window,u_hat\n", "{},{}\n", range(len(train)), table[train.bins])
     print(f"decoded {len(train)} windows ({args.mode}) -> {args.out}")
     return 0
 
@@ -360,9 +375,7 @@ def cmd_sft_sweep(args) -> int:
         results.append((nu, rmse_mag, rmse_cplx))
 
     with atomic_write(os.path.join(args.out_dir, "summary.csv")) as fh:
-        fh.write("freq_hz,rmse_mag,rmse_complex\n")
-        for nu, rmse_mag, rmse_cplx in results:
-            fh.write(f"{nu!r},{rmse_mag!r},{rmse_cplx!r}\n")
+        write_rows(fh, "freq_hz,rmse_mag,rmse_complex\n", "{!r},{!r},{!r}\n", *np.array(results).T)
     for nu, rmse_mag, _ in results:
         print(f"nu={nu:g} Hz: rmse_mag={rmse_mag:.6g}")
     print(f"summary -> {os.path.join(args.out_dir, 'summary.csv')}")

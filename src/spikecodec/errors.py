@@ -13,7 +13,6 @@ sample and as an RMS figure.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import os
@@ -23,6 +22,7 @@ from typing import Optional
 import numpy as np
 
 from ._atomic import atomic_write
+from ._rows import write_rows
 from .codec import EncoderConfig, encode_time, decode_ideal
 
 __all__ = [
@@ -137,10 +137,8 @@ def write_error_report(
     if json_path is None:
         json_path = os.path.splitext(csv_path)[0] + ".json"
     with atomic_write(csv_path) as fh:
-        w = csv.writer(fh)
-        w.writerow(["u_in", "eps_u", "eps_ts"])
-        for row in zip(report.u_in, report.eps_u, report.eps_ts):
-            w.writerow([repr(float(v)) for v in row])
+        write_rows(fh, "u_in,eps_u,eps_ts\r\n", "{!r},{!r},{!r}\r\n",
+                   report.u_in, report.eps_u, report.eps_ts)
     summary = {"rmse": report.rmse, "samples": int(report.u_in.size)}
     if meta:
         summary.update(meta)

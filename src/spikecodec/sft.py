@@ -23,7 +23,6 @@ sampled values.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import List, Optional
@@ -31,6 +30,7 @@ from typing import List, Optional
 import numpy as np
 
 from ._atomic import atomic_write
+from ._rows import write_rows
 from .codec import EncoderConfig, LinearDecoderParams
 from .simulate import SpikeTrain
 
@@ -223,9 +223,7 @@ def write_spectrum(spec: Spectrum, path: str) -> None:
     """CSV dump: bin, physical frequency, re, im, magnitude."""
     freqs = spec.bin_frequencies
     mags = spec.magnitude()
+    c = spec.coefficients
     with atomic_write(path) as fh:
-        w = csv.writer(fh)
-        w.writerow(["bin", "freq_hz", "re", "im", "mag"])
-        for k, c in enumerate(spec.coefficients):
-            w.writerow([k, repr(float(freqs[k])), repr(float(c.real)),
-                        repr(float(c.imag)), repr(float(mags[k]))])
+        write_rows(fh, "bin,freq_hz,re,im,mag\r\n", "{},{!r},{!r},{!r},{!r}\r\n",
+                   range(len(c)), freqs, c.real, c.imag, mags)

@@ -10,12 +10,12 @@ its input, so the two pipelines see identical values.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._atomic import atomic_write
+from ._rows import write_rows
 from .sft import Spectrum
 from .simulate import AnalogSignal
 
@@ -97,7 +97,4 @@ def write_signal(sig: AnalogSignal, dt: float, path: str) -> None:
     t = np.arange(n) * dt
     u = np.asarray(sig(t), dtype=float)
     with atomic_write(path) as fh:
-        w = csv.writer(fh)
-        w.writerow(["t", "u"])
-        for row in zip(t, u):
-            w.writerow([repr(float(row[0])), repr(float(row[1]))])
+        write_rows(fh, "t,u\r\n", "{!r},{!r}\r\n", t, u)

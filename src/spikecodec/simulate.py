@@ -16,7 +16,6 @@ equivalent threshold drop, which preserves the closed form.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import os
@@ -27,6 +26,7 @@ import numpy as np
 
 from ._atomic import atomic_write
 from ._draws import window_doubles
+from ._rows import read_pairs, write_rows
 from .codec import EncoderConfig
 
 __all__ = [
@@ -236,12 +236,10 @@ def write_spike_train(train: SpikeTrain, csv_path: str, json_path: Optional[str]
     JSON sidecar holding the config and seed."""
     if json_path is None:
         json_path = os.path.splitext(csv_path)[0] + ".json"
-    # One cell per window, "" for silence, streamed row by row.
-    cells = np.full(len(train), "", dtype=object)
-    cells[train.fired] = train.bins[train.fired]
+    # One cell per window, looked up in a table of the N + 1 bin cells.
+    table = np.array(["", *map(str, range(1, train.config.resolution + 1))], dtype=object)
     with atomic_write(csv_path) as fh:
-        fh.write("window,bin\n")
-        fh.writelines(map("{},{}\n".format, range(len(cells)), cells))
+        write_rows(fh, "window,bin\n", "{},{}\n", range(len(train)), table[train.bins])
     meta = {
         "encoder": asdict(train.config),
         "seed": train.seed,
@@ -251,25 +249,58 @@ def write_spike_train(train: SpikeTrain, csv_path: str, json_path: Optional[str]
         fh.write(json.dumps(meta, indent=2, sort_keys=True) + "\n")
 
 
+def _read_sidecar(json_path: str):
+    """Encoder config and sidecar fields; a malformed sidecar is a
+    ValueError that names the file."""
+    with open(json_path) as fh:
+        meta = json.load(fh)
+    encoder = meta.get("encoder") if isinstance(meta, dict) else None
+    if not isinstance(encoder, dict):
+        raise ValueError(f"{json_path}: sidecar has no encoder object")
+    try:
+        cfg = EncoderConfig(**encoder)
+    except TypeError as exc:
+        raise ValueError(f"{json_path}: bad sidecar encoder ({exc})") from None
+    return cfg, meta
+
+
+def _parse_bins(csv_path: str, lo: int, windows: list, cells: list) -> list:
+    """Bins of the chunk of rows from lo, after checking its window
+    column. The row by row pass runs only when the fast one fails, to
+    name the bad row or to accept cells padded with spaces."""
+    if windows == list(map(str, range(lo, lo + len(windows)))):
+        try:
+            return [int(c) if c.strip() else 0 for c in cells]
+        except ValueError:
+            pass
+    bins = []
+    for m, (w, c) in enumerate(zip(windows, cells), start=lo):
+        if w.strip() != str(m):
+            raise ValueError(f"{csv_path}: row {m + 1} has window {w!r}, expected {m}")
+        c = c.strip()
+        try:
+            bins.append(int(c) if c else 0)
+        except ValueError:
+            raise ValueError(f"{csv_path}: row {m + 1} has bin {c!r}, not an integer") from None
+    return bins
+
+
 def read_spike_train(csv_path: str, json_path: Optional[str] = None) -> SpikeTrain:
     """Read a train written by write_spike_train.
 
-    The window column must run 0..n-1, with n the window count the
-    sidecar records, so a truncated or reordered file is rejected
-    instead of being read as a shorter train.
+    The header must be window,bin and every row hold two cells. The
+    window column must run 0..n-1, with n the window count the sidecar
+    records, so a truncated or reordered file is rejected instead of
+    being read as a shorter train.
     """
     if json_path is None:
         json_path = os.path.splitext(csv_path)[0] + ".json"
-    with open(json_path) as fh:
-        meta = json.load(fh)
-    cfg = EncoderConfig(**meta["encoder"])
-    bins = []
+    cfg, meta = _read_sidecar(json_path)
+    chunks = []
     with open(csv_path, newline="") as fh:
-        for m, row in enumerate(csv.DictReader(fh)):
-            if row["window"].strip() != str(m):
-                raise ValueError(f"{csv_path}: row {m + 1} has window {row['window']!r}, expected {m}")
-            cell = row["bin"].strip()
-            bins.append(int(cell) if cell else 0)
-    if len(bins) != meta["windows"]:
-        raise ValueError(f"{csv_path} has {len(bins)} windows, its sidecar records {meta['windows']}")
-    return SpikeTrain(bins=np.array(bins, dtype=np.int64), config=cfg, seed=meta.get("seed"))
+        for lo, windows, cells in read_pairs(fh, csv_path, ("window", "bin")):
+            chunks.append(np.array(_parse_bins(csv_path, lo, windows, cells), dtype=np.int64))
+    bins = np.concatenate(chunks) if chunks else np.zeros(0, dtype=np.int64)
+    if len(bins) != meta.get("windows"):
+        raise ValueError(f"{csv_path} has {len(bins)} windows, its sidecar records {meta.get('windows')}")
+    return SpikeTrain(bins=bins, config=cfg, seed=meta.get("seed"))

@@ -280,6 +280,92 @@ class TestFailureModes:
         assert capsys.readouterr().err == message
         assert not out_dir.exists()
 
+    @staticmethod
+    def _three_window_train(tmp_path, text, encoder=None):
+        """A train.csv holding text, with the sidecar of a 3-window train
+        (its encoder replaced by encoder when given)."""
+        cfg = write_config(tmp_path, BASE)
+        train = tmp_path / "train.csv"
+        main(["encode", "--config", cfg, "--out", str(train)])
+        meta = json.loads((tmp_path / "train.json").read_text())
+        meta["windows"] = 3
+        if encoder is not None:
+            meta["encoder"] = encoder
+        (tmp_path / "train.json").write_text(json.dumps(meta))
+        train.write_bytes(text.encode())
+        return train
+
+    @pytest.mark.parametrize("text, encoder, name, message", [
+        ("window,bin\n0,31\n1\n2,19\n", None, "train.csv", "row 2 should hold 2 cells, holds 1"),
+        ("window,bin\n0,31\n1,2,3\n2,19\n", None, "train.csv", "row 2 should hold 2 cells, holds 3"),
+        ("window,bin\n0,31\n1,x\n2,19\n", None, "train.csv", "row 2 has bin 'x', not an integer"),
+        ("bin,window\n31,0\n,1\n19,2\n", None, "train.csv",
+         "header is 'bin,window', expected 'window,bin'"),
+        ("window,bin,note\n0,31,a\n1,,b\n2,19,c\n", None, "train.csv",
+         "header is 'window,bin,note', expected 'window,bin'"),
+        ("window,bin\n0,31\n1,\n2,19\n", {"u_th": 0.1}, "train.json",
+         "bad sidecar encoder (EncoderConfig.__init__() missing"),
+        ("window,bin\n0,31\n1,\n2,19\n", 5, "train.json", "sidecar has no encoder object"),
+    ])
+    def test_malformed_train_is_named(self, tmp_path, capsys, text, encoder, name, message):
+        # a row without a comma used to end decode in an AttributeError,
+        # a sidecar encoder without its keys in a TypeError
+        train = self._three_window_train(tmp_path, text, encoder)
+        capsys.readouterr()
+        out = tmp_path / "decoded.csv"
+        rc = main(["decode", "--train", str(train), "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {tmp_path / name}: {message}") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text", [
+        "window,bin\n0,31\n1,\n2,19",  # no newline after the last row
+        "window,bin\r\n0,31\r\n1,\r\n2,19\r\n",
+        " window , bin \n 0 , 31 \n1, \n2,19\n",
+    ])
+    def test_train_layouts_that_still_read(self, tmp_path, text):
+        train = self._three_window_train(tmp_path, "window,bin\n0,31\n1,\n2,19\n")
+        assert main(["decode", "--train", str(train), "--out", str(tmp_path / "want.csv")]) == 0
+        train.write_bytes(text.encode())
+        out = tmp_path / "decoded.csv"
+        assert main(["decode", "--train", str(train), "--out", str(out)]) == 0
+        assert out.read_bytes() == (tmp_path / "want.csv").read_bytes()
+        assert out.read_text().splitlines()[2] == "1,"
+
+    @pytest.mark.parametrize("spec, message", [
+        # a number used to fit a fresh decoder and exit 0
+        (5, "must be a path string or an object of finite numbers, got 5"),
+        ({"t_lin_min": "a", "t_lin_max": "b", "y_min": "c", "y_max": "d"},
+         "must be a path string or an object of finite numbers, got {'t_lin_min': 'a'"),
+        ({"t_lin_min": 1e-4}, "LinearDecoderParams.__init__() missing 3 required"),
+    ])
+    def test_decoder_spec_must_be_a_path_or_an_object(self, tmp_path, capsys, spec, message):
+        cfg = write_config(tmp_path, {"sft": {"decoder": spec}})
+        rc = main(["sft", "--config", cfg, "--out-prefix", str(tmp_path / "run")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: config section 'sft' key 'decoder'") and message in err
+        assert err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == [tmp_path / "config.json"]
+
+    @pytest.mark.parametrize("key, value", [
+        ("k1_bounds", "ab"),
+        ("k1_bounds", 5),
+        ("k2_bounds", [0.0, float("inf")]),
+        ("k2_bounds", [0.0, 1.0, 2.0]),
+    ])
+    def test_stretch_bounds_must_be_a_finite_pair(self, tmp_path, capsys, key, value):
+        # "ab" and 5 used to end tune in a TypeError traceback
+        cfg = write_config(tmp_path, {"tuner": {key: value}})
+        out = tmp_path / "t.json"
+        rc = main(["tune", "--config", cfg, "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: config section 'tuner' key {key!r} must be a pair of finite numbers, "
+            f"got {value!r}\n")
+        assert not out.exists()
+
     def test_missing_train_file(self, tmp_path, capsys):
         rc = main(["decode", "--train", str(tmp_path / "nope.csv"),
                    "--out", str(tmp_path / "d.csv")])
