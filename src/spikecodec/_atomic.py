@@ -1,8 +1,10 @@
-"""Atomic file output shared by every writer in the package."""
+"""Atomic file output shared by every writer in the package, and the
+JSON sidecar writer built on it."""
 
 from __future__ import annotations
 
 import contextlib
+import json
 import os
 
 
@@ -23,3 +25,11 @@ def atomic_write(path: str):
         with contextlib.suppress(FileNotFoundError):
             os.remove(tmp)
         raise
+
+
+def write_json(path: str, doc: dict) -> None:
+    """Write doc atomically as indented JSON with sorted keys and a
+    final newline, the layout of every JSON file the package writes."""
+    with atomic_write(path) as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")

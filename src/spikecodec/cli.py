@@ -17,17 +17,17 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
-from dataclasses import fields, replace
+from dataclasses import asdict, replace
 from typing import Optional
 
 import numpy as np
 
-from ._atomic import atomic_write
+from ._atomic import atomic_write, write_json
 from ._rows import write_rows
 from .codec import (
+    _is_finite_number,
     EncoderConfig,
     LinearDecoderParams,
     decode_ideal,
@@ -38,6 +38,7 @@ from .errors import empirical_errors, write_error_report
 from .sft import SftConfig, Spectrum, sft_stream, write_spectrum
 from .signals import SineSpec, constant, ideal_adc_fft, sine
 from .simulate import (
+    NOISE_MODES,
     ThermalNoiseModel,
     encode_signal,
     read_spike_train,
@@ -67,52 +68,99 @@ DEFAULT_SWEEP_ENCODER = {
 }
 
 DEFAULT_SIGNAL = {"type": "sine", "amplitude": 2.0, "frequency": 500.0, "offset": 3.0}
-DEFAULT_SFT = {"frame_size": 128}
-SIGNAL_KEYS = ("type", "amplitude", "frequency", "offset", "level", "duration", "windows")
-SFT_KEYS = ("frame_size", "charge_phase_steps", "readout_phase_steps", "decoder")
-SECTIONS = ("encoder", "noise", "tuner", "sft", "signal")
 TIMING_KEYS = ("sample_period", "reader_period", "resolution")
-# Section keys whose values are not numbers; every other key takes one.
-_NON_NUMERIC_KEYS = ("mode", "type", "decoder", "k1_bounds", "k2_bounds")
+
+# Kinds of config values, each named as error messages say it. A
+# choice is the tuple of the strings it allows.
+_NUMBER = "a number"
+_NUMBER_OR_NULL = "a number or null"
+_COUNT = "an integer of at least 1"
+_PAIR = "a pair of finite numbers"
+_DECODER = "a path string or an object of finite numbers"
+
+# Every config section and key, with the kind of value it takes.
+SCHEMA = {
+    "encoder": {
+        "tau": _NUMBER, "u_th": _NUMBER, "u_min": _NUMBER, "u_max": _NUMBER,
+        "sample_period": _NUMBER, "reader_period": _NUMBER, "u_rest": _NUMBER,
+        "resolution": _COUNT,
+    },
+    # ThermalNoiseModel checks that rng_seed is a non-negative integer.
+    "noise": {"delta_u": _NUMBER, "mode": NOISE_MODES, "rng_seed": _NUMBER},
+    # generations is accepted and ignored, so older configs still load.
+    "tuner": {
+        "alpha": _NUMBER, "k1_bounds": _PAIR, "k2_bounds": _PAIR,
+        "grid_points": _COUNT, "generations": _NUMBER_OR_NULL,
+    },
+    # A null decoder, like a missing one, asks for a fresh fit.
+    "sft": {
+        "frame_size": _COUNT, "charge_phase_steps": _COUNT,
+        "readout_phase_steps": _COUNT, "decoder": _DECODER,
+    },
+    "signal": {
+        "type": ("sine", "constant"), "amplitude": _NUMBER, "frequency": _NUMBER,
+        "offset": _NUMBER, "level": _NUMBER, "duration": _NUMBER, "windows": _COUNT,
+    },
+}
 
 
-def _check_keys(name: Optional[str], section: dict, allowed) -> None:
-    """Reject keys a section (or, for name None, the whole config) does
-    not know, so a typo cannot silently fall back to a default, and
-    section values that should be numbers but are not (a null
-    tuner generations is allowed: it means the default)."""
-    unknown = sorted(set(section) - set(allowed))
+def _is_number(value) -> bool:
+    return not isinstance(value, bool) and isinstance(value, (int, float))
+
+
+_KIND_TESTS = {
+    _NUMBER: _is_number,
+    _NUMBER_OR_NULL: lambda v: v is None or _is_number(v),
+    _COUNT: lambda v: isinstance(v, int) and v >= 1,
+    _PAIR: lambda v: isinstance(v, list) and len(v) == 2 and all(map(_is_finite_number, v)),
+    _DECODER: lambda v: v is None or isinstance(v, str) or (
+        isinstance(v, dict) and all(map(_is_finite_number, v.values()))),
+}
+
+
+def _typed(name: str, key: str, value):
+    """value, checked against its kind in SCHEMA; a pair comes back as
+    a tuple. A count that is not a number at all is named as such."""
+    kind = SCHEMA[name][key]
+    where = f"config section {name!r} key {key!r}"
+    if kind in (_NUMBER, _COUNT) and not _is_number(value):
+        raise ValueError(f"{where} must be a number, got {value!r}")
+    if isinstance(kind, tuple):
+        ok, kind = value in kind, "one of " + ", ".join(map(repr, kind))
+    else:
+        ok = _KIND_TESTS[kind](value)
+    if not ok:
+        raise ValueError(f"{where} must be {kind}, got {value!r}")
+    return tuple(value) if kind == _PAIR else value
+
+
+def _reject_unknown(where: str, doc: dict, known) -> None:
+    """A typo in a name must not silently fall back to a default."""
+    unknown = sorted(set(doc) - set(known))
     if unknown:
-        where = "config" if name is None else f"config section {name!r}"
         raise ValueError(f"{where} has unknown key(s): {', '.join(map(repr, unknown))}")
-    if name is None:
-        return
-    for key, value in section.items():
-        if key in _NON_NUMERIC_KEYS or (key == "generations" and value is None):
-            continue
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ValueError(f"config section {name!r} key {key!r} must be a number, got {value!r}")
-
-
-def _field_names(cls) -> set:
-    return {f.name for f in fields(cls)}
 
 
 def _load_config(path: Optional[str]) -> dict:
-    """Config sections by name; a null section reads as an empty one."""
-    if path is None:
-        return {}
-    with open(path) as fh:
-        doc = json.load(fh)
-    if not isinstance(doc, dict):
-        raise ValueError(f"config must be a JSON object, got {doc!r}")
-    _check_keys(None, doc, SECTIONS)
-    for name, section in doc.items():
+    """Every section in SCHEMA, its values checked and typed; a missing
+    or null section reads as an empty one."""
+    doc = {}
+    if path is not None:
+        with open(path) as fh:
+            doc = json.load(fh)
+        if not isinstance(doc, dict):
+            raise ValueError(f"config must be a JSON object, got {doc!r}")
+    _reject_unknown("config", doc, SCHEMA)
+    cfg = {}
+    for name, keys in SCHEMA.items():
+        section = doc.get(name)
         if section is None:
-            doc[name] = {}
+            section = {}
         elif not isinstance(section, dict):
             raise ValueError(f"config section {name!r} must be a JSON object, got {section!r}")
-    return doc
+        _reject_unknown(f"config section {name!r}", section, keys)
+        cfg[name] = {key: _typed(name, key, value) for key, value in section.items()}
+    return cfg
 
 
 def _float_list(option: str, text: str) -> list:
@@ -127,7 +175,6 @@ def _build_encoder(section: dict, defaults: dict = DEFAULT_ENCODER) -> EncoderCo
     """Encoder from a config section over defaults. Two of the three
     timing keys fix the third, so when the section gives two or more,
     the defaults' timing keys are ignored."""
-    _check_keys("encoder", section, _field_names(EncoderConfig) | {"resolution"})
     given = [key for key in TIMING_KEYS if key in section]
     if len(given) >= 2:
         defaults = {k: v for k, v in defaults.items() if k not in TIMING_KEYS}
@@ -146,11 +193,9 @@ def _build_encoder(section: dict, defaults: dict = DEFAULT_ENCODER) -> EncoderCo
     return enc
 
 
-def _build_noise(section: Optional[dict], seed: Optional[int]) -> Optional[ThermalNoiseModel]:
+def _build_noise(section: dict, seed: Optional[int]) -> Optional[ThermalNoiseModel]:
     """The noise model, validated whenever the section is given; None
-    when it is missing or its delta_u is 0."""
-    section = section or {}
-    _check_keys("noise", section, _field_names(ThermalNoiseModel))
+    when it is empty or its delta_u is 0."""
     if not section:
         return None
     kw = {"delta_u": 0.0, **section}
@@ -160,55 +205,26 @@ def _build_noise(section: Optional[dict], seed: Optional[int]) -> Optional[Therm
     return noise if noise.delta_u else None
 
 
-def _is_finite_number(value) -> bool:
-    return not isinstance(value, bool) and isinstance(value, (int, float)) and math.isfinite(value)
-
-
-def _build_tuner(section: Optional[dict]) -> TunerConfig:
-    kw = dict(section or {})
-    _check_keys("tuner", kw, _field_names(TunerConfig))
-    for key in ("k1_bounds", "k2_bounds"):
-        if key in kw:
-            pair = kw[key]
-            if not (isinstance(pair, list) and len(pair) == 2 and all(map(_is_finite_number, pair))):
-                raise ValueError(f"config section 'tuner' key {key!r} must be a pair of finite "
-                                 f"numbers, got {pair!r}")
-            kw[key] = tuple(pair)
-    return TunerConfig(**kw)
-
-
-def _signal_section(cfg: dict) -> dict:
-    section = cfg.get("signal", {})
-    _check_keys("signal", section, SIGNAL_KEYS)
-    return {**DEFAULT_SIGNAL, **section}
-
-
-def _build_signal(d: dict, enc: EncoderConfig, default_windows: int):
+def _build_signal(section: dict, enc: EncoderConfig, default_windows: int):
+    d = {**DEFAULT_SIGNAL, **section}
     if "duration" in d:
         duration = float(d["duration"])
     else:
         duration = d.get("windows", default_windows) * enc.sample_period
     if d["type"] == "sine":
-        spec = SineSpec(amplitude=d["amplitude"], frequency=d["frequency"], offset=d["offset"])
-        return sine(spec, duration)
-    if d["type"] == "constant":
-        return constant(d["level"], duration)
-    raise ValueError(f"unknown signal type {d['type']!r}")
+        return sine(SineSpec(d["amplitude"], d["frequency"], d["offset"]), duration)
+    if "level" not in d:
+        raise ValueError("config section 'signal' needs key 'level' for type 'constant'")
+    return constant(d["level"], duration)
 
 
-def _resolve_decoder(cfg: dict, enc: EncoderConfig) -> LinearDecoderParams:
-    """Decoder from the sft section: inline params, a tuning file, or
-    a fresh fit, which is deterministic, so reruns reproduce it."""
-    section = cfg.get("sft") or {}
-    _check_keys("sft", section, SFT_KEYS)
-    spec = section.get("decoder")
+def _resolve_decoder(spec, tuner: dict, enc: EncoderConfig) -> LinearDecoderParams:
+    """Decoder from the sft section's spec: inline params, a tuning
+    file, or a fresh fit, which is deterministic, so reruns reproduce it."""
     if spec is None:
-        return fit_linear_decoder(enc, _build_tuner(cfg.get("tuner"))).params
+        return fit_linear_decoder(enc, TunerConfig(**tuner)).params
     if isinstance(spec, str):
         return read_decoder(spec)
-    if not (isinstance(spec, dict) and all(map(_is_finite_number, spec.values()))):
-        raise ValueError(f"config section 'sft' key 'decoder' must be a path string or an object "
-                         f"of finite numbers, got {spec!r}")
     try:
         return LinearDecoderParams(**spec)
     except TypeError as exc:
@@ -222,20 +238,14 @@ def _spectrum_rmse(measured: Spectrum, reference: Spectrum):
     return rmse_mag, rmse_cplx
 
 
-def _write_json(doc: dict, path: str) -> None:
-    with atomic_write(path) as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
 def cmd_encode(args) -> int:
     cfg = _load_config(args.config)
-    enc = _build_encoder(cfg.get("encoder", {}))
-    noise = _build_noise(cfg.get("noise"), args.seed)
-    sig = _build_signal(_signal_section(cfg), enc, default_windows=128)
+    enc = _build_encoder(cfg["encoder"])
+    noise = _build_noise(cfg["noise"], args.seed)
+    sig = _build_signal(cfg["signal"], enc, default_windows=128)
     train = encode_signal(sig, enc, noise)
     write_spike_train(train, args.out)
     fired = int(train.fired.sum())
@@ -265,8 +275,8 @@ def cmd_sweep_constant(args) -> int:
     if args.points < 1:
         raise ValueError(f"--points must be at least 1, got {args.points}")
     cfg = _load_config(args.config)
-    enc_base = _build_encoder(cfg.get("encoder", {}), defaults=DEFAULT_SWEEP_ENCODER)
-    noise = _build_noise(cfg.get("noise"), args.seed)
+    enc_base = _build_encoder(cfg["encoder"], defaults=DEFAULT_SWEEP_ENCODER)
+    noise = _build_noise(cfg["noise"], args.seed)
     os.makedirs(args.out_dir, exist_ok=True)
     for u_th in thresholds:
         enc = replace(enc_base, u_th=u_th)
@@ -297,8 +307,8 @@ def cmd_sweep_constant(args) -> int:
 
 def cmd_tune(args) -> int:
     cfg = _load_config(args.config)
-    enc = _build_encoder(cfg.get("encoder", {}))
-    result = fit_linear_decoder(enc, _build_tuner(cfg.get("tuner")))
+    enc = _build_encoder(cfg["encoder"])
+    result = fit_linear_decoder(enc, TunerConfig(**cfg["tuner"]))
     write_tuning(result, enc, args.out, seed=args.seed)
     print(
         f"k1={result.k1:.6g} k2={result.k2:.6g} eps_lin={result.eps_lin:.6g} "
@@ -307,18 +317,25 @@ def cmd_tune(args) -> int:
     return 0
 
 
-def _sft_point(enc: EncoderConfig, decoder: LinearDecoderParams, sft_cfg: dict,
-               noise, amplitude: float, offset: float, frequency: float):
+def _sft_setup(args):
+    """Encoder, noise, transform geometry and sine of the sft commands,
+    each built once from the config."""
+    cfg = _load_config(args.config)
+    enc = _build_encoder(cfg["encoder"])
+    noise = _build_noise(cfg["noise"], args.seed)
+    sig = {**DEFAULT_SIGNAL, **cfg["signal"]}
+    if sig["type"] != "sine":
+        raise ValueError(f"{args.command} needs signal type 'sine', got {sig['type']!r}")
+    spec = SineSpec(sig["amplitude"], sig["frequency"], sig["offset"])
+    sft_keys = dict(cfg["sft"])
+    decoder = _resolve_decoder(sft_keys.pop("decoder", None), cfg["tuner"], enc)
+    return enc, noise, SftConfig.for_encoder(enc, decoder, **sft_keys), spec
+
+
+def _sft_point(enc: EncoderConfig, scfg: SftConfig, noise, spec: SineSpec):
     """One frequency point: encode, transform, reference, rmse."""
-    frame = sft_cfg.get("frame_size", DEFAULT_SFT["frame_size"])
-    scfg = SftConfig.for_encoder(
-        enc,
-        decoder,
-        frame_size=frame,
-        charge_phase_steps=sft_cfg.get("charge_phase_steps"),
-        readout_phase_steps=sft_cfg.get("readout_phase_steps"),
-    )
-    sig = sine(SineSpec(amplitude=amplitude, frequency=frequency, offset=offset), frame * enc.sample_period)
+    frame = scfg.frame_size
+    sig = sine(spec, frame * enc.sample_period)
     train = encode_signal(sig, enc, noise)
     measured = sft_stream(train, scfg, hop=frame)[0]
     reference = ideal_adc_fft(sig, enc.sample_period, frame)
@@ -327,50 +344,31 @@ def _sft_point(enc: EncoderConfig, decoder: LinearDecoderParams, sft_cfg: dict,
 
 
 def cmd_sft(args) -> int:
-    cfg = _load_config(args.config)
-    enc = _build_encoder(cfg.get("encoder", {}))
-    noise = _build_noise(cfg.get("noise"), args.seed)
-    decoder = _resolve_decoder(cfg, enc)
-    sig_cfg = _signal_section(cfg)
-    measured, reference, rmse_mag, rmse_cplx = _sft_point(
-        enc, decoder, cfg.get("sft", {}), noise,
-        sig_cfg["amplitude"], sig_cfg["offset"], sig_cfg["frequency"],
-    )
+    enc, noise, scfg, spec = _sft_setup(args)
+    measured, reference, rmse_mag, rmse_cplx = _sft_point(enc, scfg, noise, spec)
     write_spectrum(measured, f"{args.out_prefix}_spectrum.csv")
     write_spectrum(reference, f"{args.out_prefix}_ideal.csv")
-    _write_json(
+    write_json(
+        f"{args.out_prefix}.json",
         {
-            "frequency_hz": sig_cfg["frequency"],
+            "frequency_hz": spec.frequency,
             "rmse_mag": rmse_mag,
             "rmse_complex": rmse_cplx,
             "frame_size": len(measured),
-            "decoder": {
-                "t_lin_min": decoder.t_lin_min,
-                "t_lin_max": decoder.t_lin_max,
-                "y_min": decoder.y_min,
-                "y_max": decoder.y_max,
-            },
+            "decoder": asdict(scfg.decoder),
         },
-        f"{args.out_prefix}.json",
     )
-    print(f"nu={sig_cfg['frequency']:g} Hz: rmse_mag={rmse_mag:.6g} -> {args.out_prefix}_spectrum.csv")
+    print(f"nu={spec.frequency:g} Hz: rmse_mag={rmse_mag:.6g} -> {args.out_prefix}_spectrum.csv")
     return 0
 
 
 def cmd_sft_sweep(args) -> int:
     freqs = _float_list("--freqs", args.freqs)
-    cfg = _load_config(args.config)
-    enc = _build_encoder(cfg.get("encoder", {}))
-    noise = _build_noise(cfg.get("noise"), args.seed)
-    decoder = _resolve_decoder(cfg, enc)
-    sig_cfg = _signal_section(cfg)
+    enc, noise, scfg, spec = _sft_setup(args)
     os.makedirs(args.out_dir, exist_ok=True)
     results = []
     for nu in sorted(freqs):
-        measured, _, rmse_mag, rmse_cplx = _sft_point(
-            enc, decoder, cfg.get("sft", {}), noise,
-            sig_cfg["amplitude"], sig_cfg["offset"], nu,
-        )
+        measured, _, rmse_mag, rmse_cplx = _sft_point(enc, scfg, noise, replace(spec, frequency=nu))
         write_spectrum(measured, os.path.join(args.out_dir, f"spectrum_{nu:g}hz.csv"))
         results.append((nu, rmse_mag, rmse_cplx))
 

@@ -39,6 +39,11 @@ __all__ = [
 _REL_EPS = 1e-9
 
 
+def _is_finite_number(value) -> bool:
+    """True for a finite int or float from a parsed file, never a bool."""
+    return not isinstance(value, bool) and isinstance(value, (int, float)) and math.isfinite(value)
+
+
 @dataclass(frozen=True)
 class SpikeTime:
     """Outcome of encoding one voltage: a crossing time, or no crossing.
@@ -91,6 +96,12 @@ class EncoderConfig:
         if not (0 < self.reader_period <= self.sample_period):
             raise ValueError("need 0 < reader_period <= sample_period")
         ratio = self.sample_period / self.reader_period
+        # Past 0.5 / _REL_EPS bins the slack below admits any ratio.
+        if ratio > 0.5 / _REL_EPS:
+            raise ValueError(
+                f"sample_period / reader_period = {ratio:.6g} is more bins than "
+                f"the integer-multiple check can tell ({0.5 / _REL_EPS:.6g} at most)"
+            )
         n = round(ratio)
         if n < 1 or abs(ratio - n) > _REL_EPS * n:
             raise ValueError(

@@ -13,7 +13,6 @@ sample and as an RMS figure.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 from dataclasses import dataclass
@@ -21,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from ._atomic import atomic_write
+from ._atomic import atomic_write, write_json
 from ._rows import write_rows
 from .codec import EncoderConfig, encode_time, decode_ideal
 
@@ -142,6 +141,4 @@ def write_error_report(
     summary = {"rmse": report.rmse, "samples": int(report.u_in.size)}
     if meta:
         summary.update(meta)
-    with atomic_write(json_path) as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(json_path, summary)

@@ -31,7 +31,7 @@ import numpy as np
 
 from ._atomic import atomic_write
 from ._rows import write_rows
-from .codec import EncoderConfig, LinearDecoderParams
+from .codec import _REL_EPS, EncoderConfig, LinearDecoderParams, timing_summary
 from .simulate import SpikeTrain
 
 __all__ = [
@@ -84,9 +84,22 @@ class SftConfig:
         readout_phase_steps: Optional[int] = None,
     ) -> "SftConfig":
         """Derive phase geometry from an encoder: one charge phase per
-        window, readout as long as the charge phase by default."""
+        window, readout as long as the charge phase by default.
+
+        A charge phase that ends before the slowest in-range spike
+        would clip that spike's membrane to zero, so it is a
+        ValueError. N ticks or more span the window, which the encoder
+        already checked holds that spike.
+        """
         charge = enc.resolution if charge_phase_steps is None else charge_phase_steps
         read = charge if readout_phase_steps is None else readout_phase_steps
+        if charge < enc.resolution:
+            t_max = timing_summary(enc).t_max
+            if t_max > charge * enc.reader_period * (1 + _REL_EPS):
+                raise ValueError(
+                    f"charge phase of {charge} steps ({charge * enc.reader_period:.6g} s) "
+                    f"ends before the slowest spike at {t_max:.6g} s"
+                )
         return cls(
             frame_size=frame_size,
             decoder=decoder,

@@ -24,7 +24,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from ._atomic import atomic_write
+from ._atomic import atomic_write, write_json
 from ._draws import window_doubles
 from ._rows import read_pairs, write_rows
 from .codec import EncoderConfig
@@ -94,8 +94,8 @@ class AnalogSignal:
     duration: float
 
     def __post_init__(self) -> None:
-        if not (self.duration > 0):
-            raise ValueError("duration must be positive")
+        if not (self.duration > 0 and math.isfinite(self.duration)):
+            raise ValueError(f"duration must be positive and finite, got {self.duration!r}")
 
     def __call__(self, t):
         return self.func(np.asarray(t, dtype=float))
@@ -152,7 +152,8 @@ def _register(t_s, cfg: EncoderConfig):
     crossed = np.isfinite(t)
     ticks = np.where(crossed, t, 0.0) / cfg.reader_period
     near = np.rint(ticks)
-    exact = np.abs(ticks - near) <= _TICK_SNAP * np.maximum(near, 1.0)
+    # A crossing never snaps back to tick 0, whose bin means silence.
+    exact = (near >= 1) & (np.abs(ticks - near) <= _TICK_SNAP * near)
     k = np.where(exact, near, np.ceil(ticks))
     bins = np.where(crossed & (k <= cfg.resolution) & (k >= 1), k, 0)
     return bins.astype(np.int64)
@@ -245,8 +246,7 @@ def write_spike_train(train: SpikeTrain, csv_path: str, json_path: Optional[str]
         "seed": train.seed,
         "windows": len(train),
     }
-    with atomic_write(json_path) as fh:
-        fh.write(json.dumps(meta, indent=2, sort_keys=True) + "\n")
+    write_json(json_path, meta)
 
 
 def _read_sidecar(json_path: str):
@@ -264,24 +264,31 @@ def _read_sidecar(json_path: str):
     return cfg, meta
 
 
-def _parse_bins(csv_path: str, lo: int, windows: list, cells: list) -> list:
+def _parse_bins(csv_path: str, lo: int, windows: list, cells: list, n: int) -> list:
     """Bins of the chunk of rows from lo, after checking its window
-    column. The row by row pass runs only when the fast one fails, to
-    name the bad row or to accept cells padded with spaces."""
+    column and that every bin lies in 0..n. The row by row pass runs
+    only when the fast one fails, to name the bad row or to accept
+    cells padded with spaces."""
     if windows == list(map(str, range(lo, lo + len(windows)))):
         try:
-            return [int(c) if c.strip() else 0 for c in cells]
+            bins = [int(c) if c.strip() else 0 for c in cells]
         except ValueError:
             pass
+        else:
+            if min(bins) >= 0 and max(bins) <= n:
+                return bins
     bins = []
     for m, (w, c) in enumerate(zip(windows, cells), start=lo):
         if w.strip() != str(m):
             raise ValueError(f"{csv_path}: row {m + 1} has window {w!r}, expected {m}")
         c = c.strip()
         try:
-            bins.append(int(c) if c else 0)
+            b = int(c) if c else 0
         except ValueError:
             raise ValueError(f"{csv_path}: row {m + 1} has bin {c!r}, not an integer") from None
+        if not 0 <= b <= n:
+            raise ValueError(f"{csv_path}: row {m + 1} has bin {b}, outside 0..{n}")
+        bins.append(b)
     return bins
 
 
@@ -291,7 +298,7 @@ def read_spike_train(csv_path: str, json_path: Optional[str] = None) -> SpikeTra
     The header must be window,bin and every row hold two cells. The
     window column must run 0..n-1, with n the window count the sidecar
     records, so a truncated or reordered file is rejected instead of
-    being read as a shorter train.
+    being read as a shorter train, and every bin must lie in 0..N.
     """
     if json_path is None:
         json_path = os.path.splitext(csv_path)[0] + ".json"
@@ -299,7 +306,8 @@ def read_spike_train(csv_path: str, json_path: Optional[str] = None) -> SpikeTra
     chunks = []
     with open(csv_path, newline="") as fh:
         for lo, windows, cells in read_pairs(fh, csv_path, ("window", "bin")):
-            chunks.append(np.array(_parse_bins(csv_path, lo, windows, cells), dtype=np.int64))
+            bins = _parse_bins(csv_path, lo, windows, cells, cfg.resolution)
+            chunks.append(np.array(bins, dtype=np.int64))
     bins = np.concatenate(chunks) if chunks else np.zeros(0, dtype=np.int64)
     if len(bins) != meta.get("windows"):
         raise ValueError(f"{csv_path} has {len(bins)} windows, its sidecar records {meta.get('windows')}")

@@ -26,13 +26,14 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass, asdict, fields
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from ._atomic import atomic_write
+from ._atomic import write_json
 from .codec import (
+    _is_finite_number,
     EncoderConfig,
     LinearDecoderParams,
     decode_linear,
@@ -71,8 +72,8 @@ class TunerConfig:
     generations: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if self.alpha < 0:
-            raise ValueError("alpha must be >= 0")
+        if not (math.isfinite(self.alpha) and self.alpha >= 0):
+            raise ValueError(f"alpha must be finite and >= 0, got {self.alpha!r}")
         for name, (lo, hi) in (("k1_bounds", self.k1_bounds), ("k2_bounds", self.k2_bounds)):
             if lo < -1:
                 raise ValueError(f"{name}: stretch factors below -1 invert the code")
@@ -248,18 +249,28 @@ def write_tuning(result: TuningResult, cfg: EncoderConfig, path: str,
         "seed": seed,
         "encoder": asdict(cfg),
     }
-    with atomic_write(path) as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, doc)
 
 
 def read_decoder(path: str) -> LinearDecoderParams:
-    """Load just the decoder parameters back from a tuning file."""
+    """Load just the decoder parameters back from a tuning file.
+
+    Each of the four must be a finite number; a file that fails this
+    is a ValueError that names it.
+    """
     with open(path) as fh:
         doc = json.load(fh)
-    return LinearDecoderParams(
-        t_lin_min=doc["t_lin_min"],
-        t_lin_max=doc["t_lin_max"],
-        y_min=doc["y_min"],
-        y_max=doc["y_max"],
-    )
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: tuning file is not a JSON object")
+    kw = {}
+    for f in fields(LinearDecoderParams):
+        if f.name not in doc:
+            raise ValueError(f"{path}: tuning file lacks {f.name!r}")
+        if not _is_finite_number(doc[f.name]):
+            raise ValueError(f"{path}: tuning file {f.name!r} must be a finite number, "
+                             f"got {doc[f.name]!r}")
+        kw[f.name] = doc[f.name]
+    try:
+        return LinearDecoderParams(**kw)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

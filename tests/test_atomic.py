@@ -2,7 +2,7 @@ import os
 
 import pytest
 
-from spikecodec._atomic import atomic_write
+from spikecodec._atomic import atomic_write, write_json
 
 
 class TestAtomicWrite:
@@ -29,3 +29,11 @@ class TestAtomicWrite:
             with atomic_write(str(tmp_path / "out.json")):
                 raise ValueError("bad value")
         assert os.listdir(tmp_path) == []
+
+
+class TestWriteJson:
+    def test_layout_is_indented_sorted_and_newline_terminated(self, tmp_path):
+        path = tmp_path / "out.json"
+        write_json(str(path), {"b": [1, 2.5], "a": None})
+        assert path.read_text() == '{\n  "a": null,\n  "b": [\n    1,\n    2.5\n  ]\n}\n'
+        assert os.listdir(tmp_path) == ["out.json"]

@@ -1,14 +1,18 @@
+import contextlib
 import csv
+import io
 import json
 import shutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from spikecodec.cli import main
+from spikecodec.cli import SCHEMA, main
 
 
 def write_config(tmp_path, doc):
@@ -306,6 +310,8 @@ class TestFailureModes:
         ("window,bin\n0,31\n1,\n2,19\n", {"u_th": 0.1}, "train.json",
          "bad sidecar encoder (EncoderConfig.__init__() missing"),
         ("window,bin\n0,31\n1,\n2,19\n", 5, "train.json", "sidecar has no encoder object"),
+        ("window,bin\n0,31\n1,101\n2,19\n", None, "train.csv", "row 2 has bin 101, outside 0..100"),
+        ("window,bin\n0,31\n1,-3\n2,19\n", None, "train.csv", "row 2 has bin -3, outside 0..100"),
     ])
     def test_malformed_train_is_named(self, tmp_path, capsys, text, encoder, name, message):
         # a row without a comma used to end decode in an AttributeError,
@@ -332,6 +338,68 @@ class TestFailureModes:
         assert main(["decode", "--train", str(train), "--out", str(out)]) == 0
         assert out.read_bytes() == (tmp_path / "want.csv").read_bytes()
         assert out.read_text().splitlines()[2] == "1,"
+
+    @pytest.mark.parametrize("doc, message", [
+        # each used to end decode in KeyError, TypeError or a numpy
+        # ufunc error, without naming the file
+        ({"t_lin_min": 5e-5, "y_min": 1.0, "y_max": 5.0}, "tuning file lacks 't_lin_max'"),
+        ([5e-5, 3e-4, 1.0, 5.0], "tuning file is not a JSON object"),
+        ({"t_lin_min": "a", "t_lin_max": "b", "y_min": 1.0, "y_max": 5.0},
+         "tuning file 't_lin_min' must be a finite number, got 'a'"),
+        ({"t_lin_min": 3e-4, "t_lin_max": 5e-5, "y_min": 1.0, "y_max": 5.0},
+         "need t_lin_max > t_lin_min"),
+    ])
+    def test_malformed_tuning_file_is_named(self, tmp_path, capsys, doc, message):
+        train = tmp_path / "train.csv"
+        main(["encode", "--config", write_config(tmp_path, BASE), "--out", str(train)])
+        tuning = tmp_path / "tuning.json"
+        tuning.write_text(json.dumps(doc))
+        capsys.readouterr()
+        out = tmp_path / "decoded.csv"
+        rc = main(["decode", "--train", str(train), "--mode", "linear",
+                   "--tuning", str(tuning), "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {tuning}: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("doc, command, message", [
+        # each of these used to end in a traceback, run on with a wrong
+        # value, or name the missing key alone
+        ({"tuner": {"grid_points": 2.5}}, "tune",
+         "config section 'tuner' key 'grid_points' must be an integer of at least 1, got 2.5"),
+        ({"encoder": {"resolution": 0}}, "encode",
+         "config section 'encoder' key 'resolution' must be an integer of at least 1, got 0"),
+        ({"signal": {"duration": float("inf")}}, "encode",
+         "duration must be positive and finite, got inf"),
+        ({"signal": {"windows": 10.5}}, "encode",
+         "config section 'signal' key 'windows' must be an integer of at least 1, got 10.5"),
+        ({"sft": {"frame_size": 128.5}}, "sft",
+         "config section 'sft' key 'frame_size' must be an integer of at least 1, got 128.5"),
+        ({"sft": {"readout_phase_steps": 2.5}}, "sft",
+         "config section 'sft' key 'readout_phase_steps' must be an integer of at least 1, got 2.5"),
+        ({"sft": {"charge_phase_steps": 10}}, "sft",
+         "charge phase of 10 steps (3.33333e-05 s) ends before the slowest spike at 0.000316082 s"),
+        ({"signal": {"type": "constant"}}, "encode",
+         "config section 'signal' needs key 'level' for type 'constant'"),
+        ({"signal": {"type": "constant", "level": 3}}, "sft",
+         "sft needs signal type 'sine', got 'constant'"),
+        ({"signal": {"type": "constant", "level": 3}}, "sft-sweep",
+         "sft-sweep needs signal type 'sine', got 'constant'"),
+        ({"noise": {"delta_u": 0.01, "mode": "per window"}}, "encode",
+         "config section 'noise' key 'mode' must be one of 'constant', 'per-window', "
+         "got 'per window'"),
+        ({"tuner": {"generations": "many"}}, "tune",
+         "config section 'tuner' key 'generations' must be a number or null, got 'many'"),
+    ])
+    def test_config_hole_is_named(self, tmp_path, capsys, doc, command, message):
+        out = {"encode": ["--out", str(tmp_path / "t.csv")],
+               "tune": ["--out", str(tmp_path / "t.json")],
+               "sft": ["--out-prefix", str(tmp_path / "run")],
+               "sft-sweep": ["--out-dir", str(tmp_path / "sweep")]}[command]
+        rc = main([command, "--config", write_config(tmp_path, doc), *out])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert list(tmp_path.iterdir()) == [tmp_path / "config.json"]
 
     @pytest.mark.parametrize("spec, message", [
         # a number used to fit a fresh decoder and exit 0
@@ -370,6 +438,35 @@ class TestFailureModes:
         rc = main(["decode", "--train", str(tmp_path / "nope.csv"),
                    "--out", str(tmp_path / "d.csv")])
         assert rc == 1
+
+
+# Values of every kind, none of them a large integer: a size key takes
+# one as given and allocates in proportion to it.
+FUZZ_VALUES = [None, True, 0, -1, 2.5, float("nan"), float("inf"), float("-inf"), 1e300,
+               "", "x", [], [1.0], [1.0, 2.0], ["a", "b"], {}, {"a": 1}, {"t_lin_min": 1e-4}]
+CONFIG_KEYS = [(name, key) for name, keys in SCHEMA.items() for key in keys]
+
+
+class TestConfigFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(st.dictionaries(st.sampled_from(CONFIG_KEYS), st.sampled_from(FUZZ_VALUES),
+                           min_size=1, max_size=2))
+    def test_every_run_exits_cleanly_or_names_one_error(self, entries):
+        # tuner.grid_points 2.5 used to end tune in a TypeError traceback
+        doc = {}
+        for (name, key), value in entries.items():
+            doc.setdefault(name, {})[key] = value
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg = Path(tmp) / "config.json"
+            cfg.write_text(json.dumps(doc))
+            for argv in (["encode", "--out", f"{tmp}/t.csv"], ["tune", "--out", f"{tmp}/t.json"],
+                         ["sft", "--out-prefix", f"{tmp}/run"]):
+                err = io.StringIO()
+                with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                    rc = main(argv + ["--config", str(cfg)])
+                err = err.getvalue()
+                assert rc == 0 or (rc == 1 and err.startswith("error: ")
+                                   and err.count("\n") == 1), (argv[0], doc, err)
 
 
 class TestDeterminism:

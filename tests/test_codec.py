@@ -167,6 +167,13 @@ class TestEncoderConfig:
             EncoderConfig(tau=3e-3, u_th=0.1, u_min=1.0, u_max=5.0,
                           sample_period=1e-3, reader_period=3e-4)
 
+    def test_rejects_more_bins_than_the_multiple_check_can_tell(self):
+        # 4e299 bins passed the integer-multiple check and made encode
+        # build a table of one cell per bin
+        with pytest.raises(ValueError, match="more bins"):
+            EncoderConfig(tau=3e-3, u_th=0.1, u_min=1.0, u_max=5.0,
+                          sample_period=1e300, reader_period=2.5)
+
     def test_rejects_window_too_short_for_slowest_spike(self):
         # f(u_min) = 316 us but the window is only 148 us
         with pytest.raises(ValueError, match="slowest spike"):

@@ -110,6 +110,16 @@ class TestSftFrame:
         bound = cfg.frame_size * cfg.tick / (2 * DEC.slope)
         assert np.abs(rounded - exact).max() <= bound * (1 + 1e-9)
 
+    def test_charge_phase_must_cover_the_slowest_spike(self, cfg3k):
+        # the slowest spike fires at 316.08 us, 94.8 ticks of 3.33 us;
+        # 10 ticks used to clip every membrane and still give a spectrum
+        with pytest.raises(ValueError, match="ends before the slowest spike"):
+            SftConfig.for_encoder(cfg3k, DEC, charge_phase_steps=10)
+        with pytest.raises(ValueError, match="ends before the slowest spike"):
+            SftConfig.for_encoder(cfg3k, DEC, charge_phase_steps=94)
+        assert SftConfig.for_encoder(cfg3k, DEC, charge_phase_steps=95).charge_phase_steps == 95
+        assert SftConfig.for_encoder(cfg3k, DEC, charge_phase_steps=400).charge_phase_steps == 400
+
     def test_validation(self):
         cfg = make_cfg(8)
         with pytest.raises(ValueError, match="8"):

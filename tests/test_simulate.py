@@ -51,6 +51,14 @@ class TestSimulateWindow:
         u = 0.1 / (1.0 - math.exp(-50 * cfg3k.reader_period / cfg3k.tau))
         assert simulate_window(u, cfg3k) == 50
 
+    def test_crossing_just_after_the_start_lands_in_bin_one(self, cfg3k):
+        # fires about 3e-15 s in, within the tick snap of t = 0; bin 0
+        # would read as silence
+        t = encode_time(1e11, cfg3k).time
+        assert 0 < t < 1e-9 * cfg3k.reader_period
+        assert simulate_window(1e11, cfg3k) == 1
+        assert simulate_window(np.array([1e11, 5.0]), cfg3k).tolist() == [1, 19]
+
     def test_agrees_with_closed_form(self, cfg3k):
         rng = np.random.default_rng(3)
         for u in rng.uniform(0.11, 6.0, 1000):
@@ -261,6 +269,12 @@ class TestEncodeSignal:
     def test_rejects_signal_shorter_than_one_window(self, cfg3k):
         with pytest.raises(ValueError, match="window"):
             encode_signal(constant(3.0, 0.4 * cfg3k.sample_period), cfg3k)
+
+    @pytest.mark.parametrize("duration", [math.inf, math.nan, 0.0, -1.0])
+    def test_rejects_duration_that_is_not_positive_and_finite(self, duration):
+        # an infinite duration used to end encode_signal in OverflowError
+        with pytest.raises(ValueError, match="duration must be positive and finite"):
+            constant(3.0, duration)
 
     def test_window_count_is_exact_on_multiples(self, cfg3k):
         # 128 * T_S computed in floats must still give 128 windows

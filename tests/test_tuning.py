@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -174,6 +176,12 @@ class TestTunerConfigValidation:
     def test_rejects_negative_alpha(self):
         with pytest.raises(ValueError, match="alpha"):
             TunerConfig(alpha=-1.0)
+
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf])
+    def test_rejects_non_finite_alpha(self, alpha):
+        # a NaN alpha used to fit and write a NaN loss
+        with pytest.raises(ValueError, match="alpha must be finite"):
+            TunerConfig(alpha=alpha)
 
 
 class TestTuningIO:
