@@ -1,20 +1,131 @@
-"""Chunked CSV rows: the writer every CSV in the package goes through,
-and the two-column reader behind read_spike_train.
+"""CSV rows, written and read in fixed chunks so memory stays flat
+whatever the file length.
 
-The files hold plain numbers, so no cell ever needs quoting; rows are
-formatted and parsed with str methods a fixed number of rows at a
-time, which keeps memory flat whatever the file length.
+The files hold plain numbers, so no cell ever needs quoting. Rows of
+floats are formatted with str methods CHUNK_ROWS rows at a time
+(write_rows); the float repr is their cost. Rows of the form
+"<window>,<cell>\\n", with the window running on from row to row and
+the cell an entry of a small table (a train's bin strings, decode's
+voltage reprs), are built and parsed as numpy byte arrays instead, one
+block of at most about BLOCK_BYTES bytes at a time (write_keyed_rows,
+read_keyed_rows). read_pairs is the per-row reader of two-column
+files, which names the first bad row of a file the byte path rejects.
 """
 
 from __future__ import annotations
 
 from itertools import islice
+from typing import Optional
 
 import numpy as np
 
-# Rows formatted or parsed per step. Larger chunks buy little speed
-# and cost memory in proportion.
+# Rows formatted or parsed per step by write_rows and read_pairs.
+# Larger chunks buy little speed and cost memory in proportion.
 CHUNK_ROWS = 1024
+
+# Bytes per block of keyed rows. Smaller blocks lose much of the speed
+# to numpy's per-call overhead; larger ones cost memory in proportion.
+BLOCK_BYTES = 1 << 16
+
+
+class CellTable:
+    """Cells as a padded uint8 matrix, each cell followed by a line
+    break, and a matching mask of the bytes each cell holds."""
+
+    def __init__(self, cells) -> None:
+        raw = [c.encode("ascii") + b"\n" for c in cells]
+        self.width = max(map(len, raw))
+        self.bytes = np.array(raw, dtype=f"S{self.width}").view(np.uint8).reshape(len(raw), -1)
+        self.keep = np.arange(self.width) < np.array([len(r) for r in raw])[:, None]
+
+    def __len__(self) -> int:
+        return len(self.bytes)
+
+
+def render_rows(lo: int, table: CellTable, keys: np.ndarray) -> bytes:
+    """The bytes of rows f"{lo + i},{cells[keys[i]]}\\n" for each i.
+
+    The window digits are computed column by column into a (rows,
+    width) byte matrix next to the gathered cells, and a mask of each
+    row's digit and cell lengths compacts the matrix into the rows.
+    """
+    n = len(keys)
+    windows = np.arange(lo, lo + n)
+    places = 10 ** np.arange(len(str(lo + n - 1)) - 1, -1, -1)
+    digits = len(places)
+    rows = np.empty((n, digits + 1 + table.width), np.uint8)
+    keep = np.empty(rows.shape, bool)
+    for j, place in enumerate(places):
+        rows[:, j] = windows // place % 10 + ord("0")
+        keep[:, j] = windows >= place
+    keep[:, digits - 1] = True  # window 0 is written "0"
+    rows[:, digits] = ord(",")
+    keep[:, digits] = True
+    rows[:, digits + 1:] = table.bytes.take(keys, axis=0)
+    keep[:, digits + 1:] = table.keep.take(keys, axis=0)
+    return rows[keep].tobytes()
+
+
+def write_keyed_rows(fh, header: str, table: CellTable, keys: np.ndarray) -> None:
+    """Write header, then row i as window i and cell keys[i] of table."""
+    fh.write(header)
+    n = len(keys)
+    step = max(1, BLOCK_BYTES // (len(str(n)) + 1 + table.width))
+    for lo in range(0, n, step):
+        fh.write(render_rows(lo, table, keys[lo:lo + step]).decode("ascii"))
+
+
+def _parse_keys(block: bytes, top: int) -> Optional[np.ndarray]:
+    """The decimal in the last bytes after the comma of each line of
+    block (0 where there are none), or None when the block holds more
+    or fewer commas than line ends, or a key outside 0..top. Nothing
+    else is checked: a block is proved by rendering it again."""
+    a = np.frombuffer(block, np.uint8)
+    ends = np.flatnonzero(a == ord("\n"))
+    commas = np.flatnonzero(a == ord(","))
+    if len(commas) != len(ends):
+        return None
+    lengths = ends - commas - 1
+    keys = np.zeros(len(ends), np.int64)
+    for j in range(1, len(str(top)) + 1):  # the j-th byte before each line end
+        digit = a.take(ends - j, mode="clip").astype(np.int64) - ord("0")
+        keys += np.where(lengths >= j, digit, 0) * 10 ** (j - 1)
+    if keys.min() < 0 or keys.max() > top:
+        return None
+    return keys
+
+
+def read_keyed_rows(fh, header: bytes, table: CellTable) -> Optional[np.ndarray]:
+    """The keys of a file that write_keyed_rows wrote with this header
+    and table, where cell k is k in decimal and cell 0 may be empty;
+    None as soon as the file differs from such a file in any byte.
+
+    fh is a binary handle. It is read in blocks cut at line ends; each
+    block's keys are parsed with array arithmetic and the block is
+    proved by rendering those keys again and comparing bytes, which
+    checks the window column, the two cells of each row and the key
+    range in one step.
+    """
+    if fh.readline() != header:
+        return None
+    top = len(table) - 1
+    chunks = []
+    lo = 0
+    rest = b""
+    while data := fh.read(BLOCK_BYTES):
+        block = rest + data
+        cut = block.rfind(b"\n") + 1
+        if not cut:
+            return None  # a line longer than a block is no written row
+        block, rest = block[:cut], block[cut:]
+        keys = _parse_keys(block, top)
+        if keys is None or render_rows(lo, table, keys) != block:
+            return None
+        chunks.append(keys)
+        lo += len(keys)
+    if rest:
+        return None  # the last row has no line break
+    return np.concatenate(chunks) if chunks else np.zeros(0, np.int64)
 
 
 def write_rows(fh, header: str, fmt: str, *columns) -> None:

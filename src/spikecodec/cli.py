@@ -25,7 +25,7 @@ from typing import Optional
 import numpy as np
 
 from ._atomic import atomic_write, write_json
-from ._rows import write_rows
+from ._rows import CellTable, write_keyed_rows, write_rows
 from .codec import (
     _is_finite_number,
     EncoderConfig,
@@ -263,9 +263,9 @@ def cmd_decode(args) -> int:
     # entry in that table, "" for a silent window.
     t = np.arange(1, enc.resolution + 1) * enc.reader_period
     u = decode_ideal(t, enc) if args.mode == "ideal" else decode_linear(t, decoder)
-    table = np.array(["", *map(repr, u.tolist())], dtype=object)
+    table = CellTable(["", *map(repr, u.tolist())])
     with atomic_write(args.out) as fh:
-        write_rows(fh, "window,u_hat\n", "{},{}\n", range(len(train)), table[train.bins])
+        write_keyed_rows(fh, "window,u_hat\n", table, train.bins)
     print(f"decoded {len(train)} windows ({args.mode}) -> {args.out}")
     return 0
 

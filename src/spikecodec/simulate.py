@@ -26,7 +26,7 @@ import numpy as np
 
 from ._atomic import atomic_write, write_json
 from ._draws import window_doubles
-from ._rows import read_pairs, write_rows
+from ._rows import CellTable, read_keyed_rows, read_pairs, write_keyed_rows
 from .codec import EncoderConfig
 
 __all__ = [
@@ -45,6 +45,10 @@ __all__ = [
 _TICK_SNAP = 1e-9
 
 NOISE_MODES = ("constant", "per-window")
+
+# Past 2**53 windows, float64 no longer holds every window index, so
+# neither the window count nor the sample times m*T_S are exact.
+_MAX_WINDOWS = 2**53
 
 
 @dataclass(frozen=True)
@@ -201,9 +205,17 @@ def encode_signal(
 
     The signal is sampled and held at each window start m*T_S; windows
     are independent, so the whole run is one simulate_window call.
-    The signal must cover at least one full window.
+    The signal must cover at least one full window and at most
+    _MAX_WINDOWS of them; the count is checked before any allocation.
     """
-    m_windows = int(math.floor(sig.duration / cfg.sample_period + _TICK_SNAP))
+    windows = sig.duration / cfg.sample_period + _TICK_SNAP
+    if windows > _MAX_WINDOWS:
+        raise ValueError(
+            f"signal duration {sig.duration!r} s spans {windows:.6g} windows of "
+            f"{cfg.sample_period:.6g} s, more than the {_MAX_WINDOWS} that "
+            "float64 counts exactly"
+        )
+    m_windows = math.floor(windows)
     if m_windows < 1:
         raise ValueError("signal shorter than one sample window")
     u_held = sig(np.arange(m_windows) * cfg.sample_period)
@@ -232,15 +244,21 @@ def membrane_trace(u_in: float, cfg: EncoderConfig, dt: float):
 # ---------------------------------------------------------------------------
 # persistence
 
+_HEADER = b"window,bin\n"
+
+
+def _bin_cells(n: int) -> CellTable:
+    """The N + 1 bin cells of a train file: "" for silence, then 1..N."""
+    return CellTable(["", *map(str, range(1, n + 1))])
+
+
 def write_spike_train(train: SpikeTrain, csv_path: str, json_path: Optional[str] = None) -> None:
     """Write a train as CSV (window,bin; bin empty for silence) plus a
     JSON sidecar holding the config and seed."""
     if json_path is None:
         json_path = os.path.splitext(csv_path)[0] + ".json"
-    # One cell per window, looked up in a table of the N + 1 bin cells.
-    table = np.array(["", *map(str, range(1, train.config.resolution + 1))], dtype=object)
     with atomic_write(csv_path) as fh:
-        write_rows(fh, "window,bin\n", "{},{}\n", range(len(train)), table[train.bins])
+        write_keyed_rows(fh, _HEADER.decode(), _bin_cells(train.config.resolution), train.bins)
     meta = {
         "encoder": asdict(train.config),
         "seed": train.seed,
@@ -264,31 +282,24 @@ def _read_sidecar(json_path: str):
     return cfg, meta
 
 
-def _parse_bins(csv_path: str, lo: int, windows: list, cells: list, n: int) -> list:
-    """Bins of the chunk of rows from lo, after checking its window
-    column and that every bin lies in 0..n. The row by row pass runs
-    only when the fast one fails, to name the bad row or to accept
-    cells padded with spaces."""
-    if windows == list(map(str, range(lo, lo + len(windows)))):
-        try:
-            bins = [int(c) if c.strip() else 0 for c in cells]
-        except ValueError:
-            pass
-        else:
-            if min(bins) >= 0 and max(bins) <= n:
-                return bins
+def _read_bins_by_row(csv_path: str, n: int) -> list:
+    """The bins of a train file that read_keyed_rows rejects, read as
+    text row by row: this accepts padded cells and other layouts a
+    hand-edited file may hold, and names the first bad row."""
     bins = []
-    for m, (w, c) in enumerate(zip(windows, cells), start=lo):
-        if w.strip() != str(m):
-            raise ValueError(f"{csv_path}: row {m + 1} has window {w!r}, expected {m}")
-        c = c.strip()
-        try:
-            b = int(c) if c else 0
-        except ValueError:
-            raise ValueError(f"{csv_path}: row {m + 1} has bin {c!r}, not an integer") from None
-        if not 0 <= b <= n:
-            raise ValueError(f"{csv_path}: row {m + 1} has bin {b}, outside 0..{n}")
-        bins.append(b)
+    with open(csv_path, newline="") as fh:
+        for lo, windows, cells in read_pairs(fh, csv_path, ("window", "bin")):
+            for m, (w, c) in enumerate(zip(windows, cells), start=lo):
+                if w.strip() != str(m):
+                    raise ValueError(f"{csv_path}: row {m + 1} has window {w!r}, expected {m}")
+                c = c.strip()
+                try:
+                    b = int(c) if c else 0
+                except ValueError:
+                    raise ValueError(f"{csv_path}: row {m + 1} has bin {c!r}, not an integer") from None
+                if not 0 <= b <= n:
+                    raise ValueError(f"{csv_path}: row {m + 1} has bin {b}, outside 0..{n}")
+                bins.append(b)
     return bins
 
 
@@ -299,16 +310,17 @@ def read_spike_train(csv_path: str, json_path: Optional[str] = None) -> SpikeTra
     window column must run 0..n-1, with n the window count the sidecar
     records, so a truncated or reordered file is rejected instead of
     being read as a shorter train, and every bin must lie in 0..N.
+    A file exactly as write_spike_train writes it is read as bytes; any
+    other is read again row by row, which accepts padded cells, \\r\\n
+    endings, a last row without a line break and cells like 007.
     """
     if json_path is None:
         json_path = os.path.splitext(csv_path)[0] + ".json"
     cfg, meta = _read_sidecar(json_path)
-    chunks = []
-    with open(csv_path, newline="") as fh:
-        for lo, windows, cells in read_pairs(fh, csv_path, ("window", "bin")):
-            bins = _parse_bins(csv_path, lo, windows, cells, cfg.resolution)
-            chunks.append(np.array(bins, dtype=np.int64))
-    bins = np.concatenate(chunks) if chunks else np.zeros(0, dtype=np.int64)
+    with open(csv_path, "rb") as fh:
+        bins = read_keyed_rows(fh, _HEADER, _bin_cells(cfg.resolution))
+    if bins is None:
+        bins = np.array(_read_bins_by_row(csv_path, cfg.resolution), dtype=np.int64)
     if len(bins) != meta.get("windows"):
         raise ValueError(f"{csv_path} has {len(bins)} windows, its sidecar records {meta.get('windows')}")
     return SpikeTrain(bins=bins, config=cfg, seed=meta.get("seed"))

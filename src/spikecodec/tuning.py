@@ -175,7 +175,8 @@ def fit_linear_decoder(cfg: EncoderConfig, tuner: Optional[TunerConfig] = None) 
     The exact solve competes with (0, 0), the plain endpoint
     interpolation clipped into the box, and the lower eps_lin wins, so
     the fit never comes back worse than that endpoint, rounding
-    included. Raises ValueError when the box admits no decoder.
+    included. Raises ValueError when the box admits no decoder or the
+    fit error is not finite.
     """
     if tuner is None:
         tuner = TunerConfig()
@@ -183,12 +184,19 @@ def fit_linear_decoder(cfg: EncoderConfig, tuner: Optional[TunerConfig] = None) 
     c, span = _solve_offset_span(cfg, tuner, ts.t_min, ts.t_max)
     lo, hi = zip(tuner.k1_bounds, tuner.k2_bounds)
     scored = []
-    for k in ((c / ts.t_min - 1.0, (c + span) / ts.t_max - 1.0), (0.0, 0.0)):
-        k = np.clip(k, lo, hi)
-        p = _params_from_k(k, cfg)
-        if p is not None:
-            scored.append((linear_error(cfg, p, tuner.grid_points), float(k[0]), float(k[1]), p))
+    # An overflow shows as a non-finite eps_lin, which is named below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in ((c / ts.t_min - 1.0, (c + span) / ts.t_max - 1.0), (0.0, 0.0)):
+            k = np.clip(k, lo, hi)
+            p = _params_from_k(k, cfg)
+            if p is not None:
+                scored.append((linear_error(cfg, p, tuner.grid_points), float(k[0]), float(k[1]), p))
     eps, k1, k2, params = min(scored, key=lambda s: s[0])
+    if not math.isfinite(eps):
+        raise ValueError(
+            f"decoder fit error eps_lin is {eps!r}: the working range "
+            f"{cfg.u_min:g}..{cfg.u_max:g} V overflows its quadrature"
+        )
     return TuningResult(
         params=params,
         k1=k1,

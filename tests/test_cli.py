@@ -390,6 +390,15 @@ class TestFailureModes:
          "got 'per window'"),
         ({"tuner": {"generations": "many"}}, "tune",
          "config section 'tuner' key 'generations' must be a number or null, got 'many'"),
+        # tune wrote "eps_lin": Infinity and sft printed rmse_mag=inf, both exiting 0
+        ({"encoder": {"u_max": 1e300}}, "tune",
+         "decoder fit error eps_lin is inf: the working range 1..1e+300 V overflows its quadrature"),
+        ({"encoder": {"u_max": 1e300}}, "sft",
+         "decoder fit error eps_lin is inf: the working range 1..1e+300 V overflows its quadrature"),
+        # numpy's "Maximum allowed size exceeded" named neither key nor count
+        ({"signal": {"duration": 1e300}}, "encode",
+         "signal duration 1e+300 s spans 3e+303 windows of 0.000333333 s, more than the "
+         "9007199254740992 that float64 counts exactly"),
     ])
     def test_config_hole_is_named(self, tmp_path, capsys, doc, command, message):
         out = {"encode": ["--out", str(tmp_path / "t.csv")],

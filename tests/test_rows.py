@@ -1,18 +1,23 @@
-"""The chunked CSV rows against the per-row csv loops they replace.
+"""The chunked CSV rows against the per-row loops they replace.
 
 Every float CSV used to be written one row at a time with csv.writer
 and repr(float(v)); those loops are kept here as the reference, and
-the chunked writers must give the same bytes. The train reader must
-round-trip any bins array and keep its memory flat.
+the chunked writers must give the same bytes. Trains used to be read
+only as text, in chunks of 1024 lines; that reader is kept here too,
+and the byte reader must return the same bins or raise the same
+message on any file. The train reader must round-trip any bins array
+and keep its memory flat.
 """
 
 import csv
+import functools
 import io
 import json
 import os
 import tempfile
 import tracemalloc
 from dataclasses import asdict
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -29,7 +34,8 @@ from spikecodec import (
     write_error_report,
     write_spike_train,
 )
-from spikecodec._rows import CHUNK_ROWS
+from spikecodec._rows import BLOCK_BYTES, CHUNK_ROWS, CellTable, read_keyed_rows
+from spikecodec.simulate import _read_sidecar
 from spikecodec.cli import main
 from spikecodec.sft import write_spectrum
 from conftest import CFG3K
@@ -124,6 +130,178 @@ class TestTrainRoundTrip:
             back = read_spike_train(path)
         assert np.array_equal(back.bins, train.bins)
         assert back.config == train.config
+
+
+def text_read_bins(csv_path, json_path=None):
+    """The train reader as it was before trains were read as bytes: the
+    file read as text 1024 lines at a time, each chunk split on commas,
+    and rows parsed one by one only where the chunk's fast check fails."""
+    if json_path is None:
+        json_path = os.path.splitext(csv_path)[0] + ".json"
+    cfg, meta = _read_sidecar(json_path)
+    n = cfg.resolution
+    chunks = []
+    with open(csv_path, newline="") as fh:
+        got = tuple(c.strip() for c in fh.readline().split(","))
+        if got != ("window", "bin"):
+            raise ValueError(f"{csv_path}: header is {','.join(got)!r}, expected 'window,bin'")
+        lo = 0
+        while lines := list(islice(fh, 1024)):
+            cells = ",".join(lines).split(",")
+            windows, bin_cells = cells[0::2], cells[1::2]
+            breaks = "".join(windows)
+            if len(cells) != 2 * len(lines) or "\n" in breaks or "\r" in breaks:
+                for i, line in enumerate(lines):
+                    if line.count(",") != 1:
+                        raise ValueError(f"{csv_path}: row {lo + i + 1} should hold 2 cells, "
+                                         f"holds {line.count(',') + 1}")
+            bins = None
+            if windows == list(map(str, range(lo, lo + len(windows)))):
+                try:
+                    bins = [int(c) if c.strip() else 0 for c in bin_cells]
+                except ValueError:
+                    pass
+                else:
+                    if min(bins) < 0 or max(bins) > n:
+                        bins = None
+            if bins is None:
+                bins = []
+                for m, (w, c) in enumerate(zip(windows, bin_cells), start=lo):
+                    if w.strip() != str(m):
+                        raise ValueError(f"{csv_path}: row {m + 1} has window {w!r}, expected {m}")
+                    c = c.strip()
+                    try:
+                        b = int(c) if c else 0
+                    except ValueError:
+                        raise ValueError(f"{csv_path}: row {m + 1} has bin {c!r}, "
+                                         "not an integer") from None
+                    if not 0 <= b <= n:
+                        raise ValueError(f"{csv_path}: row {m + 1} has bin {b}, outside 0..{n}")
+                    bins.append(b)
+            chunks.append(np.array(bins, dtype=np.int64))
+            lo += len(lines)
+    bins = np.concatenate(chunks) if chunks else np.zeros(0, dtype=np.int64)
+    if len(bins) != meta.get("windows"):
+        raise ValueError(f"{csv_path} has {len(bins)} windows, its sidecar records {meta.get('windows')}")
+    return bins
+
+
+def train_text(bins) -> str:
+    """A train file as the per-row writer wrote it: bin cells empty for
+    silence."""
+    cells = [b or "" for b in bins.tolist()]
+    return "window,bin\n" + "".join(map("{},{}\n".format, range(len(cells)), cells))
+
+
+def block_edge(text: str) -> int:
+    """How many rows of a train file fill the byte block read after its
+    header."""
+    header = text.index("\n") + 1
+    return text.count("\n", header, header + BLOCK_BYTES)
+
+
+# More rows than fill one byte block: past window 999 a row is at
+# least six bytes long.
+EDGE_ROWS = BLOCK_BYTES // 6 + 1000
+
+@functools.lru_cache(maxsize=None)
+def edge_train(seed):
+    """A train of EDGE_ROWS windows, its file and its block edge."""
+    train = random_train(EDGE_ROWS, seed)
+    text = train_text(train.bins)
+    return train, text, block_edge(text)
+
+
+# Bytes a mutation writes over one byte: digits, space, comma, letters
+# and non-ASCII bytes.
+BYTES = b"0123456789 ,xe\r\x80\xc3\xff"
+MUTATIONS = ["none", "delete", "duplicate", "swap", "byte", "crlf", "unterminated", "bin"]
+
+
+@st.composite
+def train_files(draw):
+    """(train, its file, the file mutated): a train with as many rows
+    as fill a byte block, one more, one fewer or only a few, the bytes
+    the per-row writer gave it, and those bytes after one mutation."""
+    base, text, edge = edge_train(draw(st.integers(0, 15)))
+    n = draw(st.sampled_from([0, 1, 2, 3, 40, edge - 1, edge, edge + 1]))
+    train = SpikeTrain(bins=base.bins[:n], config=CFG3K, seed=None)
+    lines = text.encode().splitlines(keepends=True)[:n + 1]
+    data = b"".join(lines)
+    # a line anywhere, or near the block edge (line i is row i - 1)
+    i = draw(st.one_of(st.integers(0, len(lines) - 1),
+                       st.integers(edge - 1, edge + 2).map(lambda i: min(i, len(lines) - 1))))
+    kind = draw(st.sampled_from(MUTATIONS))
+    if kind == "delete":
+        del lines[i]
+    elif kind == "duplicate":
+        lines.insert(i, lines[i])
+    elif kind == "swap" and i + 1 < len(lines):
+        lines[i], lines[i + 1] = lines[i + 1], lines[i]
+    elif kind == "byte":
+        edge_byte = len(lines[0]) + BLOCK_BYTES
+        pos = draw(st.one_of(st.integers(0, len(data) - 1),
+                             st.integers(edge_byte - 12, edge_byte + 12)))
+        pos = min(pos, len(data) - 1)
+        return train, data, data[:pos] + bytes([draw(st.sampled_from(BYTES))]) + data[pos + 1:]
+    elif kind == "crlf":
+        lines = [line.replace(b"\n", b"\r\n") for line in lines]
+    elif kind == "unterminated":
+        lines[-1] = lines[-1].rstrip(b"\n")
+    elif kind == "bin" and i > 0:
+        cell = draw(st.sampled_from([str(CFG3K.resolution + 1), "007", "+5", " 5", "0"]))
+        lines[i] = f"{i - 1},{cell}\n".encode()
+    return train, data, b"".join(lines)
+
+
+def outcome(read, path):
+    """The bins a reader returns, or the type and message it raises."""
+    try:
+        return read(path).tolist()
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+class TestTrainReaderAgainstTextReader:
+    @settings(max_examples=300, deadline=None)
+    @given(train_files())
+    def test_same_bins_or_same_message(self, case):
+        train, written, data = case
+        with tempfile.TemporaryDirectory() as d:
+            path = os.path.join(d, "train.csv")
+            write_spike_train(train, path)
+            with open(path, "rb+") as fh:
+                assert fh.read() == written
+                fh.seek(0)
+                fh.truncate()
+                fh.write(data)
+            got = outcome(lambda p: read_spike_train(p).bins, path)
+            assert got == outcome(text_read_bins, path)
+
+    @pytest.mark.parametrize("extra", [-1, 0, 1])
+    def test_written_trains_take_the_byte_path(self, tmp_path, extra):
+        base, _, edge = edge_train(seed=5)
+        train = SpikeTrain(bins=base.bins[:edge + extra], config=CFG3K)
+        path = tmp_path / "train.csv"
+        write_spike_train(train, str(path))
+        cells = CellTable(["", *map(str, range(1, CFG3K.resolution + 1))])
+        with open(path, "rb") as fh:
+            assert np.array_equal(read_keyed_rows(fh, b"window,bin\n", cells), train.bins)
+
+    @pytest.mark.parametrize("data", [
+        b"window,bin\r\n0,31\r\n1,\r\n2,19\r\n",
+        b"window,bin\n0,31\n1,\n2,19",
+        b"window,bin\n0,31\n1, \n2,19\n",
+        b"window,bin\n0,031\n1,\n2,19\n",
+        b"window,bin\n0,31\n1,0\n2,19\n",
+        b"window,bin\n0,31\n2,\n1,19\n",
+        b"window,bin\n0,101\n1,\n2,19\n",
+        b"window,bin\n0,31,\n1\n2,19\n",
+        b"window, bin\n0,31\n1,\n2,19\n",
+    ])
+    def test_other_layouts_leave_the_byte_path(self, data):
+        cells = CellTable(["", *map(str, range(1, CFG3K.resolution + 1))])
+        assert read_keyed_rows(io.BytesIO(data), b"window,bin\n", cells) is None
 
 
 class TestMemory:

@@ -11,6 +11,7 @@ from spikecodec import (
     SpikeTrain,
     ThermalNoiseModel,
     constant,
+    decode_ideal,
     encode_signal,
     encode_time,
     membrane_trace,
@@ -120,6 +121,42 @@ class TestSimulateWindowArrays:
         u = np.array([3.0, 1e12, np.nan, np.inf, 3.0])
         with pytest.raises(ValueError, match=r"window 12 holds a non-finite input voltage \(nan\)"):
             simulate_window(u, cfg3k, window_index=10)
+
+
+@st.composite
+def encoders(draw):
+    """Valid encoders whose window ends within a few time constants
+    (up to four times the slowest spike), at 1 to 5000 bins."""
+    tau = draw(st.floats(1e-5, 1e-1))
+    u_th = draw(st.floats(0.01, 1.0))
+    u_min = u_th * draw(st.floats(1.5, 20.0))
+    u_max = u_min * draw(st.floats(1.1, 10.0))
+    t_slow = -tau * math.log1p(-u_th / u_min)
+    sample_period = t_slow * draw(st.floats(1.0, 4.0))
+    resolution = draw(st.integers(1, 5000))
+    return EncoderConfig(tau=tau, u_th=u_th, u_min=u_min, u_max=u_max,
+                         sample_period=sample_period, reader_period=sample_period / resolution)
+
+
+class TestSimulateWindowProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(cfg=encoders(), scale=st.lists(st.floats(0.0, 50.0), min_size=2, max_size=40),
+           constant_noise=st.booleans())
+    def test_bins_do_not_increase_with_u(self, cfg, scale, constant_noise):
+        noise = ThermalNoiseModel(delta_u=0.5 * cfg.u_th) if constant_noise else None
+        u = np.sort(np.array(scale)) * cfg.u_th
+        bins = simulate_window(u, cfg, noise)
+        fired = bins > 0
+        # silence only below the fired range, and later spikes only at lower u
+        assert np.all(fired[np.argmax(fired):]) or not fired.any()
+        assert np.all(np.diff(bins[fired]) <= 0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(cfg=encoders())
+    def test_every_bin_round_trips_through_the_ideal_decoder(self, cfg):
+        k = np.arange(1, cfg.resolution + 1)
+        u = decode_ideal(k * cfg.reader_period, cfg)
+        assert np.array_equal(simulate_window(u, cfg), k)
 
 
 class TestEulerOracle:
@@ -275,6 +312,11 @@ class TestEncodeSignal:
         # an infinite duration used to end encode_signal in OverflowError
         with pytest.raises(ValueError, match="duration must be positive and finite"):
             constant(3.0, duration)
+
+    def test_oversized_duration_is_named_before_allocating(self, cfg3k):
+        # used to end in numpy's "Maximum allowed size exceeded"
+        with pytest.raises(ValueError, match=r"signal duration 1e\+300 s spans 3e\+303 windows"):
+            encode_signal(constant(3.0, 1e300), cfg3k)
 
     def test_window_count_is_exact_on_multiples(self, cfg3k):
         # 128 * T_S computed in floats must still give 128 windows

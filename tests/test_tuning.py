@@ -1,4 +1,5 @@
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -154,6 +155,13 @@ class TestFitLinearDecoder:
         # every t_lin_min = t_min * (1 + k1) lies above every t_lin_max
         with pytest.raises(ValueError, match="no decoder"):
             fit_linear_decoder(cfg3k, TunerConfig(k1_bounds=(1.0, 2.0), k2_bounds=(-1.0, -0.9)))
+
+    def test_overflowing_fit_error_is_rejected(self, cfg3k):
+        # the trapezoid sum over 1..1e300 V overflows; the fit used to
+        # return eps_lin = inf
+        cfg = EncoderConfig(**{**asdict(cfg3k), "u_max": 1e300})
+        with pytest.raises(ValueError, match=r"eps_lin is inf: the working range 1\.\.1e\+300 V"):
+            fit_linear_decoder(cfg)
 
     def test_threshold_search_picks_the_better_threshold(self):
         base = EncoderConfig(tau=3e-3, u_th=0.1, u_min=1.0, u_max=5.0,
