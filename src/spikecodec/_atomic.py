@@ -29,7 +29,8 @@ def atomic_write(path: str):
 
 def write_json(path: str, doc: dict) -> None:
     """Write doc atomically as indented JSON with sorted keys and a
-    final newline, the layout of every JSON file the package writes."""
+    final newline, the layout of every JSON file the package writes;
+    Infinity and NaN, which strict JSON lacks, are a ValueError."""
     with atomic_write(path) as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
+        json.dump(doc, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")

@@ -30,6 +30,7 @@ from .codec import (
     _is_finite_number,
     EncoderConfig,
     LinearDecoderParams,
+    crossing_time,
     decode_ideal,
     decode_linear,
     timing_summary,
@@ -207,10 +208,7 @@ def _build_noise(section: dict, seed: Optional[int]) -> Optional[ThermalNoiseMod
 
 def _build_signal(section: dict, enc: EncoderConfig, default_windows: int):
     d = {**DEFAULT_SIGNAL, **section}
-    if "duration" in d:
-        duration = float(d["duration"])
-    else:
-        duration = d.get("windows", default_windows) * enc.sample_period
+    duration = float(d.get("duration", d.get("windows", default_windows) * enc.sample_period))
     if d["type"] == "sine":
         return sine(SineSpec(d["amplitude"], d["frequency"], d["offset"]), duration)
     if "level" not in d:
@@ -232,9 +230,12 @@ def _resolve_decoder(spec, tuner: dict, enc: EncoderConfig) -> LinearDecoderPara
 
 
 def _spectrum_rmse(measured: Spectrum, reference: Spectrum):
-    diff_mag = measured.magnitude() - reference.magnitude()
-    rmse_mag = float(np.sqrt(np.mean(diff_mag**2)))
-    rmse_cplx = float(np.sqrt(np.mean(np.abs(measured.coefficients - reference.coefficients) ** 2)))
+    diffs = (measured.magnitude() - reference.magnitude(), measured.coefficients - reference.coefficients)
+    with np.errstate(over="ignore"):
+        rmse_mag, rmse_cplx = (float(np.sqrt(np.mean(np.abs(d) ** 2))) for d in diffs)
+    if not (np.isfinite(rmse_mag) and np.isfinite(rmse_cplx)):
+        raise ValueError(f"spectrum error rmse_mag is {rmse_mag!r} and rmse_complex is {rmse_cplx!r}: "
+                         "the S-FT is too far from the ideal converter to square its error")
     return rmse_mag, rmse_cplx
 
 
@@ -277,17 +278,15 @@ def cmd_sweep_constant(args) -> int:
     cfg = _load_config(args.config)
     enc_base = _build_encoder(cfg["encoder"], defaults=DEFAULT_SWEEP_ENCODER)
     noise = _build_noise(cfg["noise"], args.seed)
-    os.makedirs(args.out_dir, exist_ok=True)
     for u_th in thresholds:
         enc = replace(enc_base, u_th=u_th)
         u = np.linspace(enc.u_min, enc.u_max, args.points)
-        t_true = -enc.tau * np.log1p(-enc.u_th / u)
         bins = simulate_window(u, enc, noise)
         if not bins.all():
             raise ValueError(f"window stayed silent at u_in={u[bins == 0][0]:.4g} V")
-        t_meas = bins * enc.reader_period
-        report = empirical_errors(u, t_true, t_meas, enc)
+        report = empirical_errors(u, crossing_time(u, enc.u_th, enc.tau), bins * enc.reader_period, enc)
         ts = timing_summary(enc)
+        os.makedirs(args.out_dir, exist_ok=True)
         stem = os.path.join(args.out_dir, f"sweep_uth_{u_th:g}")
         write_error_report(
             report,
@@ -365,10 +364,10 @@ def cmd_sft(args) -> int:
 def cmd_sft_sweep(args) -> int:
     freqs = _float_list("--freqs", args.freqs)
     enc, noise, scfg, spec = _sft_setup(args)
-    os.makedirs(args.out_dir, exist_ok=True)
     results = []
     for nu in sorted(freqs):
         measured, _, rmse_mag, rmse_cplx = _sft_point(enc, scfg, noise, replace(spec, frequency=nu))
+        os.makedirs(args.out_dir, exist_ok=True)
         write_spectrum(measured, os.path.join(args.out_dir, f"spectrum_{nu:g}hz.csv"))
         results.append((nu, rmse_mag, rmse_cplx))
 

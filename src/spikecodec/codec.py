@@ -28,6 +28,7 @@ __all__ = [
     "SpikeTime",
     "NO_SPIKE",
     "TimingSummary",
+    "crossing_time",
     "encode_time",
     "decode_ideal",
     "encode_linear",
@@ -108,13 +109,17 @@ class EncoderConfig:
                 "sample_period must be an integer multiple of reader_period"
             )
         # The slowest spike (at u_min) has to land inside one window,
-        # otherwise the working range cannot be read back at all.
-        t_slow = -self.tau * math.log1p(-self.u_th / self.u_min)
+        # otherwise the working range cannot be read back at all; the
+        # fastest (at u_max) has to leave t = 0, where no bin reads it.
+        t_fast, t_slow = crossing_time([self.u_max, self.u_min], self.u_th, self.tau).tolist()
         if t_slow > self.sample_period * (1 + _REL_EPS):
             raise ValueError(
                 "slowest spike exceeds sample_period: "
                 f"encode_time(u_min) = {t_slow:.6g} s > T_S = {self.sample_period:.6g} s"
             )
+        if not t_fast > 0:
+            raise ValueError(f"fastest spike underflows: crossing_time(u_max = {self.u_max:.6g} V) "
+                             f"= {t_fast!r} s, not > 0")
 
     @property
     def resolution(self) -> int:
@@ -175,16 +180,31 @@ class TimingSummary:
         )
 
 
+def crossing_time(u, threshold, tau):
+    """t = -tau * ln(1 - threshold / u), the time a membrane charging from
+    rest toward u takes to cross threshold: the package's one closed form.
+
+    inf where u <= threshold, NaN included. u and threshold broadcast; a
+    scalar pair gives a float, as decode_ideal, its inverse, does.
+    """
+    u = np.asarray(u, dtype=float)
+    crossed = u > threshold
+    # ln(1 + x) keeps its precision for tiny threshold / u, and dividing
+    # by inf where nothing crosses keeps it free of warnings.
+    t = np.where(crossed, -tau * np.log1p(-threshold / np.where(crossed, u, np.inf)), np.inf)
+    return float(t) if t.ndim == 0 else t
+
+
 def encode_time(u_in: float, cfg: EncoderConfig) -> SpikeTime:
     """Exact threshold-crossing time for a constant input voltage.
 
     Returns NO_SPIKE for u_in <= u_th (the membrane saturates below
-    threshold). Negative or zero inputs are likewise no-spike.
+    threshold). Negative or zero inputs are likewise no-spike, NaN an error.
     """
-    if u_in <= cfg.u_th:
-        return NO_SPIKE
-    # log1p keeps precision when u_th/u_in is tiny.
-    return SpikeTime(-cfg.tau * math.log1p(-cfg.u_th / u_in))
+    if math.isnan(u_in):
+        raise ValueError("u_in is NaN, which has no crossing time")
+    t = crossing_time(u_in, cfg.u_th, cfg.tau)
+    return SpikeTime(t) if t < math.inf else NO_SPIKE
 
 
 def decode_ideal(t_s, cfg: EncoderConfig):
@@ -228,6 +248,5 @@ def timing_summary(cfg: EncoderConfig) -> TimingSummary:
     voltages (tau cancels) and grows with u_th: a higher threshold
     spreads the code over more of the window.
     """
-    t_min = encode_time(cfg.u_max, cfg).time
-    t_max = encode_time(cfg.u_min, cfg).time
+    t_min, t_max = crossing_time([cfg.u_max, cfg.u_min], cfg.u_th, cfg.tau).tolist()
     return TimingSummary(t_min, t_max)

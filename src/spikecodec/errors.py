@@ -13,7 +13,6 @@ sample and as an RMS figure.
 
 from __future__ import annotations
 
-import math
 import os
 from dataclasses import dataclass
 from typing import Optional
@@ -22,7 +21,7 @@ import numpy as np
 
 from ._atomic import atomic_write, write_json
 from ._rows import write_rows
-from .codec import EncoderConfig, encode_time, decode_ideal
+from .codec import EncoderConfig, crossing_time, encode_time, decode_ideal
 
 __all__ = [
     "quantization_shift",
@@ -39,15 +38,6 @@ def quantization_shift(cfg: EncoderConfig) -> float:
     return 0.5 * cfg.reader_period
 
 
-def _check_domain(u_in: float, delta_u: float, cfg: EncoderConfig) -> None:
-    if not u_in > cfg.u_th:
-        raise ValueError("u_in must exceed u_th for a baseline spike")
-    if delta_u < 0:
-        raise ValueError("delta_u must be >= 0")
-    if delta_u >= cfg.u_th:
-        raise ValueError("delta_u must stay below u_th")
-
-
 def thermal_shift(u_in: float, delta_u: float, cfg: EncoderConfig) -> float:
     """Time advance caused by a membrane offset delta_u.
 
@@ -55,10 +45,13 @@ def thermal_shift(u_in: float, delta_u: float, cfg: EncoderConfig) -> float:
     shrinks as u_in moves away from threshold (fast crossings barely
     notice the offset). Zero offset gives exactly zero.
     """
-    _check_domain(u_in, delta_u, cfg)
-    clean = encode_time(u_in, cfg).time
-    noisy = -cfg.tau * math.log1p(-(cfg.u_th - delta_u) / u_in)
-    return clean - noisy
+    if not u_in > cfg.u_th:
+        raise ValueError("u_in must exceed u_th for a baseline spike")
+    if delta_u < 0:
+        raise ValueError("delta_u must be >= 0")
+    if delta_u >= cfg.u_th:
+        raise ValueError("delta_u must stay below u_th")
+    return encode_time(u_in, cfg).time - crossing_time(u_in, cfg.u_th - delta_u, cfg.tau)
 
 
 def predicted_decoding_error(
@@ -74,11 +67,10 @@ def predicted_decoding_error(
     quant_shift=0.0 to look at the thermal contribution alone (and
     with delta_u=0 too, the error is exactly zero).
     """
-    _check_domain(u_in, delta_u, cfg)
+    thermal = thermal_shift(u_in, delta_u, cfg)  # checks u_in and delta_u
     if quant_shift is None:
         quant_shift = quantization_shift(cfg)
-    t_s = encode_time(u_in, cfg).time
-    t_meas = t_s + quant_shift - thermal_shift(u_in, delta_u, cfg)
+    t_meas = encode_time(u_in, cfg).time + quant_shift - thermal
     if not t_meas > 0:
         raise ValueError("shifted spike time is not positive")
     return u_in - decode_ideal(t_meas, cfg)
@@ -122,7 +114,11 @@ def empirical_errors(u_true, t_true, t_meas, cfg: EncoderConfig) -> ErrorReport:
         raise ValueError("inputs must have equal length")
     eps_u = np.abs(u_true - decode_ideal(t_meas, cfg))
     eps_ts = np.abs(t_true - t_meas) / cfg.reader_period
-    rmse = float(np.sqrt(np.mean(eps_u**2)))
+    with np.errstate(over="ignore"):
+        rmse = float(np.sqrt(np.mean(eps_u**2)))
+    if not np.isfinite(rmse):
+        raise ValueError(f"decoding error rmse is {rmse!r}: the largest voltage error, "
+                         f"{np.max(eps_u):.6g} V, overflows when squared")
     return ErrorReport(u_in=u_true, eps_u=eps_u, eps_ts=eps_ts, rmse=rmse)
 
 

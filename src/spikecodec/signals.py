@@ -10,6 +10,7 @@ its input, so the two pipelines see identical values.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,6 +42,9 @@ class SineSpec:
     offset: float
 
     def __post_init__(self) -> None:
+        for name, value in vars(self).items():
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if self.amplitude < 0:
             raise ValueError("amplitude must be >= 0")
         if self.frequency <= 0:

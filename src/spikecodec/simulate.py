@@ -27,7 +27,7 @@ import numpy as np
 from ._atomic import atomic_write, write_json
 from ._draws import window_doubles
 from ._rows import CellTable, read_keyed_rows, read_pairs, write_keyed_rows
-from .codec import EncoderConfig
+from .codec import EncoderConfig, crossing_time
 
 __all__ = [
     "ThermalNoiseModel",
@@ -140,16 +140,6 @@ class SpikeTrain:
         return np.where(self.fired, t, np.nan)
 
 
-def _crossing_times(u_held, threshold, tau):
-    """Vectorised closed-form crossing times; inf where no crossing."""
-    u = np.asarray(u_held, dtype=float)
-    th = np.broadcast_to(np.asarray(threshold, dtype=float), u.shape)
-    out = np.full(u.shape, np.inf)
-    m = u > th
-    out[m] = -tau * np.log1p(-th[m] / u[m])
-    return out
-
-
 def _register(t_s, cfg: EncoderConfig):
     """Reader bins for crossing times: snap-to-tick, ceil, window clip."""
     t = np.asarray(t_s, dtype=float)
@@ -190,7 +180,7 @@ def simulate_window(
         if noise.delta_u >= cfg.u_th:
             raise ValueError("delta_u must stay below u_th")
         delta = noise._offsets(window_index, u.size).reshape(u.shape)
-    bins = _register(_crossing_times(u, cfg.u_th - delta, cfg.tau), cfg)
+    bins = _register(crossing_time(u, cfg.u_th - delta, cfg.tau), cfg)
     if u.ndim:
         return bins
     return int(bins) or None
@@ -236,7 +226,7 @@ def membrane_trace(u_in: float, cfg: EncoderConfig, dt: float):
     n = int(round(cfg.sample_period / dt))
     t = np.linspace(0.0, n * dt, n + 1)
     u = u_in * -np.expm1(-t / cfg.tau)
-    t_cross = _crossing_times([u_in], cfg.u_th, cfg.tau)[0]
+    t_cross = crossing_time(u_in, cfg.u_th, cfg.tau)
     u[t > t_cross] = cfg.u_rest
     return t, u
 

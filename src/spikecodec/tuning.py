@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, asdict, fields
+from dataclasses import dataclass, asdict, fields, replace
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -36,6 +36,7 @@ from .codec import (
     _is_finite_number,
     EncoderConfig,
     LinearDecoderParams,
+    crossing_time,
     decode_linear,
     timing_summary,
 )
@@ -88,7 +89,7 @@ def _code_grid(cfg: EncoderConfig, grid_points: int):
     if grid_points < 2:
         raise ValueError("grid_points must be at least 2")
     y = np.linspace(cfg.u_min, cfg.u_max, grid_points)
-    return y, -cfg.tau * np.log1p(-cfg.u_th / y)
+    return y, crossing_time(y, cfg.u_th, cfg.tau)
 
 
 def linear_error(cfg: EncoderConfig, p: LinearDecoderParams, grid_points: int = 1024) -> float:
@@ -119,8 +120,7 @@ class TuningResult:
     loss: float
 
 
-def _params_from_k(k: np.ndarray, cfg: EncoderConfig) -> Optional[LinearDecoderParams]:
-    ts = timing_summary(cfg)
+def _params_from_k(k: np.ndarray, ts, cfg: EncoderConfig) -> Optional[LinearDecoderParams]:
     t_lo = ts.t_min * (1.0 + k[0])
     t_hi = ts.t_max * (1.0 + k[1])
     if not t_hi > t_lo:
@@ -188,7 +188,7 @@ def fit_linear_decoder(cfg: EncoderConfig, tuner: Optional[TunerConfig] = None) 
     with np.errstate(over="ignore", invalid="ignore"):
         for k in ((c / ts.t_min - 1.0, (c + span) / ts.t_max - 1.0), (0.0, 0.0)):
             k = np.clip(k, lo, hi)
-            p = _params_from_k(k, cfg)
+            p = _params_from_k(k, ts, cfg)
             if p is not None:
                 scored.append((linear_error(cfg, p, tuner.grid_points), float(k[0]), float(k[1]), p))
     eps, k1, k2, params = min(scored, key=lambda s: s[0])
@@ -220,21 +220,8 @@ def fit_with_threshold_search(
     """
     if not thresholds:
         raise ValueError("need at least one threshold candidate")
-    best: Optional[Tuple[float, TuningResult]] = None
-    for u_th in thresholds:
-        candidate = EncoderConfig(
-            tau=cfg.tau,
-            u_th=u_th,
-            u_min=cfg.u_min,
-            u_max=cfg.u_max,
-            sample_period=cfg.sample_period,
-            reader_period=cfg.reader_period,
-            u_rest=cfg.u_rest,
-        )
-        result = fit_linear_decoder(candidate, tuner)
-        if best is None or result.loss < best[1].loss:
-            best = (u_th, result)
-    return best
+    fits = [(u_th, fit_linear_decoder(replace(cfg, u_th=u_th), tuner)) for u_th in thresholds]
+    return min(fits, key=lambda fit: fit[1].loss)
 
 
 def write_tuning(result: TuningResult, cfg: EncoderConfig, path: str,

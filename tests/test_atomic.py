@@ -37,3 +37,10 @@ class TestWriteJson:
         write_json(str(path), {"b": [1, 2.5], "a": None})
         assert path.read_text() == '{\n  "a": null,\n  "b": [\n    1,\n    2.5\n  ]\n}\n'
         assert os.listdir(tmp_path) == ["out.json"]
+
+    @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+    def test_non_finite_float_is_rejected_and_nothing_written(self, tmp_path, value):
+        # json.dump wrote Infinity and NaN, which strict JSON readers reject
+        with pytest.raises(ValueError, match="Out of range float values are not JSON compliant"):
+            write_json(str(tmp_path / "out.json"), {"rmse": value})
+        assert os.listdir(tmp_path) == []

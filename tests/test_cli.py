@@ -2,6 +2,8 @@ import contextlib
 import csv
 import io
 import json
+import math
+import re
 import shutil
 import subprocess
 import sys
@@ -399,12 +401,32 @@ class TestFailureModes:
         ({"signal": {"duration": 1e300}}, "encode",
          "signal duration 1e+300 s spans 3e+303 windows of 0.000333333 s, more than the "
          "9007199254740992 that float64 counts exactly"),
+        # t_min came out 0.0 and TimingSummary ended in ZeroDivisionError
+        ({"encoder": {"u_th": 1e-300, "u_max": 1e300}}, "tune",
+         "fastest spike underflows: crossing_time(u_max = 1e+300 V) = 0.0 s, not > 0"),
+        ({"encoder": {"u_th": 1e-300, "u_max": 1e300}}, "sft",
+         "fastest spike underflows: crossing_time(u_max = 1e+300 V) = 0.0 s, not > 0"),
+        # each wrote an RMSE of Infinity into its JSON and exited 0
+        *[({section: {key: value}}, command,
+           "spectrum error rmse_mag is inf and rmse_complex is inf: "
+           "the S-FT is too far from the ideal converter to square its error")
+          for section, key, value in (("signal", "offset", 1e300),
+                                      ("encoder", "sample_period", 1e300),
+                                      ("encoder", "u_th", 1e-300))
+          for command in ("sft", "sft-sweep")],
+        ({"encoder": {"u_max": 1e300}}, "sweep-constant",
+         "decoding error rmse is inf: the largest voltage error, 1e+300 V, "
+         "overflows when squared"),
+        # every sample came out NaN, after two RuntimeWarnings
+        ({"signal": {"frequency": float("inf")}}, "encode", "frequency must be finite, got inf"),
+        ({"signal": {"frequency": float("inf")}}, "sft", "frequency must be finite, got inf"),
     ])
     def test_config_hole_is_named(self, tmp_path, capsys, doc, command, message):
         out = {"encode": ["--out", str(tmp_path / "t.csv")],
                "tune": ["--out", str(tmp_path / "t.json")],
                "sft": ["--out-prefix", str(tmp_path / "run")],
-               "sft-sweep": ["--out-dir", str(tmp_path / "sweep")]}[command]
+               "sft-sweep": ["--out-dir", str(tmp_path / "sweep")],
+               "sweep-constant": ["--out-dir", str(tmp_path / "sweep")]}[command]
         rc = main([command, "--config", write_config(tmp_path, doc), *out])
         assert rc == 1
         assert capsys.readouterr().err == f"error: {message}\n"
@@ -452,7 +474,7 @@ class TestFailureModes:
 # Values of every kind, none of them a large integer: a size key takes
 # one as given and allocates in proportion to it.
 FUZZ_VALUES = [None, True, 0, -1, 2.5, float("nan"), float("inf"), float("-inf"), 1e300,
-               "", "x", [], [1.0], [1.0, 2.0], ["a", "b"], {}, {"a": 1}, {"t_lin_min": 1e-4}]
+               1e-300, "", "x", [], [1.0], [1.0, 2.0], ["a", "b"], {}, {"a": 1}, {"t_lin_min": 1e-4}]
 CONFIG_KEYS = [(name, key) for name, keys in SCHEMA.items() for key in keys]
 
 
@@ -469,13 +491,20 @@ class TestConfigFuzz:
             cfg = Path(tmp) / "config.json"
             cfg.write_text(json.dumps(doc))
             for argv in (["encode", "--out", f"{tmp}/t.csv"], ["tune", "--out", f"{tmp}/t.json"],
-                         ["sft", "--out-prefix", f"{tmp}/run"]):
-                err = io.StringIO()
-                with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                         ["sft", "--out-prefix", f"{tmp}/run"],
+                         ["sweep-constant", "--points", "16", "--thresholds", "0.5",
+                          "--out-dir", f"{tmp}/sweep"],
+                         ["sft-sweep", "--freqs", "100,500", "--out-dir", f"{tmp}/sft"]):
+                out, err = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                     rc = main(argv + ["--config", str(cfg)])
-                err = err.getvalue()
+                out, err = out.getvalue(), err.getvalue()
                 assert rc == 0 or (rc == 1 and err.startswith("error: ")
                                    and err.count("\n") == 1), (argv[0], doc, err)
+                # a run that succeeds reports only finite figures
+                figures = re.findall(r"(\w+)=([^\s:,]+)", out)
+                assert rc == 1 or all(math.isfinite(float(v)) for _, v in figures), \
+                    (argv[0], doc, out)
 
 
 class TestDeterminism:

@@ -1,5 +1,6 @@
 import csv
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -122,6 +123,16 @@ class TestEmpiricalErrors:
             empirical_errors([2.0], [1e-4], [0.0], cfg3k)
         with pytest.raises(ValueError, match="empty"):
             ErrorReport(u_in=[], eps_u=[], eps_ts=[], rmse=0.0)
+
+    def test_rmse_that_overflows_is_named(self, cfg3k):
+        # an RMSE of inf used to come back as a result
+        u = np.array([2.0, 1e300])
+        t = np.array([encode_time(v, cfg3k).time for v in u])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"decoding error rmse is inf: the largest "
+                               r"voltage error, 1e\+300 V, overflows when squared"):
+                empirical_errors(u, t, t + cfg3k.reader_period, cfg3k)
 
 
 class TestErrorReportIO:

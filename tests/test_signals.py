@@ -30,6 +30,17 @@ class TestSine:
         with pytest.raises(ValueError):
             SineSpec(1.0, 0.0, 2.0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("amplitude", float("inf")), ("amplitude", float("nan")),
+        ("frequency", float("inf")), ("frequency", float("nan")),
+        ("offset", float("inf")), ("offset", float("nan")),
+    ])
+    def test_rejects_non_finite_fields(self, field, value):
+        # an infinite frequency passed and made every sample NaN
+        kw = {"amplitude": 1.0, "frequency": 500.0, "offset": 2.0, field: value}
+        with pytest.raises(ValueError, match=f"^{field} must be finite, got {value!r}$"):
+            SineSpec(**kw)
+
 
 class TestConstant:
     def test_level_everywhere(self):
