@@ -172,6 +172,17 @@ def _float_list(option: str, text: str) -> list:
         raise ValueError(f"{option} must be a comma-separated list of numbers, got {text!r}") from None
 
 
+def _distinct_files(option: str, values: list, name: str) -> None:
+    """Reject two list entries whose files, named by formatting each
+    into name, would be the same file."""
+    seen = {}
+    for value in values:
+        path = name.format(value)
+        if path in seen:
+            raise ValueError(f"{option} entries {seen[path]!r} and {value!r} would both write {path}")
+        seen[path] = value
+
+
 def _build_encoder(section: dict, defaults: dict = DEFAULT_ENCODER) -> EncoderConfig:
     """Encoder from a config section over defaults. Two of the three
     timing keys fix the third, so when the section gives two or more,
@@ -273,11 +284,15 @@ def cmd_decode(args) -> int:
 
 def cmd_sweep_constant(args) -> int:
     thresholds = _float_list("--thresholds", args.thresholds)
+    _distinct_files("--thresholds", thresholds, "sweep_uth_{:g}.csv")
     if args.points < 1:
         raise ValueError(f"--points must be at least 1, got {args.points}")
     cfg = _load_config(args.config)
     enc_base = _build_encoder(cfg["encoder"], defaults=DEFAULT_SWEEP_ENCODER)
     noise = _build_noise(cfg["noise"], args.seed)
+    # Every threshold is checked and swept before the first write, so a
+    # failed run leaves no files.
+    sweeps = []
     for u_th in thresholds:
         enc = replace(enc_base, u_th=u_th)
         u = np.linspace(enc.u_min, enc.u_max, args.points)
@@ -285,8 +300,10 @@ def cmd_sweep_constant(args) -> int:
         if not bins.all():
             raise ValueError(f"window stayed silent at u_in={u[bins == 0][0]:.4g} V")
         report = empirical_errors(u, crossing_time(u, enc.u_th, enc.tau), bins * enc.reader_period, enc)
-        ts = timing_summary(enc)
-        os.makedirs(args.out_dir, exist_ok=True)
+        sweeps.append((u_th, report, timing_summary(enc)))
+
+    os.makedirs(args.out_dir, exist_ok=True)
+    for u_th, report, ts in sweeps:
         stem = os.path.join(args.out_dir, f"sweep_uth_{u_th:g}")
         write_error_report(
             report,
@@ -363,14 +380,19 @@ def cmd_sft(args) -> int:
 
 def cmd_sft_sweep(args) -> int:
     freqs = _float_list("--freqs", args.freqs)
+    _distinct_files("--freqs", freqs, "spectrum_{:g}hz.csv")
     enc, noise, scfg, spec = _sft_setup(args)
-    results = []
+    # Every point is computed before the first write, so a failed run
+    # leaves no files.
+    spectra, results = [], []
     for nu in sorted(freqs):
         measured, _, rmse_mag, rmse_cplx = _sft_point(enc, scfg, noise, replace(spec, frequency=nu))
-        os.makedirs(args.out_dir, exist_ok=True)
-        write_spectrum(measured, os.path.join(args.out_dir, f"spectrum_{nu:g}hz.csv"))
+        spectra.append(measured)
         results.append((nu, rmse_mag, rmse_cplx))
 
+    os.makedirs(args.out_dir, exist_ok=True)
+    for (nu, _, _), measured in zip(results, spectra):
+        write_spectrum(measured, os.path.join(args.out_dir, f"spectrum_{nu:g}hz.csv"))
     with atomic_write(os.path.join(args.out_dir, "summary.csv")) as fh:
         write_rows(fh, "freq_hz,rmse_mag,rmse_complex\n", "{!r},{!r},{!r}\n", *np.array(results).T)
     for nu, rmse_mag, _ in results:

@@ -114,7 +114,7 @@ class SftConfig:
         return self.charge_phase_steps * self.tick
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Spectrum:
     """K complex coefficients in DFT units of the decoded values."""
 
@@ -141,9 +141,12 @@ class Spectrum:
 
 @lru_cache(maxsize=8)
 def _weights_cached(k: int):
+    """Cosine and negative-sine weights for K, and their complex row
+    sums."""
     n = np.arange(k)
     ang = 2.0 * np.pi * np.outer(n, n) / k
-    return np.cos(ang), -np.sin(ang)
+    cos_w, sin_w = np.cos(ang), -np.sin(ang)
+    return cos_w, sin_w, cos_w.sum(axis=1) + 1j * sin_w.sum(axis=1)
 
 
 def dft_weights(frame_size: int):
@@ -155,13 +158,14 @@ def dft_weights(frame_size: int):
     """
     if frame_size < 2:
         raise ValueError("frame_size must be at least 2")
-    cos_w, sin_w = _weights_cached(int(frame_size))
+    cos_w, sin_w, _ = _weights_cached(int(frame_size))
     return cos_w.copy(), sin_w.copy()
 
 
-# Frames per chunk in sft_stream. Small chunks keep the stream's result
-# arrays in reused heap, so its peak memory stays near that of
-# transforming one frame at a time.
+# Frames per chunk in sft_stream. The chunk size is part of the output:
+# a BLAS product's summation order can depend on its row count, and on
+# OpenBLAS 1024-frame chunks change bins 120-126 of K = 127 against
+# 64-frame ones, so changing it changes output files.
 _CHUNK_FRAMES = 64
 
 
@@ -178,15 +182,28 @@ def _coefficients(frames: np.ndarray, cfg: SftConfig) -> np.ndarray:
       v_k = (T_charge - a) * rowsum_k + slope * (W y)_k
     so strip the row-sum term (nonzero only near DC) and rescale to
     DFT units of the decoded values. Returns (F, K) complex.
+
+    The two products stay separate, each against a (K, K) matrix: a
+    product against one stacked (K, 2K) matrix sums in another order.
+    Scaling both parts by 1 / slope gives the bits of dividing by
+    slope, which numpy does by Smith's method as
+    ((x + y*0) + (y - x*0)j) * (1 / slope); the two differ only where
+    a part is -0.0, and no part is: every cosine row starts with
+    weight 1 against a duration >= +0, and the + 0.0 maps a -0.0 sine
+    sum to +0.0 as 1j * (sine sum) does.
     """
     p = cfg.decoder
     t_charge = cfg.charge_duration
-    cos_w, sin_w = _weights_cached(cfg.frame_size)
+    cos_w, sin_w, rowsum = _weights_cached(cfg.frame_size)
     dur = np.clip(t_charge - frames, 0.0, None)
-    v = dur @ cos_w.T + 1j * (dur @ sin_w.T)
+    v = np.empty(dur.shape, dtype=np.complex128)
+    v.real = dur @ cos_w.T
+    np.add(dur @ sin_w.T, 0.0, out=v.imag)
     a = p.t_lin_min + p.slope * p.y_max
-    rowsum = cos_w.sum(axis=1) + 1j * sin_w.sum(axis=1)
-    return (v - (t_charge - a) * rowsum) / p.slope
+    v -= (t_charge - a) * rowsum
+    parts = v.view(np.float64)
+    parts *= 1.0 / p.slope
+    return v
 
 
 def sft_frame(times, cfg: SftConfig) -> Spectrum:
@@ -228,8 +245,27 @@ def sft_stream(train: SpikeTrain, cfg: SftConfig, hop: Optional[int] = None) -> 
     out = []
     for start in range(0, len(frames), _CHUNK_FRAMES):
         coeff = _coefficients(frames[start : start + _CHUNK_FRAMES], cfg)
-        out.extend(Spectrum(coefficients=c, sample_period=cfg.sample_period) for c in coeff)
+        out += _spectra(coeff, cfg.sample_period)
     return out
+
+
+_set_coefficients = Spectrum.coefficients.__set__
+_set_sample_period = Spectrum.sample_period.__set__
+
+
+def _spectra(coeff: np.ndarray, sample_period: float) -> List[Spectrum]:
+    """One Spectrum per row of an (F, K) complex128 stack, each holding
+    its row. The stack is checked once for what Spectrum checks on each
+    row, so the rows skip the constructor."""
+    if coeff.ndim != 2 or coeff.shape[1] < 2 or coeff.dtype != np.complex128:
+        raise ValueError("coefficients must be an (F, K) complex128 stack, K >= 2")
+    spectra = []
+    for row in coeff:
+        spec = object.__new__(Spectrum)
+        _set_coefficients(spec, row)
+        _set_sample_period(spec, sample_period)
+        spectra.append(spec)
+    return spectra
 
 
 def write_spectrum(spec: Spectrum, path: str) -> None:

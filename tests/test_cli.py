@@ -286,6 +286,42 @@ class TestFailureModes:
         assert capsys.readouterr().err == message
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("argv, doc, message", [
+        (["sweep-constant", "--thresholds", "0.1,0.9", "--points", "16"],
+         {"encoder": {"reader_period": 1e-6, "resolution": 1000}},
+         "error: slowest spike exceeds sample_period"),
+        (["sft-sweep", "--freqs", "50,nan"], {**BASE, "sft": {"frame_size": 24}},
+         "error: frequency must be finite"),
+    ], ids=["sweep-constant", "sft-sweep"])
+    def test_failed_sweep_writes_nothing(self, tmp_path, capsys, argv, doc, message):
+        # the first entry succeeds and the second fails
+        out_dir = tmp_path / "out"
+        rc = main(argv + ["--config", write_config(tmp_path, doc), "--out-dir", str(out_dir)])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(message) and captured.err.count("\n") == 1
+        assert captured.out == ""
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["sft-sweep", "--freqs", "1000.0001,1000.0004"],
+         "error: --freqs entries 1000.0001 and 1000.0004 would both write spectrum_1000hz.csv\n"),
+        (["sft-sweep", "--freqs", "50,100,50"],
+         "error: --freqs entries 50.0 and 50.0 would both write spectrum_50hz.csv\n"),
+        (["sweep-constant", "--thresholds", "0.1,0.1"],
+         "error: --thresholds entries 0.1 and 0.1 would both write sweep_uth_0.1.csv\n"),
+        (["sweep-constant", "--thresholds", "0.5,0.50000001"],
+         "error: --thresholds entries 0.5 and 0.50000001 would both write sweep_uth_0.5.csv\n"),
+    ], ids=["freqs-close", "freqs-repeated", "thresholds-repeated", "thresholds-close"])
+    def test_colliding_sweep_entries_are_named(self, tmp_path, capsys, argv, message):
+        # The config file does not exist: the entries are checked before
+        # it is read.
+        out_dir = tmp_path / "out"
+        rc = main(argv + ["--config", str(tmp_path / "missing.json"), "--out-dir", str(out_dir)])
+        assert rc == 1
+        assert capsys.readouterr().err == message
+        assert not out_dir.exists()
+
     @staticmethod
     def _three_window_train(tmp_path, text, encoder=None):
         """A train.csv holding text, with the sidecar of a 3-window train

@@ -15,7 +15,7 @@ from spikecodec import (
     sft_stream,
     write_spectrum,
 )
-from spikecodec.sft import _CHUNK_FRAMES
+from spikecodec.sft import _CHUNK_FRAMES, _spectra
 from conftest import CFG3K, naive_dft
 
 
@@ -195,6 +195,74 @@ class TestSftStreamChunks:
             assert np.abs(spec.coefficients - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
+def reference_coefficients(frames, cfg):
+    """The transform as complex arithmetic: one complex sum of the two
+    products, minus the row-sum term, divided by the slope."""
+    p = cfg.decoder
+    t_charge = cfg.charge_duration
+    cos_w, sin_w = dft_weights(cfg.frame_size)
+    dur = np.clip(t_charge - frames, 0.0, None)
+    v = dur @ cos_w.T + 1j * (dur @ sin_w.T)
+    a = p.t_lin_min + p.slope * p.y_max
+    rowsum = cos_w.sum(axis=1) + 1j * sin_w.sum(axis=1)
+    return (v - (t_charge - a) * rowsum) / p.slope
+
+
+def reference_stream(train, cfg, hop):
+    """sft_stream as a loop over chunks of 64 frames, each row through
+    the public Spectrum constructor."""
+    silent_time = min(cfg.decoder.t_lin_max, cfg.charge_duration)
+    times = np.where(train.fired, train.bins * train.config.reader_period, silent_time)
+    frames = np.lib.stride_tricks.sliding_window_view(times, cfg.frame_size)[::hop]
+    out = []
+    for start in range(0, len(frames), 64):
+        coeff = reference_coefficients(frames[start : start + 64], cfg)
+        out.extend(Spectrum(coefficients=c, sample_period=cfg.sample_period) for c in coeff)
+    return out
+
+
+# The reference channel's charge phase lasts one window, 333.3 us. A
+# decoder whose latest code time lies past it gives silent windows a
+# zero duration, so an all-silent frame is all zeros.
+DEC_LATE = LinearDecoderParams(t_lin_min=5e-5, t_lin_max=4e-4, y_min=1.0, y_max=5.0)
+
+
+class TestSftParity:
+    """sft_frame and sft_stream give the bits of the complex-arithmetic
+    reference, chunked by 64 frames, over frames that span several
+    chunks."""
+
+    @pytest.mark.parametrize("decoder", [DEC, DEC_LATE], ids=["early", "late"])
+    @pytest.mark.parametrize("silent", [0.0, 0.1, 1.0])
+    @pytest.mark.parametrize("hop", [1, 7, "K"])
+    @pytest.mark.parametrize("k", [2, 3, 16, 127, 128, 256])
+    def test_stream_bytes(self, k, hop, silent, decoder):
+        hop = k if hop == "K" else hop
+        rng = np.random.default_rng(1000 * k + 10 * hop + int(10 * silent))
+        n = k + 199 * hop
+        bins = rng.integers(1, CFG3K.resolution + 1, n)
+        bins[rng.random(n) < silent] = 0
+        train = SpikeTrain(bins=bins, config=CFG3K)
+        cfg = SftConfig.for_encoder(CFG3K, decoder, frame_size=k)
+        got = sft_stream(train, cfg, hop=hop)
+        want = reference_stream(train, cfg, hop)
+        assert len(got) == len(want) == 200
+        assert all(type(s) is Spectrum and s.sample_period == cfg.sample_period for s in got)
+        assert (np.stack([s.coefficients for s in got]).tobytes()
+                == np.stack([s.coefficients for s in want]).tobytes())
+
+    @pytest.mark.parametrize("decoder", [DEC, DEC_LATE], ids=["early", "late"])
+    @pytest.mark.parametrize("k", [2, 127])
+    def test_frame_bytes(self, k, decoder):
+        cfg = SftConfig.for_encoder(CFG3K, decoder, frame_size=k)
+        rng = np.random.default_rng(k)
+        times = rng.integers(1, CFG3K.resolution + 1, k) * CFG3K.reader_period
+        times[::3] = cfg.charge_duration
+        got = sft_frame(times, cfg).coefficients
+        want = reference_coefficients(times[None, :], cfg)[0]
+        assert got.tobytes() == want.tobytes()
+
+
 class TestSpectrum:
     def test_bin_frequencies(self):
         spec = Spectrum(coefficients=np.zeros(8, dtype=complex), sample_period=1.0 / 3000.0)
@@ -204,6 +272,17 @@ class TestSpectrum:
     def test_magnitude(self):
         spec = Spectrum(coefficients=np.array([3 + 4j, 1 + 0j]), sample_period=1e-3)
         assert spec.magnitude() == pytest.approx([5.0, 1.0])
+
+    @pytest.mark.parametrize("coefficients", [np.zeros(1), np.zeros((2, 2)), np.zeros(())])
+    def test_rejects_a_short_or_not_1d_array(self, coefficients):
+        with pytest.raises(ValueError, match="1-d array"):
+            Spectrum(coefficients=coefficients, sample_period=1e-3)
+
+    @pytest.mark.parametrize("stack", [np.zeros(4, complex), np.zeros((3, 1), complex),
+                                       np.zeros((3, 4))])
+    def test_stream_rows_need_a_complex_stack(self, stack):
+        with pytest.raises(ValueError, match="complex128 stack"):
+            _spectra(stack, 1e-3)
 
     def test_csv_dump(self, tmp_path):
         spec = Spectrum(coefficients=np.array([1 + 0j, 0 + 2j, -1 + 0j]), sample_period=1e-3)
