@@ -10,10 +10,30 @@ voltage reprs), are built and parsed as numpy byte arrays instead, one
 block of at most about BLOCK_BYTES bytes at a time (write_keyed_rows,
 read_keyed_rows). read_pairs is the per-row reader of two-column
 files, which names the first bad row of a file the byte path rejects.
+
+write_rows splits a file of at least 2 * FORK_ROWS rows into
+contiguous shares, one per usable CPU and each of at least FORK_ROWS
+rows. Share 0 is formatted in this process; each other share is
+formatted by a forked child into an anonymous temporary file that the
+parent appends to the output once the child has exited. Rows are
+independent and a float's repr is the same in every process, so the
+bytes do not depend on the share count. The child is fork-safe because
+it does nothing else: it formats its share, writes and flushes its own
+file and leaves through os._exit, so it never flushes the buffered
+text of the handle it inherited, never runs the caller's cleanup (an
+atomic_write would remove the parent's temporary file) and never runs
+atexit handlers. On Python 3.12 and later os.fork warns
+(DeprecationWarning) when the process has other threads, which numpy's
+BLAS pool starts in every numpy process; the default warning filters
+hide it outside __main__. Where os.fork does not exist, or a file is
+too short for two shares, every row is formatted in this process.
 """
 
 from __future__ import annotations
 
+import os
+import signal
+import tempfile
 from itertools import islice
 from typing import Optional
 
@@ -26,6 +46,10 @@ CHUNK_ROWS = 1024
 # Bytes per block of keyed rows. Smaller blocks lose much of the speed
 # to numpy's per-call overhead; larger ones cost memory in proportion.
 BLOCK_BYTES = 1 << 16
+
+# Fewest rows write_rows gives one process. Shorter shares would spend
+# a fair part of their time on the fork, which costs a few ms.
+FORK_ROWS = 16 * CHUNK_ROWS
 
 
 class CellTable:
@@ -128,19 +152,90 @@ def read_keyed_rows(fh, header: bytes, table: CellTable) -> Optional[np.ndarray]
     return np.concatenate(chunks) if chunks else np.zeros(0, np.int64)
 
 
+def usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        return os.cpu_count() or 1
+
+
+def share_count(n: int) -> int:
+    """How many processes write_rows splits n rows across: one per
+    usable CPU, with at least FORK_ROWS rows in each."""
+    if not hasattr(os, "fork"):
+        return 1
+    return max(1, min(usable_cpus(), n // FORK_ROWS))
+
+
+def _format_rows(fh, fmt: str, columns, lo: int, hi: int) -> None:
+    """Write fmt.format(*cells) for rows lo..hi-1, CHUNK_ROWS at a time.
+    Array cells go through .tolist(), so floats format as Python floats."""
+    for start in range(lo, hi, CHUNK_ROWS):
+        parts = [c[start:min(start + CHUNK_ROWS, hi)] for c in columns]
+        parts = [p.tolist() if isinstance(p, np.ndarray) else p for p in parts]
+        fh.writelines(map(fmt.format, *parts))
+
+
+def _child(out, fmt: str, columns, lo: int, hi: int) -> None:
+    """In a forked child: format rows lo..hi-1 into out and exit, 0 on
+    success; on any failure out holds the failure and the status is 1."""
+    code = 1
+    try:
+        try:
+            _format_rows(out, fmt, columns, lo, hi)
+            out.flush()
+            code = 0
+        except BaseException as exc:  # not re-raised: it would unwind into the caller's code
+            out.seek(0)
+            out.truncate()
+            out.write(f"{type(exc).__name__}: {exc}")
+            out.flush()
+    finally:
+        os._exit(code)
+
+
 def write_rows(fh, header: str, fmt: str, *columns) -> None:
     """Write header, then fmt.format(*cells) for each row.
 
     Each column is a numpy array or a range of equal length. Array
     cells go through .tolist(), so floats format as Python floats
-    ({!r} gives their shortest round-trip repr).
+    ({!r} gives their shortest round-trip repr). The rows are split
+    across share_count(n) processes (see the module docstring); a share
+    that fails in its child is an OSError that names the failure. No
+    child process or temporary file outlives the call.
     """
     fh.write(header)
     n = len(columns[0])
-    for lo in range(0, n, CHUNK_ROWS):
-        parts = [c[lo:lo + CHUNK_ROWS] for c in columns]
-        parts = [p.tolist() if isinstance(p, np.ndarray) else p for p in parts]
-        fh.writelines(map(fmt.format, *parts))
+    k = share_count(n)
+    bounds = [n * i // k for i in range(k + 1)]
+    files, pids = [], []
+    try:
+        for lo, hi in zip(bounds[1:-1], bounds[2:]):
+            files.append(tempfile.TemporaryFile("w+", encoding="utf-8", newline=""))
+            pid = os.fork()
+            if pid == 0:
+                _child(files[-1], fmt, columns, lo, hi)
+            pids.append(pid)
+        _format_rows(fh, fmt, columns, bounds[0], bounds[1])
+        for lo, hi, out in zip(bounds[1:-1], bounds[2:], files):
+            pid = pids[0]
+            status = os.waitpid(pid, 0)[1]
+            del pids[0]  # reaped, so no longer the finally's to kill
+            out.seek(0)
+            code = os.waitstatus_to_exitcode(status)
+            if code:
+                why = f"exit status {code}" if code > 0 else f"signal {-code}"
+                raise OSError(f"formatting rows {lo}..{hi - 1} in child process {pid} "
+                              f"failed ({why}): {out.read(BLOCK_BYTES) or 'no message'}")
+            while block := out.read(BLOCK_BYTES):
+                fh.write(block)
+    finally:
+        for pid in pids:  # not reaped yet, so the pid is still this child's
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        for out in files:
+            out.close()
 
 
 def read_pairs(fh, path: str, header: tuple):

@@ -456,6 +456,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:  # numpy's names the array it could not allocate
+        print(f"error: {exc or 'out of memory'}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

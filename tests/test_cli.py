@@ -248,6 +248,22 @@ class TestFailureModes:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
+    # 2**49 elements of 8 bytes are past the 128 TiB user address space,
+    # so the allocation fails whatever the overcommit setting
+    @pytest.mark.parametrize("argv", [
+        ["sweep-constant", "--config", "config.json", "--points", str(2**49), "--out-dir", "out"],
+        ["encode", "--config", "config.json", "--out", "t.csv"],
+    ])
+    def test_oversized_allocation_is_named(self, tmp_path, capsys, monkeypatch, argv):
+        # numpy's _ArrayMemoryError used to end the command in a traceback
+        monkeypatch.chdir(tmp_path)
+        write_config(tmp_path, {"signal": {"type": "constant", "level": 3.0, "windows": 2**49}})
+        rc = main(argv)
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: Unable to allocate") and err.count("\n") == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
     def test_null_sections_read_as_empty(self, tmp_path):
         cfg = write_config(tmp_path, {"encoder": None})
         assert main(["encode", "--config", cfg, "--out", str(tmp_path / "t.csv")]) == 0

@@ -6,16 +6,24 @@ the chunked writers must give the same bytes. Trains used to be read
 only as text, in chunks of 1024 lines; that reader is kept here too,
 and the byte reader must return the same bins or raise the same
 message on any file. The train reader must round-trip any bins array
-and keep its memory flat.
+and keep its memory flat. The float writer must give the same bytes
+whether its rows are formatted in one process or split across forked
+children, and leave no child or temporary file behind.
 """
 
+import contextlib
 import csv
 import functools
+import gc
+import hashlib
 import io
 import json
 import os
+import re
+import signal
 import tempfile
 import tracemalloc
+import warnings
 from dataclasses import asdict
 from itertools import islice
 
@@ -34,7 +42,9 @@ from spikecodec import (
     write_error_report,
     write_spike_train,
 )
-from spikecodec._rows import BLOCK_BYTES, CHUNK_ROWS, CellTable, read_keyed_rows
+from spikecodec import _rows
+from spikecodec._atomic import atomic_write
+from spikecodec._rows import BLOCK_BYTES, CHUNK_ROWS, FORK_ROWS, CellTable, read_keyed_rows, write_rows
 from spikecodec.simulate import _read_sidecar
 from spikecodec.cli import main
 from spikecodec.sft import write_spectrum
@@ -115,6 +125,164 @@ class TestByteIdentity:
         cells[fired] = decode_ideal(t, CFG3K) if mode == "ideal" else decode_linear(t, decoder)
         want = "window,u_hat\n" + "".join(map("{},{}\n".format, range(n), cells))
         assert out.read_bytes() == want.encode()
+
+
+def force_shares(monkeypatch, k):
+    """Make write_rows split every file into k shares, however short."""
+    monkeypatch.setattr(_rows, "share_count", lambda n: k)
+
+
+@functools.lru_cache(maxsize=None)
+def share_case(n):
+    """Three float columns of n rows and their reference bytes."""
+    cols = float_columns(n, 3, seed=n)
+    return cols, reference_csv(["a", "b", "c"], zip(*cols))
+
+
+def open_fds():
+    """This process's open file descriptors, where /proc lists them."""
+    return set(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else set()
+
+
+@contextlib.contextmanager
+def nothing_left():
+    """Check that the body leaves no child process, open file
+    descriptor or unclosed file (which warns when collected) behind."""
+    fds = open_fds()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        yield
+        gc.collect()
+    assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
+    assert open_fds() == fds
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestShares:
+    """write_rows gives the same bytes however its rows are split
+    across processes, and leaves no process or file behind."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 5])
+    @pytest.mark.parametrize("n", [1, FORK_ROWS - 1, FORK_ROWS, 2 * FORK_ROWS + 1, 100_000])
+    def test_bytes_do_not_depend_on_the_share_count(self, tmp_path, monkeypatch, k, n):
+        force_shares(monkeypatch, k)
+        cols, want = share_case(n)
+        path = tmp_path / "rows.csv"
+        with nothing_left(), open(path, "w", newline="") as fh:
+            # unflushed text: a child that flushed the handle it inherited
+            # would write these bytes a second time
+            fh.write("pending\r\n")
+            write_rows(fh, "a,b,c\r\n", "{!r},{!r},{!r}\r\n", *cols)
+        assert path.read_bytes() == b"pending\r\n" + want
+
+    def test_share_count(self, monkeypatch):
+        monkeypatch.setattr(_rows, "usable_cpus", lambda: 3)
+        assert [_rows.share_count(n) for n in (0, 2 * FORK_ROWS - 1, 2 * FORK_ROWS,
+                                               3 * FORK_ROWS, 100 * FORK_ROWS)] == [1, 1, 2, 3, 3]
+        monkeypatch.delattr(os, "fork")
+        assert _rows.share_count(100 * FORK_ROWS) == 1
+
+
+class Boom:
+    """A cell whose repr fails: it raises in the process that made it
+    and kills any other process (a forked child) outright when kill is
+    set."""
+
+    def __init__(self, kill=False):
+        self.pid, self.kill = os.getpid(), kill
+
+    def __repr__(self):
+        if self.kill and os.getpid() != self.pid:
+            os.kill(os.getpid(), signal.SIGKILL)
+        raise ZeroDivisionError("boom")
+
+
+def boom_column(n, row, kill=False):
+    col = np.arange(n, dtype=float).astype(object)
+    col[row] = Boom(kill)
+    return col
+
+
+def failing_in_children(format_rows):
+    """format_rows, but raising MemoryError in any process other than
+    the one that made it."""
+    pid = os.getpid()
+
+    def wrapped(*args):
+        if os.getpid() != pid:
+            raise MemoryError("no room")
+        format_rows(*args)
+    return wrapped
+
+
+class TestShareFailures:
+    """A failing share raises, and leaves no output, temporary file or
+    child process behind."""
+
+    N = 1000
+
+    @pytest.mark.parametrize("kill, message", [
+        (False, "exit status 1): ZeroDivisionError: boom"),
+        (True, "signal 9): no message"),
+    ])
+    def test_failed_child_is_an_oserror(self, tmp_path, monkeypatch, kill, message):
+        force_shares(monkeypatch, 3)
+        path = tmp_path / "rows.csv"
+        with nothing_left(), pytest.raises(OSError) as info:
+            with atomic_write(str(path)) as fh:
+                write_rows(fh, "u\r\n", "{!r}\r\n", boom_column(self.N, self.N - 1, kill))
+        assert re.fullmatch(rf"formatting rows {2 * self.N // 3}\.\.{self.N - 1} in child "
+                            rf"process \d+ failed \({re.escape(message)}", str(info.value))
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_parent_share_stops_every_child(self, tmp_path, monkeypatch):
+        force_shares(monkeypatch, 3)
+        path = tmp_path / "rows.csv"
+        with nothing_left(), pytest.raises(ZeroDivisionError):
+            with atomic_write(str(path)) as fh:
+                write_rows(fh, "u\r\n", "{!r}\r\n", boom_column(self.N, 0))
+        assert list(tmp_path.iterdir()) == []
+
+    def test_cli_names_the_failure(self, tmp_path, monkeypatch, capsys):
+        # a share that fails in its child reaches the command line as one
+        # error line
+        force_shares(monkeypatch, 2)
+        monkeypatch.setattr(_rows, "_format_rows", failing_in_children(_rows._format_rows))
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"signal": {"type": "constant", "level": 3.0}}))
+        with nothing_left():
+            assert main(["sweep-constant", "--config", str(cfg), "--thresholds", "0.5",
+                         "--points", "8", "--out-dir", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: formatting rows 4..7 in child process") and err.count("\n") == 1
+        assert os.listdir(tmp_path / "out") == []
+
+
+# SHA-256 of write_error_report and write_spectrum output for the
+# 40,000-row columns below, recorded when every row was formatted in
+# one process. Float repr is the same on every machine.
+PINNED = {
+    "errors": "b626f320a430c307a29de3f6998d74af0293d2054810e5d3ac136e4758032843",
+    "spectrum": "07494c9eb544f488200dd1d63a6145e0e20afcf0982e0e14ac0c0cdb26d50c57",
+}
+
+
+class TestPinnedBytes:
+    N = 40_000
+
+    def test_error_report(self, tmp_path):
+        u, eps_u, eps_ts = float_columns(self.N, 3, seed=self.N)
+        path = tmp_path / "errors.csv"
+        write_error_report(ErrorReport(u_in=u, eps_u=eps_u, eps_ts=eps_ts, rmse=0.5), str(path))
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED["errors"]
+
+    def test_spectrum(self, tmp_path):
+        coeff = np.empty(self.N, dtype=complex)
+        coeff.real, coeff.imag = float_columns(self.N, 2, seed=self.N + 1)
+        path = tmp_path / "spectrum.csv"
+        write_spectrum(Spectrum(coefficients=coeff, sample_period=CFG3K.sample_period), str(path))
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED["spectrum"]
 
 
 class TestTrainRoundTrip:
@@ -319,13 +487,16 @@ class TestMemory:
             tracemalloc.stop()
         assert peak <= 3 * 2**20
 
-    def test_error_report_write_peak(self, tmp_path):
+    def test_error_report_write_peak(self, tmp_path, monkeypatch):
+        # in one process, and with a forked child's file appended
         u, eps_u, eps_ts = float_columns(100_000, 3, seed=2)
         report = ErrorReport(u_in=u, eps_u=eps_u, eps_ts=eps_ts, rmse=0.5)
-        tracemalloc.start()
-        try:
-            write_error_report(report, str(tmp_path / "errors.csv"))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 2 * 2**20
+        for k in (1, 2):
+            force_shares(monkeypatch, k)
+            tracemalloc.start()
+            try:
+                write_error_report(report, str(tmp_path / "errors.csv"))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 2 * 2**20
