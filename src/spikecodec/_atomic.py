@@ -9,16 +9,20 @@ import os
 
 
 @contextlib.contextmanager
-def atomic_write(path: str):
-    """Yield a text handle on a temporary file next to path.
+def atomic_write(path: str, mode: str = "w"):
+    """Yield a handle on a temporary file next to path, opened in mode
+    ("w" for text without newline translation, "wb" for bytes).
 
     On a clean exit the file replaces path in one step, so readers see
     either the old file or the complete new one. If the body raises,
-    the temporary file is removed and path is left as it was.
+    the temporary file is removed and path is left as it was. The body
+    may close the handle early; the file still replaces path only when
+    the body exits cleanly, so several of these in one ExitStack
+    replace their paths only once every file is complete.
     """
     tmp = f"{path}.tmp.{os.getpid()}"
     try:
-        with open(tmp, "w", newline="") as fh:
+        with open(tmp, mode, newline=None if "b" in mode else "") as fh:
             yield fh
         os.replace(tmp, path)
     except BaseException:

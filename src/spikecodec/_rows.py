@@ -3,7 +3,7 @@ whatever the file length.
 
 The files hold plain numbers, so no cell ever needs quoting. Rows of
 floats are formatted with str methods CHUNK_ROWS rows at a time
-(write_rows); the float repr is their cost. Rows of the form
+(write_tables); the float repr is their cost. Rows of the form
 "<window>,<cell>\\n", with the window running on from row to row and
 the cell an entry of a small table (a train's bin strings, decode's
 voltage reprs), are built and parsed as numpy byte arrays instead, one
@@ -11,26 +11,36 @@ block of at most about BLOCK_BYTES bytes at a time (write_keyed_rows,
 read_keyed_rows). read_pairs is the per-row reader of two-column
 files, which names the first bad row of a file the byte path rejects.
 
-write_rows splits a file of at least 2 * FORK_ROWS rows into
-contiguous shares, one per usable CPU and each of at least FORK_ROWS
-rows. Share 0 is formatted in this process; each other share is
-formatted by a forked child into an anonymous temporary file that the
-parent appends to the output once the child has exited. Rows are
-independent and a float's repr is the same in every process, so the
-bytes do not depend on the share count. The child is fork-safe because
-it does nothing else: it formats its share, writes and flushes its own
-file and leaves through os._exit, so it never flushes the buffered
-text of the handle it inherited, never runs the caller's cleanup (an
-atomic_write would remove the parent's temporary file) and never runs
-atexit handlers. On Python 3.12 and later os.fork warns
-(DeprecationWarning) when the process has other threads, which numpy's
-BLAS pool starts in every numpy process; the default warning filters
-hide it outside __main__. Where os.fork does not exist, or a file is
-too short for two shares, every row is formatted in this process.
+write_tables writes a batch of float tables, each (path, header, fmt,
+columns) and one file, as one row space: the rows of table 0, then of
+table 1, and so on. A batch of at least 2 * FORK_ROWS rows is split
+into contiguous shares, one per usable CPU and each of at least
+FORK_ROWS rows; a share may begin or end inside a table. Share 0 is
+formatted in this process; each other share is formatted by a forked
+child into an anonymous temporary file, followed by the byte offset at
+which each of its tables' pieces ends. The parent writes the tables in
+order, formatting its own pieces and copying each child's pieces in
+blocks once that child has exited. Rows are independent and a float's
+repr is the same in every process, so the bytes do not depend on the
+share count. Every table goes to a temporary file next to its path
+(_atomic.atomic_write), and no path is replaced before the whole batch
+is written, so a failed batch leaves every path as it was.
+
+The child is fork-safe because it does nothing else: it formats its
+share, writes and flushes its own file and leaves through os._exit, so
+it never flushes the buffered text of a handle it inherited, never
+runs the caller's cleanup and never runs atexit handlers. The children
+are forked before any output file is opened. On Python 3.12 and later
+os.fork warns (DeprecationWarning) when the process has other threads,
+which numpy's BLAS pool starts in every numpy process; the default
+warning filters hide it outside __main__. Where os.fork does not
+exist, or a batch is too short for two shares, every row is formatted
+in this process.
 """
 
 from __future__ import annotations
 
+import contextlib
 import os
 import signal
 import tempfile
@@ -39,7 +49,9 @@ from typing import Optional
 
 import numpy as np
 
-# Rows formatted or parsed per step by write_rows and read_pairs.
+from ._atomic import atomic_write
+
+# Rows formatted or parsed per step by write_tables and read_pairs.
 # Larger chunks buy little speed and cost memory in proportion.
 CHUNK_ROWS = 1024
 
@@ -47,9 +59,13 @@ CHUNK_ROWS = 1024
 # to numpy's per-call overhead; larger ones cost memory in proportion.
 BLOCK_BYTES = 1 << 16
 
-# Fewest rows write_rows gives one process. Shorter shares would spend
-# a fair part of their time on the fork, which costs a few ms.
-FORK_ROWS = 16 * CHUNK_ROWS
+# Fewest rows write_tables gives one process. Measured on 2 cores
+# (Python 3.11, numpy 2.4): fork plus wait costs 3.5-9 ms, median about
+# 5 ms, and one row of three floats 4.2-5 us, so a child's share pays
+# for its fork from about 1,000-2,000 rows. 4 * CHUNK_ROWS keeps every
+# share two to four times past that, and splits sweep-constant's 3 x
+# 4,096 rows and sft-sweep's 64 x 128 + 64 rows on 2 CPUs.
+FORK_ROWS = 4 * CHUNK_ROWS
 
 
 class CellTable:
@@ -161,81 +177,137 @@ def usable_cpus() -> int:
 
 
 def share_count(n: int) -> int:
-    """How many processes write_rows splits n rows across: one per
+    """How many processes write_tables splits n rows across: one per
     usable CPU, with at least FORK_ROWS rows in each."""
     if not hasattr(os, "fork"):
         return 1
     return max(1, min(usable_cpus(), n // FORK_ROWS))
 
 
-def _format_rows(fh, fmt: str, columns, lo: int, hi: int) -> None:
-    """Write fmt.format(*cells) for rows lo..hi-1, CHUNK_ROWS at a time.
-    Array cells go through .tolist(), so floats format as Python floats."""
+def _format_rows(out, fmt: str, columns, lo: int, hi: int) -> None:
+    """Write the bytes of fmt.format(*cells) for rows lo..hi-1 to the
+    binary handle out, CHUNK_ROWS rows at a time. Array cells go
+    through .tolist(), so floats format as Python floats."""
     for start in range(lo, hi, CHUNK_ROWS):
         parts = [c[start:min(start + CHUNK_ROWS, hi)] for c in columns]
         parts = [p.tolist() if isinstance(p, np.ndarray) else p for p in parts]
-        fh.writelines(map(fmt.format, *parts))
+        out.write("".join(map(fmt.format, *parts)).encode())
 
 
-def _child(out, fmt: str, columns, lo: int, hi: int) -> None:
-    """In a forked child: format rows lo..hi-1 into out and exit, 0 on
-    success; on any failure out holds the failure and the status is 1."""
+def _pieces(starts: list, lo: int, hi: int) -> list:
+    """(table, first row, end row) of every table's rows that fall in
+    rows lo..hi-1 of the whole batch, in order; starts[t] is the batch
+    row of table t's first row. Tables with no rows there are left out."""
+    pieces = []
+    for t, (first, end) in enumerate(zip(starts, starts[1:])):
+        a, b = max(lo, first), min(hi, end)
+        if a < b:
+            pieces.append((t, a - first, b - first))
+    return pieces
+
+
+def _child(out, tables, pieces) -> None:
+    """In a forked child: format pieces into out, then their end
+    offsets as int64, and exit 0; on any failure out holds the failure
+    and the status is 1."""
     code = 1
     try:
         try:
-            _format_rows(out, fmt, columns, lo, hi)
+            ends = []
+            for t, a, b in pieces:
+                _, _, fmt, columns = tables[t]
+                _format_rows(out, fmt, columns, a, b)
+                ends.append(out.tell())
+            out.write(np.array(ends, np.int64).tobytes())
             out.flush()
             code = 0
         except BaseException as exc:  # not re-raised: it would unwind into the caller's code
             out.seek(0)
             out.truncate()
-            out.write(f"{type(exc).__name__}: {exc}")
+            out.write(f"{type(exc).__name__}: {exc}".encode(errors="replace"))
             out.flush()
     finally:
         os._exit(code)
 
 
-def write_rows(fh, header: str, fmt: str, *columns) -> None:
-    """Write header, then fmt.format(*cells) for each row.
+def _reap(pids: dict, s: int, out, lo: int, hi: int, count: int) -> list:
+    """Wait for the child pids[s], which formatted rows lo..hi-1 into
+    out as count pieces, and return the end offset of each piece, with
+    out rewound; a failed child is an OSError that names its rows."""
+    status = os.waitpid(pids[s], 0)[1]
+    pid = pids.pop(s)  # reaped, so no longer write_tables' to kill
+    code = os.waitstatus_to_exitcode(status)
+    if code:
+        out.seek(0)
+        why = f"exit status {code}" if code > 0 else f"signal {-code}"
+        message = out.read(BLOCK_BYTES).decode(errors="replace") or "no message"
+        raise OSError(f"formatting rows {lo}..{hi - 1} in child process {pid} "
+                      f"failed ({why}): {message}")
+    out.seek(-8 * count, os.SEEK_END)
+    ends = np.frombuffer(out.read(8 * count), np.int64).tolist()
+    out.seek(0)
+    return ends
 
-    Each column is a numpy array or a range of equal length. Array
-    cells go through .tolist(), so floats format as Python floats
-    ({!r} gives their shortest round-trip repr). The rows are split
-    across share_count(n) processes (see the module docstring); a share
-    that fails in its child is an OSError that names the failure. No
-    child process or temporary file outlives the call.
+
+def write_tables(tables) -> None:
+    """Write each (path, header, fmt, columns) table to its path:
+    header, then fmt.format(*cells) for each row.
+
+    Each column is a numpy array, a list or a range, all of one
+    table's columns of equal length. Array cells go through .tolist(),
+    so floats format as Python floats ({!r} gives their shortest
+    round-trip repr); a list of strings through "{}" gives the same
+    bytes as the floats they were formatted from. The rows of all the
+    tables are one row space, split across share_count(n) processes
+    (see the module docstring). The batch is all or nothing: no path
+    is replaced before every share has succeeded, and a share that
+    fails in its child is an OSError that names the failure. No
+    output, temporary file or child process outlives a failed call,
+    and no child process or temporary file outlives any call.
     """
-    fh.write(header)
-    n = len(columns[0])
+    starts = [0]
+    for *_, columns in tables:
+        starts.append(starts[-1] + len(columns[0]))
+    n = starts[-1]
     k = share_count(n)
     bounds = [n * i // k for i in range(k + 1)]
-    files, pids = [], []
+    shares = [_pieces(starts, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+    by_table = [[] for _ in tables]
+    for s, pieces in enumerate(shares):
+        for t, a, b in pieces:
+            by_table[t].append((s, a, b))
+    files, pids = [], {}  # pids: share -> child not reaped yet
     try:
-        for lo, hi in zip(bounds[1:-1], bounds[2:]):
-            files.append(tempfile.TemporaryFile("w+", encoding="utf-8", newline=""))
+        for s in range(1, k):
+            files.append(tempfile.TemporaryFile())
             pid = os.fork()
             if pid == 0:
-                _child(files[-1], fmt, columns, lo, hi)
-            pids.append(pid)
-        _format_rows(fh, fmt, columns, bounds[0], bounds[1])
-        for lo, hi, out in zip(bounds[1:-1], bounds[2:], files):
-            pid = pids[0]
-            status = os.waitpid(pid, 0)[1]
-            del pids[0]  # reaped, so no longer the finally's to kill
-            out.seek(0)
-            code = os.waitstatus_to_exitcode(status)
-            if code:
-                why = f"exit status {code}" if code > 0 else f"signal {-code}"
-                raise OSError(f"formatting rows {lo}..{hi - 1} in child process {pid} "
-                              f"failed ({why}): {out.read(BLOCK_BYTES) or 'no message'}")
-            while block := out.read(BLOCK_BYTES):
-                fh.write(block)
+                _child(files[-1], tables, shares[s])
+            pids[s] = pid
+        current = 0
+        with contextlib.ExitStack() as outputs:
+            for (path, header, fmt, columns), pieces in zip(tables, by_table):
+                fh = outputs.enter_context(atomic_write(path, "wb"))
+                fh.write(header.encode())
+                for s, a, b in pieces:
+                    if s == 0:
+                        _format_rows(fh, fmt, columns, a, b)
+                        continue
+                    if s != current:  # the first piece of share s
+                        current, out, start = s, files[s - 1], 0
+                        ends = iter(_reap(pids, s, out, bounds[s], bounds[s + 1], len(shares[s])))
+                    left = next(ends) - start
+                    start += left
+                    while left > 0 and (block := out.read(min(BLOCK_BYTES, left))):
+                        fh.write(block)
+                        left -= len(block)
+                fh.close()
     finally:
-        for pid in pids:  # not reaped yet, so the pid is still this child's
+        for pid in pids.values():  # not reaped yet, so the pid is still this child's
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-        for out in files:
-            out.close()
+        for tmp in files:
+            tmp.close()
 
 
 def read_pairs(fh, path: str, header: tuple):

@@ -16,6 +16,7 @@ same config and seed reproduces them byte for byte.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -25,7 +26,7 @@ from typing import Optional
 import numpy as np
 
 from ._atomic import atomic_write, write_json
-from ._rows import CellTable, write_keyed_rows, write_rows
+from ._rows import CellTable, write_keyed_rows, write_tables
 from .codec import (
     _is_finite_number,
     EncoderConfig,
@@ -35,9 +36,19 @@ from .codec import (
     decode_linear,
     timing_summary,
 )
-from .errors import empirical_errors, write_error_report
-from .sft import SftConfig, Spectrum, sft_stream, write_spectrum
-from .signals import SineSpec, constant, ideal_adc_fft, sine
+# write_error_report, sft_stream, write_spectrum and ideal_adc_fft are
+# no longer called here; they stay in this namespace, where the
+# benchmark's tracer (perfbench/tracing.py) wraps them.
+from .errors import empirical_errors, write_error_report, write_error_reports  # noqa: F401
+from .sft import (  # noqa: F401
+    SftConfig,
+    _frame_coefficients,
+    _spectrum_tables,
+    _spike_times,
+    sft_stream,
+    write_spectrum,
+)
+from .signals import SineSpec, constant, ideal_adc_fft, sine  # noqa: F401
 from .simulate import (
     NOISE_MODES,
     ThermalNoiseModel,
@@ -240,14 +251,36 @@ def _resolve_decoder(spec, tuner: dict, enc: EncoderConfig) -> LinearDecoderPara
         raise ValueError(f"config section 'sft' key 'decoder': {exc}") from None
 
 
-def _spectrum_rmse(measured: Spectrum, reference: Spectrum):
-    diffs = (measured.magnitude() - reference.magnitude(), measured.coefficients - reference.coefficients)
+def _spectrum_rmse(measured: np.ndarray, reference: np.ndarray):
+    """RMS magnitude and complex error of each row of an (F, K) stack
+    of measured spectra against its reference row, as two (F,) arrays."""
+    diffs = (np.abs(measured) - np.abs(reference), measured - reference)
     with np.errstate(over="ignore"):
-        rmse_mag, rmse_cplx = (float(np.sqrt(np.mean(np.abs(d) ** 2))) for d in diffs)
-    if not (np.isfinite(rmse_mag) and np.isfinite(rmse_cplx)):
-        raise ValueError(f"spectrum error rmse_mag is {rmse_mag!r} and rmse_complex is {rmse_cplx!r}: "
-                         "the S-FT is too far from the ideal converter to square its error")
+        rmse_mag, rmse_cplx = (np.sqrt(np.mean(np.abs(d) ** 2, axis=1)) for d in diffs)
+    bad = ~(np.isfinite(rmse_mag) & np.isfinite(rmse_cplx))
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ValueError(f"spectrum error rmse_mag is {float(rmse_mag[i])!r} and rmse_complex is "
+                         f"{float(rmse_cplx[i])!r}: the S-FT is too far from the ideal converter "
+                         "to square its error")
     return rmse_mag, rmse_cplx
+
+
+def _spare_inputs(args, outputs, cfg: Optional[dict] = None) -> None:
+    """Refuse, before anything is written, an output path that names a
+    file the command reads (--config, --train and its sidecar,
+    --tuning, the sft decoder file): writing it would replace that
+    input."""
+    inputs = [(f"--{key}", getattr(args, key, None)) for key in ("config", "train", "tuning")]
+    if getattr(args, "train", None):
+        inputs.append(("--train sidecar", os.path.splitext(args.train)[0] + ".json"))
+    decoder = cfg["sft"].get("decoder") if cfg else None
+    if isinstance(decoder, str):
+        inputs.append(("sft decoder", decoder))
+    for out in filter(os.path.exists, outputs):
+        for name, path in inputs:
+            if path and os.path.exists(path) and os.path.samefile(out, path):
+                raise ValueError(f"output {out} would replace the {name} file {path}")
 
 
 # ---------------------------------------------------------------------------
@@ -255,6 +288,7 @@ def _spectrum_rmse(measured: Spectrum, reference: Spectrum):
 
 def cmd_encode(args) -> int:
     cfg = _load_config(args.config)
+    _spare_inputs(args, [args.out, os.path.splitext(args.out)[0] + ".json"])
     enc = _build_encoder(cfg["encoder"])
     noise = _build_noise(cfg["noise"], args.seed)
     sig = _build_signal(cfg["signal"], enc, default_windows=128)
@@ -266,6 +300,7 @@ def cmd_encode(args) -> int:
 
 
 def cmd_decode(args) -> int:
+    _spare_inputs(args, [args.out])
     train = read_spike_train(args.train)
     enc = train.config
     decoder = read_decoder(args.tuning) if args.tuning else None
@@ -288,41 +323,36 @@ def cmd_sweep_constant(args) -> int:
     if args.points < 1:
         raise ValueError(f"--points must be at least 1, got {args.points}")
     cfg = _load_config(args.config)
+    stems = [os.path.join(args.out_dir, f"sweep_uth_{u_th:g}") for u_th in thresholds]
+    _spare_inputs(args, [f"{stem}.{ext}" for stem in stems for ext in ("csv", "json")])
     enc_base = _build_encoder(cfg["encoder"], defaults=DEFAULT_SWEEP_ENCODER)
     noise = _build_noise(cfg["noise"], args.seed)
     # Every threshold is checked and swept before the first write, so a
-    # failed run leaves no files.
-    sweeps = []
-    for u_th in thresholds:
+    # failed run leaves no files. The thresholds share one input grid,
+    # so their reports format its cells once.
+    u = np.linspace(enc_base.u_min, enc_base.u_max, args.points)
+    reports = []
+    for u_th, stem in zip(thresholds, stems):
         enc = replace(enc_base, u_th=u_th)
-        u = np.linspace(enc.u_min, enc.u_max, args.points)
         bins = simulate_window(u, enc, noise)
         if not bins.all():
             raise ValueError(f"window stayed silent at u_in={u[bins == 0][0]:.4g} V")
         report = empirical_errors(u, crossing_time(u, enc.u_th, enc.tau), bins * enc.reader_period, enc)
-        sweeps.append((u_th, report, timing_summary(enc)))
+        ts = timing_summary(enc)
+        meta = {"u_th": u_th, "t_min": ts.t_min, "t_max": ts.t_max, "mu": ts.mu,
+                "seed": None if noise is None else noise.rng_seed}
+        reports.append((report, f"{stem}.csv", f"{stem}.json", meta))
 
     os.makedirs(args.out_dir, exist_ok=True)
-    for u_th, report, ts in sweeps:
-        stem = os.path.join(args.out_dir, f"sweep_uth_{u_th:g}")
-        write_error_report(
-            report,
-            f"{stem}.csv",
-            f"{stem}.json",
-            meta={
-                "u_th": u_th,
-                "t_min": ts.t_min,
-                "t_max": ts.t_max,
-                "mu": ts.mu,
-                "seed": None if noise is None else noise.rng_seed,
-            },
-        )
-        print(f"u_th={u_th:g}: rmse={report.rmse:.6g} V, t_max={ts.t_max:.6g} s -> {stem}.csv")
+    write_error_reports(reports)
+    for report, csv_path, _, meta in reports:
+        print(f"u_th={meta['u_th']:g}: rmse={report.rmse:.6g} V, t_max={meta['t_max']:.6g} s -> {csv_path}")
     return 0
 
 
 def cmd_tune(args) -> int:
     cfg = _load_config(args.config)
+    _spare_inputs(args, [args.out])
     enc = _build_encoder(cfg["encoder"])
     result = fit_linear_decoder(enc, TunerConfig(**cfg["tuner"]))
     write_tuning(result, enc, args.out, seed=args.seed)
@@ -333,10 +363,12 @@ def cmd_tune(args) -> int:
     return 0
 
 
-def _sft_setup(args):
+def _sft_setup(args, outputs):
     """Encoder, noise, transform geometry and sine of the sft commands,
-    each built once from the config."""
+    each built once from the config, once no path in outputs names an
+    input file."""
     cfg = _load_config(args.config)
+    _spare_inputs(args, outputs, cfg)
     enc = _build_encoder(cfg["encoder"])
     noise = _build_noise(cfg["noise"], args.seed)
     sig = {**DEFAULT_SIGNAL, **cfg["signal"]}
@@ -348,56 +380,66 @@ def _sft_setup(args):
     return enc, noise, SftConfig.for_encoder(enc, decoder, **sft_keys), spec
 
 
-def _sft_point(enc: EncoderConfig, scfg: SftConfig, noise, spec: SineSpec):
-    """One frequency point: encode, transform, reference, rmse."""
-    frame = scfg.frame_size
-    sig = sine(spec, frame * enc.sample_period)
-    train = encode_signal(sig, enc, noise)
-    measured = sft_stream(train, scfg, hop=frame)[0]
-    reference = ideal_adc_fft(sig, enc.sample_period, frame)
-    rmse_mag, rmse_cplx = _spectrum_rmse(measured, reference)
-    return measured, reference, rmse_mag, rmse_cplx
+def _sft_points(enc: EncoderConfig, scfg: SftConfig, noise, spec: SineSpec, freqs):
+    """Measured and reference spectra, (F, K) each, and their RMS
+    magnitude and complex errors, (F,) each, of one frame of K windows
+    of spec's sine at each of the F frequencies, from phase zero.
+
+    The frames are one (F, K) array of held voltages and one
+    simulate_window call, each row from window 0, so per-window noise
+    gives every frame the draws of windows 0..K-1. The reference is
+    one FFT over the rows; each frame keeps its own S-FT product (see
+    sft._frame_coefficients). Every frequency is checked before any
+    frame is encoded.
+    """
+    for nu in freqs:
+        replace(spec, frequency=nu)
+    k = scfg.frame_size
+    t = np.arange(k) * enc.sample_period
+    held = spec.amplitude * np.sin(2.0 * np.pi * np.asarray(freqs, dtype=float)[:, None] * t) + spec.offset
+    bins = simulate_window(held, enc, noise)
+    measured = _frame_coefficients(_spike_times(bins, enc.reader_period, scfg), scfg)
+    reference = np.fft.fft(held, axis=1)
+    return (measured, reference, *_spectrum_rmse(measured, reference))
 
 
 def cmd_sft(args) -> int:
-    enc, noise, scfg, spec = _sft_setup(args)
-    measured, reference, rmse_mag, rmse_cplx = _sft_point(enc, scfg, noise, spec)
-    write_spectrum(measured, f"{args.out_prefix}_spectrum.csv")
-    write_spectrum(reference, f"{args.out_prefix}_ideal.csv")
+    paths = [f"{args.out_prefix}_spectrum.csv", f"{args.out_prefix}_ideal.csv"]
+    json_path = f"{args.out_prefix}.json"
+    enc, noise, scfg, spec = _sft_setup(args, [*paths, json_path])
+    measured, reference, rmse_mag, rmse_cplx = _sft_points(enc, scfg, noise, spec, [spec.frequency])
+    write_tables(_spectrum_tables(paths, np.concatenate([measured, reference]), scfg.sample_period))
     write_json(
-        f"{args.out_prefix}.json",
+        json_path,
         {
             "frequency_hz": spec.frequency,
-            "rmse_mag": rmse_mag,
-            "rmse_complex": rmse_cplx,
-            "frame_size": len(measured),
+            "rmse_mag": float(rmse_mag[0]),
+            "rmse_complex": float(rmse_cplx[0]),
+            "frame_size": scfg.frame_size,
             "decoder": asdict(scfg.decoder),
         },
     )
-    print(f"nu={spec.frequency:g} Hz: rmse_mag={rmse_mag:.6g} -> {args.out_prefix}_spectrum.csv")
+    print(f"nu={spec.frequency:g} Hz: rmse_mag={rmse_mag[0]:.6g} -> {paths[0]}")
     return 0
 
 
 def cmd_sft_sweep(args) -> int:
     freqs = _float_list("--freqs", args.freqs)
     _distinct_files("--freqs", freqs, "spectrum_{:g}hz.csv")
-    enc, noise, scfg, spec = _sft_setup(args)
+    freqs.sort()
+    paths = [os.path.join(args.out_dir, f"spectrum_{nu:g}hz.csv") for nu in freqs]
+    summary = os.path.join(args.out_dir, "summary.csv")
+    enc, noise, scfg, spec = _sft_setup(args, [*paths, summary])
     # Every point is computed before the first write, so a failed run
-    # leaves no files.
-    spectra, results = [], []
-    for nu in sorted(freqs):
-        measured, _, rmse_mag, rmse_cplx = _sft_point(enc, scfg, noise, replace(spec, frequency=nu))
-        spectra.append(measured)
-        results.append((nu, rmse_mag, rmse_cplx))
-
+    # leaves no files; the spectra and the summary are one batch.
+    measured, _, rmse_mag, rmse_cplx = _sft_points(enc, scfg, noise, spec, freqs)
     os.makedirs(args.out_dir, exist_ok=True)
-    for (nu, _, _), measured in zip(results, spectra):
-        write_spectrum(measured, os.path.join(args.out_dir, f"spectrum_{nu:g}hz.csv"))
-    with atomic_write(os.path.join(args.out_dir, "summary.csv")) as fh:
-        write_rows(fh, "freq_hz,rmse_mag,rmse_complex\n", "{!r},{!r},{!r}\n", *np.array(results).T)
-    for nu, rmse_mag, _ in results:
-        print(f"nu={nu:g} Hz: rmse_mag={rmse_mag:.6g}")
-    print(f"summary -> {os.path.join(args.out_dir, 'summary.csv')}")
+    write_tables([*_spectrum_tables(paths, measured, scfg.sample_period),
+                  (summary, "freq_hz,rmse_mag,rmse_complex\n", "{!r},{!r},{!r}\n",
+                   (np.array(freqs), rmse_mag, rmse_cplx))])
+    for nu, rmse in zip(freqs, rmse_mag.tolist()):
+        print(f"nu={nu:g} Hz: rmse_mag={rmse:.6g}")
+    print(f"summary -> {summary}")
     return 0
 
 
@@ -449,8 +491,13 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+# main parses with one parser per process: building it costs about a
+# millisecond, and a process may run many commands.
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, OSError, KeyError) as exc:

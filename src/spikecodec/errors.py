@@ -13,14 +13,15 @@ sample and as an RMS figure.
 
 from __future__ import annotations
 
+import collections
 import os
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from ._atomic import atomic_write, write_json
-from ._rows import write_rows
+from ._atomic import write_json
+from ._rows import write_tables
 from .codec import EncoderConfig, crossing_time, encode_time, decode_ideal
 
 __all__ = [
@@ -30,6 +31,7 @@ __all__ = [
     "ErrorReport",
     "empirical_errors",
     "write_error_report",
+    "write_error_reports",
 ]
 
 
@@ -122,6 +124,29 @@ def empirical_errors(u_true, t_true, t_meas, cfg: EncoderConfig) -> ErrorReport:
     return ErrorReport(u_in=u_true, eps_u=eps_u, eps_ts=eps_ts, rmse=rmse)
 
 
+def write_error_reports(entries) -> None:
+    """Write (report, csv_path, json_path, meta) entries: every CSV of
+    per-sample errors in one write_tables batch, then each JSON
+    summary sidecar (json_path None puts it next to the CSV). Reports
+    that hold one u_in array between them format its cells once."""
+    entries = list(entries)
+    counts = collections.Counter(id(report.u_in) for report, *_ in entries)
+    cells = {}
+    tables = []
+    for report, csv_path, _, _ in entries:
+        u, fmt = report.u_in, "{!r},{!r},{!r}\r\n"
+        if counts[id(u)] > 1:
+            if id(u) not in cells:
+                cells[id(u)] = list(map(repr, u.tolist()))
+            u, fmt = cells[id(u)], "{},{!r},{!r}\r\n"
+        tables.append((csv_path, "u_in,eps_u,eps_ts\r\n", fmt, (u, report.eps_u, report.eps_ts)))
+    write_tables(tables)
+    for report, csv_path, json_path, meta in entries:
+        if json_path is None:
+            json_path = os.path.splitext(csv_path)[0] + ".json"
+        write_json(json_path, {"rmse": report.rmse, "samples": int(report.u_in.size), **(meta or {})})
+
+
 def write_error_report(
     report: ErrorReport,
     csv_path: str,
@@ -129,12 +154,4 @@ def write_error_report(
     meta: Optional[dict] = None,
 ) -> None:
     """CSV of per-sample errors plus a JSON summary sidecar."""
-    if json_path is None:
-        json_path = os.path.splitext(csv_path)[0] + ".json"
-    with atomic_write(csv_path) as fh:
-        write_rows(fh, "u_in,eps_u,eps_ts\r\n", "{!r},{!r},{!r}\r\n",
-                   report.u_in, report.eps_u, report.eps_ts)
-    summary = {"rmse": report.rmse, "samples": int(report.u_in.size)}
-    if meta:
-        summary.update(meta)
-    write_json(json_path, summary)
+    write_error_reports([(report, csv_path, json_path, meta)])

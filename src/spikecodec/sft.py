@@ -29,8 +29,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from ._atomic import atomic_write
-from ._rows import write_rows
+from ._rows import write_tables
 from .codec import _REL_EPS, EncoderConfig, LinearDecoderParams, timing_summary
 from .simulate import SpikeTrain
 
@@ -132,11 +131,15 @@ class Spectrum:
 
     @property
     def bin_frequencies(self) -> np.ndarray:
-        k = np.arange(len(self))
-        return k / (len(self) * self.sample_period)
+        return _bin_frequencies(len(self), self.sample_period)
 
     def magnitude(self) -> np.ndarray:
         return np.abs(self.coefficients)
+
+
+def _bin_frequencies(k: int, sample_period: float) -> np.ndarray:
+    """The physical frequency of each of K bins, k / (K * T_S)."""
+    return np.arange(k) / (k * sample_period)
 
 
 @lru_cache(maxsize=8)
@@ -172,6 +175,25 @@ _CHUNK_FRAMES = 64
 def _check_times(times: np.ndarray) -> None:
     if not np.all(np.isfinite(times)) or np.any(times < 0):
         raise ValueError("spike times must be finite and non-negative")
+
+
+def _spike_times(bins: np.ndarray, reader_period: float, cfg: SftConfig) -> np.ndarray:
+    """The spike time of each reader bin; a silent window (bin 0)
+    enters as the decoder's largest code time, clipped to the charge
+    phase."""
+    silent_time = min(cfg.decoder.t_lin_max, cfg.charge_duration)
+    times = np.where(bins > 0, bins * reader_period, silent_time)
+    _check_times(times)
+    return times
+
+
+def _frame_coefficients(frames: np.ndarray, cfg: SftConfig) -> np.ndarray:
+    """_coefficients of an (F, K) stack, one product per frame, so a
+    frame's bits do not depend on the frames next to it: one product
+    over many frames sums in another order, and on OpenBLAS a 16-frame
+    product differs from 16 one-frame products in every row at K = 24
+    and K = 128. sft_stream keeps its products of _CHUNK_FRAMES frames."""
+    return np.concatenate([_coefficients(frames[i:i + 1], cfg) for i in range(len(frames))])
 
 
 def _coefficients(frames: np.ndarray, cfg: SftConfig) -> np.ndarray:
@@ -237,10 +259,7 @@ def sft_stream(train: SpikeTrain, cfg: SftConfig, hop: Optional[int] = None) -> 
         raise ValueError("hop must be at least 1")
     if len(train) < k:
         raise ValueError(f"train has {len(train)} windows, need at least {k}")
-    silent_time = min(cfg.decoder.t_lin_max, cfg.charge_duration)
-    t = train.bins * train.config.reader_period
-    times = np.where(train.fired, t, silent_time)
-    _check_times(times)
+    times = _spike_times(train.bins, train.config.reader_period, cfg)
     frames = np.lib.stride_tricks.sliding_window_view(times, k)[::hop]
     out = []
     for start in range(0, len(frames), _CHUNK_FRAMES):
@@ -268,11 +287,18 @@ def _spectra(coeff: np.ndarray, sample_period: float) -> List[Spectrum]:
     return spectra
 
 
+def _spectrum_tables(paths, coefficients: np.ndarray, sample_period: float) -> list:
+    """write_tables tables of bin, physical frequency, re, im and
+    magnitude, one per row of an (F, K) stack of coefficients, to the
+    F paths. Every row of every table starts with the same bin and
+    frequency cells, so those are formatted once."""
+    k = coefficients.shape[1]
+    head = [f"{b},{f!r}," for b, f in enumerate(_bin_frequencies(k, sample_period).tolist())]
+    mags = np.abs(coefficients)
+    return [(path, "bin,freq_hz,re,im,mag\r\n", "{}{!r},{!r},{!r}\r\n", (head, c.real, c.imag, m))
+            for path, c, m in zip(paths, coefficients, mags)]
+
+
 def write_spectrum(spec: Spectrum, path: str) -> None:
     """CSV dump: bin, physical frequency, re, im, magnitude."""
-    freqs = spec.bin_frequencies
-    mags = spec.magnitude()
-    c = spec.coefficients
-    with atomic_write(path) as fh:
-        write_rows(fh, "bin,freq_hz,re,im,mag\r\n", "{},{!r},{!r},{!r},{!r}\r\n",
-                   range(len(c)), freqs, c.real, c.imag, mags)
+    write_tables(_spectrum_tables([path], spec.coefficients[None], spec.sample_period))

@@ -15,8 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._atomic import atomic_write
-from ._rows import write_rows
+from ._rows import write_tables
 from .sft import Spectrum
 from .simulate import AnalogSignal
 
@@ -100,5 +99,4 @@ def write_signal(sig: AnalogSignal, dt: float, path: str) -> None:
     n = int(np.floor(sig.duration / dt)) + 1
     t = np.arange(n) * dt
     u = np.asarray(sig(t), dtype=float)
-    with atomic_write(path) as fh:
-        write_rows(fh, "t,u\r\n", "{!r},{!r}\r\n", t, u)
+    write_tables([(path, "t,u\r\n", "{!r},{!r}\r\n", (t, u))])

@@ -164,22 +164,25 @@ def simulate_window(
     A scalar u_in is one window and returns its bin index (1..N), or
     None when the window stays silent. An array holds one voltage per
     window and returns an int64 bin array with 0 for silence; element
-    i is window window_index + i. window_index only matters for
-    per-window noise, where it selects each window's random draw.
-    A non-finite held voltage raises ValueError: it would otherwise
-    read as a silent window.
+    i of its last axis is window window_index + i, so each row of a
+    2-D array is a run of its own over the same windows. window_index
+    only matters for per-window noise, where it selects each window's
+    random draw. A non-finite held voltage raises ValueError: it would
+    otherwise read as a silent window.
     """
     u = np.asarray(u_in, dtype=float)
     bad = ~np.isfinite(u)
     if bad.any():
         i = int(np.flatnonzero(bad)[0])
         v = float(u.flat[i])
-        raise ValueError(f"window {window_index + i} holds a non-finite input voltage ({v!r})")
+        m = i % u.shape[-1] if u.ndim else 0
+        raise ValueError(f"window {window_index + m} holds a non-finite input voltage ({v!r})")
     delta = 0.0
     if noise is not None:
         if noise.delta_u >= cfg.u_th:
             raise ValueError("delta_u must stay below u_th")
-        delta = noise._offsets(window_index, u.size).reshape(u.shape)
+        windows = u.shape[-1:]
+        delta = noise._offsets(window_index, math.prod(windows)).reshape(windows)
     bins = _register(crossing_time(u, cfg.u_th - delta, cfg.tau), cfg)
     if u.ndim:
         return bins

@@ -8,7 +8,8 @@ and the byte reader must return the same bins or raise the same
 message on any file. The train reader must round-trip any bins array
 and keep its memory flat. The float writer must give the same bytes
 whether its rows are formatted in one process or split across forked
-children, and leave no child or temporary file behind.
+children, wherever a split falls among the tables of a batch, and
+leave no child, temporary file or partial batch behind.
 """
 
 import contextlib
@@ -19,6 +20,7 @@ import hashlib
 import io
 import json
 import os
+import pathlib
 import re
 import signal
 import tempfile
@@ -43,8 +45,7 @@ from spikecodec import (
     write_spike_train,
 )
 from spikecodec import _rows
-from spikecodec._atomic import atomic_write
-from spikecodec._rows import BLOCK_BYTES, CHUNK_ROWS, FORK_ROWS, CellTable, read_keyed_rows, write_rows
+from spikecodec._rows import BLOCK_BYTES, CHUNK_ROWS, FORK_ROWS, CellTable, read_keyed_rows, write_tables
 from spikecodec.simulate import _read_sidecar
 from spikecodec.cli import main
 from spikecodec.sft import write_spectrum
@@ -128,7 +129,7 @@ class TestByteIdentity:
 
 
 def force_shares(monkeypatch, k):
-    """Make write_rows split every file into k shares, however short."""
+    """Make write_tables split every batch into k shares, however short."""
     monkeypatch.setattr(_rows, "share_count", lambda n: k)
 
 
@@ -160,21 +161,62 @@ def nothing_left():
 
 
 class TestShares:
-    """write_rows gives the same bytes however its rows are split
+    """write_tables gives the same bytes however its rows are split
     across processes, and leaves no process or file behind."""
 
     @pytest.mark.parametrize("k", [1, 2, 3, 5])
-    @pytest.mark.parametrize("n", [1, FORK_ROWS - 1, FORK_ROWS, 2 * FORK_ROWS + 1, 100_000])
+    @pytest.mark.parametrize("n", [1, FORK_ROWS - 1, FORK_ROWS, 2 * FORK_ROWS + 1,
+                                   4 * FORK_ROWS - 1, 4 * FORK_ROWS, 8 * FORK_ROWS + 1, 100_000])
     def test_bytes_do_not_depend_on_the_share_count(self, tmp_path, monkeypatch, k, n):
         force_shares(monkeypatch, k)
         cols, want = share_case(n)
         path = tmp_path / "rows.csv"
-        with nothing_left(), open(path, "w", newline="") as fh:
-            # unflushed text: a child that flushed the handle it inherited
+        pending = tmp_path / "pending.txt"
+        with nothing_left(), open(pending, "w", newline="") as fh:
+            # unflushed text: a child that flushed a handle it inherited
             # would write these bytes a second time
             fh.write("pending\r\n")
-            write_rows(fh, "a,b,c\r\n", "{!r},{!r},{!r}\r\n", *cols)
-        assert path.read_bytes() == b"pending\r\n" + want
+            write_tables([(str(path), "a,b,c\r\n", "{!r},{!r},{!r}\r\n", cols)])
+        assert path.read_bytes() == want
+        assert pending.read_bytes() == b"pending\r\n"
+
+    # Row counts of a batch of six tables, and where k shares split its
+    # ten rows: 2 shares inside table 3; 3 on the edge of table 0 and
+    # the empty table 1, and inside table 3; 5 inside table 0, after the
+    # one-row table 2, and on the edge of table 3 and the empty table 4.
+    SIZES = [3, 0, 1, 4, 0, 2]
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 5])
+    def test_a_batch_does_not_depend_on_where_shares_split_it(self, tmp_path, monkeypatch, k):
+        force_shares(monkeypatch, k)
+        self.check_batch(tmp_path, self.SIZES, seed=k)
+
+    @settings(max_examples=25, deadline=None)
+    @given(sizes=st.lists(st.integers(0, 5) | st.sampled_from([CHUNK_ROWS, CHUNK_ROWS + 1]),
+                          min_size=1, max_size=6),
+           k=st.sampled_from([1, 2, 3, 5]), seed=st.integers(0, 2**32 - 1))
+    def test_any_batch_and_share_count(self, sizes, k, seed):
+        with tempfile.TemporaryDirectory() as d, pytest.MonkeyPatch.context() as mp:
+            force_shares(mp, k)
+            self.check_batch(pathlib.Path(d), sizes, seed)
+
+    @staticmethod
+    def check_batch(directory, sizes, seed):
+        cols = [float_columns(n, 2, seed=seed + t) for t, n in enumerate(sizes)]
+        paths = [directory / f"table_{t}.csv" for t in range(len(sizes))]
+        with nothing_left():
+            write_tables([(str(p), "a,b\r\n", "{!r},{!r}\r\n", c) for p, c in zip(paths, cols)])
+        for p, c in zip(paths, cols):
+            assert p.read_bytes() == reference_csv(["a", "b"], zip(*c))
+        assert sorted(directory.iterdir()) == sorted(paths)
+
+    def test_string_cells_give_the_bytes_of_their_floats(self, tmp_path, monkeypatch):
+        force_shares(monkeypatch, 2)
+        cols, want = share_case(CHUNK_ROWS + 1)
+        path = tmp_path / "rows.csv"
+        cells = list(map(repr, cols[0].tolist()))
+        write_tables([(str(path), "a,b,c\r\n", "{},{!r},{!r}\r\n", (cells, *cols[1:]))])
+        assert path.read_bytes() == want
 
     def test_share_count(self, monkeypatch):
         monkeypatch.setattr(_rows, "usable_cpus", lambda: 3)
@@ -230,8 +272,7 @@ class TestShareFailures:
         force_shares(monkeypatch, 3)
         path = tmp_path / "rows.csv"
         with nothing_left(), pytest.raises(OSError) as info:
-            with atomic_write(str(path)) as fh:
-                write_rows(fh, "u\r\n", "{!r}\r\n", boom_column(self.N, self.N - 1, kill))
+            write_tables([(str(path), "u\r\n", "{!r}\r\n", [boom_column(self.N, self.N - 1, kill)])])
         assert re.fullmatch(rf"formatting rows {2 * self.N // 3}\.\.{self.N - 1} in child "
                             rf"process \d+ failed \({re.escape(message)}", str(info.value))
         assert list(tmp_path.iterdir()) == []
@@ -240,9 +281,23 @@ class TestShareFailures:
         force_shares(monkeypatch, 3)
         path = tmp_path / "rows.csv"
         with nothing_left(), pytest.raises(ZeroDivisionError):
-            with atomic_write(str(path)) as fh:
-                write_rows(fh, "u\r\n", "{!r}\r\n", boom_column(self.N, 0))
+            write_tables([(str(path), "u\r\n", "{!r}\r\n", [boom_column(self.N, 0)])])
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("kill", [False, True])
+    def test_failed_child_in_a_later_table_replaces_nothing(self, tmp_path, monkeypatch, kill):
+        # the parent has written tables 0 and 1 in full when the child
+        # that formats the rest of the batch fails in table 3
+        force_shares(monkeypatch, 2)
+        sizes = [300, 200, 400, 100]
+        cols = [[np.arange(n, dtype=float)] for n in sizes]
+        cols[3] = [boom_column(sizes[3], sizes[3] - 1, kill)]
+        paths = [tmp_path / f"table_{t}.csv" for t in range(len(sizes))]
+        paths[0].write_text("old\n")
+        with nothing_left(), pytest.raises(OSError, match=r"formatting rows 500\.\.999 in child"):
+            write_tables([(str(p), "u\r\n", "{!r}\r\n", c) for p, c in zip(paths, cols)])
+        assert list(tmp_path.iterdir()) == [paths[0]]
+        assert paths[0].read_text() == "old\n"
 
     def test_cli_names_the_failure(self, tmp_path, monkeypatch, capsys):
         # a share that fails in its child reaches the command line as one

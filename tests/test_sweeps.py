@@ -9,10 +9,23 @@ frequency at a time. Any change to those files' bytes turns them red.
 
 import hashlib
 import json
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
-from spikecodec.cli import main
+from spikecodec import (
+    SftConfig,
+    SineSpec,
+    ThermalNoiseModel,
+    encode_signal,
+    ideal_adc_fft,
+    sft_stream,
+    simulate_window,
+    sine,
+)
+from spikecodec.cli import _resolve_decoder, _sft_points, main
+from conftest import CFG3K
 
 SWEEP_FREQS = "25,50,75,100,150,200,250,300,400,500,600,700,750,800,900,1000"
 REFERENCE_ENCODER = {"tau": 3e-3, "u_th": 0.1, "u_min": 1.0, "u_max": 5.0,
@@ -134,3 +147,49 @@ def test_pinned_bytes(tmp_path, capsys, run):
     assert main([*argv, "--config", str(config), "--out-dir", str(out)]) == 0
     capsys.readouterr()
     assert digests(out) == PINNED[run]
+
+
+def serial_points(enc, scfg, noise, spec, freqs):
+    """The per-frequency loop the batched sweep replaced: a sine,
+    encode, S-FT stream, FFT reference and RMSE for each frequency."""
+    k = scfg.frame_size
+    rows = []
+    for nu in freqs:
+        sig = sine(replace(spec, frequency=nu), k * enc.sample_period)
+        train = encode_signal(sig, enc, noise)
+        measured = sft_stream(train, scfg, hop=k)[0].coefficients
+        reference = ideal_adc_fft(sig, enc.sample_period, k).coefficients
+        diffs = (np.abs(measured) - np.abs(reference), measured - reference)
+        rmse_mag, rmse_cplx = (float(np.sqrt(np.mean(np.abs(d) ** 2))) for d in diffs)
+        rows.append((measured, reference, rmse_mag, rmse_cplx))
+    measured, reference, rmse_mag, rmse_cplx = zip(*rows)
+    return np.stack(measured), np.stack(reference), np.array(rmse_mag), np.array(rmse_cplx)
+
+
+NOISES = {
+    "none": None,
+    "constant": ThermalNoiseModel(delta_u=0.01),
+    "per-window": ThermalNoiseModel(delta_u=0.01, mode="per-window", rng_seed=3),
+}
+
+
+class TestBatchedSweep:
+    @pytest.mark.parametrize("freqs", [[float(f) for f in SWEEP_FREQS.split(",")] + [333.3, 1234.5],
+                                       [500.0]], ids=["18", "1"])
+    @pytest.mark.parametrize("k", [2, 24, 128])
+    @pytest.mark.parametrize("noise", sorted(NOISES))
+    def test_same_bits_as_one_point_at_a_time(self, noise, k, freqs):
+        scfg = SftConfig.for_encoder(CFG3K, _resolve_decoder(None, {}, CFG3K), frame_size=k)
+        spec = SineSpec(amplitude=2.0, frequency=500.0, offset=3.0)
+        got = _sft_points(CFG3K, scfg, NOISES[noise], spec, freqs)
+        want = serial_points(CFG3K, scfg, NOISES[noise], spec, freqs)
+        for g, w in zip(got, want):
+            assert g.shape == w.shape and g.tobytes() == w.tobytes()
+
+    def test_each_row_is_a_run_from_window_index(self):
+        # per-window noise gives every row of a 2-D call the draws of
+        # windows window_index.. , as a 1-D call of that row does
+        noise = NOISES["per-window"]
+        u = np.random.default_rng(5).uniform(1.0, 5.0, (4, 37))
+        rows = np.stack([simulate_window(row, CFG3K, noise, window_index=9) for row in u])
+        assert np.array_equal(simulate_window(u, CFG3K, noise, window_index=9), rows)
