@@ -1,97 +1,17 @@
 """Spike-time codec toolkit: LIF encoder numerics, circuit simulation,
-error model, decoder tuning, and a spiking Fourier transform."""
+error model, decoder tuning, and a spiking Fourier transform.
 
-from .codec import (
-    NO_SPIKE,
-    EncoderConfig,
-    LinearDecoderParams,
-    SpikeTime,
-    TimingSummary,
-    crossing_time,
-    decode_ideal,
-    decode_linear,
-    encode_linear,
-    encode_time,
-    timing_summary,
-)
-from .errors import (
-    ErrorReport,
-    empirical_errors,
-    predicted_decoding_error,
-    quantization_shift,
-    thermal_shift,
-    write_error_report,
-    write_error_reports,
-)
-from .sft import SftConfig, Spectrum, dft_weights, sft_frame, sft_stream, write_spectrum
-from .signals import SineSpec, constant, ideal_adc_fft, sine, write_signal
-from .simulate import (
-    AnalogSignal,
-    SpikeTrain,
-    ThermalNoiseModel,
-    encode_signal,
-    membrane_trace,
-    read_spike_train,
-    simulate_window,
-    write_spike_train,
-)
-from .tuning import (
-    TunerConfig,
-    TuningResult,
-    fit_linear_decoder,
-    fit_with_threshold_search,
-    linear_error,
-    loss,
-    read_decoder,
-    write_tuning,
-)
+The public names are those of the submodules' __all__ lists."""
+
+from . import codec, errors, sft, signals, simulate, tuning
+from .codec import *  # noqa: F401,F403
+from .errors import *  # noqa: F401,F403
+from .sft import *  # noqa: F401,F403
+from .signals import *  # noqa: F401,F403
+from .simulate import *  # noqa: F401,F403
+from .tuning import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AnalogSignal",
-    "EncoderConfig",
-    "ErrorReport",
-    "LinearDecoderParams",
-    "NO_SPIKE",
-    "SftConfig",
-    "SineSpec",
-    "Spectrum",
-    "SpikeTime",
-    "SpikeTrain",
-    "ThermalNoiseModel",
-    "TimingSummary",
-    "TunerConfig",
-    "TuningResult",
-    "constant",
-    "crossing_time",
-    "decode_ideal",
-    "decode_linear",
-    "dft_weights",
-    "empirical_errors",
-    "encode_linear",
-    "encode_signal",
-    "encode_time",
-    "fit_linear_decoder",
-    "fit_with_threshold_search",
-    "ideal_adc_fft",
-    "linear_error",
-    "loss",
-    "membrane_trace",
-    "predicted_decoding_error",
-    "quantization_shift",
-    "read_decoder",
-    "read_spike_train",
-    "sft_frame",
-    "sft_stream",
-    "simulate_window",
-    "sine",
-    "thermal_shift",
-    "timing_summary",
-    "write_error_report",
-    "write_error_reports",
-    "write_signal",
-    "write_spectrum",
-    "write_spike_train",
-    "write_tuning",
-]
+__all__ = sorted(name for module in (codec, errors, sft, signals, simulate, tuning)
+                 for name in module.__all__)

@@ -1,5 +1,6 @@
-"""Atomic file output shared by every writer in the package, and the
-JSON sidecar writer built on it."""
+"""Atomic file output shared by every writer in the package, the JSON
+writer built on it, and the two rules of the files a later stage reads
+back: how a JSON file is read, and where a CSV's JSON sidecar lives."""
 
 from __future__ import annotations
 
@@ -38,3 +39,23 @@ def write_json(path: str, doc: dict) -> None:
     with atomic_write(path) as fh:
         json.dump(doc, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
+
+
+def read_json(path: str):
+    """The JSON document in path; a file that does not parse is a
+    ValueError that names it."""
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:  # also a file that is not UTF-8 text
+            raise ValueError(f"{path}: not a JSON file ({exc})") from None
+
+
+def sidecar_path(csv_path: str) -> str:
+    """The JSON sidecar of csv_path: the path with its extension
+    replaced by .json. A path that would be its own sidecar, such as
+    t.json, is a ValueError: the sidecar would replace it."""
+    json_path = os.path.splitext(csv_path)[0] + ".json"
+    if json_path == csv_path:
+        raise ValueError(f"{csv_path} would be its own JSON sidecar; name the CSV with another extension")
+    return json_path

@@ -8,8 +8,7 @@ floats are formatted with str methods CHUNK_ROWS rows at a time
 the cell an entry of a small table (a train's bin strings, decode's
 voltage reprs), are built and parsed as numpy byte arrays instead, one
 block of at most about BLOCK_BYTES bytes at a time (write_keyed_rows,
-read_keyed_rows). read_pairs is the per-row reader of two-column
-files, which names the first bad row of a file the byte path rejects.
+read_keyed_rows).
 
 write_tables writes a batch of float tables, each (path, header, fmt,
 columns) and one file, as one row space: the rows of table 0, then of
@@ -44,14 +43,13 @@ import contextlib
 import os
 import signal
 import tempfile
-from itertools import islice
 from typing import Optional
 
 import numpy as np
 
 from ._atomic import atomic_write
 
-# Rows formatted or parsed per step by write_tables and read_pairs.
+# Rows formatted per step by write_tables.
 # Larger chunks buy little speed and cost memory in proportion.
 CHUNK_ROWS = 1024
 
@@ -309,32 +307,3 @@ def write_tables(tables) -> None:
         for tmp in files:
             tmp.close()
 
-
-def read_pairs(fh, path: str, header: tuple):
-    """Yield (first row index, first cells, second cells) per chunk of
-    a two-column CSV whose header is header (spaces around a name are
-    allowed).
-
-    Each chunk is split on commas in one call. A cell keeps its spaces
-    and, in the second column, the line ending of its row. A row with
-    other than two cells is a ValueError that names its row, counting
-    data rows from 1.
-    """
-    got = tuple(c.strip() for c in fh.readline().split(","))
-    if got != header:
-        raise ValueError(f"{path}: header is {','.join(got)!r}, expected {','.join(header)!r}")
-    lo = 0
-    while lines := list(islice(fh, CHUNK_ROWS)):
-        cells = ",".join(lines).split(",")
-        first = cells[0::2]
-        # Every line but the last ends in a line break, which only lands
-        # in a first cell when some row has other than one comma; with
-        # the count check this proves every row has exactly two cells.
-        breaks = "".join(first)
-        if len(cells) != 2 * len(lines) or "\n" in breaks or "\r" in breaks:
-            for i, line in enumerate(lines):
-                if line.count(",") != 1:
-                    raise ValueError(f"{path}: row {lo + i + 1} should hold 2 cells, "
-                                     f"holds {line.count(',') + 1}")
-        yield lo, first, cells[1::2]
-        lo += len(lines)

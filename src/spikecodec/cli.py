@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import sys
 from dataclasses import asdict, replace
@@ -25,7 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from ._atomic import atomic_write, write_json
+from ._atomic import atomic_write, read_json, sidecar_path, write_json
 from ._rows import CellTable, write_keyed_rows, write_tables
 from .codec import (
     _is_finite_number,
@@ -158,8 +157,7 @@ def _load_config(path: Optional[str]) -> dict:
     or null section reads as an empty one."""
     doc = {}
     if path is not None:
-        with open(path) as fh:
-            doc = json.load(fh)
+        doc = read_json(path)
         if not isinstance(doc, dict):
             raise ValueError(f"config must be a JSON object, got {doc!r}")
     _reject_unknown("config", doc, SCHEMA)
@@ -273,7 +271,7 @@ def _spare_inputs(args, outputs, cfg: Optional[dict] = None) -> None:
     input."""
     inputs = [(f"--{key}", getattr(args, key, None)) for key in ("config", "train", "tuning")]
     if getattr(args, "train", None):
-        inputs.append(("--train sidecar", os.path.splitext(args.train)[0] + ".json"))
+        inputs.append(("--train sidecar", sidecar_path(args.train)))
     decoder = cfg["sft"].get("decoder") if cfg else None
     if isinstance(decoder, str):
         inputs.append(("sft decoder", decoder))
@@ -288,7 +286,7 @@ def _spare_inputs(args, outputs, cfg: Optional[dict] = None) -> None:
 
 def cmd_encode(args) -> int:
     cfg = _load_config(args.config)
-    _spare_inputs(args, [args.out, os.path.splitext(args.out)[0] + ".json"])
+    _spare_inputs(args, [args.out, sidecar_path(args.out)])
     enc = _build_encoder(cfg["encoder"])
     noise = _build_noise(cfg["noise"], args.seed)
     sig = _build_signal(cfg["signal"], enc, default_windows=128)

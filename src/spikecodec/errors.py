@@ -14,13 +14,12 @@ sample and as an RMS figure.
 from __future__ import annotations
 
 import collections
-import os
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from ._atomic import write_json
+from ._atomic import sidecar_path, write_json
 from ._rows import write_tables
 from .codec import EncoderConfig, crossing_time, encode_time, decode_ideal
 
@@ -129,7 +128,8 @@ def write_error_reports(entries) -> None:
     per-sample errors in one write_tables batch, then each JSON
     summary sidecar (json_path None puts it next to the CSV). Reports
     that hold one u_in array between them format its cells once."""
-    entries = list(entries)
+    entries = [(report, csv_path, sidecar_path(csv_path) if json_path is None else json_path, meta)
+               for report, csv_path, json_path, meta in entries]
     counts = collections.Counter(id(report.u_in) for report, *_ in entries)
     cells = {}
     tables = []
@@ -141,9 +141,7 @@ def write_error_reports(entries) -> None:
             u, fmt = cells[id(u)], "{},{!r},{!r}\r\n"
         tables.append((csv_path, "u_in,eps_u,eps_ts\r\n", fmt, (u, report.eps_u, report.eps_ts)))
     write_tables(tables)
-    for report, csv_path, json_path, meta in entries:
-        if json_path is None:
-            json_path = os.path.splitext(csv_path)[0] + ".json"
+    for report, _, json_path, meta in entries:
         write_json(json_path, {"rmse": report.rmse, "samples": int(report.u_in.size), **(meta or {})})
 
 

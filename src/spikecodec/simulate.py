@@ -16,17 +16,15 @@ equivalent threshold drop, which preserves the closed form.
 
 from __future__ import annotations
 
-import json
 import math
-import os
 from dataclasses import dataclass, asdict
 from typing import Callable, Optional
 
 import numpy as np
 
-from ._atomic import atomic_write, write_json
+from ._atomic import atomic_write, read_json, sidecar_path, write_json
 from ._draws import window_doubles
-from ._rows import CellTable, read_keyed_rows, read_pairs, write_keyed_rows
+from ._rows import CellTable, read_keyed_rows, write_keyed_rows
 from .codec import EncoderConfig, crossing_time
 
 __all__ = [
@@ -249,7 +247,7 @@ def write_spike_train(train: SpikeTrain, csv_path: str, json_path: Optional[str]
     """Write a train as CSV (window,bin; bin empty for silence) plus a
     JSON sidecar holding the config and seed."""
     if json_path is None:
-        json_path = os.path.splitext(csv_path)[0] + ".json"
+        json_path = sidecar_path(csv_path)
     with atomic_write(csv_path) as fh:
         write_keyed_rows(fh, _HEADER.decode(), _bin_cells(train.config.resolution), train.bins)
     meta = {
@@ -263,8 +261,7 @@ def write_spike_train(train: SpikeTrain, csv_path: str, json_path: Optional[str]
 def _read_sidecar(json_path: str):
     """Encoder config and sidecar fields; a malformed sidecar is a
     ValueError that names the file."""
-    with open(json_path) as fh:
-        meta = json.load(fh)
+    meta = read_json(json_path)
     encoder = meta.get("encoder") if isinstance(meta, dict) else None
     if not isinstance(encoder, dict):
         raise ValueError(f"{json_path}: sidecar has no encoder object")
@@ -277,22 +274,28 @@ def _read_sidecar(json_path: str):
 
 def _read_bins_by_row(csv_path: str, n: int) -> list:
     """The bins of a train file that read_keyed_rows rejects, read as
-    text row by row: this accepts padded cells and other layouts a
-    hand-edited file may hold, and names the first bad row."""
+    text in one pass: this accepts padded cells and other layouts a
+    hand-edited file may hold, and names the first bad row, counting
+    data rows from 1."""
     bins = []
     with open(csv_path, newline="") as fh:
-        for lo, windows, cells in read_pairs(fh, csv_path, ("window", "bin")):
-            for m, (w, c) in enumerate(zip(windows, cells), start=lo):
-                if w.strip() != str(m):
-                    raise ValueError(f"{csv_path}: row {m + 1} has window {w!r}, expected {m}")
-                c = c.strip()
-                try:
-                    b = int(c) if c else 0
-                except ValueError:
-                    raise ValueError(f"{csv_path}: row {m + 1} has bin {c!r}, not an integer") from None
-                if not 0 <= b <= n:
-                    raise ValueError(f"{csv_path}: row {m + 1} has bin {b}, outside 0..{n}")
-                bins.append(b)
+        got = [c.strip() for c in fh.readline().split(",")]
+        if got != ["window", "bin"]:
+            raise ValueError(f"{csv_path}: header is {','.join(got)!r}, expected 'window,bin'")
+        for m, line in enumerate(fh):
+            cells = line.split(",")
+            if len(cells) != 2:
+                raise ValueError(f"{csv_path}: row {m + 1} should hold 2 cells, holds {len(cells)}")
+            w, c = cells[0], cells[1].strip()
+            if w.strip() != str(m):
+                raise ValueError(f"{csv_path}: row {m + 1} has window {w!r}, expected {m}")
+            try:
+                b = int(c) if c else 0
+            except ValueError:
+                raise ValueError(f"{csv_path}: row {m + 1} has bin {c!r}, not an integer") from None
+            if not 0 <= b <= n:
+                raise ValueError(f"{csv_path}: row {m + 1} has bin {b}, outside 0..{n}")
+            bins.append(b)
     return bins
 
 
@@ -308,7 +311,7 @@ def read_spike_train(csv_path: str, json_path: Optional[str] = None) -> SpikeTra
     endings, a last row without a line break and cells like 007.
     """
     if json_path is None:
-        json_path = os.path.splitext(csv_path)[0] + ".json"
+        json_path = sidecar_path(csv_path)
     cfg, meta = _read_sidecar(json_path)
     with open(csv_path, "rb") as fh:
         bins = read_keyed_rows(fh, _HEADER, _bin_cells(cfg.resolution))

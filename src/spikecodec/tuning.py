@@ -24,14 +24,13 @@ golden-section search over T solves the fit without any randomness.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, asdict, fields, replace
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from ._atomic import write_json
+from ._atomic import read_json, write_json
 from .codec import (
     _is_finite_number,
     EncoderConfig,
@@ -92,7 +91,8 @@ def _code_grid(cfg: EncoderConfig, grid_points: int):
     return y, crossing_time(y, cfg.u_th, cfg.tau)
 
 
-def linear_error(cfg: EncoderConfig, p: LinearDecoderParams, grid_points: int = 1024) -> float:
+def linear_error(cfg: EncoderConfig, p: LinearDecoderParams,
+                 grid_points: int = TunerConfig.grid_points) -> float:
     """Integrated absolute decode error of the affine read-back.
 
     Encodes a dense grid over [u_min, u_max] with the exact code and
@@ -103,7 +103,8 @@ def linear_error(cfg: EncoderConfig, p: LinearDecoderParams, grid_points: int = 
     return float(np.trapezoid(np.abs(y - decode_linear(t, p)), y))
 
 
-def loss(cfg: EncoderConfig, p: LinearDecoderParams, alpha: float = 1.0, grid_points: int = 1024) -> float:
+def loss(cfg: EncoderConfig, p: LinearDecoderParams, alpha: float = TunerConfig.alpha,
+         grid_points: int = TunerConfig.grid_points) -> float:
     """Tuner objective for one candidate decoder."""
     return alpha * linear_error(cfg, p, grid_points) - timing_summary(cfg).mu
 
@@ -253,8 +254,7 @@ def read_decoder(path: str) -> LinearDecoderParams:
     Each of the four must be a finite number; a file that fails this
     is a ValueError that names it.
     """
-    with open(path) as fh:
-        doc = json.load(fh)
+    doc = read_json(path)
     if not isinstance(doc, dict):
         raise ValueError(f"{path}: tuning file is not a JSON object")
     kw = {}

@@ -2,7 +2,7 @@ import os
 
 import pytest
 
-from spikecodec._atomic import atomic_write, write_json
+from spikecodec._atomic import atomic_write, read_json, sidecar_path, write_json
 
 
 class TestAtomicWrite:
@@ -44,3 +44,39 @@ class TestWriteJson:
         with pytest.raises(ValueError, match="Out of range float values are not JSON compliant"):
             write_json(str(tmp_path / "out.json"), {"rmse": value})
         assert os.listdir(tmp_path) == []
+
+
+class TestReadJson:
+    def test_reads_what_write_json_wrote(self, tmp_path):
+        path = str(tmp_path / "doc.json")
+        write_json(path, {"b": [1, 2.5], "a": None})
+        assert read_json(path) == {"a": None, "b": [1, 2.5]}
+
+    @pytest.mark.parametrize("content", [b"", b"{", b"[1,]", b"\xff"])
+    def test_malformed_file_is_a_value_error_naming_it(self, tmp_path, content):
+        path = tmp_path / "doc.json"
+        path.write_bytes(content)
+        with pytest.raises(ValueError) as exc:
+            read_json(str(path))
+        assert str(exc.value).startswith(f"{path}: not a JSON file (")
+
+    def test_missing_file_stays_an_os_error(self, tmp_path):
+        with pytest.raises(FileNotFoundError):
+            read_json(str(tmp_path / "missing.json"))
+
+
+class TestSidecarPath:
+    @pytest.mark.parametrize("csv_path, json_path", [
+        ("t.csv", "t.json"),
+        ("t", "t.json"),
+        ("run.v1/t", "run.v1/t.json"),
+        ("t.tar.csv", "t.tar.json"),
+        (".json", ".json.json"),
+    ])
+    def test_extension_is_replaced_by_json(self, csv_path, json_path):
+        assert sidecar_path(csv_path) == json_path
+
+    @pytest.mark.parametrize("csv_path", ["t.json", "out/t.json", "a.b.json"])
+    def test_own_sidecar_is_refused(self, csv_path):
+        with pytest.raises(ValueError, match=f"^{csv_path} would be its own JSON sidecar"):
+            sidecar_path(csv_path)

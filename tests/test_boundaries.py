@@ -1,0 +1,151 @@
+"""Rules at the package boundary, each stated once: the public names,
+how a JSON input is read, where a CSV's sidecar lives, and how a
+hand-edited train is read as text.
+
+Before, a malformed JSON input stopped a command with `error:
+Expecting value: line 1 column 1 (char 0)`, naming no file;
+`encode --out t.json` exited 0 and left only the sidecar, which had
+replaced the train; and the text reader of trains named the first row
+with a bad cell count even when an earlier row had a bad window.
+"""
+
+import ast
+import json
+import re
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import spikecodec
+from spikecodec import (
+    ErrorReport,
+    SpikeTrain,
+    codec,
+    errors,
+    read_spike_train,
+    sft,
+    signals,
+    simulate,
+    tuning,
+    write_error_report,
+    write_spike_train,
+)
+from spikecodec.cli import main
+
+SUBMODULES = (codec, errors, sft, signals, simulate, tuning)
+PACKAGE = Path(spikecodec.__file__).parent
+
+CONFIG = {
+    "encoder": {"tau": 3e-3, "u_th": 0.1, "u_min": 1.0, "u_max": 5.0,
+                "sample_period": 1.0 / 3000.0, "resolution": 100},
+    "signal": {"windows": 3},
+}
+
+MALFORMED = {
+    "empty": b"",
+    "truncated": b'{"encoder": {',
+    "not-utf8": b"\xff\xfe{}",
+}
+
+
+class TestPublicNames:
+    def test_all_is_the_sorted_union_of_the_submodules(self):
+        names = [name for module in SUBMODULES for name in module.__all__]
+        assert spikecodec.__all__ == sorted(names)
+        assert len(set(names)) == len(names), "a name is exported by two submodules"
+
+    def test_every_name_resolves_to_its_submodule_object(self):
+        for module in SUBMODULES:
+            for name in module.__all__:
+                assert getattr(spikecodec, name) is getattr(module, name)
+
+    def test_init_names_no_public_symbol_itself(self):
+        tree = ast.parse((PACKAGE / "__init__.py").read_text())
+        imported = [alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                    for alias in node.names]
+        assert set(imported) <= {"*", *(m.__name__.rsplit(".", 1)[1] for m in SUBMODULES)}
+        strings = {node.value for node in ast.walk(tree) if isinstance(node, ast.Constant)}
+        assert not strings & set(spikecodec.__all__)
+
+
+@pytest.mark.parametrize("pattern, what", [
+    (r"\bsplitext\b", "the sidecar rule (_atomic.sidecar_path)"),
+    (r"\bjson\.loads?\b", "the JSON reader (_atomic.read_json)"),
+], ids=["sidecar", "json-load"])
+def test_boundary_rule_is_stated_once(pattern, what):
+    where = [f"{path.name}:{i}" for path in sorted(PACKAGE.rglob("*.py"))
+             for i, line in enumerate(path.read_text().splitlines(), start=1)
+             if re.search(pattern, line)]
+    assert len(where) == 1, f"{what} is written out at {where}"
+
+
+@pytest.fixture
+def workdir(tmp_path, monkeypatch):
+    """tmp_path as the working directory, holding config.json, a
+    3-window train encoded from it and a tuning file."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "config.json").write_text(json.dumps(CONFIG))
+    assert main(["encode", "--config", "config.json", "--out", "train.csv"]) == 0
+    assert main(["tune", "--config", "config.json", "--out", "tuning.json"]) == 0
+    return tmp_path
+
+
+@pytest.mark.parametrize("content", MALFORMED.values(), ids=MALFORMED.keys())
+@pytest.mark.parametrize("path, argv", [
+    ("config.json", ["tune", "--config", "config.json", "--out", "out.json"]),
+    ("train.json", ["decode", "--train", "train.csv", "--out", "out.csv"]),
+    ("tuning.json", ["decode", "--train", "train.csv", "--mode", "linear",
+                     "--tuning", "tuning.json", "--out", "out.csv"]),
+], ids=["config", "train-sidecar", "tuning"])
+def test_malformed_json_input_is_named(workdir, capsys, path, argv, content):
+    (workdir / path).write_bytes(content)
+    capsys.readouterr()
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: not a JSON file (") and err.count("\n") == 1
+    assert not any(workdir.glob("out.*"))
+
+
+class TestOwnSidecar:
+    def test_encode_to_a_json_path_writes_nothing(self, workdir, capsys):
+        before = sorted(p.name for p in workdir.iterdir())
+        assert main(["encode", "--config", "config.json", "--out", "t.json"]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: t.json would be its own JSON sidecar; name the CSV with another extension\n"
+        assert sorted(p.name for p in workdir.iterdir()) == before
+
+    def test_decode_of_a_json_train_is_named(self, workdir, capsys):
+        assert main(["decode", "--train", "tuning.json", "--out", "out.csv"]) == 1
+        assert capsys.readouterr().err.startswith("error: tuning.json would be its own JSON sidecar")
+        assert not (workdir / "out.csv").exists()
+
+    def test_library_writers_refuse_before_writing(self, tmp_path, cfg3k):
+        train = SpikeTrain(bins=np.array([31, 0, 19]), config=cfg3k)
+        report = ErrorReport(u_in=np.ones(2), eps_u=np.zeros(2), eps_ts=np.zeros(2), rmse=0.0)
+        with pytest.raises(ValueError, match="own JSON sidecar"):
+            write_spike_train(train, str(tmp_path / "t.json"))
+        with pytest.raises(ValueError, match="own JSON sidecar"):
+            write_error_report(report, str(tmp_path / "r.json"))
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestTextTrainReader:
+    @staticmethod
+    def three_window_train(tmp_path, cfg3k, text):
+        path = tmp_path / "train.csv"
+        write_spike_train(SpikeTrain(bins=np.array([31, 0, 19]), config=cfg3k), str(path))
+        path.write_bytes(text.encode())
+        return str(path)
+
+    @pytest.mark.parametrize("text, message", [
+        ("window,bin\n7,31\n1,\n2,19,5\n", "row 1 has window '7', expected 0"),
+        ("window,bin\n0,x\n1,2,3\n2,19\n", "row 1 has bin 'x', not an integer"),
+        ("window,bin\n0,31\n1,101\n2\n", "row 2 has bin 101, outside 0..100"),
+        ("window,bin\n 0 ,31\n1 ,\n 3 ,19\n", "row 3 has window ' 3 ', expected 2"),
+    ], ids=["window-before-cells", "bin-before-cells", "range-before-cells", "padded-window"])
+    def test_first_bad_row_is_named(self, tmp_path, cfg3k, text, message):
+        path = self.three_window_train(tmp_path, cfg3k, text)
+        with pytest.raises(ValueError) as exc:
+            read_spike_train(path)
+        assert str(exc.value) == f"{path}: {message}"
