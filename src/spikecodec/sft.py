@@ -23,8 +23,10 @@ sampled values.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import repeat
 from typing import List, Optional
 
 import numpy as np
@@ -187,45 +189,64 @@ def _spike_times(bins: np.ndarray, reader_period: float, cfg: SftConfig) -> np.n
     return times
 
 
-def _frame_coefficients(frames: np.ndarray, cfg: SftConfig) -> np.ndarray:
-    """_coefficients of an (F, K) stack, one product per frame, so a
+def _durations(times: np.ndarray, cfg: SftConfig) -> np.ndarray:
+    """Overwrite spike times with their charge durations,
+    max(T_charge - t, 0), and return the same array."""
+    np.subtract(cfg.charge_duration, times, out=times)
+    return np.clip(times, 0.0, None, out=times)
+
+
+def _frame_coefficients(times: np.ndarray, cfg: SftConfig) -> np.ndarray:
+    """Calibrated spectra of an (F, K) stack of spike times, which are
+    overwritten with their durations. One product per frame, so a
     frame's bits do not depend on the frames next to it: one product
     over many frames sums in another order, and on OpenBLAS a 16-frame
     product differs from 16 one-frame products in every row at K = 24
     and K = 128. sft_stream keeps its products of _CHUNK_FRAMES frames."""
-    return np.concatenate([_coefficients(frames[i:i + 1], cfg) for i in range(len(frames))])
+    out = np.empty(times.shape, dtype=np.complex128)
+    _coefficients(_durations(times, cfg), cfg, out, 1)
+    return out
 
 
-def _coefficients(frames: np.ndarray, cfg: SftConfig) -> np.ndarray:
-    """Calibrated spectra of an (F, K) stack of frames of spike times.
+def _coefficients(dur: np.ndarray, cfg: SftConfig, out: np.ndarray, rows: int) -> None:
+    """Fill out, (F, K) complex, with the calibrated spectra of an
+    (F, K) stack of charge durations, one product per rows frames.
 
     Each +w membrane charges w * (T_charge - t) per spike. With the
     affine code t = a - slope*y the membrane of bin k is
       v_k = (T_charge - a) * rowsum_k + slope * (W y)_k
     so strip the row-sum term (nonzero only near DC) and rescale to
-    DFT units of the decoded values. Returns (F, K) complex.
+    DFT units of the decoded values.
 
-    The two products stay separate, each against a (K, K) matrix: a
-    product against one stacked (K, 2K) matrix sums in another order.
-    Scaling both parts by 1 / slope gives the bits of dividing by
-    slope, which numpy does by Smith's method as
-    ((x + y*0) + (y - x*0)j) * (1 / slope); the two differ only where
-    a part is -0.0, and no part is: every cosine row starts with
-    weight 1 against a duration >= +0, and the + 0.0 maps a -0.0 sine
-    sum to +0.0 as 1j * (sine sum) does.
+    Each block of rows frames is made contiguous, since a strided
+    block would send the product off BLAS, and its real and imaginary
+    parts are calibrated in one reused (2, rows, K) buffer before they
+    are written to out. The two products stay separate, each against a
+    (K, K) matrix: a product against one stacked (K, 2K) matrix sums
+    in another order. Scaling both parts by 1 / slope gives the bits
+    of dividing the complex membrane by slope, which numpy does by
+    Smith's method as ((x + y*0) + (y - x*0)j) * (1 / slope); the two
+    differ only where a part is -0.0, and no part is: every cosine
+    row starts with weight 1 against a duration >= +0, and the + 0.0
+    maps a -0.0 sine sum to +0.0 as 1j * (sine sum) does.
     """
     p = cfg.decoder
-    t_charge = cfg.charge_duration
     cos_w, sin_w, rowsum = _weights_cached(cfg.frame_size)
-    dur = np.clip(t_charge - frames, 0.0, None)
-    v = np.empty(dur.shape, dtype=np.complex128)
-    v.real = dur @ cos_w.T
-    np.add(dur @ sin_w.T, 0.0, out=v.imag)
     a = p.t_lin_min + p.slope * p.y_max
-    v -= (t_charge - a) * rowsum
-    parts = v.view(np.float64)
-    parts *= 1.0 / p.slope
-    return v
+    shift = (cfg.charge_duration - a) * rowsum
+    shift = np.stack([shift.real, shift.imag])[:, None, :]
+    scale = 1.0 / p.slope
+    buf = np.empty((2, min(rows, len(dur)), cfg.frame_size))
+    for lo in range(0, len(dur), rows):
+        d = np.ascontiguousarray(dur[lo : lo + rows])
+        b = buf[:, : len(d)]
+        np.matmul(d, cos_w.T, out=b[0])
+        np.matmul(d, sin_w.T, out=b[1])
+        b[1] += 0.0
+        b -= shift
+        b *= scale
+        out.real[lo : lo + rows] = b[0]
+        out.imag[lo : lo + rows] = b[1]
 
 
 def sft_frame(times, cfg: SftConfig) -> Spectrum:
@@ -235,11 +256,11 @@ def sft_frame(times, cfg: SftConfig) -> Spectrum:
     start; silent windows must already be substituted (sft_stream uses
     the decoder's latest code time, i.e. the smallest value).
     """
-    times = np.asarray(times, dtype=float)
+    times = np.array(times, dtype=float)
     if times.shape != (cfg.frame_size,):
         raise ValueError(f"expected {cfg.frame_size} spike times, got {times.shape}")
     _check_times(times)
-    coeff = _coefficients(times[None, :], cfg)[0]
+    coeff = _frame_coefficients(times[None, :], cfg)[0]
     return Spectrum(coefficients=coeff, sample_period=cfg.sample_period)
 
 
@@ -248,9 +269,11 @@ def sft_stream(train: SpikeTrain, cfg: SftConfig, hop: Optional[int] = None) -> 
 
     hop defaults to frame_size (back-to-back frames). Windows without
     a spike enter as the decoder's largest code time, clipped to the
-    charge phase. The train must cover at least one frame. Frames are
-    transformed a chunk at a time, as matrix products; each Spectrum
-    holds a row of its chunk's result.
+    charge phase. The train must cover at least one frame, and its
+    windows must last cfg.sample_period, which labels the bins.
+    Frames are transformed a chunk at a time, as matrix products,
+    into one (F, K) result; each Spectrum holds a row of it as a view,
+    so holding any one Spectrum keeps the whole result alive.
     """
     k = cfg.frame_size
     if hop is None:
@@ -259,13 +282,17 @@ def sft_stream(train: SpikeTrain, cfg: SftConfig, hop: Optional[int] = None) -> 
         raise ValueError("hop must be at least 1")
     if len(train) < k:
         raise ValueError(f"train has {len(train)} windows, need at least {k}")
-    times = _spike_times(train.bins, train.config.reader_period, cfg)
-    frames = np.lib.stride_tricks.sliding_window_view(times, k)[::hop]
-    out = []
-    for start in range(0, len(frames), _CHUNK_FRAMES):
-        coeff = _coefficients(frames[start : start + _CHUNK_FRAMES], cfg)
-        out += _spectra(coeff, cfg.sample_period)
-    return out
+    period = train.config.sample_period
+    if abs(period - cfg.sample_period) > _REL_EPS * cfg.sample_period:
+        raise ValueError(
+            f"train windows last {period:.6g} s but the S-FT labels bins "
+            f"for sample_period {cfg.sample_period:.6g} s"
+        )
+    dur = _durations(_spike_times(train.bins, train.config.reader_period, cfg), cfg)
+    frames = np.lib.stride_tricks.sliding_window_view(dur, k)[::hop]
+    coeff = np.empty(frames.shape, dtype=np.complex128)
+    _coefficients(frames, cfg, coeff, _CHUNK_FRAMES)
+    return _spectra(coeff, cfg.sample_period)
 
 
 _set_coefficients = Spectrum.coefficients.__set__
@@ -274,16 +301,13 @@ _set_sample_period = Spectrum.sample_period.__set__
 
 def _spectra(coeff: np.ndarray, sample_period: float) -> List[Spectrum]:
     """One Spectrum per row of an (F, K) complex128 stack, each holding
-    its row. The stack is checked once for what Spectrum checks on each
-    row, so the rows skip the constructor."""
+    a view of its row. The stack is checked once for what Spectrum
+    checks on each row, so the rows skip the constructor."""
     if coeff.ndim != 2 or coeff.shape[1] < 2 or coeff.dtype != np.complex128:
         raise ValueError("coefficients must be an (F, K) complex128 stack, K >= 2")
-    spectra = []
-    for row in coeff:
-        spec = object.__new__(Spectrum)
-        _set_coefficients(spec, row)
-        _set_sample_period(spec, sample_period)
-        spectra.append(spec)
+    spectra = list(map(object.__new__, repeat(Spectrum, len(coeff))))
+    deque(map(_set_coefficients, spectra, coeff), maxlen=0)
+    deque(map(_set_sample_period, spectra, repeat(sample_period)), maxlen=0)
     return spectra
 
 

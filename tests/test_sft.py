@@ -1,4 +1,6 @@
 import csv
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -154,6 +156,20 @@ class TestSftStream:
         streamed = sft_stream(silent, cfg)[0]
         assert np.array_equal(streamed.coefficients, direct.coefficients)
 
+    def test_rejects_a_train_with_another_window(self, cfg3k):
+        # a 2/3000 s window labelled as 1/3000 s put bin 1 at 23.44 Hz
+        # instead of 11.72 Hz, with coefficients that looked right
+        slow = replace(cfg3k, sample_period=2.0 / 3000.0)
+        train = SpikeTrain(bins=np.full(256, 31), config=slow)
+        cfg = SftConfig.for_encoder(cfg3k, DEC, frame_size=128)
+        with pytest.raises(ValueError, match=r"0\.000666667 s.*0\.000333333 s"):
+            sft_stream(train, cfg)
+        assert sft_stream(train, SftConfig.for_encoder(slow, DEC))[0].bin_frequencies[1] == (
+            pytest.approx(3000.0 / 256.0, rel=1e-12))
+        # the reader period may differ: spike times come from the train's ticks
+        fine = replace(cfg3k, reader_period=cfg3k.reader_period / 2)
+        assert len(sft_stream(SpikeTrain(bins=np.full(128, 62), config=fine), cfg)) == 1
+
     def test_rejects_short_trains_and_bad_hop(self, cfg3k):
         train = SpikeTrain(bins=np.array([31, 47]), config=cfg3k)
         cfg = SftConfig.for_encoder(cfg3k, DEC, frame_size=4)
@@ -234,19 +250,24 @@ class TestSftParity:
 
     @pytest.mark.parametrize("decoder", [DEC, DEC_LATE], ids=["early", "late"])
     @pytest.mark.parametrize("silent", [0.0, 0.1, 1.0])
-    @pytest.mark.parametrize("hop", [1, 7, "K"])
+    # frame counts at the chunk edges; 200-frame cases keep the hop as id
+    @pytest.mark.parametrize("hop, frames", [
+        pytest.param(hop, frames, id=str(hop) if frames == 200 else f"{hop}-{frames}frames")
+        for hop in (1, 7, "K", "2K+1") for frames in (1, 64, 65, 200)])
     @pytest.mark.parametrize("k", [2, 3, 16, 127, 128, 256])
-    def test_stream_bytes(self, k, hop, silent, decoder):
-        hop = k if hop == "K" else hop
+    def test_stream_bytes(self, k, hop, frames, silent, decoder):
+        hop = {"K": k, "2K+1": 2 * k + 1}.get(hop, hop)
         rng = np.random.default_rng(1000 * k + 10 * hop + int(10 * silent))
-        n = k + 199 * hop
+        n = k + (frames - 1) * hop
         bins = rng.integers(1, CFG3K.resolution + 1, n)
         bins[rng.random(n) < silent] = 0
         train = SpikeTrain(bins=bins, config=CFG3K)
+        before = train.bins.copy()
         cfg = SftConfig.for_encoder(CFG3K, decoder, frame_size=k)
         got = sft_stream(train, cfg, hop=hop)
+        assert np.array_equal(train.bins, before)
         want = reference_stream(train, cfg, hop)
-        assert len(got) == len(want) == 200
+        assert len(got) == len(want) == frames
         assert all(type(s) is Spectrum and s.sample_period == cfg.sample_period for s in got)
         assert (np.stack([s.coefficients for s in got]).tobytes()
                 == np.stack([s.coefficients for s in want]).tobytes())
@@ -261,6 +282,23 @@ class TestSftParity:
         got = sft_frame(times, cfg).coefficients
         want = reference_coefficients(times[None, :], cfg)[0]
         assert got.tobytes() == want.tobytes()
+
+
+class TestStreamMemory:
+    def test_peak_over_the_result(self, cfg3k):
+        # one (F, K) result, the spike times clipped to durations in
+        # place and two chunk buffers; a second whole-stream array of
+        # durations turns this red
+        rng = np.random.default_rng(3)
+        train = SpikeTrain(bins=rng.integers(1, cfg3k.resolution + 1, 100_000), config=cfg3k)
+        cfg = SftConfig.for_encoder(cfg3k, DEC)
+        tracemalloc.start()
+        try:
+            spectra = sft_stream(train, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= len(spectra) * cfg.frame_size * 16 + 1.5 * 2**20
 
 
 class TestSpectrum:
