@@ -19,13 +19,22 @@ def atomic_write(path: str, mode: str = "w"):
     the temporary file is removed and path is left as it was. The body
     may close the handle early; the file still replaces path only when
     the body exits cleanly, so several of these in one ExitStack
-    replace their paths only once every file is complete.
+    replace their paths only once every file is complete. A temporary
+    file that cannot be opened (a missing directory) or cannot replace
+    path (a directory at path) is an OSError that names path alone.
     """
     tmp = f"{path}.tmp.{os.getpid()}"
     try:
-        with open(tmp, mode, newline=None if "b" in mode else "") as fh:
+        fh = open(tmp, mode, newline=None if "b" in mode else "")
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from None
+    try:
+        with fh:
             yield fh
-        os.replace(tmp, path)
+        try:
+            os.replace(tmp, path)
+        except OSError as exc:
+            raise OSError(exc.errno, exc.strerror, path) from None
     except BaseException:
         with contextlib.suppress(FileNotFoundError):
             os.remove(tmp)

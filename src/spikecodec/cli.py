@@ -41,9 +41,9 @@ from .codec import (
 from .errors import empirical_errors, write_error_report, write_error_reports  # noqa: F401
 from .sft import (  # noqa: F401
     SftConfig,
-    _frame_coefficients,
+    _bin_durations,
+    _coefficients,
     _spectrum_tables,
-    _spike_times,
     sft_stream,
     write_spectrum,
 )
@@ -385,10 +385,9 @@ def _sft_points(enc: EncoderConfig, scfg: SftConfig, noise, spec: SineSpec, freq
 
     The frames are one (F, K) array of held voltages and one
     simulate_window call, each row from window 0, so per-window noise
-    gives every frame the draws of windows 0..K-1. The reference is
-    one FFT over the rows; each frame keeps its own S-FT product (see
-    sft._frame_coefficients). Every frequency is checked before any
-    frame is encoded.
+    gives every frame the draws of windows 0..K-1. The S-FT and the
+    reference are one FFT call each over the rows. Every frequency is
+    checked before any frame is encoded.
     """
     for nu in freqs:
         replace(spec, frequency=nu)
@@ -396,7 +395,7 @@ def _sft_points(enc: EncoderConfig, scfg: SftConfig, noise, spec: SineSpec, freq
     t = np.arange(k) * enc.sample_period
     held = spec.amplitude * np.sin(2.0 * np.pi * np.asarray(freqs, dtype=float)[:, None] * t) + spec.offset
     bins = simulate_window(held, enc, noise)
-    measured = _frame_coefficients(_spike_times(bins, enc.reader_period, scfg), scfg)
+    measured = _coefficients(_bin_durations(bins, enc.reader_period, scfg), scfg)
     reference = np.fft.fft(held, axis=1)
     return (measured, reference, *_spectrum_rmse(measured, reference))
 

@@ -5,18 +5,20 @@ sample value. Two integrate-without-leak neurons per output bin (one
 weighted +w, one -w, with w a row of DFT cosines or negative sines)
 charge during the frame: a spike arriving at time t contributes
 w * (T_charge - t), so earlier spikes (larger values) contribute more.
-Because the code is affine in the value, each membrane ends up affine
-in the DFT coefficient of the decoded samples, and the constant part
-is carried by the weight-row sum, which vanishes for every bin except
-DC. A readout phase then drives each neuron with a constant current
-against a threshold, so its output spike time is again a linear code,
-now for the membrane value. In this ideal model the readout returns
-each membrane value exactly (the +/- pair difference is twice the +w
+The +w membranes of the K bins are thus the DFT of the frame's charge
+durations, which the model computes with np.fft.fft. Because the code
+is affine in the value, each membrane is affine in the DFT coefficient
+of the decoded samples, and the constant part is carried by the
+weight-row sum, which vanishes for every bin except DC. A readout
+phase then drives each neuron with a constant current against a
+threshold, so its output spike time is again a linear code, now for
+the membrane value. In this ideal model the readout returns each
+membrane value exactly (the +/- pair difference is twice the +w
 membrane), so sft_frame reads the +w membranes directly and the
 readout length changes no value.
 
 sft_frame returns the spectrum calibrated to plain DFT units of the
-decoded sample values: subtract the row-sum term and divide by the
+decoded sample values: subtract the DC constant and divide by the
 code slope. That makes it directly comparable to an FFT of ideally
 sampled values.
 """
@@ -25,7 +27,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import repeat
 from typing import List, Optional
 
@@ -144,18 +145,9 @@ def _bin_frequencies(k: int, sample_period: float) -> np.ndarray:
     return np.arange(k) / (k * sample_period)
 
 
-@lru_cache(maxsize=8)
-def _weights_cached(k: int):
-    """Cosine and negative-sine weights for K, and their complex row
-    sums."""
-    n = np.arange(k)
-    ang = 2.0 * np.pi * np.outer(n, n) / k
-    cos_w, sin_w = np.cos(ang), -np.sin(ang)
-    return cos_w, sin_w, cos_w.sum(axis=1) + 1j * sin_w.sum(axis=1)
-
-
 def dft_weights(frame_size: int):
-    """Weight matrices (cosine, negative sine), each K x K.
+    """Weight matrices (cosine, negative sine), each K x K: the input
+    weights of the +w neurons.
 
     Row k against a sample vector gives the real resp. imaginary part
     of DFT coefficient k. Entries lie in [-1, 1]; row 0 of the cosine
@@ -163,14 +155,13 @@ def dft_weights(frame_size: int):
     """
     if frame_size < 2:
         raise ValueError("frame_size must be at least 2")
-    cos_w, sin_w, _ = _weights_cached(int(frame_size))
-    return cos_w.copy(), sin_w.copy()
+    n = np.arange(int(frame_size))
+    ang = 2.0 * np.pi * np.outer(n, n) / frame_size
+    return np.cos(ang), -np.sin(ang)
 
 
-# Frames per chunk in sft_stream. The chunk size is part of the output:
-# a BLAS product's summation order can depend on its row count, and on
-# OpenBLAS 1024-frame chunks change bins 120-126 of K = 127 against
-# 64-frame ones, so changing it changes output files.
+# Frames per FFT call in sft_stream, so that each chunk is calibrated
+# while it is in cache. Any chunk size gives the same bits.
 _CHUNK_FRAMES = 64
 
 
@@ -179,14 +170,14 @@ def _check_times(times: np.ndarray) -> None:
         raise ValueError("spike times must be finite and non-negative")
 
 
-def _spike_times(bins: np.ndarray, reader_period: float, cfg: SftConfig) -> np.ndarray:
-    """The spike time of each reader bin; a silent window (bin 0)
-    enters as the decoder's largest code time, clipped to the charge
-    phase."""
+def _bin_durations(bins: np.ndarray, reader_period: float, cfg: SftConfig) -> np.ndarray:
+    """The charge duration of each reader bin's spike; a silent window
+    (bin 0) enters as the decoder's largest code time, clipped to the
+    charge phase."""
     silent_time = min(cfg.decoder.t_lin_max, cfg.charge_duration)
     times = np.where(bins > 0, bins * reader_period, silent_time)
     _check_times(times)
-    return times
+    return _durations(times, cfg)
 
 
 def _durations(times: np.ndarray, cfg: SftConfig) -> np.ndarray:
@@ -196,57 +187,35 @@ def _durations(times: np.ndarray, cfg: SftConfig) -> np.ndarray:
     return np.clip(times, 0.0, None, out=times)
 
 
-def _frame_coefficients(times: np.ndarray, cfg: SftConfig) -> np.ndarray:
-    """Calibrated spectra of an (F, K) stack of spike times, which are
-    overwritten with their durations. One product per frame, so a
-    frame's bits do not depend on the frames next to it: one product
-    over many frames sums in another order, and on OpenBLAS a 16-frame
-    product differs from 16 one-frame products in every row at K = 24
-    and K = 128. sft_stream keeps its products of _CHUNK_FRAMES frames."""
-    out = np.empty(times.shape, dtype=np.complex128)
-    _coefficients(_durations(times, cfg), cfg, out, 1)
-    return out
+def _coefficients(dur: np.ndarray, cfg: SftConfig) -> np.ndarray:
+    """Calibrated spectra, (F, K) complex, of an (F, K) stack of charge
+    durations.
 
+    Each +w membrane charges w * (T_charge - t) per spike, and the
+    weight rows are DFT rows, so a frame's membranes are the DFT of its
+    durations. With the affine code t = a - slope*y, and every weight
+    row but row 0 summing to zero, the membrane of bin k is
+      v_k = (T_charge - a) * K * [k == 0] + slope * DFT(y)_k
+    so subtract the constant from the real part of bin 0 and rescale
+    to DFT units of the decoded values.
 
-def _coefficients(dur: np.ndarray, cfg: SftConfig, out: np.ndarray, rows: int) -> None:
-    """Fill out, (F, K) complex, with the calibrated spectra of an
-    (F, K) stack of charge durations, one product per rows frames.
-
-    Each +w membrane charges w * (T_charge - t) per spike. With the
-    affine code t = a - slope*y the membrane of bin k is
-      v_k = (T_charge - a) * rowsum_k + slope * (W y)_k
-    so strip the row-sum term (nonzero only near DC) and rescale to
-    DFT units of the decoded values.
-
-    Each block of rows frames is made contiguous, since a strided
-    block would send the product off BLAS, and its real and imaginary
-    parts are calibrated in one reused (2, rows, K) buffer before they
-    are written to out. The two products stay separate, each against a
-    (K, K) matrix: a product against one stacked (K, 2K) matrix sums
-    in another order. Scaling both parts by 1 / slope gives the bits
-    of dividing the complex membrane by slope, which numpy does by
-    Smith's method as ((x + y*0) + (y - x*0)j) * (1 / slope); the two
-    differ only where a part is -0.0, and no part is: every cosine
-    row starts with weight 1 against a duration >= +0, and the + 0.0
-    maps a -0.0 sine sum to +0.0 as 1j * (sine sum) does.
+    The FFT fills the result _CHUNK_FRAMES frames at a time, and each
+    chunk is calibrated in place through a float view, so no part is
+    multiplied by a complex number. A row's FFT does not depend on the
+    rows beside it, so a frame has the same bits alone or in a stack.
     """
     p = cfg.decoder
-    cos_w, sin_w, rowsum = _weights_cached(cfg.frame_size)
     a = p.t_lin_min + p.slope * p.y_max
-    shift = (cfg.charge_duration - a) * rowsum
-    shift = np.stack([shift.real, shift.imag])[:, None, :]
+    dc = (cfg.charge_duration - a) * cfg.frame_size
     scale = 1.0 / p.slope
-    buf = np.empty((2, min(rows, len(dur)), cfg.frame_size))
-    for lo in range(0, len(dur), rows):
-        d = np.ascontiguousarray(dur[lo : lo + rows])
-        b = buf[:, : len(d)]
-        np.matmul(d, cos_w.T, out=b[0])
-        np.matmul(d, sin_w.T, out=b[1])
-        b[1] += 0.0
-        b -= shift
-        b *= scale
-        out.real[lo : lo + rows] = b[0]
-        out.imag[lo : lo + rows] = b[1]
+    out = np.empty(dur.shape, dtype=np.complex128)
+    parts = out.view(np.float64)
+    for lo in range(0, len(dur), _CHUNK_FRAMES):
+        hi = lo + _CHUNK_FRAMES
+        np.fft.fft(dur[lo:hi], axis=1, out=out[lo:hi])
+        parts[lo:hi, 0] -= dc
+        parts[lo:hi] *= scale
+    return out
 
 
 def sft_frame(times, cfg: SftConfig) -> Spectrum:
@@ -260,7 +229,7 @@ def sft_frame(times, cfg: SftConfig) -> Spectrum:
     if times.shape != (cfg.frame_size,):
         raise ValueError(f"expected {cfg.frame_size} spike times, got {times.shape}")
     _check_times(times)
-    coeff = _frame_coefficients(times[None, :], cfg)[0]
+    coeff = _coefficients(_durations(times[None, :], cfg), cfg)[0]
     return Spectrum(coefficients=coeff, sample_period=cfg.sample_period)
 
 
@@ -271,9 +240,9 @@ def sft_stream(train: SpikeTrain, cfg: SftConfig, hop: Optional[int] = None) -> 
     a spike enter as the decoder's largest code time, clipped to the
     charge phase. The train must cover at least one frame, and its
     windows must last cfg.sample_period, which labels the bins.
-    Frames are transformed a chunk at a time, as matrix products,
-    into one (F, K) result; each Spectrum holds a row of it as a view,
-    so holding any one Spectrum keeps the whole result alive.
+    Frames are transformed by FFT, a chunk at a time, into one (F, K)
+    result; each Spectrum holds a row of it as a view, so holding any
+    one Spectrum keeps the whole result alive.
     """
     k = cfg.frame_size
     if hop is None:
@@ -288,11 +257,9 @@ def sft_stream(train: SpikeTrain, cfg: SftConfig, hop: Optional[int] = None) -> 
             f"train windows last {period:.6g} s but the S-FT labels bins "
             f"for sample_period {cfg.sample_period:.6g} s"
         )
-    dur = _durations(_spike_times(train.bins, train.config.reader_period, cfg), cfg)
+    dur = _bin_durations(train.bins, train.config.reader_period, cfg)
     frames = np.lib.stride_tricks.sliding_window_view(dur, k)[::hop]
-    coeff = np.empty(frames.shape, dtype=np.complex128)
-    _coefficients(frames, cfg, coeff, _CHUNK_FRAMES)
-    return _spectra(coeff, cfg.sample_period)
+    return _spectra(_coefficients(frames, cfg), cfg.sample_period)
 
 
 _set_coefficients = Spectrum.coefficients.__set__

@@ -517,6 +517,28 @@ class TestFailureModes:
             f"got {value!r}\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [["encode", "--out", "{}/t.csv"],
+                                      ["sft", "--out-prefix", "{}/x"]], ids=["encode", "sft"])
+    def test_missing_output_directory_is_named(self, tmp_path, capsys, argv):
+        # the error named the temporary file, 'nodir/t.csv.tmp.2395'
+        cfg = write_config(tmp_path, BASE)
+        target = argv[-1].format(tmp_path / "nodir")
+        assert main([*argv[:-1], target, "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        named = target if argv[0] == "encode" else f"{target}_spectrum.csv"
+        assert err == f"error: [Errno 2] No such file or directory: {named!r}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+    def test_output_path_that_is_a_directory_is_named(self, tmp_path, capsys):
+        # the error named both files, 'out.tmp.2395' -> 'out'
+        target = tmp_path / "out"
+        target.mkdir()
+        assert main(["encode", "--out", str(target)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: [Errno ") and err.endswith(f": {str(target)!r}\n")
+        assert ".tmp." not in err
+        assert [p.name for p in tmp_path.iterdir()] == ["out"] and not any(target.iterdir())
+
     def test_missing_train_file(self, tmp_path, capsys):
         rc = main(["decode", "--train", str(tmp_path / "nope.csv"),
                    "--out", str(tmp_path / "d.csv")])

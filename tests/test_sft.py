@@ -1,4 +1,7 @@
 import csv
+import os
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
 
@@ -6,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import spikecodec
 from spikecodec import (
     LinearDecoderParams,
     SftConfig,
@@ -208,33 +212,29 @@ class TestSftStreamChunks:
         times = np.where(train.fired, train.bins * CFG3K.reader_period, DEC.t_lin_max)
         for f, spec in enumerate(spectra):
             ref = sft_frame(times[f * hop : f * hop + k], cfg).coefficients
-            assert np.abs(spec.coefficients - ref).max() <= 1e-12 * np.abs(ref).max()
+            assert spec.coefficients.tobytes() == ref.tobytes()
 
 
-def reference_coefficients(frames, cfg):
-    """The transform as complex arithmetic: one complex sum of the two
-    products, minus the row-sum term, divided by the slope."""
-    p = cfg.decoder
-    t_charge = cfg.charge_duration
-    cos_w, sin_w = dft_weights(cfg.frame_size)
-    dur = np.clip(t_charge - frames, 0.0, None)
-    v = dur @ cos_w.T + 1j * (dur @ sin_w.T)
-    a = p.t_lin_min + p.slope * p.y_max
-    rowsum = cos_w.sum(axis=1) + 1j * sin_w.sum(axis=1)
-    return (v - (t_charge - a) * rowsum) / p.slope
-
-
-def reference_stream(train, cfg, hop):
-    """sft_stream as a loop over chunks of 64 frames, each row through
-    the public Spectrum constructor."""
+def stream_times(train, cfg, hop):
+    """The (F, K) spike times of a stream's frames, silent windows
+    entered as the decoder's latest code time clipped to the charge
+    phase."""
     silent_time = min(cfg.decoder.t_lin_max, cfg.charge_duration)
     times = np.where(train.fired, train.bins * train.config.reader_period, silent_time)
-    frames = np.lib.stride_tricks.sliding_window_view(times, cfg.frame_size)[::hop]
-    out = []
-    for start in range(0, len(frames), 64):
-        coeff = reference_coefficients(frames[start : start + 64], cfg)
-        out.extend(Spectrum(coefficients=c, sample_period=cfg.sample_period) for c in coeff)
-    return out
+    return np.lib.stride_tricks.sliding_window_view(times, cfg.frame_size)[::hop]
+
+
+def random_train(k, hop, frames, silent, seed):
+    rng = np.random.default_rng(seed)
+    n = k + (frames - 1) * hop
+    bins = rng.integers(1, CFG3K.resolution + 1, n)
+    bins[rng.random(n) < silent] = 0
+    return SpikeTrain(bins=bins, config=CFG3K)
+
+
+def offset(decoder):
+    """The constant a of the affine code t = a - slope * y."""
+    return decoder.t_lin_min + decoder.slope * decoder.y_max
 
 
 # The reference channel's charge phase lasts one window, 333.3 us. A
@@ -244,9 +244,9 @@ DEC_LATE = LinearDecoderParams(t_lin_min=5e-5, t_lin_max=4e-4, y_min=1.0, y_max=
 
 
 class TestSftParity:
-    """sft_frame and sft_stream give the bits of the complex-arithmetic
-    reference, chunked by 64 frames, over frames that span several
-    chunks."""
+    """sft_stream gives the bits of sft_frame on every frame, over
+    frames that span several chunks, and sft_frame gives the bits of
+    the calibration written out on one FFT."""
 
     @pytest.mark.parametrize("decoder", [DEC, DEC_LATE], ids=["early", "late"])
     @pytest.mark.parametrize("silent", [0.0, 0.1, 1.0])
@@ -257,16 +257,12 @@ class TestSftParity:
     @pytest.mark.parametrize("k", [2, 3, 16, 127, 128, 256])
     def test_stream_bytes(self, k, hop, frames, silent, decoder):
         hop = {"K": k, "2K+1": 2 * k + 1}.get(hop, hop)
-        rng = np.random.default_rng(1000 * k + 10 * hop + int(10 * silent))
-        n = k + (frames - 1) * hop
-        bins = rng.integers(1, CFG3K.resolution + 1, n)
-        bins[rng.random(n) < silent] = 0
-        train = SpikeTrain(bins=bins, config=CFG3K)
+        train = random_train(k, hop, frames, silent, 1000 * k + 10 * hop + int(10 * silent))
         before = train.bins.copy()
         cfg = SftConfig.for_encoder(CFG3K, decoder, frame_size=k)
         got = sft_stream(train, cfg, hop=hop)
         assert np.array_equal(train.bins, before)
-        want = reference_stream(train, cfg, hop)
+        want = [sft_frame(times, cfg) for times in stream_times(train, cfg, hop)]
         assert len(got) == len(want) == frames
         assert all(type(s) is Spectrum and s.sample_period == cfg.sample_period for s in got)
         assert (np.stack([s.coefficients for s in got]).tobytes()
@@ -280,15 +276,106 @@ class TestSftParity:
         times = rng.integers(1, CFG3K.resolution + 1, k) * CFG3K.reader_period
         times[::3] = cfg.charge_duration
         got = sft_frame(times, cfg).coefficients
-        want = reference_coefficients(times[None, :], cfg)[0]
+        # bin 0's real part less (T_charge - a) * K, both parts times
+        # 1 / slope, never a complex product or quotient
+        v = np.fft.fft(np.clip(cfg.charge_duration - times, 0.0, None))
+        re, im = v.real.copy(), v.imag.copy()
+        re[0] -= (cfg.charge_duration - offset(decoder)) * k
+        want = np.empty(k, dtype=complex)
+        want.real, want.imag = re * (1.0 / decoder.slope), im * (1.0 / decoder.slope)
         assert got.tobytes() == want.tobytes()
+
+
+def matmul_coefficients(frames, cfg):
+    """The transform as the two weight-matrix products it replaced:
+    one complex sum of the products, minus the row-sum term, divided
+    by the slope."""
+    p = cfg.decoder
+    t_charge = cfg.charge_duration
+    cos_w, sin_w = dft_weights(cfg.frame_size)
+    dur = np.clip(t_charge - frames, 0.0, None)
+    v = dur @ cos_w.T + 1j * (dur @ sin_w.T)
+    rowsum = cos_w.sum(axis=1) + 1j * sin_w.sum(axis=1)
+    return (v - (t_charge - offset(p)) * rowsum) / p.slope
+
+
+def long_double_coefficients(frames, cfg):
+    """The calibrated transform of (F, K) spike times as a DFT summed in
+    np.longdouble, from the same float64 times and decoder."""
+    ld = np.longdouble
+    k = cfg.frame_size
+    p = cfg.decoder
+    t_charge = ld(cfg.charge_duration)
+    dur = np.clip(t_charge - frames.astype(ld), ld(0), None)
+    # the angle 2 pi k n / K, reduced mod K before it is rounded
+    ang = 8 * np.arctan(ld(1)) * np.arange(k).astype(ld) / k
+    phase = np.outer(np.arange(k), np.arange(k)) % k
+    re = np.einsum("fn,kn->fk", dur, np.cos(ang)[phase])
+    im = -np.einsum("fn,kn->fk", dur, np.sin(ang)[phase])
+    re[:, 0] -= (t_charge - (ld(p.t_lin_min) + ld(p.slope) * ld(p.y_max))) * k
+    return re / ld(p.slope), im / ld(p.slope)
+
+
+class TestSftAccuracy:
+    """The FFT core lies within rounding of the exact DFT, and within
+    the BLAS products' error of the products it replaced."""
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                        reason="np.longdouble is no wider than float64 on this platform")
+    @pytest.mark.parametrize("k", [2, 3, 16, 24, 127, 128, 256, 1000])
+    def test_within_1e15_of_a_long_double_dft(self, k):
+        train = random_train(k, 1, 200, 0.1, k)
+        cfg = SftConfig.for_encoder(CFG3K, DEC, frame_size=k)
+        got = np.stack([s.coefficients for s in sft_stream(train, cfg, hop=1)])
+        re, im = long_double_coefficients(stream_times(train, cfg, 1), cfg)
+        largest = np.sqrt(re * re + im * im).max()
+        err = np.maximum(np.abs(got.real - re), np.abs(got.imag - im)).max()
+        assert err <= 1e-15 * largest
+
+    @pytest.mark.parametrize("decoder", [DEC, DEC_LATE], ids=["early", "late"])
+    @pytest.mark.parametrize("k", [2, 3, 16, 127, 128, 256, 1000])
+    def test_within_1e13_of_the_matmul_products(self, k, decoder):
+        train = random_train(k, 1, 200, 0.1, k + 1)
+        cfg = SftConfig.for_encoder(CFG3K, decoder, frame_size=k)
+        got = np.stack([s.coefficients for s in sft_stream(train, cfg, hop=1)])
+        want = matmul_coefficients(stream_times(train, cfg, 1), cfg)
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+THREADS_SCRIPT = """
+import hashlib
+import numpy as np
+from spikecodec import LinearDecoderParams, SftConfig, SpikeTrain, sft_stream
+from conftest import CFG3K
+rng = np.random.default_rng(127)
+bins = rng.integers(1, CFG3K.resolution + 1, 5000)
+bins[rng.random(5000) < 0.1] = 0
+train = SpikeTrain(bins=bins, config=CFG3K)
+dec = LinearDecoderParams(t_lin_min=5e-5, t_lin_max=3e-4, y_min=1.0, y_max=5.0)
+cfg = SftConfig.for_encoder(CFG3K, dec, frame_size=127)
+for hop in (127, 1):
+    coeff = np.stack([s.coefficients for s in sft_stream(train, cfg, hop=hop)])
+    print(hop, len(coeff), hashlib.sha256(coeff.tobytes()).hexdigest())
+"""
+
+
+def test_stream_bits_do_not_depend_on_blas_threads():
+    # with BLAS products, 309 of 9,906 float parts at hop K differed
+    # between one and two OpenBLAS threads at K = 127
+    paths = [os.path.dirname(os.path.dirname(spikecodec.__file__)), os.path.dirname(__file__)]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
+    runs = [subprocess.run([sys.executable, "-c", THREADS_SCRIPT], capture_output=True, text=True,
+                           check=True, env={**env, "OPENBLAS_NUM_THREADS": threads}).stdout
+            for threads in ("1", "2")]
+    assert runs[0].split()[1::3] == ["39", "4874"]
+    assert runs[0] == runs[1]
 
 
 class TestStreamMemory:
     def test_peak_over_the_result(self, cfg3k):
         # one (F, K) result, the spike times clipped to durations in
-        # place and two chunk buffers; a second whole-stream array of
-        # durations turns this red
+        # place and the FFT's per-chunk buffers; a second whole-stream
+        # array of durations turns this red
         rng = np.random.default_rng(3)
         train = SpikeTrain(bins=rng.integers(1, cfg3k.resolution + 1, 100_000), config=cfg3k)
         cfg = SftConfig.for_encoder(cfg3k, DEC)

@@ -2,9 +2,11 @@
 sft-sweep, and the batched frequency sweep against the per-point loop
 it replaced.
 
-The digests were recorded when sweep-constant wrote each threshold's
-report on its own and sft-sweep encoded, transformed and compared one
-frequency at a time. Any change to those files' bytes turns them red.
+The sweep-constant digests were recorded when it wrote each threshold's
+report on its own. The sft-sweep digests were recorded when the S-FT
+moved from two weight-matrix products to np.fft.fft, which moved every
+spectrum by at most 7e-15 of its largest magnitude. Any change to those
+files' bytes turns them red.
 """
 
 import hashlib
@@ -35,75 +37,75 @@ PER_WINDOW = {"delta_u": 0.01, "mode": "per-window"}
 PINNED = {
     "sft-sweep": {
         "spectrum_1000hz.csv":
-            "8a905e3d2d9d4d46e9cb7132c7a6ca3c78eb3589e5ecb2ca46ba4f870ca0a984",
+            "a29348b1f9b36d34e01770e2f7c48cc8382405f86cd41899961d947e45851f82",
         "spectrum_100hz.csv":
-            "1f499b7076b53674ee0908ac6d1d68c35380c2cbb945dfdd81a4fd9327e33bd8",
+            "c964b5e78711f90330c4b4d1e058503a09473795f1dff18f5d24342b9a371d73",
         "spectrum_150hz.csv":
-            "71b0c37e70aaf522b32ed37048821ccf6f940b0234d7051c62a92b323ffe8506",
+            "fdb3cf4f25b499b82670f703c9f07347b96f2f3fbe4043db1d03df18997a9e79",
         "spectrum_200hz.csv":
-            "43afb914703d0509f4aa579c181be7b97580ec6e345ab2674d852cff9d368d93",
+            "011c61deb98126850de256303c6055745ca7d38534ea3a89bbcf647823e7d24a",
         "spectrum_250hz.csv":
-            "9c42a39ae44299c8d62bd48bbd1e6b66f3df01d708ff69efdd938c74590416a8",
+            "f386fb648e9d73d5d1377aea4750ef905f6d8f03a0f2eaf916d0a14d7286e815",
         "spectrum_25hz.csv":
-            "51307fbbef077a69ab1955d91dd70455cd7acb01d4d4dfced9aa9705f739d0f8",
+            "63fda83c68a670a39f59c5558693393e84599c102e16f3aa5288cba3b0976349",
         "spectrum_300hz.csv":
-            "8f0d27aece228139c715bec5d8a47c84d5052515386762cb1311c4c5beb3be88",
+            "2f4a2a928b0a603649961d03009aa84d290671d23f25d0bbf13c27c8a112eeef",
         "spectrum_400hz.csv":
-            "867ca4f3bce21027a4cb262bea4c6a1c020e1b727b63cd4e5d67fb527a10d9e3",
+            "97c39fc782d4d25c1465817260fed563f52fe1549670d6792297ab790d346c1f",
         "spectrum_500hz.csv":
-            "9da78b7d3ffb8d6fee51b24fa262ddf5cde6a09e217f2e3232e18f3b824e7e17",
+            "7f3e0541ac067344f74e2b6a37b36912190bd3ff39f4eb03587e0ed8ff54525f",
         "spectrum_50hz.csv":
-            "f2ac32d56cf841d1fc3c25106972bccaf8790e4f5bf3be6d60e96f839fcd834d",
+            "e85c3396d8fcf109b4ece926678a8070935fa823b11c2938532cc0f5ea10e941",
         "spectrum_600hz.csv":
-            "d87cd41a78c7e2c5812f4727f4a542347506da2bb54f0b9482901fa122888554",
+            "e8ebfb56db4fd814ee9f303547fa19f84333cb1468b117880ffcd48a27d18766",
         "spectrum_700hz.csv":
-            "2545c09807f2468a95e79465e21dd96d26408a0dd2b72b1ee80794da1176bedf",
+            "6b301af0563cbc31929a536548042f3a7eed3d2f84b9cffcfaaa814abf6ff8d1",
         "spectrum_750hz.csv":
-            "e045d1e974a70a422475e88630020b12ccd686c11f5815981cd29735d27d9d74",
+            "2ff9928fb029f509ad7bf088a4627bfce16cf1c4c6ff02a30874449b2e116964",
         "spectrum_75hz.csv":
-            "a3f25ca6c77e850cfcc577f057c4b678b4509a4e9dda46e71ea585c9ff34309a",
+            "37b9515bb4e01f65f15be1d6e6cfab30bb94830002c102c84204b82fea6ef6f2",
         "spectrum_800hz.csv":
-            "ab832e39476b71fb046523f0ed8b02a52162cf52d7a7335f4d28f03e0e0dbb65",
+            "5a6a0c4dabaa2ed6f6e2578a427b3e6817b54703ad684f595df129421bd3c9db",
         "spectrum_900hz.csv":
-            "2931de9bf1fb0f0df2d157dbeaef905c31c31903d1099cd39b10f5359e484600",
+            "75f5168ae9833e9de188375e0bea2b6406c4132e57be2f8b5f31f5e014ec2ac8",
         "summary.csv":
-            "dd27360ad413096d029ed2aaed08f5ddbbb4a350f3ccaa0709457ab2db1a40c5",
+            "31618890852b5324435476bc19bb457d81be817d3677c4559174c5d6d1f37005",
     },
     "sft-sweep-noisy": {
         "spectrum_1000hz.csv":
-            "8b055968f2f8a65030f789c57fd11bb301c1c3726d9c235d71d3ae58630739c8",
+            "070ce499d6cc6833966b500a5f0eb4dec8560c3d525b9b2a2c7e4f863d146174",
         "spectrum_100hz.csv":
-            "68715190030d825da5390063017a4e01a0cb0130b53fb27b711eddefeac77a17",
+            "dca543fd37241f16a8ea5d7a35094b2e6f54bc7e1133516ee5f22307a0092c09",
         "spectrum_150hz.csv":
-            "406d494fba8f8811ab45220d97d004b4e2ec307aaa99586c5194192e73cfd858",
+            "4583291411370ae34953d71d187a7b38738f6a2e8b6dbe25fd573902be8ad817",
         "spectrum_200hz.csv":
-            "86b7ea0e225851bf4aae55466fc389b30b1aa5a0c4f67b3f30dce1f2b504a1e6",
+            "0111c3167b7808d3624f44947455ed194533c6b9655d1d7bb26e71ed9ca60ea9",
         "spectrum_250hz.csv":
-            "49e5c61317ab0fbe4395ac4d86fe8f2feaf52233b6e6654081622214bec5c2c6",
+            "7a3b49db7acbbd87d6dd2c79626dab31187e86c7e8e3d2b65ce50aede7643d5c",
         "spectrum_25hz.csv":
-            "b20ad9816cbecb038905f37e6bafd7b61c5b8b1cb546a7b1bf90369028a42c94",
+            "d507053b568d4078459aec362da6b389beded2aa3155060c9ab5f40f352654b0",
         "spectrum_300hz.csv":
-            "1cfba7ede2dbb3dcfdc8750c5f17fcd716055679e0e2725df3f473e440d2c121",
+            "cd96dd31da9a5961889c3aa4545a474d5fe8e8ad8ffc36fdfa9eaacb2580e719",
         "spectrum_400hz.csv":
-            "79a5f138ab684194cc6f16d02ba7b7629da50408783303b3be68a8986e0ba035",
+            "d3552f675b2112b1ab4e817a049019d6895ee551886d4724db5cdf5ef8e8940f",
         "spectrum_500hz.csv":
-            "e0d8855f4fb7d1261ebf2b2cad7b1f81cf4a7c5fa8aa036ed6e57c9b1a06918e",
+            "ea02eee315e36b8d32c23642b8d6071048609bd4f1bb319b85fcd2c3ef93f5b9",
         "spectrum_50hz.csv":
-            "e9dd79bde73c80a33a9f2f7467d443bc401d31f37671a4fca6cf3da764255ff9",
+            "66ece864060d06be1b20a753935cdd6d52cc22b9123da3f6d8108fe7d4599956",
         "spectrum_600hz.csv":
-            "acf144ee52165187449679da57776a697ed1d1f560adc87ff4aa2b2ac62d6d64",
+            "ae2c5fc4ee1801b6aaf33a886e41ae2adba1b2585e546abad937bd174aa1b6b1",
         "spectrum_700hz.csv":
-            "768e2ba58a357654af10a2ccb70e6d11691b0f759d648df7e31bf0081ff9465b",
+            "8fd17b862b8b79f3aa02c999c06738d3e87947914307646e93def2d7d25eb41f",
         "spectrum_750hz.csv":
-            "ae43384f0bd80d51eff640036b4f89bf32fe26dde4ab869252be0a78b25043e9",
+            "b1c7feb8eedffa82c85c79722b704aaf00471c814b0edf6e12053604bbf98c91",
         "spectrum_75hz.csv":
-            "5fd75c4fb663f518db409e7fa894633023bfff471c4daa1e7538d4c2e2fa267b",
+            "6633ba10fbeee73d0097935562a62c0a42241f9048f77bbd9446259d6748edcd",
         "spectrum_800hz.csv":
-            "3a69743d34ca56f51d231a1876a01d4441f05bd82840ea3cf6488d8f2e9c3b7b",
+            "97e631a9d2923b5b62bcaba7a87dafa3b623e3e21d34f997dcb1bca898f9ec9e",
         "spectrum_900hz.csv":
-            "8c5ff3f8879a765db90260b53a68383e9df4a3ab56b57c03189ae815a15a3afd",
+            "dbaa6b43c967807c7e5c3f206bf3909d06e11e444ec9b9b099bf2ec6b1cfa1fc",
         "summary.csv":
-            "efd6f4f06103525e8d025f97b9495d525e004b782de24140cf0a5120868dd209",
+            "9f2847d729886790dadd3127ac4a15555b691a39986f899e73814ef52d1c742a",
     },
     "sweep-constant": {
         "sweep_uth_0.1.csv":
