@@ -2,13 +2,19 @@
 whatever the file length.
 
 The files hold plain numbers, so no cell ever needs quoting. Rows of
-floats are formatted with str methods CHUNK_ROWS rows at a time
-(write_tables); the float repr is their cost. Rows of the form
+floats are formatted CHUNK_ROWS rows at a time (write_tables) from a
+template of the row format, parsed once per table: a chunk is one list
+of the format's literal texts, repeated row after row with a slot for
+each field; each column fills its slots with one slice assignment of
+map(repr, ...) (or map(str, ...) for a {} field), and the list is
+joined once. The float repr is then the whole cost. Rows of the form
 "<window>,<cell>\\n", with the window running on from row to row and
 the cell an entry of a small table (a train's bin strings, decode's
 voltage reprs), are built and parsed as numpy byte arrays instead, one
 block of at most about BLOCK_BYTES bytes at a time (write_keyed_rows,
-read_keyed_rows).
+read_keyed_rows). A window digit is the same for runs of windows, so
+each digit column is a short run of digits repeated, with no division
+per window.
 
 write_tables writes a batch of float tables, each (path, header, fmt,
 columns) and one file, as one row space: the rows of table 0, then of
@@ -42,6 +48,7 @@ from __future__ import annotations
 import contextlib
 import os
 import signal
+import string
 import tempfile
 from typing import Optional
 
@@ -67,17 +74,41 @@ FORK_ROWS = 4 * CHUNK_ROWS
 
 
 class CellTable:
-    """Cells as a padded uint8 matrix, each cell followed by a line
-    break, and a matching mask of the bytes each cell holds."""
+    """Cells as one item of width bytes each, each cell followed by a
+    line break and padded, and a matching mask of the bytes each cell
+    holds. An item is a numpy void, so a gather copies whole cells."""
 
     def __init__(self, cells) -> None:
         raw = [c.encode("ascii") + b"\n" for c in cells]
         self.width = max(map(len, raw))
-        self.bytes = np.array(raw, dtype=f"S{self.width}").view(np.uint8).reshape(len(raw), -1)
-        self.keep = np.arange(self.width) < np.array([len(r) for r in raw])[:, None]
+        self.bytes = np.array(raw, dtype=f"S{self.width}").view(f"V{self.width}")
+        keep = np.arange(self.width) < np.array([len(r) for r in raw])[:, None]
+        self.keep = keep.view(f"V{self.width}")[:, 0]
 
     def __len__(self) -> int:
         return len(self.bytes)
+
+
+_DIGITS = np.frombuffer(b"0123456789", np.uint8)
+
+
+def _digit_column(lo: int, hi: int, place: int) -> np.ndarray:
+    """The ASCII digit at a place value of each window lo..hi-1.
+
+    The digit holds for runs of place windows, so the column is the
+    short run of the digits of the quotients lo // place ..
+    (hi - 1) // place, cut from a tiling of 0..9, with each digit
+    repeated for the windows of its run that lie in lo..hi-1.
+    """
+    first, last = lo // place, (hi - 1) // place
+    k = last - first + 1
+    run = np.tile(_DIGITS, k // 10 + 2)[first % 10:first % 10 + k]
+    if place == 1:  # one window per digit: the run is the column
+        return run
+    count = np.full(k, place)
+    count[0] -= lo - first * place
+    count[-1] -= (last + 1) * place - hi
+    return run.repeat(count)
 
 
 def render_rows(lo: int, table: CellTable, keys: np.ndarray) -> bytes:
@@ -88,29 +119,30 @@ def render_rows(lo: int, table: CellTable, keys: np.ndarray) -> bytes:
     row's digit and cell lengths compacts the matrix into the rows.
     """
     n = len(keys)
-    windows = np.arange(lo, lo + n)
-    places = 10 ** np.arange(len(str(lo + n - 1)) - 1, -1, -1)
-    digits = len(places)
+    hi = lo + n
+    digits = len(str(hi - 1))
     rows = np.empty((n, digits + 1 + table.width), np.uint8)
-    keep = np.empty(rows.shape, bool)
-    for j, place in enumerate(places):
-        rows[:, j] = windows // place % 10 + ord("0")
-        keep[:, j] = windows >= place
-    keep[:, digits - 1] = True  # window 0 is written "0"
+    keep = np.ones(rows.shape, bool)
+    for j in range(digits):
+        place = 10 ** (digits - 1 - j)
+        rows[:, j] = _digit_column(lo, hi, place)
+        if place > 1:  # no leading zeros; window 0 is written "0"
+            keep[:max(0, min(place, hi) - lo), j] = False
     rows[:, digits] = ord(",")
-    keep[:, digits] = True
-    rows[:, digits + 1:] = table.bytes.take(keys, axis=0)
-    keep[:, digits + 1:] = table.keep.take(keys, axis=0)
+    cell = slice(digits + 1, None)
+    rows[:, cell].view(table.bytes.dtype)[:, 0] = table.bytes.take(keys)
+    keep[:, cell].view(table.keep.dtype)[:, 0] = table.keep.take(keys)
     return rows[keep].tobytes()
 
 
-def write_keyed_rows(fh, header: str, table: CellTable, keys: np.ndarray) -> None:
-    """Write header, then row i as window i and cell keys[i] of table."""
+def write_keyed_rows(fh, header: bytes, table: CellTable, keys: np.ndarray) -> None:
+    """Write header, then row i as window i and cell keys[i] of table,
+    to the binary handle fh."""
     fh.write(header)
     n = len(keys)
     step = max(1, BLOCK_BYTES // (len(str(n)) + 1 + table.width))
     for lo in range(0, n, step):
-        fh.write(render_rows(lo, table, keys[lo:lo + step]).decode("ascii"))
+        fh.write(render_rows(lo, table, keys[lo:lo + step]))
 
 
 def _parse_keys(block: bytes, top: int) -> Optional[np.ndarray]:
@@ -182,14 +214,52 @@ def share_count(n: int) -> int:
     return max(1, min(usable_cpus(), n // FORK_ROWS))
 
 
-def _format_rows(out, fmt: str, columns, lo: int, hi: int) -> None:
-    """Write the bytes of fmt.format(*cells) for rows lo..hi-1 to the
-    binary handle out, CHUNK_ROWS rows at a time. Array cells go
-    through .tolist(), so floats format as Python floats."""
+def _row_template(fmt: str, fields: int) -> tuple:
+    """(texts, convert) for a row format of bare fields, one per
+    column: texts holds the literal text before each field and after
+    the last, convert the function of each field's cells, repr for {!r}
+    and str for {}. Any other field, or other than fields of them, is
+    a ValueError that names fmt, so no format spec or conversion can
+    change the bytes unseen."""
+    texts, convert = [""], []
+    for text, field, spec, conversion in string.Formatter().parse(fmt):
+        texts[-1] += text
+        if field is None:
+            continue
+        if field or spec or conversion not in (None, "r"):
+            raise ValueError(f"row format {fmt!r}: every field must be {{}} or {{!r}}")
+        convert.append(repr if conversion else str)
+        texts.append("")
+    if len(convert) != fields:
+        raise ValueError(f"row format {fmt!r} has {len(convert)} fields for {fields} columns")
+    return texts, convert
+
+
+def _format_rows(out, template: tuple, columns, lo: int, hi: int) -> None:
+    """Write the bytes of rows lo..hi-1, laid out by a template from
+    _row_template, to the binary handle out, CHUNK_ROWS rows at a time.
+    Array cells go through .tolist(), so floats format as Python floats.
+
+    A chunk is one list of the template's texts repeated row after row,
+    with an empty slot for each field: each column's cells are
+    converted into their slots with one slice assignment, and the list
+    is joined once. The text after a row's last field and the text
+    before the next row's first are one string.
+    """
+    texts, convert = template
+    m = len(convert)
+    row = [x for text in texts[1:] for x in (None, text)]
+    row[-1] += texts[0]
+    buf = []
     for start in range(lo, hi, CHUNK_ROWS):
-        parts = [c[start:min(start + CHUNK_ROWS, hi)] for c in columns]
-        parts = [p.tolist() if isinstance(p, np.ndarray) else p for p in parts]
-        out.write("".join(map(fmt.format, *parts)).encode())
+        stop = min(start + CHUNK_ROWS, hi)
+        if len(buf) != 1 + 2 * m * (stop - start):
+            buf = [texts[0], *row * (stop - start)]
+            buf[-1] = texts[-1]
+        for j, (f, c) in enumerate(zip(convert, columns)):
+            part = c[start:stop]
+            buf[1 + 2 * j::2 * m] = map(f, part.tolist() if isinstance(part, np.ndarray) else part)
+        out.write("".join(buf).encode())
 
 
 def _pieces(starts: list, lo: int, hi: int) -> list:
@@ -213,8 +283,8 @@ def _child(out, tables, pieces) -> None:
         try:
             ends = []
             for t, a, b in pieces:
-                _, _, fmt, columns = tables[t]
-                _format_rows(out, fmt, columns, a, b)
+                _, _, template, columns = tables[t]
+                _format_rows(out, template, columns, a, b)
                 ends.append(out.tell())
             out.write(np.array(ends, np.int64).tobytes())
             out.flush()
@@ -251,11 +321,13 @@ def write_tables(tables) -> None:
     """Write each (path, header, fmt, columns) table to its path:
     header, then fmt.format(*cells) for each row.
 
-    Each column is a numpy array, a list or a range, all of one
-    table's columns of equal length. Array cells go through .tolist(),
-    so floats format as Python floats ({!r} gives their shortest
-    round-trip repr); a list of strings through "{}" gives the same
-    bytes as the floats they were formatted from. The rows of all the
+    Each field of fmt is a bare {!r} or {} and takes one column in
+    order; any other fmt is a ValueError, raised before anything is
+    written. Each column is a numpy array, a list or a range, all of
+    one table's columns of equal length. Array cells go through
+    .tolist(), so floats format as Python floats ({!r} gives their
+    shortest round-trip repr); a list of strings through "{}" gives the
+    same bytes as the floats they were formatted from. The rows of all the
     tables are one row space, split across share_count(n) processes
     (see the module docstring). The batch is all or nothing: no path
     is replaced before every share has succeeded, and a share that
@@ -263,6 +335,8 @@ def write_tables(tables) -> None:
     output, temporary file or child process outlives a failed call,
     and no child process or temporary file outlives any call.
     """
+    tables = [(path, header, _row_template(fmt, len(columns)), columns)
+              for path, header, fmt, columns in tables]
     starts = [0]
     for *_, columns in tables:
         starts.append(starts[-1] + len(columns[0]))
@@ -284,12 +358,12 @@ def write_tables(tables) -> None:
             pids[s] = pid
         current = 0
         with contextlib.ExitStack() as outputs:
-            for (path, header, fmt, columns), pieces in zip(tables, by_table):
+            for (path, header, template, columns), pieces in zip(tables, by_table):
                 fh = outputs.enter_context(atomic_write(path, "wb"))
                 fh.write(header.encode())
                 for s, a, b in pieces:
                     if s == 0:
-                        _format_rows(fh, fmt, columns, a, b)
+                        _format_rows(fh, template, columns, a, b)
                         continue
                     if s != current:  # the first piece of share s
                         current, out, start = s, files[s - 1], 0

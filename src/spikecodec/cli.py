@@ -309,8 +309,8 @@ def cmd_decode(args) -> int:
     t = np.arange(1, enc.resolution + 1) * enc.reader_period
     u = decode_ideal(t, enc) if args.mode == "ideal" else decode_linear(t, decoder)
     table = CellTable(["", *map(repr, u.tolist())])
-    with atomic_write(args.out) as fh:
-        write_keyed_rows(fh, "window,u_hat\n", table, train.bins)
+    with atomic_write(args.out, "wb") as fh:
+        write_keyed_rows(fh, b"window,u_hat\n", table, train.bins)
     print(f"decoded {len(train)} windows ({args.mode}) -> {args.out}")
     return 0
 

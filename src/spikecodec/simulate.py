@@ -248,8 +248,8 @@ def write_spike_train(train: SpikeTrain, csv_path: str, json_path: Optional[str]
     JSON sidecar holding the config and seed."""
     if json_path is None:
         json_path = sidecar_path(csv_path)
-    with atomic_write(csv_path) as fh:
-        write_keyed_rows(fh, _HEADER.decode(), _bin_cells(train.config.resolution), train.bins)
+    with atomic_write(csv_path, "wb") as fh:
+        write_keyed_rows(fh, _HEADER, _bin_cells(train.config.resolution), train.bins)
     meta = {
         "encoder": asdict(train.config),
         "seed": train.seed,
@@ -312,8 +312,8 @@ def read_spike_train(csv_path: str, json_path: Optional[str] = None) -> SpikeTra
     """
     if json_path is None:
         json_path = sidecar_path(csv_path)
-    cfg, meta = _read_sidecar(json_path)
-    with open(csv_path, "rb") as fh:
+    with open(csv_path, "rb") as fh:  # first, so a missing train is named as itself
+        cfg, meta = _read_sidecar(json_path)
         bins = read_keyed_rows(fh, _HEADER, _bin_cells(cfg.resolution))
     if bins is None:
         bins = np.array(_read_bins_by_row(csv_path, cfg.resolution), dtype=np.int64)

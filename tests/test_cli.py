@@ -529,6 +529,17 @@ class TestFailureModes:
         assert err == f"error: [Errno 2] No such file or directory: {named!r}\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
+    @pytest.mark.parametrize("present, named", [([], "t.csv"), (["t.csv"], "t.json")])
+    def test_missing_train_is_named(self, tmp_path, capsys, present, named):
+        # a missing train used to be named by its sidecar, 't.json'
+        for name in present:
+            (tmp_path / name).write_text("window,bin\n")
+        train = tmp_path / "t.csv"
+        assert main(["decode", "--train", str(train), "--out", str(tmp_path / "d.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: [Errno 2] No such file or directory: {str(tmp_path / named)!r}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == present
+
     def test_output_path_that_is_a_directory_is_named(self, tmp_path, capsys):
         # the error named both files, 'out.tmp.2395' -> 'out'
         target = tmp_path / "out"

@@ -9,7 +9,10 @@ message on any file. The train reader must round-trip any bins array
 and keep its memory flat. The float writer must give the same bytes
 whether its rows are formatted in one process or split across forked
 children, wherever a split falls among the tables of a batch, and
-leave no child, temporary file or partial batch behind.
+leave no child, temporary file or partial batch behind. Its row
+template must give the bytes of str.format on any cells and refuse any
+other field, and keyed rows must give the bytes of an f-string per row
+across every power of ten of the window.
 """
 
 import contextlib
@@ -314,6 +317,111 @@ class TestShareFailures:
         assert os.listdir(tmp_path / "out") == []
 
 
+# The row formats the package writes: the error report, the error
+# report with its u_in cells shared (as strings), the spectrum (bin and
+# frequency cells as one string) and the sft-sweep summary.
+FORMATS = ["{!r},{!r},{!r}\r\n", "{},{!r},{!r}\r\n", "{}{!r},{!r},{!r}\r\n", "{!r},{!r},{!r}\n"]
+
+
+@st.composite
+def format_cases(draw):
+    """(fmt, columns, lo, hi): one of FORMATS or a format with escaped
+    braces, a column per field of n rows, each an array of floats with
+    the SPECIAL values mixed in, a list of their reprs and empty
+    strings, or a range, and rows lo..hi-1 of them, across chunk
+    edges."""
+    fmt = draw(st.sampled_from(FORMATS + ["{{{!r}}}:{}\n"]))
+    n = draw(st.integers(0, 2 * CHUNK_ROWS + 3))
+    fields = fmt.count("{!r}") + fmt.count("{}")
+    floats = float_columns(n, fields, seed=draw(st.integers(0, 2**32 - 1)))
+    columns = []
+    for col in floats:
+        kind = draw(st.sampled_from(["array", "strings", "range"]))
+        if kind == "array":
+            columns.append(col)
+        elif kind == "strings":
+            columns.append([repr(v) if v > 0 else "" for v in col.tolist()])
+        else:
+            start = draw(st.integers(-10**6, 10**6))
+            columns.append(range(start, start + n))
+    lo = draw(st.integers(0, n))
+    hi = draw(st.integers(lo, n))
+    return fmt, columns, lo, hi
+
+
+class TestRowTemplate:
+    """_format_rows gives the bytes of str.format row by row, and
+    refuses any field whose bytes it would not reproduce."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(format_cases())
+    def test_same_bytes_as_str_format(self, case):
+        fmt, columns, lo, hi = case
+        out = io.BytesIO()
+        _rows._format_rows(out, _rows._row_template(fmt, len(columns)), columns, lo, hi)
+        cells = [c[lo:hi].tolist() if isinstance(c, np.ndarray) else c[lo:hi] for c in columns]
+        assert out.getvalue() == "".join(map(fmt.format, *cells)).encode()
+
+    @pytest.mark.parametrize("fmt", ["{:.3g}\n", "{0}\n", "{!s}\n", "{!a}\n", "{x}\n", "{!r:>8}\n"])
+    def test_other_fields_are_refused(self, tmp_path, fmt):
+        path = tmp_path / "rows.csv"
+        with pytest.raises(ValueError, match=re.escape(f"row format {fmt!r}: every field")):
+            write_tables([(str(path), "u\n", fmt, [np.arange(3.0)])])
+        assert list(tmp_path.iterdir()) == []
+
+    def test_field_count_must_match_the_columns(self, tmp_path):
+        with pytest.raises(ValueError, match=re.escape("row format '{!r},{!r}\\n' has 2 fields "
+                                                       "for 3 columns")):
+            write_tables([(str(tmp_path / "rows.csv"), "u\n", "{!r},{!r}\n", [range(2)] * 3)])
+        assert list(tmp_path.iterdir()) == []
+
+
+def reference_rows(lo, cells, keys) -> bytes:
+    """Keyed rows written one f-string at a time."""
+    return "".join(f"{lo + i},{cells[k]}\n" for i, k in enumerate(keys.tolist())).encode()
+
+
+BIN_CELLS = ["", *map(str, range(1, CFG3K.resolution + 1))]
+
+
+class TestWindowDigits:
+    """Window digits around each power of ten, where a row gains a
+    digit in the middle of a block."""
+
+    @pytest.mark.parametrize("k", range(1, 10))
+    @pytest.mark.parametrize("below, n", [(1, 1), (1, 2), (3, 5), (17, 40), (0, 7), (5, 1)])
+    def test_render_rows_across_a_power_of_ten(self, k, below, n):
+        lo = max(0, 10**k - below)
+        keys = np.random.default_rng(k * 100 + n).integers(0, len(BIN_CELLS), n)
+        table = CellTable(BIN_CELLS)
+        assert _rows.render_rows(lo, table, keys) == reference_rows(lo, BIN_CELLS, keys)
+
+    @pytest.mark.parametrize("lo", [0, 1, 9, 95, 990, 9_999 - 37, 123_456])
+    def test_render_rows_over_many_places(self, lo):
+        keys = np.random.default_rng(lo).integers(0, len(BIN_CELLS), 1234)
+        table = CellTable(BIN_CELLS)
+        assert _rows.render_rows(lo, table, keys) == reference_rows(lo, BIN_CELLS, keys)
+
+    def test_read_block_edge_on_window_100000(self, tmp_path):
+        # one-digit bins, except as many two-digit ones as put the end
+        # of window 99,999's row on a byte block's edge
+        rows = 100_000
+        base = sum(len(str(w)) + 3 for w in range(rows))
+        blocks = -(-base // BLOCK_BYTES)
+        bins = np.full(rows + 500, 5)
+        bins[np.random.default_rng(0).choice(rows, blocks * BLOCK_BYTES - base, replace=False)] = 50
+        bins[rows + 1::3] = 0
+        train = SpikeTrain(bins=bins, config=CFG3K, seed=None)
+        path = tmp_path / "train.csv"
+        write_spike_train(train, str(path))
+        data = path.read_bytes()
+        edge = len(b"window,bin\n") + blocks * BLOCK_BYTES
+        assert data[edge - 1:edge] == b"\n" and data[edge:].startswith(b"100000,")
+        with open(path, "rb") as fh:
+            assert np.array_equal(read_keyed_rows(fh, b"window,bin\n", CellTable(BIN_CELLS)), bins)
+        assert np.array_equal(read_spike_train(str(path)).bins, bins)
+
+
 # SHA-256 of write_error_report and write_spectrum output for the
 # 40,000-row columns below, recorded when every row was formatted in
 # one process. Float repr is the same on every machine.
@@ -338,6 +446,51 @@ class TestPinnedBytes:
         path = tmp_path / "spectrum.csv"
         write_spectrum(Spectrum(coefficients=coeff, sample_period=CFG3K.sample_period), str(path))
         assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED["spectrum"]
+
+    def test_keyed_rows(self, tmp_path, capsys):
+        assert keyed_row_digests(tmp_path) == PINNED_KEYED
+        capsys.readouterr()
+
+
+# SHA-256 of a per-window-noise train of 120,000 windows, so that
+# window 100,000 (the first six-digit window) falls inside a block of
+# keyed rows, with its sidecar and its decodes in both modes. The sine
+# dips below the threshold, so 34,000 of the windows are silent and
+# their cells empty. Recorded when each window digit was
+# computed by integer division.
+KEYED_WINDOWS = 120_000
+PINNED_KEYED = {
+    "train.csv":
+        "411442b5fd3a5746b19443829f81bdddcfc14f0b7367b73cbcbbbc8728454152",
+    "train.json":
+        "fbc6ce635c1cabd1c66ef4a1b18fe074a6f8d721f144bfe576e0aa3f82bd92df",
+    "ideal.csv":
+        "02961e517877ac6effc7484c8d1181f8c105aa973e5f95bfe03e213f06844bce",
+    "linear.csv":
+        "93a1a9ed5bc035561e9331c08d13cf3c92de953f2f1c4d5c305eb64b507a48d3",
+}
+
+
+def keyed_row_digests(directory) -> dict:
+    """SHA-256 of an encode and both decodes of its train, run in
+    directory through the command line."""
+    config = directory / "config.json"
+    config.write_text(json.dumps({
+        "noise": {"delta_u": 0.01, "mode": "per-window"},
+        "signal": {"type": "sine", "amplitude": 2.5, "frequency": 50.0, "offset": 2.5,
+                   "windows": KEYED_WINDOWS},
+    }))
+    tuning = directory / "tuning.json"
+    tuning.write_text(json.dumps(asdict(
+        LinearDecoderParams(t_lin_min=1e-4, t_lin_max=3e-4, y_min=1.0, y_max=5.0))))
+    train = str(directory / "train.csv")
+    assert main(["encode", "--config", str(config), "--seed", "7", "--out", train]) == 0
+    assert main(["decode", "--train", train, "--mode", "ideal",
+                 "--out", str(directory / "ideal.csv")]) == 0
+    assert main(["decode", "--train", train, "--mode", "linear", "--tuning", str(tuning),
+                 "--out", str(directory / "linear.csv")]) == 0
+    return {name: hashlib.sha256((directory / name).read_bytes()).hexdigest()
+            for name in PINNED_KEYED}
 
 
 class TestTrainRoundTrip:
