@@ -104,10 +104,7 @@ SCHEMA = {
         "grid_points": _COUNT, "generations": _NUMBER_OR_NULL,
     },
     # A null decoder, like a missing one, asks for a fresh fit.
-    "sft": {
-        "frame_size": _COUNT, "charge_phase_steps": _COUNT,
-        "readout_phase_steps": _COUNT, "decoder": _DECODER,
-    },
+    "sft": {"frame_size": _COUNT, "charge_phase_steps": _COUNT, "decoder": _DECODER},
     "signal": {
         "type": ("sine", "constant"), "amplitude": _NUMBER, "frequency": _NUMBER,
         "offset": _NUMBER, "level": _NUMBER, "duration": _NUMBER, "windows": _COUNT,
@@ -227,6 +224,8 @@ def _build_noise(section: dict, seed: Optional[int]) -> Optional[ThermalNoiseMod
 
 
 def _build_signal(section: dict, enc: EncoderConfig, default_windows: int):
+    if "windows" in section and "duration" in section:
+        raise ValueError("config section 'signal' gives both 'windows' and 'duration'; give one")
     d = {**DEFAULT_SIGNAL, **section}
     duration = float(d.get("duration", d.get("windows", default_windows) * enc.sample_period))
     if d["type"] == "sine":
@@ -298,16 +297,17 @@ def cmd_encode(args) -> int:
 
 
 def cmd_decode(args) -> int:
+    if args.mode == "linear" and not args.tuning:
+        raise ValueError("linear mode needs --tuning with fitted decoder parameters")
+    if args.mode == "ideal" and args.tuning:
+        raise ValueError("ideal mode takes no --tuning: it decodes with the train's own encoder")
     _spare_inputs(args, [args.out])
     train = read_spike_train(args.train)
     enc = train.config
-    decoder = read_decoder(args.tuning) if args.tuning else None
-    if args.mode == "linear" and decoder is None:
-        raise ValueError("linear mode needs --tuning with fitted decoder parameters")
     # Decode each of the N bins once; a window's cell is its bin's
     # entry in that table, "" for a silent window.
     t = np.arange(1, enc.resolution + 1) * enc.reader_period
-    u = decode_ideal(t, enc) if args.mode == "ideal" else decode_linear(t, decoder)
+    u = decode_ideal(t, enc) if args.mode == "ideal" else decode_linear(t, read_decoder(args.tuning))
     table = CellTable(["", *map(repr, u.tolist())])
     with atomic_write(args.out, "wb") as fh:
         write_keyed_rows(fh, b"window,u_hat\n", table, train.bins)
@@ -458,7 +458,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("decode", help="decode a spike train back to voltages")
     sp.add_argument("--train", required=True, help="spike-train CSV from encode")
     sp.add_argument("--mode", choices=["ideal", "linear"], default="ideal")
-    sp.add_argument("--tuning", help="tuning JSON (required for linear mode)")
+    sp.add_argument("--tuning", help="tuning JSON (linear mode only, and required there)")
     sp.add_argument("--out", required=True)
     sp.set_defaults(func=cmd_decode)
 

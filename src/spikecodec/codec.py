@@ -74,8 +74,8 @@ class EncoderConfig:
     sample_period window length T_S (one voltage is encoded per window)
     reader_period readout resolution T_N; T_S must be an integer
                   multiple of T_N
-    u_rest        reset/rest potential (kept for completeness; the
-                  codec assumes charging starts from it)
+    u_rest        reset/rest potential; the closed-form crossing time
+                  charges from 0 V, so any other value is refused
     """
 
     tau: float
@@ -90,6 +90,9 @@ class EncoderConfig:
         for f in fields(self):
             if not math.isfinite(getattr(self, f.name)):
                 raise ValueError(f"{f.name} must be finite")
+        if self.u_rest != 0:
+            raise ValueError(f"u_rest must be 0 V, where the closed-form crossing time "
+                             f"starts charging, got {self.u_rest!r}")
         if not (self.tau > 0):
             raise ValueError("tau must be positive")
         if not (0 < self.u_th < self.u_min < self.u_max):

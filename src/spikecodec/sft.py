@@ -9,13 +9,9 @@ The +w membranes of the K bins are thus the DFT of the frame's charge
 durations, which the model computes with np.fft.fft. Because the code
 is affine in the value, each membrane is affine in the DFT coefficient
 of the decoded samples, and the constant part is carried by the
-weight-row sum, which vanishes for every bin except DC. A readout
-phase then drives each neuron with a constant current against a
-threshold, so its output spike time is again a linear code, now for
-the membrane value. In this ideal model the readout returns each
-membrane value exactly (the +/- pair difference is twice the +w
-membrane), so sft_frame reads the +w membranes directly and the
-readout length changes no value.
+weight-row sum, which vanishes for every bin except DC. The ideal
+readout returns each membrane exactly, so the model reads the
+membranes.
 
 sft_frame returns the spectrum calibrated to plain DFT units of the
 decoded sample values: subtract the DC constant and divide by the
@@ -53,9 +49,6 @@ class SftConfig:
     frame_size          K, windows per frame and output bins
     decoder             affine time code the frame was produced with
     charge_phase_steps  length of the charge phase, in ticks
-    readout_phase_steps length of the readout phase, in ticks; the
-                        ideal readout is exact, so it is validated
-                        but changes no value
     tick                seconds per step (the reader period upstream)
     sample_period       window length T_S, used only to label bins
                         with physical frequencies k / (K * T_S)
@@ -64,15 +57,14 @@ class SftConfig:
     frame_size: int
     decoder: LinearDecoderParams
     charge_phase_steps: int
-    readout_phase_steps: int
     tick: float
     sample_period: float
 
     def __post_init__(self) -> None:
         if self.frame_size < 2:
             raise ValueError("frame_size must be at least 2")
-        if self.charge_phase_steps < 1 or self.readout_phase_steps < 1:
-            raise ValueError("phase lengths must be at least one step")
+        if self.charge_phase_steps < 1:
+            raise ValueError("charge phase must be at least one step")
         if not (self.tick > 0 and self.sample_period > 0):
             raise ValueError("tick and sample_period must be positive")
 
@@ -83,10 +75,9 @@ class SftConfig:
         decoder: LinearDecoderParams,
         frame_size: int = 128,
         charge_phase_steps: Optional[int] = None,
-        readout_phase_steps: Optional[int] = None,
     ) -> "SftConfig":
         """Derive phase geometry from an encoder: one charge phase per
-        window, readout as long as the charge phase by default.
+        window by default.
 
         A charge phase that ends before the slowest in-range spike
         would clip that spike's membrane to zero, so it is a
@@ -94,7 +85,6 @@ class SftConfig:
         already checked holds that spike.
         """
         charge = enc.resolution if charge_phase_steps is None else charge_phase_steps
-        read = charge if readout_phase_steps is None else readout_phase_steps
         if charge < enc.resolution:
             t_max = timing_summary(enc).t_max
             if t_max > charge * enc.reader_period * (1 + _REL_EPS):
@@ -106,7 +96,6 @@ class SftConfig:
             frame_size=frame_size,
             decoder=decoder,
             charge_phase_steps=charge,
-            readout_phase_steps=read,
             tick=enc.reader_period,
             sample_period=enc.sample_period,
         )

@@ -243,11 +243,11 @@ def _bin_cells(n: int) -> CellTable:
     return CellTable(["", *map(str, range(1, n + 1))])
 
 
-def write_spike_train(train: SpikeTrain, csv_path: str, json_path: Optional[str] = None) -> None:
-    """Write a train as CSV (window,bin; bin empty for silence) plus a
-    JSON sidecar holding the config and seed."""
-    if json_path is None:
-        json_path = sidecar_path(csv_path)
+def write_spike_train(train: SpikeTrain, csv_path: str) -> None:
+    """Write a train as CSV (window,bin; bin empty for silence) plus
+    the JSON sidecar that sidecar_path names, holding the config and
+    seed."""
+    json_path = sidecar_path(csv_path)  # first: a train named like its sidecar writes nothing
     with atomic_write(csv_path, "wb") as fh:
         write_keyed_rows(fh, _HEADER, _bin_cells(train.config.resolution), train.bins)
     meta = {
@@ -299,7 +299,7 @@ def _read_bins_by_row(csv_path: str, n: int) -> list:
     return bins
 
 
-def read_spike_train(csv_path: str, json_path: Optional[str] = None) -> SpikeTrain:
+def read_spike_train(csv_path: str) -> SpikeTrain:
     """Read a train written by write_spike_train.
 
     The header must be window,bin and every row hold two cells. The
@@ -310,10 +310,8 @@ def read_spike_train(csv_path: str, json_path: Optional[str] = None) -> SpikeTra
     other is read again row by row, which accepts padded cells, \\r\\n
     endings, a last row without a line break and cells like 007.
     """
-    if json_path is None:
-        json_path = sidecar_path(csv_path)
     with open(csv_path, "rb") as fh:  # first, so a missing train is named as itself
-        cfg, meta = _read_sidecar(json_path)
+        cfg, meta = _read_sidecar(sidecar_path(csv_path))
         bins = read_keyed_rows(fh, _HEADER, _bin_cells(cfg.resolution))
     if bins is None:
         bins = np.array(_read_bins_by_row(csv_path, cfg.resolution), dtype=np.int64)

@@ -416,6 +416,21 @@ class TestFailureModes:
         assert capsys.readouterr().err == f"error: {tuning}: {message}\n"
         assert not out.exists()
 
+    def test_ideal_mode_refuses_a_tuning_file(self, tmp_path, capsys):
+        # the file used to be read and checked, then left out of the decode
+        train = tmp_path / "train.csv"
+        main(["encode", "--config", write_config(tmp_path, BASE), "--out", str(train)])
+        tuning = tmp_path / "tuning.json"
+        tuning.write_text(json.dumps({"t_lin_min": 5e-5, "t_lin_max": 3e-4, "y_min": 1.0, "y_max": 5.0}))
+        capsys.readouterr()
+        out = tmp_path / "decoded.csv"
+        rc = main(["decode", "--train", str(train), "--mode", "ideal",
+                   "--tuning", str(tuning), "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: ideal mode takes no --tuning: it decodes with the train's own encoder\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("doc, command, message", [
         # each of these used to end in a traceback, run on with a wrong
         # value, or name the missing key alone
@@ -429,8 +444,9 @@ class TestFailureModes:
          "config section 'signal' key 'windows' must be an integer of at least 1, got 10.5"),
         ({"sft": {"frame_size": 128.5}}, "sft",
          "config section 'sft' key 'frame_size' must be an integer of at least 1, got 128.5"),
-        ({"sft": {"readout_phase_steps": 2.5}}, "sft",
-         "config section 'sft' key 'readout_phase_steps' must be an integer of at least 1, got 2.5"),
+        # the ideal readout is exact, so its length used to be accepted and change nothing
+        ({"sft": {"readout_phase_steps": 16}}, "sft",
+         "config section 'sft' has unknown key(s): 'readout_phase_steps'"),
         ({"sft": {"charge_phase_steps": 10}}, "sft",
          "charge phase of 10 steps (3.33333e-05 s) ends before the slowest spike at 0.000316082 s"),
         ({"signal": {"type": "constant"}}, "encode",
@@ -472,6 +488,12 @@ class TestFailureModes:
         # every sample came out NaN, after two RuntimeWarnings
         ({"signal": {"frequency": float("inf")}}, "encode", "frequency must be finite, got inf"),
         ({"signal": {"frequency": float("inf")}}, "sft", "frequency must be finite, got inf"),
+        # duration won and windows was dropped without a word
+        ({"signal": {"windows": 100, "duration": 0.5}}, "encode",
+         "config section 'signal' gives both 'windows' and 'duration'; give one"),
+        # the closed form charges from 0 V, so any other rest potential encoded as 0 V
+        ({"encoder": {"u_rest": 0.5}}, "encode",
+         "u_rest must be 0 V, where the closed-form crossing time starts charging, got 0.5"),
     ])
     def test_config_hole_is_named(self, tmp_path, capsys, doc, command, message):
         out = {"encode": ["--out", str(tmp_path / "t.csv")],
@@ -590,6 +612,95 @@ class TestConfigFuzz:
                 figures = re.findall(r"(\w+)=([^\s:,]+)", out)
                 assert rc == 1 or all(math.isfinite(float(v)) for _, v in figures), \
                     (argv[0], doc, out)
+
+
+# One small base config per key, one other valid value for the key and
+# the command whose data files it should move. sft fits a fresh decoder,
+# so the tuner keys reach its spectrum; alpha weighs eps_lin against mu,
+# which one encoder fixes, so it moves tune's loss and not the fit.
+SMALL = {"signal": {"windows": 32}, "sft": {"frame_size": 8}}
+KEY_CASES = {
+    ("encoder", "tau"): ("encode", SMALL, 2.5e-3),
+    ("encoder", "u_th"): ("encode", SMALL, 0.09),
+    ("encoder", "u_min"): ("sft", SMALL, 1.5),
+    ("encoder", "u_max"): ("sft", SMALL, 4.5),
+    ("encoder", "sample_period"): ("encode", SMALL, 1.0 / 2500.0),
+    ("encoder", "reader_period"): ("encode", SMALL, 1.0 / 150000.0),
+    ("encoder", "u_rest"): ("encode", SMALL, 0.05),
+    ("encoder", "resolution"): ("encode", SMALL, 50),
+    ("noise", "delta_u"): ("encode", SMALL, 0.05),
+    ("noise", "mode"): ("encode", {**SMALL, "noise": {"delta_u": 0.05}}, "per-window"),
+    ("noise", "rng_seed"): ("encode", {**SMALL, "noise": {"delta_u": 0.05, "mode": "per-window"}}, 1),
+    ("tuner", "alpha"): ("tune", SMALL, 0.5),
+    ("tuner", "k1_bounds"): ("sft", SMALL, [-0.5, 0.5]),
+    ("tuner", "k2_bounds"): ("sft", SMALL, [0.0, 0.5]),
+    ("tuner", "grid_points"): ("sft", SMALL, 16),
+    ("sft", "frame_size"): ("sft", SMALL, 16),
+    # Windows that fire after the slowest in-range spike are clipped by
+    # a shorter charge phase; on an in-range sine the phase length only
+    # shifts DC, which the calibration takes off again, up to rounding.
+    ("sft", "charge_phase_steps"): ("sft", {"signal": {"offset": 1.0, "amplitude": 0.05},
+                                            "sft": {"frame_size": 8}}, 96),
+    ("sft", "decoder"): ("sft", SMALL, {"t_lin_min": 5e-5, "t_lin_max": 3e-4,
+                                        "y_min": 1.0, "y_max": 5.0}),
+    ("signal", "type"): ("encode", {"signal": {"windows": 32, "level": 3.5}}, "constant"),
+    ("signal", "amplitude"): ("encode", SMALL, 1.5),
+    ("signal", "frequency"): ("encode", SMALL, 250.0),
+    ("signal", "offset"): ("encode", SMALL, 3.5),
+    ("signal", "level"): ("encode", {"signal": {"type": "constant", "level": 3.0, "windows": 32}}, 3.5),
+    ("signal", "duration"): ("encode", {"signal": {"duration": 0.01}}, 0.005),
+    ("signal", "windows"): ("encode", SMALL, 16),
+}
+# Keys that are accepted and move no output, each with the reason it stays.
+IGNORED_KEYS = {
+    ("tuner", "generations"): "configs written for the earlier evolutionary search still load, "
+                              "acceptance criterion 5's among them",
+}
+
+
+class TestEveryKeyMatters:
+    """A config key that no output depends on reads as a setting that
+    works: each key must move a data file of some command, or be
+    refused where its value would be ignored."""
+
+    def test_every_key_has_a_case(self):
+        missing = [k for k in CONFIG_KEYS if k not in KEY_CASES and k not in IGNORED_KEYS]
+        assert not missing, f"config keys with no case: {missing}"
+        assert set(KEY_CASES) | set(IGNORED_KEYS) <= set(CONFIG_KEYS)
+
+    @staticmethod
+    def data_files(tmp_path, name, doc, command):
+        """Exit code, stderr and the bytes of each result file that
+        command writes from config doc. The sidecars of encode and sft,
+        which echo the config, are left out, so a key must move a
+        result; tune's file echoes the encoder section alone."""
+        run = tmp_path / name
+        run.mkdir()
+        cfg = run / "config.json"
+        cfg.write_text(json.dumps(doc))
+        out, results = {"encode": (["--out", str(run / "t.csv")], "*.csv"),
+                        "sft": (["--out-prefix", str(run / "r")], "*.csv"),
+                        "tune": (["--out", str(run / "t.json")], "t.json")}[command]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            rc = main([command, "--config", str(cfg), *out])
+        return rc, err.getvalue(), {p.name: p.read_bytes() for p in run.glob(results)}
+
+    @pytest.mark.parametrize("section, key", sorted(KEY_CASES))
+    def test_another_value_moves_an_output(self, tmp_path, section, key):
+        command, base, value = KEY_CASES[section, key]
+        other = {**base, section: {**base.get(section, {}), key: value}}
+        rc, err, want = self.data_files(tmp_path, "base", base, command)
+        assert rc == 0 and want, err
+        rc, err, got = self.data_files(tmp_path, "other", other, command)
+        if (section, key) == ("encoder", "u_rest"):
+            # the closed-form crossing time charges from 0 V, the one value honoured
+            assert (rc, got) == (1, {})
+            assert err == "error: u_rest must be 0 V, where the closed-form crossing time " \
+                          "starts charging, got 0.05\n"
+        else:
+            assert rc == 0 and got.keys() == want.keys(), err
+            assert got != want, f"{section}.{key} = {value!r} moved no output of {command}"
 
 
 class TestDeterminism:

@@ -30,8 +30,7 @@ DEC = LinearDecoderParams(t_lin_min=5e-5, t_lin_max=3e-4, y_min=1.0, y_max=5.0)
 
 def make_cfg(frame_size, tick=1e-6, steps=333):
     return SftConfig(frame_size=frame_size, decoder=DEC,
-                     charge_phase_steps=steps, readout_phase_steps=steps,
-                     tick=tick, sample_period=1.0 / 3000.0)
+                     charge_phase_steps=steps, tick=tick, sample_period=1.0 / 3000.0)
 
 
 class TestDftWeights:
@@ -426,13 +425,12 @@ class TestSftConfig:
         cfg = SftConfig.for_encoder(cfg3k, DEC, frame_size=16)
         assert cfg.tick == cfg3k.reader_period
         assert cfg.charge_phase_steps == 100
-        assert cfg.readout_phase_steps == 100
         assert cfg.charge_duration == pytest.approx(cfg3k.sample_period, rel=1e-12)
 
     def test_validation(self):
         with pytest.raises(ValueError):
             SftConfig(frame_size=1, decoder=DEC, charge_phase_steps=10,
-                      readout_phase_steps=10, tick=1e-6, sample_period=1e-3)
+                      tick=1e-6, sample_period=1e-3)
         with pytest.raises(ValueError):
             SftConfig(frame_size=8, decoder=DEC, charge_phase_steps=0,
-                      readout_phase_steps=10, tick=1e-6, sample_period=1e-3)
+                      tick=1e-6, sample_period=1e-3)
