@@ -93,8 +93,7 @@ _DECODER = "a path string or an object of finite numbers"
 SCHEMA = {
     "encoder": {
         "tau": _NUMBER, "u_th": _NUMBER, "u_min": _NUMBER, "u_max": _NUMBER,
-        "sample_period": _NUMBER, "reader_period": _NUMBER, "u_rest": _NUMBER,
-        "resolution": _COUNT,
+        "sample_period": _NUMBER, "reader_period": _NUMBER, "resolution": _COUNT,
     },
     # ThermalNoiseModel checks that rng_seed is a non-negative integer.
     "noise": {"delta_u": _NUMBER, "mode": NOISE_MODES, "rng_seed": _NUMBER},
@@ -104,7 +103,7 @@ SCHEMA = {
         "grid_points": _COUNT, "generations": _NUMBER_OR_NULL,
     },
     # A null decoder, like a missing one, asks for a fresh fit.
-    "sft": {"frame_size": _COUNT, "charge_phase_steps": _COUNT, "decoder": _DECODER},
+    "sft": {"frame_size": _COUNT, "decoder": _DECODER},
     "signal": {
         "type": ("sine", "constant"), "amplitude": _NUMBER, "frequency": _NUMBER,
         "offset": _NUMBER, "level": _NUMBER, "duration": _NUMBER, "windows": _COUNT,

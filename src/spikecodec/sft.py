@@ -29,7 +29,7 @@ from typing import List, Optional
 import numpy as np
 
 from ._rows import write_tables
-from .codec import _REL_EPS, EncoderConfig, LinearDecoderParams, timing_summary
+from .codec import _REL_EPS, EncoderConfig, LinearDecoderParams
 from .simulate import SpikeTrain
 
 __all__ = [
@@ -46,27 +46,24 @@ __all__ = [
 class SftConfig:
     """Geometry of the transform.
 
-    frame_size          K, windows per frame and output bins
-    decoder             affine time code the frame was produced with
-    charge_phase_steps  length of the charge phase, in ticks
-    tick                seconds per step (the reader period upstream)
-    sample_period       window length T_S, used only to label bins
-                        with physical frequencies k / (K * T_S)
+    frame_size     K, windows per frame and output bins
+    decoder        affine time code the frame was produced with
+    tick           seconds per step (the reader period upstream)
+    sample_period  window length T_S; it labels bins with physical
+                   frequencies k / (K * T_S), and the charge phase
+                   lasts the whole ticks of one window
     """
 
     frame_size: int
     decoder: LinearDecoderParams
-    charge_phase_steps: int
     tick: float
     sample_period: float
 
     def __post_init__(self) -> None:
         if self.frame_size < 2:
             raise ValueError("frame_size must be at least 2")
-        if self.charge_phase_steps < 1:
-            raise ValueError("charge phase must be at least one step")
-        if not (self.tick > 0 and self.sample_period > 0):
-            raise ValueError("tick and sample_period must be positive")
+        if not (0 < self.tick <= self.sample_period):
+            raise ValueError("need 0 < tick <= sample_period")
 
     @classmethod
     def for_encoder(
@@ -74,35 +71,21 @@ class SftConfig:
         enc: EncoderConfig,
         decoder: LinearDecoderParams,
         frame_size: int = 128,
-        charge_phase_steps: Optional[int] = None,
     ) -> "SftConfig":
-        """Derive phase geometry from an encoder: one charge phase per
-        window by default.
-
-        A charge phase that ends before the slowest in-range spike
-        would clip that spike's membrane to zero, so it is a
-        ValueError. N ticks or more span the window, which the encoder
-        already checked holds that spike.
-        """
-        charge = enc.resolution if charge_phase_steps is None else charge_phase_steps
-        if charge < enc.resolution:
-            t_max = timing_summary(enc).t_max
-            if t_max > charge * enc.reader_period * (1 + _REL_EPS):
-                raise ValueError(
-                    f"charge phase of {charge} steps ({charge * enc.reader_period:.6g} s) "
-                    f"ends before the slowest spike at {t_max:.6g} s"
-                )
+        """Derive phase geometry from an encoder: ticks of one reader
+        period, and a charge phase of one window, which the encoder
+        already checked holds the slowest in-range spike."""
         return cls(
             frame_size=frame_size,
             decoder=decoder,
-            charge_phase_steps=charge,
             tick=enc.reader_period,
             sample_period=enc.sample_period,
         )
 
     @property
     def charge_duration(self) -> float:
-        return self.charge_phase_steps * self.tick
+        """The charge phase: the N = T_S / tick whole ticks of one window."""
+        return round(self.sample_period / self.tick) * self.tick
 
 
 @dataclass(frozen=True, slots=True)

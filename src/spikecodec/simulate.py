@@ -219,7 +219,7 @@ def membrane_trace(u_in: float, cfg: EncoderConfig, dt: float):
 
     Returns (times, voltages) on a grid of step dt covering [0, T_S].
     The trace follows the charging curve up to the threshold crossing
-    and sits at u_rest for the rest of the window (refractory hold).
+    and drops to 0 V for the rest of the window (refractory hold).
     No noise; this is a diagnostic view of the ideal cell.
     """
     if not (0 < dt <= cfg.reader_period):
@@ -228,7 +228,7 @@ def membrane_trace(u_in: float, cfg: EncoderConfig, dt: float):
     t = np.linspace(0.0, n * dt, n + 1)
     u = u_in * -np.expm1(-t / cfg.tau)
     t_cross = crossing_time(u_in, cfg.u_th, cfg.tau)
-    u[t > t_cross] = cfg.u_rest
+    u[t > t_cross] = 0.0
     return t, u
 
 
@@ -265,9 +265,13 @@ def _read_sidecar(json_path: str):
     encoder = meta.get("encoder") if isinstance(meta, dict) else None
     if not isinstance(encoder, dict):
         raise ValueError(f"{json_path}: sidecar has no encoder object")
+    windows = meta.get("windows")
+    if isinstance(windows, bool) or not isinstance(windows, int) or windows < 0:
+        raise ValueError(f"{json_path}: sidecar key 'windows' must be a non-negative integer, "
+                         f"got {windows!r}")
     try:
         cfg = EncoderConfig(**encoder)
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise ValueError(f"{json_path}: bad sidecar encoder ({exc})") from None
     return cfg, meta
 
@@ -315,6 +319,6 @@ def read_spike_train(csv_path: str) -> SpikeTrain:
         bins = read_keyed_rows(fh, _HEADER, _bin_cells(cfg.resolution))
     if bins is None:
         bins = np.array(_read_bins_by_row(csv_path, cfg.resolution), dtype=np.int64)
-    if len(bins) != meta.get("windows"):
-        raise ValueError(f"{csv_path} has {len(bins)} windows, its sidecar records {meta.get('windows')}")
+    if len(bins) != meta["windows"]:
+        raise ValueError(f"{csv_path} has {len(bins)} windows, its sidecar records {meta['windows']}")
     return SpikeTrain(bins=bins, config=cfg, seed=meta.get("seed"))

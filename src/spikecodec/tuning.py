@@ -3,15 +3,16 @@
 The exact code t = f(y) is logarithmic, so reading it back with an
 affine decoder leaves a shape error. The fit stretches the endpoint
 time span by factors (1 + k1), (1 + k2) and chooses (k1, k2) to
-minimise
+minimise eps_lin, which integrates |y - decode_linear(f(y))| over the
+working range (trapezoid quadrature). Each fit also reports
 
     loss = alpha * eps_lin - mu
 
-where eps_lin integrates |y - decode_linear(f(y))| over the working
-range (trapezoid quadrature) and mu rewards configurations that spend
-more of the window on the informative part of the code. mu does not
-depend on (k1, k2); it keeps reported losses comparable across
-encoder configurations.
+where mu rewards configurations that spend more of the window on the
+informative part of the code. The encoder fixes mu, so for one
+encoder the loss and eps_lin rank decoders alike and alpha never moves
+the fit; alpha weights only the reported loss and the comparison of
+fits across thresholds in fit_with_threshold_search.
 
 The trapezoid sum sum_i w_i |y_i - A - B t_i| is a weighted L1 line
 fit: convex and piecewise linear in (A, B), with the (k1, k2) box as
@@ -171,7 +172,8 @@ def _solve_offset_span(cfg: EncoderConfig, tuner: TunerConfig, t_min: float, t_m
 
 
 def fit_linear_decoder(cfg: EncoderConfig, tuner: Optional[TunerConfig] = None) -> TuningResult:
-    """Find the (k1, k2) in the tuner's box that minimise the tuner loss.
+    """Find the (k1, k2) in the tuner's box that minimise eps_lin, and
+    so the tuner loss, whose mu the encoder fixes.
 
     The exact solve competes with (0, 0), the plain endpoint
     interpolation clipped into the box, and the lower eps_lin wins, so

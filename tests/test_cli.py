@@ -379,6 +379,38 @@ class TestFailureModes:
         assert err.startswith(f"error: {tmp_path / name}: {message}") and err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("text, edit, message", [
+        # the encoder's own check used to print without the file
+        ("window,bin\n0,31\n1,\n2,19\n", lambda m: m["encoder"].update(tau=-1.0),
+         "bad sidecar encoder (tau must be positive)"),
+        # a sidecar from before u_rest was deleted; encoding the train again mends it
+        ("window,bin\n0,31\n1,\n2,19\n", lambda m: m["encoder"].update(u_rest=0.0),
+         "bad sidecar encoder (EncoderConfig.__init__() got an unexpected keyword argument "
+         "'u_rest')"),
+        # true decoded a one-window train, 3.0 passed as 3, and a missing
+        # count was named as the train's "its sidecar records None"
+        ("window,bin\n0,31\n", lambda m: m.update(windows=True),
+         "sidecar key 'windows' must be a non-negative integer, got True"),
+        ("window,bin\n0,31\n1,\n2,19\n", lambda m: m.update(windows=3.0),
+         "sidecar key 'windows' must be a non-negative integer, got 3.0"),
+        ("window,bin\n0,31\n1,\n2,19\n", lambda m: m.update(windows=-3),
+         "sidecar key 'windows' must be a non-negative integer, got -3"),
+        ("window,bin\n0,31\n1,\n2,19\n", lambda m: m.pop("windows"),
+         "sidecar key 'windows' must be a non-negative integer, got None"),
+    ], ids=["encoder-check", "older-u_rest", "windows-bool", "windows-float", "windows-negative",
+            "windows-missing"])
+    def test_malformed_sidecar_is_named(self, tmp_path, capsys, text, edit, message):
+        train = self._three_window_train(tmp_path, text)
+        sidecar = tmp_path / "train.json"
+        meta = json.loads(sidecar.read_text())
+        edit(meta)
+        sidecar.write_text(json.dumps(meta))
+        capsys.readouterr()
+        out = tmp_path / "decoded.csv"
+        assert main(["decode", "--train", str(train), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {sidecar}: {message}\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("text", [
         "window,bin\n0,31\n1,\n2,19",  # no newline after the last row
         "window,bin\r\n0,31\r\n1,\r\n2,19\r\n",
@@ -447,8 +479,9 @@ class TestFailureModes:
         # the ideal readout is exact, so its length used to be accepted and change nothing
         ({"sft": {"readout_phase_steps": 16}}, "sft",
          "config section 'sft' has unknown key(s): 'readout_phase_steps'"),
-        ({"sft": {"charge_phase_steps": 10}}, "sft",
-         "charge phase of 10 steps (3.33333e-05 s) ends before the slowest spike at 0.000316082 s"),
+        # the charge phase lasts one window, the length every caller set
+        ({"sft": {"charge_phase_steps": 100}}, "sft",
+         "config section 'sft' has unknown key(s): 'charge_phase_steps'"),
         ({"signal": {"type": "constant"}}, "encode",
          "config section 'signal' needs key 'level' for type 'constant'"),
         ({"signal": {"type": "constant", "level": 3}}, "sft",
@@ -491,9 +524,9 @@ class TestFailureModes:
         # duration won and windows was dropped without a word
         ({"signal": {"windows": 100, "duration": 0.5}}, "encode",
          "config section 'signal' gives both 'windows' and 'duration'; give one"),
-        # the closed form charges from 0 V, so any other rest potential encoded as 0 V
-        ({"encoder": {"u_rest": 0.5}}, "encode",
-         "u_rest must be 0 V, where the closed-form crossing time starts charging, got 0.5"),
+        # the closed form charges from 0 V, the one rest potential it can encode
+        ({"encoder": {"u_rest": 0}}, "encode",
+         "config section 'encoder' has unknown key(s): 'u_rest'"),
     ])
     def test_config_hole_is_named(self, tmp_path, capsys, doc, command, message):
         out = {"encode": ["--out", str(tmp_path / "t.csv")],
@@ -626,7 +659,6 @@ KEY_CASES = {
     ("encoder", "u_max"): ("sft", SMALL, 4.5),
     ("encoder", "sample_period"): ("encode", SMALL, 1.0 / 2500.0),
     ("encoder", "reader_period"): ("encode", SMALL, 1.0 / 150000.0),
-    ("encoder", "u_rest"): ("encode", SMALL, 0.05),
     ("encoder", "resolution"): ("encode", SMALL, 50),
     ("noise", "delta_u"): ("encode", SMALL, 0.05),
     ("noise", "mode"): ("encode", {**SMALL, "noise": {"delta_u": 0.05}}, "per-window"),
@@ -636,11 +668,6 @@ KEY_CASES = {
     ("tuner", "k2_bounds"): ("sft", SMALL, [0.0, 0.5]),
     ("tuner", "grid_points"): ("sft", SMALL, 16),
     ("sft", "frame_size"): ("sft", SMALL, 16),
-    # Windows that fire after the slowest in-range spike are clipped by
-    # a shorter charge phase; on an in-range sine the phase length only
-    # shifts DC, which the calibration takes off again, up to rounding.
-    ("sft", "charge_phase_steps"): ("sft", {"signal": {"offset": 1.0, "amplitude": 0.05},
-                                            "sft": {"frame_size": 8}}, 96),
     ("sft", "decoder"): ("sft", SMALL, {"t_lin_min": 5e-5, "t_lin_max": 3e-4,
                                         "y_min": 1.0, "y_max": 5.0}),
     ("signal", "type"): ("encode", {"signal": {"windows": 32, "level": 3.5}}, "constant"),
@@ -693,14 +720,8 @@ class TestEveryKeyMatters:
         rc, err, want = self.data_files(tmp_path, "base", base, command)
         assert rc == 0 and want, err
         rc, err, got = self.data_files(tmp_path, "other", other, command)
-        if (section, key) == ("encoder", "u_rest"):
-            # the closed-form crossing time charges from 0 V, the one value honoured
-            assert (rc, got) == (1, {})
-            assert err == "error: u_rest must be 0 V, where the closed-form crossing time " \
-                          "starts charging, got 0.05\n"
-        else:
-            assert rc == 0 and got.keys() == want.keys(), err
-            assert got != want, f"{section}.{key} = {value!r} moved no output of {command}"
+        assert rc == 0 and got.keys() == want.keys(), err
+        assert got != want, f"{section}.{key} = {value!r} moved no output of {command}"
 
 
 class TestDeterminism:

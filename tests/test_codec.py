@@ -248,7 +248,7 @@ class TestEncoderConfig:
 
     @pytest.mark.parametrize("name, value", [
         ("u_max", math.inf), ("u_min", math.nan), ("tau", math.inf),
-        ("sample_period", math.inf), ("reader_period", math.nan), ("u_rest", -math.inf),
+        ("sample_period", math.inf), ("reader_period", math.nan),
     ])
     def test_rejects_non_finite_fields(self, name, value):
         kw = dict(tau=3e-3, u_th=0.1, u_min=1.0, u_max=5.0,

@@ -457,13 +457,14 @@ class TestPinnedBytes:
 # keyed rows, with its sidecar and its decodes in both modes. The sine
 # dips below the threshold, so 34,000 of the windows are silent and
 # their cells empty. Recorded when each window digit was
-# computed by integer division.
+# computed by integer division; train.json recorded again when the
+# encoder lost its u_rest field.
 KEYED_WINDOWS = 120_000
 PINNED_KEYED = {
     "train.csv":
         "411442b5fd3a5746b19443829f81bdddcfc14f0b7367b73cbcbbbc8728454152",
     "train.json":
-        "fbc6ce635c1cabd1c66ef4a1b18fe074a6f8d721f144bfe576e0aa3f82bd92df",
+        "0cddafc7b824bb1040e28c4b6b9f1f2148be79bc8e4e28e5ac176b3551c032ac",
     "ideal.csv":
         "02961e517877ac6effc7484c8d1181f8c105aa973e5f95bfe03e213f06844bce",
     "linear.csv":

@@ -28,9 +28,8 @@ from conftest import CFG3K, naive_dft
 DEC = LinearDecoderParams(t_lin_min=5e-5, t_lin_max=3e-4, y_min=1.0, y_max=5.0)
 
 
-def make_cfg(frame_size, tick=1e-6, steps=333):
-    return SftConfig(frame_size=frame_size, decoder=DEC,
-                     charge_phase_steps=steps, tick=tick, sample_period=1.0 / 3000.0)
+def make_cfg(frame_size, tick=1e-6):
+    return SftConfig(frame_size=frame_size, decoder=DEC, tick=tick, sample_period=1.0 / 3000.0)
 
 
 class TestDftWeights:
@@ -106,7 +105,7 @@ class TestSftFrame:
         assert np.abs(c_mix - c_sep).max() < 1e-9 * np.abs(c_sep).max()
 
     def test_quantized_times_stay_within_half_tick_bound(self):
-        cfg = make_cfg(32, tick=3e-6, steps=111)
+        cfg = make_cfg(32, tick=3e-6)
         rng = np.random.default_rng(15)
         y = rng.uniform(1.0, 5.0, 32)
         times = encode_linear(y, DEC)
@@ -114,16 +113,6 @@ class TestSftFrame:
         rounded = sft_frame(np.round(times / cfg.tick) * cfg.tick, cfg).coefficients
         bound = cfg.frame_size * cfg.tick / (2 * DEC.slope)
         assert np.abs(rounded - exact).max() <= bound * (1 + 1e-9)
-
-    def test_charge_phase_must_cover_the_slowest_spike(self, cfg3k):
-        # the slowest spike fires at 316.08 us, 94.8 ticks of 3.33 us;
-        # 10 ticks used to clip every membrane and still give a spectrum
-        with pytest.raises(ValueError, match="ends before the slowest spike"):
-            SftConfig.for_encoder(cfg3k, DEC, charge_phase_steps=10)
-        with pytest.raises(ValueError, match="ends before the slowest spike"):
-            SftConfig.for_encoder(cfg3k, DEC, charge_phase_steps=94)
-        assert SftConfig.for_encoder(cfg3k, DEC, charge_phase_steps=95).charge_phase_steps == 95
-        assert SftConfig.for_encoder(cfg3k, DEC, charge_phase_steps=400).charge_phase_steps == 400
 
     def test_validation(self):
         cfg = make_cfg(8)
@@ -424,13 +413,14 @@ class TestSftConfig:
     def test_for_encoder_defaults(self, cfg3k):
         cfg = SftConfig.for_encoder(cfg3k, DEC, frame_size=16)
         assert cfg.tick == cfg3k.reader_period
-        assert cfg.charge_phase_steps == 100
+        # the N whole ticks of one window, with the bits of N * T_N
+        assert cfg.charge_duration == cfg3k.resolution * cfg3k.reader_period
         assert cfg.charge_duration == pytest.approx(cfg3k.sample_period, rel=1e-12)
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            SftConfig(frame_size=1, decoder=DEC, charge_phase_steps=10,
-                      tick=1e-6, sample_period=1e-3)
-        with pytest.raises(ValueError):
-            SftConfig(frame_size=8, decoder=DEC, charge_phase_steps=0,
-                      tick=1e-6, sample_period=1e-3)
+        with pytest.raises(ValueError, match="frame_size"):
+            SftConfig(frame_size=1, decoder=DEC, tick=1e-6, sample_period=1e-3)
+        # a tick longer than the window would leave a charge phase of no ticks
+        for tick in (0.0, 2.5e-3):
+            with pytest.raises(ValueError, match="need 0 < tick <= sample_period"):
+                SftConfig(frame_size=8, decoder=DEC, tick=tick, sample_period=1e-3)

@@ -339,8 +339,8 @@ class TestMembraneTrace:
                             sample_period=10e-3, reader_period=1e-4)
         t, u = membrane_trace(5.0, cfg, dt=1e-5)
         t_cross = encode_time(5.0, cfg).time
-        assert np.all(u[t > t_cross] == cfg.u_rest)
-        assert u[-1] == cfg.u_rest
+        assert np.all(u[t > t_cross] == 0.0)
+        assert u[-1] == 0.0
         assert u.max() <= cfg.u_th + 1e-9
 
     def test_no_crossing_keeps_full_curve(self, cfg3k):
