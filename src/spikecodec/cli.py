@@ -69,17 +69,11 @@ DEFAULT_ENCODER = {
 
 # Constant sweeps run the threshold grid up to 0.9 V, where the
 # slowest spike takes several milliseconds; they get a wider window.
-DEFAULT_SWEEP_ENCODER = {
-    "tau": 3e-3,
-    "u_th": 0.1,
-    "u_min": 1.0,
-    "u_max": 5.0,
-    "reader_period": 1.48e-6,
-    "resolution": 5000,
-}
+DEFAULT_SWEEP_ENCODER = {**DEFAULT_ENCODER, "sample_period": 7.4e-3, "resolution": 5000}
 
 DEFAULT_SIGNAL = {"type": "sine", "amplitude": 2.0, "frequency": 500.0, "offset": 3.0}
-TIMING_KEYS = ("sample_period", "reader_period", "resolution")
+# The keys each signal type reads besides type and windows.
+SIGNAL_TYPE_KEYS = {"sine": ("amplitude", "frequency", "offset"), "constant": ("level",)}
 
 # Kinds of config values, each named as error messages say it. A
 # choice is the tuple of the strings it allows.
@@ -93,7 +87,7 @@ _DECODER = "a path string or an object of finite numbers"
 SCHEMA = {
     "encoder": {
         "tau": _NUMBER, "u_th": _NUMBER, "u_min": _NUMBER, "u_max": _NUMBER,
-        "sample_period": _NUMBER, "reader_period": _NUMBER, "resolution": _COUNT,
+        "sample_period": _NUMBER, "resolution": _COUNT,
     },
     # ThermalNoiseModel checks that rng_seed is a non-negative integer.
     "noise": {"delta_u": _NUMBER, "mode": NOISE_MODES, "rng_seed": _NUMBER},
@@ -106,7 +100,7 @@ SCHEMA = {
     "sft": {"frame_size": _COUNT, "decoder": _DECODER},
     "signal": {
         "type": ("sine", "constant"), "amplitude": _NUMBER, "frequency": _NUMBER,
-        "offset": _NUMBER, "level": _NUMBER, "duration": _NUMBER, "windows": _COUNT,
+        "offset": _NUMBER, "level": _NUMBER, "windows": _COUNT,
     },
 }
 
@@ -189,25 +183,11 @@ def _distinct_files(option: str, values: list, name: str) -> None:
 
 
 def _build_encoder(section: dict, defaults: dict = DEFAULT_ENCODER) -> EncoderConfig:
-    """Encoder from a config section over defaults. Two of the three
-    timing keys fix the third, so when the section gives two or more,
-    the defaults' timing keys are ignored."""
-    given = [key for key in TIMING_KEYS if key in section]
-    if len(given) >= 2:
-        defaults = {k: v for k, v in defaults.items() if k not in TIMING_KEYS}
+    """Encoder from a config section over defaults: a window of
+    sample_period read in resolution bins."""
     d = {**defaults, **section}
-    resolution = d.pop("resolution", None)
-    if "reader_period" not in d:
-        d["reader_period"] = d["sample_period"] / resolution
-    if "sample_period" not in d:
-        d["sample_period"] = d["reader_period"] * resolution
-    enc = EncoderConfig(**d)
-    if len(given) == 3 and enc.resolution != resolution:
-        raise ValueError(
-            f"encoder resolution {resolution!r} disagrees with "
-            f"sample_period / reader_period = {enc.resolution}"
-        )
-    return enc
+    resolution = d.pop("resolution")
+    return EncoderConfig(**d, reader_period=d["sample_period"] / resolution)
 
 
 def _build_noise(section: dict, seed: Optional[int]) -> Optional[ThermalNoiseModel]:
@@ -222,11 +202,18 @@ def _build_noise(section: dict, seed: Optional[int]) -> Optional[ThermalNoiseMod
     return noise if noise.delta_u else None
 
 
-def _build_signal(section: dict, enc: EncoderConfig, default_windows: int):
-    if "windows" in section and "duration" in section:
-        raise ValueError("config section 'signal' gives both 'windows' and 'duration'; give one")
+def _signal_keys(section: dict) -> dict:
+    """The signal section over DEFAULT_SIGNAL. Each type refuses the
+    keys it does not read (SIGNAL_TYPE_KEYS)."""
     d = {**DEFAULT_SIGNAL, **section}
-    duration = float(d.get("duration", d.get("windows", default_windows) * enc.sample_period))
+    _reject_unknown(f"config section 'signal' of type {d['type']!r}", section,
+                    ("type", "windows", *SIGNAL_TYPE_KEYS[d["type"]]))
+    return d
+
+
+def _build_signal(section: dict, enc: EncoderConfig):
+    d = _signal_keys(section)
+    duration = float(d.get("windows", 128) * enc.sample_period)
     if d["type"] == "sine":
         return sine(SineSpec(d["amplitude"], d["frequency"], d["offset"]), duration)
     if "level" not in d:
@@ -287,7 +274,7 @@ def cmd_encode(args) -> int:
     _spare_inputs(args, [args.out, sidecar_path(args.out)])
     enc = _build_encoder(cfg["encoder"])
     noise = _build_noise(cfg["noise"], args.seed)
-    sig = _build_signal(cfg["signal"], enc, default_windows=128)
+    sig = _build_signal(cfg["signal"], enc)
     train = encode_signal(sig, enc, noise)
     write_spike_train(train, args.out)
     fired = int(train.fired.sum())
@@ -368,7 +355,7 @@ def _sft_setup(args, outputs):
     _spare_inputs(args, outputs, cfg)
     enc = _build_encoder(cfg["encoder"])
     noise = _build_noise(cfg["noise"], args.seed)
-    sig = {**DEFAULT_SIGNAL, **cfg["signal"]}
+    sig = _signal_keys(cfg["signal"])
     if sig["type"] != "sine":
         raise ValueError(f"{args.command} needs signal type 'sine', got {sig['type']!r}")
     spec = SineSpec(sig["amplitude"], sig["frequency"], sig["offset"])

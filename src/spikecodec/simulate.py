@@ -25,7 +25,7 @@ import numpy as np
 from ._atomic import atomic_write, read_json, sidecar_path, write_json
 from ._draws import window_doubles
 from ._rows import CellTable, read_keyed_rows, write_keyed_rows
-from .codec import EncoderConfig, crossing_time
+from .codec import _is_finite_number, EncoderConfig, crossing_time
 
 __all__ = [
     "ThermalNoiseModel",
@@ -49,6 +49,11 @@ NOISE_MODES = ("constant", "per-window")
 _MAX_WINDOWS = 2**53
 
 
+def _is_non_negative_int(value) -> bool:
+    """True for a non-negative integer, never a bool: a seed or a count."""
+    return not isinstance(value, bool) and isinstance(value, (int, np.integer)) and value >= 0
+
+
 @dataclass(frozen=True)
 class ThermalNoiseModel:
     """Additive membrane offset, expressed as a threshold drop delta_u.
@@ -70,9 +75,8 @@ class ThermalNoiseModel:
             raise ValueError(f"delta_u must be finite and >= 0, got {self.delta_u!r}")
         if self.mode not in NOISE_MODES:
             raise ValueError(f"mode must be one of {NOISE_MODES}")
-        seed = self.rng_seed
-        if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
-            raise ValueError(f"rng_seed must be a non-negative integer, got {seed!r}")
+        if not _is_non_negative_int(self.rng_seed):
+            raise ValueError(f"rng_seed must be a non-negative integer, got {self.rng_seed!r}")
 
     def offset(self, window_index: int) -> float:
         return float(self._offsets(window_index, 1)[0])
@@ -265,10 +269,17 @@ def _read_sidecar(json_path: str):
     encoder = meta.get("encoder") if isinstance(meta, dict) else None
     if not isinstance(encoder, dict):
         raise ValueError(f"{json_path}: sidecar has no encoder object")
-    windows = meta.get("windows")
-    if isinstance(windows, bool) or not isinstance(windows, int) or windows < 0:
+    windows, seed = meta.get("windows"), meta.get("seed")
+    if not _is_non_negative_int(windows):
         raise ValueError(f"{json_path}: sidecar key 'windows' must be a non-negative integer, "
                          f"got {windows!r}")
+    if seed is not None and not _is_non_negative_int(seed):
+        raise ValueError(f"{json_path}: sidecar key 'seed' must be null or a non-negative integer, "
+                         f"got {seed!r}")
+    for key, value in encoder.items():
+        if not _is_finite_number(value):
+            raise ValueError(f"{json_path}: bad sidecar encoder ({key} must be a finite number, "
+                             f"got {value!r})")
     try:
         cfg = EncoderConfig(**encoder)
     except (TypeError, ValueError) as exc:

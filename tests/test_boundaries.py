@@ -72,7 +72,8 @@ class TestPublicNames:
 @pytest.mark.parametrize("pattern, what", [
     (r"\bsplitext\b", "the sidecar rule (_atomic.sidecar_path)"),
     (r"\bjson\.loads?\b", "the JSON reader (_atomic.read_json)"),
-], ids=["sidecar", "json-load"])
+    (r"\{\*\*DEFAULT_SIGNAL\b", "the signal defaults merge (cli._signal_keys)"),
+], ids=["sidecar", "json-load", "signal-merge"])
 def test_boundary_rule_is_stated_once(pattern, what):
     where = [f"{path.name}:{i}" for path in sorted(PACKAGE.rglob("*.py"))
              for i, line in enumerate(path.read_text().splitlines(), start=1)

@@ -170,33 +170,49 @@ class TestFailureModes:
         assert err.startswith("error: ") and all(word in err for word in named)
 
     def test_two_timing_keys_fix_the_third(self, tmp_path):
-        enc = {k: v for k, v in BASE["encoder"].items() if k != "sample_period"}
-        cfg = write_config(tmp_path, {**BASE, "encoder": {**enc, "reader_period": 1.0 / 300000.0,
-                                                          "resolution": 200}})
+        cfg = write_config(tmp_path, {**BASE, "encoder": {**BASE["encoder"], "resolution": 200}})
         assert main(["encode", "--config", cfg, "--out", str(tmp_path / "t.csv")]) == 0
         meta = json.loads((tmp_path / "t.json").read_text())["encoder"]
-        assert meta["reader_period"] == 1.0 / 300000.0
-        assert meta["sample_period"] / meta["reader_period"] == pytest.approx(200, rel=1e-12)
+        assert meta["reader_period"] == BASE["encoder"]["sample_period"] / 200
 
     def test_two_timing_keys_that_leave_too_short_a_window(self, tmp_path, capsys):
-        # 50 bins of 1/300000 s make a window shorter than the slowest
-        # spike; the defaults' sample_period must not take over
-        enc = {k: v for k, v in BASE["encoder"].items() if k != "sample_period"}
-        cfg = write_config(tmp_path, {"encoder": {**enc, "reader_period": 1.0 / 300000.0,
+        # a window of 50 bins of 1/300000 s is shorter than the slowest
+        # spike; the resolution must not stretch it
+        cfg = write_config(tmp_path, {"encoder": {"sample_period": 50 / 300000.0,
                                                   "resolution": 50}})
         rc = main(["tune", "--config", cfg, "--out", str(tmp_path / "t.json")])
         assert rc == 1
         assert capsys.readouterr().err.startswith("error: slowest spike")
 
     def test_inconsistent_timing_keys_are_rejected(self, tmp_path, capsys):
+        # reader_period is sample_period / resolution, so a config
+        # cannot give a third timing key that disagrees with the two
         cfg = write_config(tmp_path, {"encoder": {**BASE["encoder"],
                                                   "reader_period": 1.0 / 300000.0,
                                                   "resolution": 50}})
         rc = main(["tune", "--config", cfg, "--out", str(tmp_path / "t.json")])
         assert rc == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: encoder resolution 50") and "100" in err
+        assert capsys.readouterr().err == (
+            "error: config section 'encoder' has unknown key(s): 'reader_period'\n")
         assert not (tmp_path / "t.json").exists()
+
+    @pytest.mark.parametrize("argv, bins", [
+        (["encode", "--out", "t.csv"], 100),
+        (["sweep-constant", "--points", "16", "--out-dir", "."], 5000),
+    ], ids=["encode", "sweep-constant"])
+    def test_sample_period_keeps_the_commands_resolution(self, tmp_path, monkeypatch, argv, bins):
+        # sweep-constant used to keep its reader period instead, and
+        # read the doubled window in 10,000 bins
+        outputs = []
+        for i, encoder in enumerate([{"sample_period": 0.0148},
+                                     {"sample_period": 0.0148, "resolution": bins}]):
+            cfg = write_config(tmp_path, {"encoder": encoder})
+            run = tmp_path / str(i)
+            run.mkdir()
+            monkeypatch.chdir(run)
+            assert main([*argv, "--config", cfg]) == 0
+            outputs.append({p.name: p.read_bytes() for p in sorted(run.iterdir())})
+        assert outputs[0] == outputs[1]
 
     @pytest.mark.parametrize("keep", [slice(0, 5), slice(1, None)])
     def test_truncated_train_is_rejected(self, tmp_path, capsys, keep):
@@ -304,7 +320,7 @@ class TestFailureModes:
 
     @pytest.mark.parametrize("argv, doc, message", [
         (["sweep-constant", "--thresholds", "0.1,0.9", "--points", "16"],
-         {"encoder": {"reader_period": 1e-6, "resolution": 1000}},
+         {"encoder": {"sample_period": 1e-3, "resolution": 1000}},
          "error: slowest spike exceeds sample_period"),
         (["sft-sweep", "--freqs", "50,nan"], {**BASE, "sft": {"frame_size": 24}},
          "error: frequency must be finite"),
@@ -397,8 +413,14 @@ class TestFailureModes:
          "sidecar key 'windows' must be a non-negative integer, got -3"),
         ("window,bin\n0,31\n1,\n2,19\n", lambda m: m.pop("windows"),
          "sidecar key 'windows' must be a non-negative integer, got None"),
+        # decode exited 0 and read_spike_train returned the seed 'x'
+        ("window,bin\n0,31\n1,\n2,19\n", lambda m: m.update(seed="x"),
+         "sidecar key 'seed' must be null or a non-negative integer, got 'x'"),
+        # true passed as the number 1
+        ("window,bin\n0,31\n1,\n2,19\n", lambda m: m["encoder"].update(u_th=True),
+         "bad sidecar encoder (u_th must be a finite number, got True)"),
     ], ids=["encoder-check", "older-u_rest", "windows-bool", "windows-float", "windows-negative",
-            "windows-missing"])
+            "windows-missing", "seed-string", "encoder-bool"])
     def test_malformed_sidecar_is_named(self, tmp_path, capsys, text, edit, message):
         train = self._three_window_train(tmp_path, text)
         sidecar = tmp_path / "train.json"
@@ -470,8 +492,9 @@ class TestFailureModes:
          "config section 'tuner' key 'grid_points' must be an integer of at least 1, got 2.5"),
         ({"encoder": {"resolution": 0}}, "encode",
          "config section 'encoder' key 'resolution' must be an integer of at least 1, got 0"),
+        # windows is the one length key
         ({"signal": {"duration": float("inf")}}, "encode",
-         "duration must be positive and finite, got inf"),
+         "config section 'signal' has unknown key(s): 'duration'"),
         ({"signal": {"windows": 10.5}}, "encode",
          "config section 'signal' key 'windows' must be an integer of at least 1, got 10.5"),
         ({"sft": {"frame_size": 128.5}}, "sft",
@@ -498,10 +521,9 @@ class TestFailureModes:
          "decoder fit error eps_lin is inf: the working range 1..1e+300 V overflows its quadrature"),
         ({"encoder": {"u_max": 1e300}}, "sft",
          "decoder fit error eps_lin is inf: the working range 1..1e+300 V overflows its quadrature"),
-        # numpy's "Maximum allowed size exceeded" named neither key nor count
+        # a duration of any size is refused before it is read
         ({"signal": {"duration": 1e300}}, "encode",
-         "signal duration 1e+300 s spans 3e+303 windows of 0.000333333 s, more than the "
-         "9007199254740992 that float64 counts exactly"),
+         "config section 'signal' has unknown key(s): 'duration'"),
         # t_min came out 0.0 and TimingSummary ended in ZeroDivisionError
         ({"encoder": {"u_th": 1e-300, "u_max": 1e300}}, "tune",
          "fastest spike underflows: crossing_time(u_max = 1e+300 V) = 0.0 s, not > 0"),
@@ -523,10 +545,28 @@ class TestFailureModes:
         ({"signal": {"frequency": float("inf")}}, "sft", "frequency must be finite, got inf"),
         # duration won and windows was dropped without a word
         ({"signal": {"windows": 100, "duration": 0.5}}, "encode",
-         "config section 'signal' gives both 'windows' and 'duration'; give one"),
+         "config section 'signal' has unknown key(s): 'duration'"),
         # the closed form charges from 0 V, the one rest potential it can encode
         ({"encoder": {"u_rest": 0}}, "encode",
          "config section 'encoder' has unknown key(s): 'u_rest'"),
+        # numpy's "Maximum allowed size exceeded" named neither key nor count
+        ({"signal": {"windows": 2**60}}, "encode",
+         "signal duration 384307168202282.3 s spans 1.15292e+18 windows of 0.000333333 s, more than "
+         "the 9007199254740992 that float64 counts exactly"),
+        # sample_period / resolution is the reader period; a third key
+        # could only disagree with them
+        ({"encoder": {"reader_period": 1e-6}}, "encode",
+         "config section 'encoder' has unknown key(s): 'reader_period'"),
+        ({"encoder": {"reader_period": 1.48e-6}}, "sweep-constant",
+         "config section 'encoder' has unknown key(s): 'reader_period'"),
+        # the other type's keys used to be accepted and ignored
+        ({"signal": {"level": 9.0}}, "encode",
+         "config section 'signal' of type 'sine' has unknown key(s): 'level'"),
+        ({"signal": {"level": 9.0}}, "sft",
+         "config section 'signal' of type 'sine' has unknown key(s): 'level'"),
+        *[({"signal": {"type": "constant", "level": 3.0, key: 1.0}}, "encode",
+           f"config section 'signal' of type 'constant' has unknown key(s): {key!r}")
+          for key in ("amplitude", "frequency", "offset")],
     ])
     def test_config_hole_is_named(self, tmp_path, capsys, doc, command, message):
         out = {"encode": ["--out", str(tmp_path / "t.csv")],
@@ -658,7 +698,6 @@ KEY_CASES = {
     ("encoder", "u_min"): ("sft", SMALL, 1.5),
     ("encoder", "u_max"): ("sft", SMALL, 4.5),
     ("encoder", "sample_period"): ("encode", SMALL, 1.0 / 2500.0),
-    ("encoder", "reader_period"): ("encode", SMALL, 1.0 / 150000.0),
     ("encoder", "resolution"): ("encode", SMALL, 50),
     ("noise", "delta_u"): ("encode", SMALL, 0.05),
     ("noise", "mode"): ("encode", {**SMALL, "noise": {"delta_u": 0.05}}, "per-window"),
@@ -670,14 +709,16 @@ KEY_CASES = {
     ("sft", "frame_size"): ("sft", SMALL, 16),
     ("sft", "decoder"): ("sft", SMALL, {"t_lin_min": 5e-5, "t_lin_max": 3e-4,
                                         "y_min": 1.0, "y_max": 5.0}),
-    ("signal", "type"): ("encode", {"signal": {"windows": 32, "level": 3.5}}, "constant"),
+    ("signal", "type"): ("encode", SMALL, "constant"),
     ("signal", "amplitude"): ("encode", SMALL, 1.5),
     ("signal", "frequency"): ("encode", SMALL, 250.0),
     ("signal", "offset"): ("encode", SMALL, 3.5),
     ("signal", "level"): ("encode", {"signal": {"type": "constant", "level": 3.0, "windows": 32}}, 3.5),
-    ("signal", "duration"): ("encode", {"signal": {"duration": 0.01}}, 0.005),
     ("signal", "windows"): ("encode", SMALL, 16),
 }
+# Keys that the other value of a key needs beside it: a constant reads
+# its level, and a sine refuses one.
+OTHER_NEEDS = {("signal", "type"): {"level": 3.0}}
 # Keys that are accepted and move no output, each with the reason it stays.
 IGNORED_KEYS = {
     ("tuner", "generations"): "configs written for the earlier evolutionary search still load, "
@@ -716,7 +757,8 @@ class TestEveryKeyMatters:
     @pytest.mark.parametrize("section, key", sorted(KEY_CASES))
     def test_another_value_moves_an_output(self, tmp_path, section, key):
         command, base, value = KEY_CASES[section, key]
-        other = {**base, section: {**base.get(section, {}), key: value}}
+        other = {**base, section: {**base.get(section, {}), key: value,
+                                   **OTHER_NEEDS.get((section, key), {})}}
         rc, err, want = self.data_files(tmp_path, "base", base, command)
         assert rc == 0 and want, err
         rc, err, got = self.data_files(tmp_path, "other", other, command)
