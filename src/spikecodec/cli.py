@@ -93,7 +93,7 @@ SCHEMA = {
     "noise": {"delta_u": _NUMBER, "mode": NOISE_MODES, "rng_seed": _NUMBER},
     # generations is accepted and ignored, so older configs still load.
     "tuner": {
-        "alpha": _NUMBER, "k1_bounds": _PAIR, "k2_bounds": _PAIR,
+        "k1_bounds": _PAIR, "k2_bounds": _PAIR,
         "grid_points": _COUNT, "generations": _NUMBER_OR_NULL,
     },
     # A null decoder, like a missing one, asks for a fresh fit.
@@ -106,7 +106,9 @@ SCHEMA = {
 
 
 def _is_number(value) -> bool:
-    return not isinstance(value, bool) and isinstance(value, (int, float))
+    """A float, NaN and the infinities included, or an int that a float
+    holds; never a bool. The constructors name a non-finite float."""
+    return isinstance(value, float) or _is_finite_number(value)
 
 
 _KIND_TESTS = {
@@ -125,7 +127,8 @@ def _typed(name: str, key: str, value):
     kind = SCHEMA[name][key]
     where = f"config section {name!r} key {key!r}"
     if kind in (_NUMBER, _COUNT) and not _is_number(value):
-        raise ValueError(f"{where} must be a number, got {value!r}")
+        huge = isinstance(value, int) and not isinstance(value, bool)
+        raise ValueError(f"{where} must be a number{' within float range' if huge else ''}, got {value!r}")
     if isinstance(kind, tuple):
         ok, kind = value in kind, "one of " + ", ".join(map(repr, kind))
     else:

@@ -18,6 +18,7 @@ All times are seconds, all voltages volt.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -26,12 +27,10 @@ __all__ = [
     "EncoderConfig",
     "LinearDecoderParams",
     "SpikeTime",
-    "NO_SPIKE",
     "TimingSummary",
     "crossing_time",
     "encode_time",
     "decode_ideal",
-    "encode_linear",
     "decode_linear",
     "timing_summary",
 ]
@@ -41,8 +40,10 @@ _REL_EPS = 1e-9
 
 
 def _is_finite_number(value) -> bool:
-    """True for a finite int or float from a parsed file, never a bool."""
-    return not isinstance(value, bool) and isinstance(value, (int, float)) and math.isfinite(value)
+    """True for an int or float from a parsed file that is a finite
+    float, never a bool: NaN, the infinities and an int past float
+    range all fail the comparison, which is exact for ints."""
+    return not isinstance(value, bool) and isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
 
 
 @dataclass(frozen=True)
@@ -55,13 +56,6 @@ class SpikeTime:
 
     time: float
     fired: bool = True
-
-    @classmethod
-    def none(cls) -> "SpikeTime":
-        return cls(time=math.inf, fired=False)
-
-
-NO_SPIKE = SpikeTime.none()
 
 
 @dataclass(frozen=True)
@@ -195,13 +189,14 @@ def crossing_time(u, threshold, tau):
 def encode_time(u_in: float, cfg: EncoderConfig) -> SpikeTime:
     """Exact threshold-crossing time for a constant input voltage.
 
-    Returns NO_SPIKE for u_in <= u_th (the membrane saturates below
-    threshold). Negative or zero inputs are likewise no-spike, NaN an error.
+    Returns SpikeTime(math.inf, fired=False) for u_in <= u_th (the
+    membrane saturates below threshold). Negative or zero inputs are
+    likewise no-spike, NaN an error.
     """
     if math.isnan(u_in):
         raise ValueError("u_in is NaN, which has no crossing time")
     t = crossing_time(u_in, cfg.u_th, cfg.tau)
-    return SpikeTime(t) if t < math.inf else NO_SPIKE
+    return SpikeTime(t) if t < math.inf else SpikeTime(math.inf, fired=False)
 
 
 def decode_ideal(t_s, cfg: EncoderConfig):
@@ -218,20 +213,13 @@ def decode_ideal(t_s, cfg: EncoderConfig):
     return float(u) if u.ndim == 0 else u
 
 
-def encode_linear(y, p: LinearDecoderParams):
-    """Map values onto spike times with the affine code.
-
-    Accepts scalars or arrays. Values are not clipped; out-of-range y
-    extrapolates, which is intentional (the fitted decoder is applied
-    to whatever the circuit produced).
-    """
-    y = np.asarray(y, dtype=float)
-    t = p.t_lin_min + p.slope * (p.y_max - y)
-    return float(t) if t.ndim == 0 else t
-
-
 def decode_linear(t, p: LinearDecoderParams):
-    """Inverse of encode_linear: spike times back to values."""
+    """Spike times back to values with the affine code.
+
+    Accepts scalars or arrays. Times are not clipped; a time outside
+    [t_lin_min, t_lin_max] extrapolates, which is intentional (the
+    fitted decoder is applied to whatever the circuit produced).
+    """
     t = np.asarray(t, dtype=float)
     y = p.y_max - (t - p.t_lin_min) / p.slope
     return float(y) if y.ndim == 0 else y

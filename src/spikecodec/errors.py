@@ -1,11 +1,8 @@
-"""Decoding-error model: reader quantization plus thermal noise.
+"""Decoding-error model and measured decoding errors.
 
-Two deterministic shifts act on a spike time. The reader only reports
-whole bins, which on average delays the registered time by half a bin
-(delta_t = T_N / 2). Additive membrane noise delta_u makes the cell
-fire early, by the difference between the clean crossing and the
-crossing against the lowered threshold u_th - delta_u. The predicted
-decode error feeds the shifted time back through the ideal decoder.
+Additive membrane noise delta_u makes the cell fire early, by the
+difference between the clean crossing and the crossing against the
+lowered threshold u_th - delta_u; thermal_shift gives that advance.
 
 Empirical errors compare a measured train against ground truth, per
 sample and as an RMS figure.
@@ -24,19 +21,12 @@ from ._rows import write_tables
 from .codec import EncoderConfig, crossing_time, encode_time, decode_ideal
 
 __all__ = [
-    "quantization_shift",
     "thermal_shift",
-    "predicted_decoding_error",
     "ErrorReport",
     "empirical_errors",
     "write_error_report",
     "write_error_reports",
 ]
-
-
-def quantization_shift(cfg: EncoderConfig) -> float:
-    """Mean registration delay of the bin reader: half a reader period."""
-    return 0.5 * cfg.reader_period
 
 
 def thermal_shift(u_in: float, delta_u: float, cfg: EncoderConfig) -> float:
@@ -53,28 +43,6 @@ def thermal_shift(u_in: float, delta_u: float, cfg: EncoderConfig) -> float:
     if delta_u >= cfg.u_th:
         raise ValueError("delta_u must stay below u_th")
     return encode_time(u_in, cfg).time - crossing_time(u_in, cfg.u_th - delta_u, cfg.tau)
-
-
-def predicted_decoding_error(
-    u_in: float,
-    delta_u: float,
-    cfg: EncoderConfig,
-    quant_shift: Optional[float] = None,
-) -> float:
-    """Signed voltage error after both shifts and an ideal decode.
-
-    The measured time is modelled as t_s + quant_shift - thermal, with
-    quant_shift defaulting to the half-bin mean delay. Pass
-    quant_shift=0.0 to look at the thermal contribution alone (and
-    with delta_u=0 too, the error is exactly zero).
-    """
-    thermal = thermal_shift(u_in, delta_u, cfg)  # checks u_in and delta_u
-    if quant_shift is None:
-        quant_shift = quantization_shift(cfg)
-    t_meas = encode_time(u_in, cfg).time + quant_shift - thermal
-    if not t_meas > 0:
-        raise ValueError("shifted spike time is not positive")
-    return u_in - decode_ideal(t_meas, cfg)
 
 
 @dataclass(frozen=True)

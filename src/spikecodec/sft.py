@@ -35,7 +35,6 @@ from .simulate import SpikeTrain
 __all__ = [
     "SftConfig",
     "Spectrum",
-    "dft_weights",
     "sft_frame",
     "sft_stream",
     "write_spectrum",
@@ -115,21 +114,6 @@ class Spectrum:
 def _bin_frequencies(k: int, sample_period: float) -> np.ndarray:
     """The physical frequency of each of K bins, k / (K * T_S)."""
     return np.arange(k) / (k * sample_period)
-
-
-def dft_weights(frame_size: int):
-    """Weight matrices (cosine, negative sine), each K x K: the input
-    weights of the +w neurons.
-
-    Row k against a sample vector gives the real resp. imaginary part
-    of DFT coefficient k. Entries lie in [-1, 1]; row 0 of the cosine
-    matrix is all ones and row sums of every other row vanish.
-    """
-    if frame_size < 2:
-        raise ValueError("frame_size must be at least 2")
-    n = np.arange(int(frame_size))
-    ang = 2.0 * np.pi * np.outer(n, n) / frame_size
-    return np.cos(ang), -np.sin(ang)
 
 
 # Frames per FFT call in sft_stream, so that each chunk is calibrated

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._rows import write_tables
 from .sft import Spectrum
 from .simulate import AnalogSignal
 
@@ -24,7 +23,6 @@ __all__ = [
     "sine",
     "constant",
     "ideal_adc_fft",
-    "write_signal",
 ]
 
 
@@ -90,13 +88,3 @@ def ideal_adc_fft(sig: AnalogSignal, sample_period: float, frame_size: int) -> S
     t = np.arange(frame_size) * sample_period
     samples = np.asarray(sig(t), dtype=float)
     return Spectrum(coefficients=np.fft.fft(samples), sample_period=sample_period)
-
-
-def write_signal(sig: AnalogSignal, dt: float, path: str) -> None:
-    """Sample a signal on a regular grid and dump it as t,u CSV."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    n = int(np.floor(sig.duration / dt)) + 1
-    t = np.arange(n) * dt
-    u = np.asarray(sig(t), dtype=float)
-    write_tables([(path, "t,u\r\n", "{!r},{!r}\r\n", (t, u))])

@@ -33,7 +33,6 @@ __all__ = [
     "SpikeTrain",
     "simulate_window",
     "encode_signal",
-    "membrane_trace",
     "write_spike_train",
     "read_spike_train",
 ]
@@ -216,24 +215,6 @@ def encode_signal(
     u_held = sig(np.arange(m_windows) * cfg.sample_period)
     seed = None if noise is None else noise.rng_seed
     return SpikeTrain(bins=simulate_window(u_held, cfg, noise), config=cfg, seed=seed)
-
-
-def membrane_trace(u_in: float, cfg: EncoderConfig, dt: float):
-    """Analytic membrane trajectory over one window, for plotting.
-
-    Returns (times, voltages) on a grid of step dt covering [0, T_S].
-    The trace follows the charging curve up to the threshold crossing
-    and drops to 0 V for the rest of the window (refractory hold).
-    No noise; this is a diagnostic view of the ideal cell.
-    """
-    if not (0 < dt <= cfg.reader_period):
-        raise ValueError("dt must be positive and at most reader_period")
-    n = int(round(cfg.sample_period / dt))
-    t = np.linspace(0.0, n * dt, n + 1)
-    u = u_in * -np.expm1(-t / cfg.tau)
-    t_cross = crossing_time(u_in, cfg.u_th, cfg.tau)
-    u[t > t_cross] = 0.0
-    return t, u
 
 
 # ---------------------------------------------------------------------------

@@ -4,15 +4,10 @@ The exact code t = f(y) is logarithmic, so reading it back with an
 affine decoder leaves a shape error. The fit stretches the endpoint
 time span by factors (1 + k1), (1 + k2) and chooses (k1, k2) to
 minimise eps_lin, which integrates |y - decode_linear(f(y))| over the
-working range (trapezoid quadrature). Each fit also reports
-
-    loss = alpha * eps_lin - mu
-
-where mu rewards configurations that spend more of the window on the
-informative part of the code. The encoder fixes mu, so for one
-encoder the loss and eps_lin rank decoders alike and alpha never moves
-the fit; alpha weights only the reported loss and the comparison of
-fits across thresholds in fit_with_threshold_search.
+working range (trapezoid quadrature). Each fit also reports the
+encoder's mu = t_spk / t_wait (codec.timing_summary), which rewards
+configurations that spend more of the window on the informative part
+of the code; the encoder alone fixes mu, so it never moves the fit.
 
 The trapezoid sum sum_i w_i |y_i - A - B t_i| is a weighted L1 line
 fit: convex and piecewise linear in (A, B), with the (k1, k2) box as
@@ -26,8 +21,8 @@ golden-section search over T solves the fit without any randomness.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, asdict, fields, replace
-from typing import Optional, Sequence, Tuple
+from dataclasses import dataclass, asdict, fields
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -44,10 +39,8 @@ from .codec import (
 __all__ = [
     "TunerConfig",
     "linear_error",
-    "loss",
     "TuningResult",
     "fit_linear_decoder",
-    "fit_with_threshold_search",
     "write_tuning",
     "read_decoder",
 ]
@@ -60,21 +53,18 @@ _SEARCH_STEPS = 80
 
 @dataclass(frozen=True)
 class TunerConfig:
-    """Loss weight, stretch bounds and quadrature size of the fit.
+    """Stretch bounds and quadrature size of the fit.
 
     generations is accepted and ignored, so configs written for the
     earlier evolutionary search still load.
     """
 
-    alpha: float = 1.0
     k1_bounds: Tuple[float, float] = (-1.0, 2.0)
     k2_bounds: Tuple[float, float] = (-1.0, 2.0)
     grid_points: int = 1024
     generations: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.alpha) and self.alpha >= 0):
-            raise ValueError(f"alpha must be finite and >= 0, got {self.alpha!r}")
         for name, (lo, hi) in (("k1_bounds", self.k1_bounds), ("k2_bounds", self.k2_bounds)):
             if lo < -1:
                 raise ValueError(f"{name}: stretch factors below -1 invert the code")
@@ -104,12 +94,6 @@ def linear_error(cfg: EncoderConfig, p: LinearDecoderParams,
     return float(np.trapezoid(np.abs(y - decode_linear(t, p)), y))
 
 
-def loss(cfg: EncoderConfig, p: LinearDecoderParams, alpha: float = TunerConfig.alpha,
-         grid_points: int = TunerConfig.grid_points) -> float:
-    """Tuner objective for one candidate decoder."""
-    return alpha * linear_error(cfg, p, grid_points) - timing_summary(cfg).mu
-
-
 @dataclass(frozen=True)
 class TuningResult:
     """Fitted decoder plus the figures the fit was judged by."""
@@ -119,7 +103,6 @@ class TuningResult:
     k2: float
     eps_lin: float
     mu: float
-    loss: float
 
 
 def _params_from_k(k: np.ndarray, ts, cfg: EncoderConfig) -> Optional[LinearDecoderParams]:
@@ -172,8 +155,7 @@ def _solve_offset_span(cfg: EncoderConfig, tuner: TunerConfig, t_min: float, t_m
 
 
 def fit_linear_decoder(cfg: EncoderConfig, tuner: Optional[TunerConfig] = None) -> TuningResult:
-    """Find the (k1, k2) in the tuner's box that minimise eps_lin, and
-    so the tuner loss, whose mu the encoder fixes.
+    """Find the (k1, k2) in the tuner's box that minimise eps_lin.
 
     The exact solve competes with (0, 0), the plain endpoint
     interpolation clipped into the box, and the lower eps_lin wins, so
@@ -206,25 +188,7 @@ def fit_linear_decoder(cfg: EncoderConfig, tuner: Optional[TunerConfig] = None) 
         k2=k2,
         eps_lin=eps,
         mu=ts.mu,
-        loss=tuner.alpha * eps - ts.mu,
     )
-
-
-def fit_with_threshold_search(
-    cfg: EncoderConfig,
-    thresholds: Sequence[float],
-    tuner: Optional[TunerConfig] = None,
-) -> Tuple[float, TuningResult]:
-    """Two-stage variant: grid-search u_th, fit (k1, k2) at each.
-
-    Returns the threshold and fit with the lowest loss. Every
-    candidate threshold must yield a valid configuration (the slowest
-    spike still has to fit the window).
-    """
-    if not thresholds:
-        raise ValueError("need at least one threshold candidate")
-    fits = [(u_th, fit_linear_decoder(replace(cfg, u_th=u_th), tuner)) for u_th in thresholds]
-    return min(fits, key=lambda fit: fit[1].loss)
 
 
 def write_tuning(result: TuningResult, cfg: EncoderConfig, path: str,
@@ -243,7 +207,6 @@ def write_tuning(result: TuningResult, cfg: EncoderConfig, path: str,
         "y_max": result.params.y_max,
         "eps_lin": result.eps_lin,
         "mu": result.mu,
-        "loss": result.loss,
         "seed": seed,
         "encoder": asdict(cfg),
     }

@@ -24,6 +24,12 @@ def cfg3k() -> EncoderConfig:
     return CFG3K
 
 
+def affine_times(y, p):
+    """Spike times of values y under the affine code of decoder p, the
+    inverse of decode_linear: the largest value fires first."""
+    return p.t_lin_min + p.slope * (p.y_max - np.asarray(y, dtype=float))
+
+
 def naive_dft(y):
     """O(K^2) reference DFT, written out as cosine/sine sums so it
     shares nothing with np.fft or the transform under test."""

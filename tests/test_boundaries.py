@@ -10,6 +10,7 @@ with a bad cell count even when an earlier row had a bad window.
 """
 
 import ast
+import inspect
 import json
 import re
 from pathlib import Path
@@ -67,6 +68,42 @@ class TestPublicNames:
         assert set(imported) <= {"*", *(m.__name__.rsplit(".", 1)[1] for m in SUBMODULES)}
         strings = {node.value for node in ast.walk(tree) if isinstance(node, ast.Constant)}
         assert not strings & set(spikecodec.__all__)
+
+
+# The callers that make a public function part of the program: the
+# commands, the acceptance criteria and the benchmark.
+ROOT = Path(__file__).resolve().parents[1]
+CALLERS = [PACKAGE / "cli.py", ROOT / "tests" / "test_acceptance.py",
+           *sorted((ROOT / "perfbench").glob("*.py"))]
+
+
+def named_in(path: Path) -> set:
+    """Every identifier, attribute, imported name or alias and string
+    constant in a source file: a name the code uses, or one the
+    benchmark's tracer patches by string. Prose never matches."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.update({node.name, node.asname})
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names.add(node.value)
+    return names
+
+
+def test_every_public_function_is_reached():
+    """A public function or constant that no command, criterion or
+    benchmark uses is code kept for its own unit tests; it goes, with no
+    exceptions. Classes are exempt: a reached function returns them."""
+    assert len(CALLERS) > 2, CALLERS
+    named = set().union(*map(named_in, CALLERS))
+    values = [name for name in spikecodec.__all__ if not inspect.isclass(getattr(spikecodec, name))]
+    assert values
+    unreached = [name for name in values if name not in named]
+    assert not unreached, f"{unreached} reached from none of {[p.name for p in CALLERS]}"
 
 
 @pytest.mark.parametrize("pattern, what", [

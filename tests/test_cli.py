@@ -17,6 +17,10 @@ from hypothesis import given, settings, strategies as st
 from spikecodec.cli import SCHEMA, main
 
 
+# A JSON integer past float range: 401 digits.
+HUGE = 10**400
+
+
 def write_config(tmp_path, doc):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(doc))
@@ -419,8 +423,11 @@ class TestFailureModes:
         # true passed as the number 1
         ("window,bin\n0,31\n1,\n2,19\n", lambda m: m["encoder"].update(u_th=True),
          "bad sidecar encoder (u_th must be a finite number, got True)"),
+        # ended in "OverflowError: int too large to convert to float"
+        ("window,bin\n0,31\n1,\n2,19\n", lambda m: m["encoder"].update(tau=HUGE),
+         f"bad sidecar encoder (tau must be a finite number, got {HUGE})"),
     ], ids=["encoder-check", "older-u_rest", "windows-bool", "windows-float", "windows-negative",
-            "windows-missing", "seed-string", "encoder-bool"])
+            "windows-missing", "seed-string", "encoder-bool", "encoder-huge"])
     def test_malformed_sidecar_is_named(self, tmp_path, capsys, text, edit, message):
         train = self._three_window_train(tmp_path, text)
         sidecar = tmp_path / "train.json"
@@ -456,6 +463,9 @@ class TestFailureModes:
          "tuning file 't_lin_min' must be a finite number, got 'a'"),
         ({"t_lin_min": 3e-4, "t_lin_max": 5e-5, "y_min": 1.0, "y_max": 5.0},
          "need t_lin_max > t_lin_min"),
+        # ended in "OverflowError: int too large to convert to float"
+        ({"t_lin_min": HUGE, "t_lin_max": 3e-4, "y_min": 1.0, "y_max": 5.0},
+         f"tuning file 't_lin_min' must be a finite number, got {HUGE}"),
     ])
     def test_malformed_tuning_file_is_named(self, tmp_path, capsys, doc, message):
         train = tmp_path / "train.csv"
@@ -567,6 +577,20 @@ class TestFailureModes:
         *[({"signal": {"type": "constant", "level": 3.0, key: 1.0}}, "encode",
            f"config section 'signal' of type 'constant' has unknown key(s): {key!r}")
           for key in ("amplitude", "frequency", "offset")],
+        # alpha weighted only a loss figure derived from eps_lin and mu
+        ({"tuner": {"alpha": 1.0}}, "tune", "config section 'tuner' has unknown key(s): 'alpha'"),
+        # each ended in "OverflowError: int too large to convert to float",
+        # the decoder even in encode, which does not use it
+        *[({section: {key: HUGE}}, "encode",
+           f"config section {section!r} key {key!r} must be a number within float range, got {HUGE}")
+          for section, key in (("encoder", "tau"), ("encoder", "resolution"), ("noise", "delta_u"),
+                               ("signal", "amplitude"), ("signal", "windows"))],
+        ({"sft": {"decoder": {"t_lin_min": HUGE, "t_lin_max": 3e-4, "y_min": 1.0, "y_max": 5.0}}},
+         "encode", "config section 'sft' key 'decoder' must be a path string or an object of finite "
+                   f"numbers, got {{'t_lin_min': {HUGE}, 't_lin_max': 0.0003, 'y_min': 1.0, 'y_max': 5.0}}"),
+        # a seed past float range encoded; it is refused like any other number key
+        ({"noise": {"delta_u": 0.01, "mode": "per-window", "rng_seed": HUGE}}, "encode",
+         f"config section 'noise' key 'rng_seed' must be a number within float range, got {HUGE}"),
     ])
     def test_config_hole_is_named(self, tmp_path, capsys, doc, command, message):
         out = {"encode": ["--out", str(tmp_path / "t.csv")],
@@ -651,10 +675,12 @@ class TestFailureModes:
         assert rc == 1
 
 
-# Values of every kind, none of them a large integer: a size key takes
-# one as given and allocates in proportion to it.
+# Values of every kind. The one large integer lies past float range,
+# where every key refuses it; a smaller one would be taken as given by a
+# size key, which allocates in proportion to it.
 FUZZ_VALUES = [None, True, 0, -1, 2.5, float("nan"), float("inf"), float("-inf"), 1e300,
-               1e-300, "", "x", [], [1.0], [1.0, 2.0], ["a", "b"], {}, {"a": 1}, {"t_lin_min": 1e-4}]
+               1e-300, HUGE, "", "x", [], [1.0], [1.0, 2.0], ["a", "b"], {}, {"a": 1},
+               {"t_lin_min": 1e-4}]
 CONFIG_KEYS = [(name, key) for name, keys in SCHEMA.items() for key in keys]
 
 
@@ -689,8 +715,7 @@ class TestConfigFuzz:
 
 # One small base config per key, one other valid value for the key and
 # the command whose data files it should move. sft fits a fresh decoder,
-# so the tuner keys reach its spectrum; alpha weighs eps_lin against mu,
-# which one encoder fixes, so it moves tune's loss and not the fit.
+# so the tuner keys reach its spectrum.
 SMALL = {"signal": {"windows": 32}, "sft": {"frame_size": 8}}
 KEY_CASES = {
     ("encoder", "tau"): ("encode", SMALL, 2.5e-3),
@@ -702,7 +727,6 @@ KEY_CASES = {
     ("noise", "delta_u"): ("encode", SMALL, 0.05),
     ("noise", "mode"): ("encode", {**SMALL, "noise": {"delta_u": 0.05}}, "per-window"),
     ("noise", "rng_seed"): ("encode", {**SMALL, "noise": {"delta_u": 0.05, "mode": "per-window"}}, 1),
-    ("tuner", "alpha"): ("tune", SMALL, 0.5),
     ("tuner", "k1_bounds"): ("sft", SMALL, [-0.5, 0.5]),
     ("tuner", "k2_bounds"): ("sft", SMALL, [0.0, 0.5]),
     ("tuner", "grid_points"): ("sft", SMALL, 16),

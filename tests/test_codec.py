@@ -5,15 +5,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import CFG3K
+from conftest import CFG3K, affine_times
 from spikecodec import (
     EncoderConfig,
     LinearDecoderParams,
-    NO_SPIKE,
+    SpikeTime,
     crossing_time,
     decode_ideal,
     decode_linear,
-    encode_linear,
     encode_time,
     timing_summary,
 )
@@ -27,7 +26,7 @@ class TestEncodeTime:
         assert encode_time(5.0, cfg3k).time == pytest.approx(6.0608121952558396e-5, rel=1e-12)
 
     def test_subthreshold_is_no_spike(self, cfg3k):
-        assert not encode_time(0.05, cfg3k).fired
+        assert encode_time(0.05, cfg3k) == SpikeTime(math.inf, fired=False)
         assert not encode_time(0.1, cfg3k).fired  # exactly at threshold
         assert not encode_time(-1.0, cfg3k).fired
         assert encode_time(0.05, cfg3k).time == math.inf
@@ -118,7 +117,7 @@ class TestDecodeIdeal:
         with pytest.raises(ValueError):
             decode_ideal(-1e-6, cfg3k)
         with pytest.raises(ValueError):
-            decode_ideal(NO_SPIKE.time, cfg3k)
+            decode_ideal(math.inf, cfg3k)
 
     def test_array_matches_scalar_calls(self, cfg3k):
         t = np.random.default_rng(29).uniform(1e-7, 2e-3, 500)
@@ -141,17 +140,15 @@ class TestLinearCode:
     p = LinearDecoderParams(t_lin_min=5e-5, t_lin_max=3e-4, y_min=1.0, y_max=5.0)
 
     def test_endpoints(self):
-        assert encode_linear(5.0, self.p) == pytest.approx(5e-5)
-        assert encode_linear(1.0, self.p) == pytest.approx(3e-4)
         assert decode_linear(5e-5, self.p) == pytest.approx(5.0)
         assert decode_linear(3e-4, self.p) == pytest.approx(1.0)
 
     def test_round_trip_array(self):
         y = np.linspace(0.0, 6.0, 97)  # extrapolation included
-        assert decode_linear(encode_linear(y, self.p), self.p) == pytest.approx(y, rel=1e-12)
+        assert decode_linear(affine_times(y, self.p), self.p) == pytest.approx(y, rel=1e-12)
 
     def test_midpoint(self):
-        assert encode_linear(3.0, self.p) == pytest.approx(1.75e-4)
+        assert decode_linear(1.75e-4, self.p) == pytest.approx(3.0)
 
     def test_validation(self):
         with pytest.raises(ValueError):

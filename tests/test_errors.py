@@ -10,8 +10,6 @@ from spikecodec import (
     decode_ideal,
     empirical_errors,
     encode_time,
-    predicted_decoding_error,
-    quantization_shift,
     simulate_window,
     thermal_shift,
     write_error_report,
@@ -19,9 +17,6 @@ from spikecodec import (
 
 
 class TestShifts:
-    def test_quantization_is_half_a_bin(self, cfg3k):
-        assert quantization_shift(cfg3k) == pytest.approx(cfg3k.reader_period / 2, rel=1e-15)
-
     def test_thermal_reference_values(self, cfg3k):
         # tau * ln(0.91/0.90) etc., worked out by hand
         assert thermal_shift(1.0, 0.01, cfg3k) == pytest.approx(3.314950855975497e-5, rel=1e-12)
@@ -48,37 +43,6 @@ class TestShifts:
             thermal_shift(1.0, -0.01, cfg3k)
         with pytest.raises(ValueError, match="delta_u"):
             thermal_shift(1.0, 0.1, cfg3k)
-
-
-class TestPredictedError:
-    def test_no_shifts_no_error(self, cfg3k):
-        assert predicted_decoding_error(3.0, 0.0, cfg3k, quant_shift=0.0) == pytest.approx(0.0, abs=1e-15)
-
-    def test_quantization_only_reference(self, cfg3k):
-        # 3 V decoded half a bin late: hand value via f^-1(f(3) + T_N/2)
-        err = predicted_decoding_error(3.0, 0.0, cfg3k)
-        assert err == pytest.approx(0.04755397529293148, rel=1e-12)
-
-    def test_quantization_error_increases_with_voltage(self, cfg3k):
-        u = np.linspace(1.0, 5.0, 50)
-        e = [predicted_decoding_error(float(v), 0.0, cfg3k) for v in u]
-        assert np.all(np.diff(e) > 0)
-
-    def test_thermal_pushes_the_other_way(self, cfg3k):
-        # a noisy cell fires early, so the decoder overestimates; with
-        # the quantization delay cancelled the signed error goes negative
-        err = predicted_decoding_error(1.0, 0.02, cfg3k, quant_shift=0.0)
-        assert err < 0
-
-    def test_matches_manual_composition(self, cfg3k):
-        t_s = encode_time(2.0, cfg3k).time
-        t_hat = t_s + quantization_shift(cfg3k) - thermal_shift(2.0, 0.01, cfg3k)
-        expected = 2.0 - decode_ideal(t_hat, cfg3k)
-        assert predicted_decoding_error(2.0, 0.01, cfg3k) == pytest.approx(expected, rel=1e-14)
-
-    def test_rejects_nonpositive_shifted_time(self, cfg3k):
-        with pytest.raises(ValueError, match="positive"):
-            predicted_decoding_error(3.0, 0.0, cfg3k, quant_shift=-1.0)
 
 
 class TestEmpiricalErrors:

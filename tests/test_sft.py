@@ -15,14 +15,12 @@ from spikecodec import (
     SftConfig,
     SpikeTrain,
     Spectrum,
-    dft_weights,
-    encode_linear,
     sft_frame,
     sft_stream,
     write_spectrum,
 )
 from spikecodec.sft import _CHUNK_FRAMES, _spectra
-from conftest import CFG3K, naive_dft
+from conftest import CFG3K, affine_times, naive_dft
 
 
 DEC = LinearDecoderParams(t_lin_min=5e-5, t_lin_max=3e-4, y_min=1.0, y_max=5.0)
@@ -32,37 +30,10 @@ def make_cfg(frame_size, tick=1e-6):
     return SftConfig(frame_size=frame_size, decoder=DEC, tick=tick, sample_period=1.0 / 3000.0)
 
 
-class TestDftWeights:
-    def test_k4_rows(self):
-        cos_w, sin_w = dft_weights(4)
-        assert cos_w[1] == pytest.approx([1.0, 0.0, -1.0, 0.0], abs=1e-15)
-        assert sin_w[1] == pytest.approx([0.0, -1.0, 0.0, 1.0], abs=1e-15)
-        assert cos_w[2] == pytest.approx([1.0, -1.0, 1.0, -1.0], abs=1e-15)
-
-    def test_row_zero_is_all_ones(self):
-        cos_w, sin_w = dft_weights(8)
-        assert np.all(cos_w[0] == 1.0)
-        assert sin_w[0] == pytest.approx(np.zeros(8), abs=1e-15)
-
-    def test_row_sums_cancel_above_dc(self):
-        cos_w, sin_w = dft_weights(17)
-        assert cos_w[1:].sum(axis=1) == pytest.approx(np.zeros(16), abs=1e-12)
-        assert sin_w[1:].sum(axis=1) == pytest.approx(np.zeros(16), abs=1e-12)
-
-    def test_entries_bounded(self):
-        cos_w, sin_w = dft_weights(31)
-        assert np.abs(cos_w).max() <= 1.0
-        assert np.abs(sin_w).max() <= 1.0
-
-    def test_rejects_tiny_frames(self):
-        with pytest.raises(ValueError):
-            dft_weights(1)
-
-
 class TestSftFrame:
     def test_constant_input_is_pure_dc(self):
         cfg = make_cfg(16)
-        times = encode_linear(np.full(16, 3.0), DEC)
+        times = affine_times(np.full(16, 3.0), DEC)
         spec = sft_frame(times, cfg)
         assert spec.coefficients[0] == pytest.approx(16 * 3.0, rel=1e-9)
         assert np.abs(spec.coefficients[1:]).max() < 1e-9
@@ -71,7 +42,7 @@ class TestSftFrame:
         cfg = make_cfg(16)
         n = np.arange(16)
         y = 3.0 + np.cos(2 * np.pi * 3 * n / 16)
-        spec = sft_frame(encode_linear(y, DEC), cfg)
+        spec = sft_frame(affine_times(y, DEC), cfg)
         assert spec.coefficients[3] == pytest.approx(8.0, rel=1e-9)
         assert spec.coefficients[13] == pytest.approx(8.0, rel=1e-9)
         assert spec.coefficients[0] == pytest.approx(48.0, rel=1e-9)
@@ -81,7 +52,7 @@ class TestSftFrame:
         rng = np.random.default_rng(12)
         for _ in range(20):
             y = rng.uniform(1.0, 5.0, 64)
-            spec = sft_frame(encode_linear(y, DEC), cfg)
+            spec = sft_frame(affine_times(y, DEC), cfg)
             ref = naive_dft(y)
             assert np.abs(spec.coefficients - ref).max() < 1e-9 * np.abs(ref).max()
 
@@ -89,7 +60,7 @@ class TestSftFrame:
         cfg = make_cfg(32)
         rng = np.random.default_rng(13)
         y = rng.uniform(1.0, 5.0, 32)
-        c = sft_frame(encode_linear(y, DEC), cfg).coefficients
+        c = sft_frame(affine_times(y, DEC), cfg).coefficients
         scale = np.abs(c).max()
         assert np.abs(c[1:] - np.conj(c[1:][::-1])).max() < 1e-12 * scale
 
@@ -99,16 +70,16 @@ class TestSftFrame:
         y1 = rng.uniform(1.0, 5.0, 16)
         y2 = rng.uniform(1.0, 5.0, 16)
         mix = 0.25 * y1 + 0.75 * y2
-        c_mix = sft_frame(encode_linear(mix, DEC), cfg).coefficients
-        c_sep = (0.25 * sft_frame(encode_linear(y1, DEC), cfg).coefficients
-                 + 0.75 * sft_frame(encode_linear(y2, DEC), cfg).coefficients)
+        c_mix = sft_frame(affine_times(mix, DEC), cfg).coefficients
+        c_sep = (0.25 * sft_frame(affine_times(y1, DEC), cfg).coefficients
+                 + 0.75 * sft_frame(affine_times(y2, DEC), cfg).coefficients)
         assert np.abs(c_mix - c_sep).max() < 1e-9 * np.abs(c_sep).max()
 
     def test_quantized_times_stay_within_half_tick_bound(self):
         cfg = make_cfg(32, tick=3e-6)
         rng = np.random.default_rng(15)
         y = rng.uniform(1.0, 5.0, 32)
-        times = encode_linear(y, DEC)
+        times = affine_times(y, DEC)
         exact = sft_frame(times, cfg).coefficients
         rounded = sft_frame(np.round(times / cfg.tick) * cfg.tick, cfg).coefficients
         bound = cfg.frame_size * cfg.tick / (2 * DEC.slope)
@@ -280,7 +251,9 @@ def matmul_coefficients(frames, cfg):
     by the slope."""
     p = cfg.decoder
     t_charge = cfg.charge_duration
-    cos_w, sin_w = dft_weights(cfg.frame_size)
+    n = np.arange(cfg.frame_size)
+    ang = 2.0 * np.pi * np.outer(n, n) / cfg.frame_size
+    cos_w, sin_w = np.cos(ang), -np.sin(ang)
     dur = np.clip(t_charge - frames, 0.0, None)
     v = dur @ cos_w.T + 1j * (dur @ sin_w.T)
     rowsum = cos_w.sum(axis=1) + 1j * sin_w.sum(axis=1)

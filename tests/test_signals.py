@@ -1,9 +1,8 @@
-import csv
 
 import numpy as np
 import pytest
 
-from spikecodec import SineSpec, constant, ideal_adc_fft, sine, write_signal
+from spikecodec import SineSpec, constant, ideal_adc_fft, sine
 from conftest import naive_dft
 
 
@@ -86,15 +85,3 @@ class TestIdealAdcFft:
         sig = sine(SineSpec(2.0, 500.0, 3.0), duration=120 / 3000.0)
         spec = ideal_adc_fft(sig, 1.0 / 3000.0, 120)
         assert spec.bin_frequencies[20] == pytest.approx(500.0, rel=1e-12)
-
-
-class TestWriteSignal:
-    def test_csv_grid(self, tmp_path):
-        sig = constant(2.5, duration=1e-3)
-        path = tmp_path / "sig.csv"
-        write_signal(sig, 2.5e-4, str(path))
-        with open(path, newline="") as fh:
-            rows = list(csv.DictReader(fh))
-        assert len(rows) == 5
-        assert float(rows[-1]["t"]) == pytest.approx(1e-3, rel=1e-12)
-        assert all(float(r["u"]) == 2.5 for r in rows)

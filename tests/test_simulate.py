@@ -14,7 +14,6 @@ from spikecodec import (
     decode_ideal,
     encode_signal,
     encode_time,
-    membrane_trace,
     read_spike_train,
     simulate_window,
     sine,
@@ -322,35 +321,6 @@ class TestEncodeSignal:
         # 128 * T_S computed in floats must still give 128 windows
         train = encode_signal(constant(3.0, 128 * cfg3k.sample_period), cfg3k)
         assert len(train) == 128
-
-
-class TestMembraneTrace:
-    def test_charging_curve_before_crossing(self):
-        # threshold high enough that the cell is still charging at tau
-        cfg = EncoderConfig(tau=3e-3, u_th=4.0, u_min=4.5, u_max=5.0,
-                            sample_period=10e-3, reader_period=1e-4)
-        t, u = membrane_trace(5.0, cfg, dt=1e-5)
-        i = int(round(cfg.tau / 1e-5))
-        assert t[i] == pytest.approx(3e-3, rel=1e-9)
-        assert u[i] == pytest.approx(5.0 * (1.0 - math.exp(-1.0)), rel=1e-9)
-
-    def test_refractory_hold_after_crossing(self):
-        cfg = EncoderConfig(tau=3e-3, u_th=4.0, u_min=4.5, u_max=5.0,
-                            sample_period=10e-3, reader_period=1e-4)
-        t, u = membrane_trace(5.0, cfg, dt=1e-5)
-        t_cross = encode_time(5.0, cfg).time
-        assert np.all(u[t > t_cross] == 0.0)
-        assert u[-1] == 0.0
-        assert u.max() <= cfg.u_th + 1e-9
-
-    def test_no_crossing_keeps_full_curve(self, cfg3k):
-        t, u = membrane_trace(0.05, cfg3k, dt=cfg3k.reader_period)
-        assert np.all(np.diff(u) > 0)
-        assert u[-1] < cfg3k.u_th
-
-    def test_rejects_oversized_dt(self, cfg3k):
-        with pytest.raises(ValueError, match="dt"):
-            membrane_trace(3.0, cfg3k, dt=cfg3k.reader_period * 2)
 
 
 class TestSpikeTrainIO:

@@ -1,4 +1,3 @@
-import math
 from dataclasses import asdict
 
 import numpy as np
@@ -10,9 +9,7 @@ from spikecodec import (
     LinearDecoderParams,
     TunerConfig,
     fit_linear_decoder,
-    fit_with_threshold_search,
     linear_error,
-    loss,
     read_decoder,
     timing_summary,
     write_tuning,
@@ -90,11 +87,6 @@ class TestLinearError:
                             sample_period=0.01, reader_period=1e-4)
         assert linear_error(cfg, endpoint_params(cfg)) < 1e-9
 
-    def test_loss_combines_error_and_mu(self, cfg3k):
-        p = endpoint_params(cfg3k)
-        expected = 2.0 * linear_error(cfg3k, p) - timing_summary(cfg3k).mu
-        assert loss(cfg3k, p, alpha=2.0) == pytest.approx(expected, rel=1e-12)
-
     def test_grid_validation(self, cfg3k):
         with pytest.raises(ValueError):
             linear_error(cfg3k, endpoint_params(cfg3k), grid_points=1)
@@ -114,10 +106,8 @@ class TestFitLinearDecoder:
         assert fit.k2 == pytest.approx(-0.29, abs=0.03)
 
     def test_reported_figures_are_consistent(self, cfg3k):
-        tc = TunerConfig(alpha=1.5, generations=80)
-        fit = fit_linear_decoder(cfg3k, tc)
+        fit = fit_linear_decoder(cfg3k, TunerConfig(generations=80))
         assert fit.eps_lin == pytest.approx(linear_error(cfg3k, fit.params), rel=1e-12)
-        assert fit.loss == pytest.approx(1.5 * fit.eps_lin - fit.mu, rel=1e-12)
         assert fit.mu == pytest.approx(timing_summary(cfg3k).mu, rel=1e-12)
         assert fit.params.t_lin_min == pytest.approx(
             timing_summary(cfg3k).t_min * (1 + fit.k1), rel=1e-12)
@@ -163,33 +153,11 @@ class TestFitLinearDecoder:
         with pytest.raises(ValueError, match=r"eps_lin is inf: the working range 1\.\.1e\+300 V"):
             fit_linear_decoder(cfg)
 
-    def test_threshold_search_picks_the_better_threshold(self):
-        base = EncoderConfig(tau=3e-3, u_th=0.1, u_min=1.0, u_max=5.0,
-                             sample_period=0.05, reader_period=5e-4)
-        u_th, best = fit_with_threshold_search(
-            base, thresholds=[0.1, 0.75], tuner=TunerConfig(generations=60))
-        assert u_th in (0.1, 0.75)
-        other = 0.75 if u_th == 0.1 else 0.1
-        cfg_other = EncoderConfig(tau=3e-3, u_th=other, u_min=1.0, u_max=5.0,
-                                  sample_period=0.05, reader_period=5e-4)
-        worse = fit_linear_decoder(cfg_other, TunerConfig(generations=60))
-        assert best.loss <= worse.loss
-
 
 class TestTunerConfigValidation:
     def test_rejects_inverting_stretch(self):
         with pytest.raises(ValueError, match="invert"):
             TunerConfig(k1_bounds=(-1.5, 0.0))
-
-    def test_rejects_negative_alpha(self):
-        with pytest.raises(ValueError, match="alpha"):
-            TunerConfig(alpha=-1.0)
-
-    @pytest.mark.parametrize("alpha", [math.nan, math.inf])
-    def test_rejects_non_finite_alpha(self, alpha):
-        # a NaN alpha used to fit and write a NaN loss
-        with pytest.raises(ValueError, match="alpha must be finite"):
-            TunerConfig(alpha=alpha)
 
 
 class TestTuningIO:
