@@ -49,6 +49,7 @@ from .sft import (  # noqa: F401
 )
 from .signals import SineSpec, constant, ideal_adc_fft, sine  # noqa: F401
 from .simulate import (
+    _MAX_WINDOWS,
     NOISE_MODES,
     ThermalNoiseModel,
     encode_signal,
@@ -307,8 +308,9 @@ def cmd_decode(args) -> int:
 def cmd_sweep_constant(args) -> int:
     thresholds = _float_list("--thresholds", args.thresholds)
     _distinct_files("--thresholds", thresholds, "sweep_uth_{:g}.csv")
-    if args.points < 1:
-        raise ValueError(f"--points must be at least 1, got {args.points}")
+    if not 1 <= args.points <= _MAX_WINDOWS:  # each point is one window
+        bound = "at least 1" if args.points < 1 else f"at most {_MAX_WINDOWS}"
+        raise ValueError(f"--points must be {bound}, got {args.points}")
     cfg = _load_config(args.config)
     stems = [os.path.join(args.out_dir, f"sweep_uth_{u_th:g}") for u_th in thresholds]
     _spare_inputs(args, [f"{stem}.{ext}" for stem in stems for ext in ("csv", "json")])
@@ -485,6 +487,8 @@ _parser = functools.cache(build_parser)
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
+        if getattr(args, "seed", None) is not None and args.seed < 0:
+            raise ValueError(f"--seed must be a non-negative integer, got {args.seed}")
         return args.func(args)
     except (ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -21,10 +21,7 @@ sampled values.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from itertools import repeat
-from typing import List, Optional
 
 import numpy as np
 
@@ -34,6 +31,7 @@ from .simulate import SpikeTrain
 
 __all__ = [
     "SftConfig",
+    "Spectra",
     "Spectrum",
     "sft_frame",
     "sft_stream",
@@ -109,6 +107,22 @@ class Spectrum:
 
     def magnitude(self) -> np.ndarray:
         return np.abs(self.coefficients)
+
+
+@dataclass(frozen=True, slots=True)
+class Spectra:
+    """F frames' spectra, the rows of (F, K) coefficients. An index gives
+    a row's Spectrum, a view that keeps the array alive; a slice, a Spectra."""
+
+    coefficients: np.ndarray
+    sample_period: float
+
+    def __len__(self) -> int:
+        return len(self.coefficients)
+
+    def __getitem__(self, index):
+        kind = Spectra if isinstance(index, slice) else Spectrum
+        return kind(self.coefficients[index], self.sample_period)
 
 
 def _bin_frequencies(k: int, sample_period: float) -> np.ndarray:
@@ -189,16 +203,14 @@ def sft_frame(times, cfg: SftConfig) -> Spectrum:
     return Spectrum(coefficients=coeff, sample_period=cfg.sample_period)
 
 
-def sft_stream(train: SpikeTrain, cfg: SftConfig, hop: Optional[int] = None) -> List[Spectrum]:
+def sft_stream(train: SpikeTrain, cfg: SftConfig, hop: int | None = None) -> Spectra:
     """Slice a spike train into frames and transform each.
 
     hop defaults to frame_size (back-to-back frames). Windows without
     a spike enter as the decoder's largest code time, clipped to the
     charge phase. The train must cover at least one frame, and its
     windows must last cfg.sample_period, which labels the bins.
-    Frames are transformed by FFT, a chunk at a time, into one (F, K)
-    result; each Spectrum holds a row of it as a view, so holding any
-    one Spectrum keeps the whole result alive.
+    Frames are transformed by FFT, a chunk at a time, into one array.
     """
     k = cfg.frame_size
     if hop is None:
@@ -215,23 +227,7 @@ def sft_stream(train: SpikeTrain, cfg: SftConfig, hop: Optional[int] = None) -> 
         )
     dur = _bin_durations(train.bins, train.config.reader_period, cfg)
     frames = np.lib.stride_tricks.sliding_window_view(dur, k)[::hop]
-    return _spectra(_coefficients(frames, cfg), cfg.sample_period)
-
-
-_set_coefficients = Spectrum.coefficients.__set__
-_set_sample_period = Spectrum.sample_period.__set__
-
-
-def _spectra(coeff: np.ndarray, sample_period: float) -> List[Spectrum]:
-    """One Spectrum per row of an (F, K) complex128 stack, each holding
-    a view of its row. The stack is checked once for what Spectrum
-    checks on each row, so the rows skip the constructor."""
-    if coeff.ndim != 2 or coeff.shape[1] < 2 or coeff.dtype != np.complex128:
-        raise ValueError("coefficients must be an (F, K) complex128 stack, K >= 2")
-    spectra = list(map(object.__new__, repeat(Spectrum, len(coeff))))
-    deque(map(_set_coefficients, spectra, coeff), maxlen=0)
-    deque(map(_set_sample_period, spectra, repeat(sample_period)), maxlen=0)
-    return spectra
+    return Spectra(_coefficients(frames, cfg), cfg.sample_period)
 
 
 def _spectrum_tables(paths, coefficients: np.ndarray, sample_period: float) -> list:

@@ -314,6 +314,12 @@ class TestFailureModes:
          "error: --thresholds must be a comma-separated list of numbers, got ''\n"),
         (["sft-sweep", "--freqs", ""],
          "error: --freqs must be a comma-separated list of numbers, got ''\n"),
+        # each point is one window: past 2**53 the count ended in numpy's
+        # "Maximum allowed size exceeded", which named neither
+        pytest.param(["sweep-constant", "--points", str(2**53 + 1)],
+                     f"error: --points must be at most {2**53}, got {2**53 + 1}\n", id="points-2**53+1"),
+        pytest.param(["sweep-constant", "--points", str(HUGE)],
+                     f"error: --points must be at most {2**53}, got {HUGE}\n", id="points-10**400"),
     ])
     def test_bad_list_or_count_argument_is_named(self, tmp_path, capsys, argv, message):
         out_dir = tmp_path / "out"
@@ -321,6 +327,21 @@ class TestFailureModes:
         assert rc == 1
         assert capsys.readouterr().err == message
         assert not out_dir.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["encode", "--out", "t.csv"],
+        ["sweep-constant", "--points", "4", "--out-dir", "out"],
+        ["tune", "--out", "tuning.json"],
+        ["sft", "--out-prefix", "run"],
+        ["sft-sweep", "--out-dir", "out"],
+    ], ids=lambda argv: argv[0])
+    def test_negative_seed_is_refused(self, tmp_path, capsys, monkeypatch, argv):
+        # tune recorded "seed": -5, and encode without noise exited 0
+        monkeypatch.chdir(tmp_path)
+        rc = main(argv + ["--config", write_config(tmp_path, BASE), "--seed", "-5"])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: --seed must be a non-negative integer, got -5\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
 
     @pytest.mark.parametrize("argv, doc, message", [
         (["sweep-constant", "--thresholds", "0.1,0.9", "--points", "16"],

@@ -1,6 +1,6 @@
 """The README's examples and config table stay true to the program: its
-example config runs through every command it shows, and its table of
-config kinds names exactly the keys of cli.SCHEMA."""
+example config runs through every command it shows, its python blocks
+run, and its table of config kinds names exactly the keys of cli.SCHEMA."""
 
 import json
 import re
@@ -27,6 +27,16 @@ def test_example_config_runs_every_readme_command(tmp_path, monkeypatch, capsys)
     # A command that reads a tuning file runs after tune has written it.
     for argv in sorted(commands, key=lambda argv: "--tuning" in argv):
         assert main(argv) == 0, (argv, capsys.readouterr().err)
+
+
+def test_python_blocks_run(capsys):
+    """Every python block of the README, the library quick start among
+    them, runs as written."""
+    blocks = fenced_blocks("python")
+    assert blocks
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {"__name__": "readme"})
+    assert capsys.readouterr().out
 
 
 def table_keys() -> list:
