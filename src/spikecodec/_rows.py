@@ -1,35 +1,37 @@
 """CSV rows, written and read in fixed chunks so memory stays flat
 whatever the file length.
 
-The files hold plain numbers, so no cell ever needs quoting. Rows of
-floats are formatted CHUNK_ROWS rows at a time (write_tables) from a
-template of the row format, parsed once per table: a chunk is one list
-of the format's literal texts, repeated row after row with a slot for
-each field; each column fills its slots with one slice assignment of
-map(repr, ...) (or map(str, ...) for a {} field), and the list is
-joined once. The float repr is then the whole cost. Rows of the form
+This module alone decides how a number becomes text: a cell is the
+repr of its column's .tolist() item (a float's shortest round-trip
+repr, an integer's decimal), so callers hand over numpy arrays, never
+text, and no cell ever needs quoting. Tables are formatted CHUNK_ROWS
+rows at a time (write_tables): a chunk is one list of the separators
+repeated row after row with a slot before each, each column fills its
+slots with one slice assignment of map(repr, ...), and the list is
+joined once, so the float repr is the whole cost. Rows of the form
 "<window>,<cell>\\n", with the window running on from row to row and
-the cell an entry of a small table (a train's bin strings, decode's
-voltage reprs), are built and parsed as numpy byte arrays instead, one
-block of at most about BLOCK_BYTES bytes at a time (write_keyed_rows,
-read_keyed_rows). A window digit is the same for runs of windows, so
-each digit column is a short run of digits repeated, with no division
-per window.
+the cell an entry of a small table (a train's bins, decode's
+voltages), are built and parsed as numpy byte arrays instead, in
+blocks of about BLOCK_BYTES bytes (write_keyed_rows, read_keyed_rows):
+a window digit is the same for runs of windows, so each digit column
+is a short run of digits repeated, with no division per window.
 
-write_tables writes a batch of float tables, each (path, header, fmt,
-columns) and one file, as one row space: the rows of table 0, then of
-table 1, and so on. A batch of at least 2 * FORK_ROWS rows is split
-into contiguous shares, one per usable CPU and each of at least
-FORK_ROWS rows; a share may begin or end inside a table. Share 0 is
-formatted in this process; each other share is formatted by a forked
-child into an anonymous temporary file, followed by the byte offset at
-which each of its tables' pieces ends. The parent writes the tables in
-order, formatting its own pieces and copying each child's pieces in
-blocks once that child has exited. Rows are independent and a float's
-repr is the same in every process, so the bytes do not depend on the
-share count. Every table goes to a temporary file next to its path
-(_atomic.atomic_write), and no path is replaced before the whole batch
-is written, so a failed batch leaves every path as it was.
+write_tables writes a batch of tables, each (path, header, columns)
+and one file, as one row space: the rows of table 0, then of table 1,
+and so on. A column object that the batch holds more than once is
+formatted once, in this process, before any share forks. A batch of
+at least 2 * FORK_ROWS rows is split into contiguous shares, one per
+usable CPU and each of at least FORK_ROWS rows; a share may begin or
+end inside a table. Share 0 is formatted in this process; each other
+share is formatted by a forked child into an anonymous temporary
+file, followed by the byte offset at which each of its tables' pieces
+ends. The parent writes the tables in order, formatting its own
+pieces and copying each child's pieces in blocks once that child has
+exited. Rows are independent and a float's repr is the same in every
+process, so the bytes do not depend on the share count. Every table
+goes to a temporary file next to its path (_atomic.atomic_write), and
+no path is replaced before the whole batch is written, so a failed
+batch leaves every path as it was.
 
 The child is fork-safe because it does nothing else: it formats its
 share, writes and flushes its own file and leaves through os._exit, so
@@ -45,10 +47,10 @@ in this process.
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import os
 import signal
-import string
 import tempfile
 from typing import Optional
 
@@ -74,12 +76,13 @@ FORK_ROWS = 4 * CHUNK_ROWS
 
 
 class CellTable:
-    """Cells as one item of width bytes each, each cell followed by a
-    line break and padded, and a matching mask of the bytes each cell
-    holds. An item is a numpy void, so a gather copies whole cells."""
+    """The cells of keys 0..N, key 0's empty and key k's the repr of
+    values[k - 1], as one item of width bytes each, each cell followed
+    by a line break and padded, and a matching mask of the bytes each
+    cell holds. An item is a numpy void, so a gather copies whole cells."""
 
-    def __init__(self, cells) -> None:
-        raw = [c.encode("ascii") + b"\n" for c in cells]
+    def __init__(self, values: np.ndarray) -> None:
+        raw = [b"\n", *(repr(v).encode("ascii") + b"\n" for v in values.tolist())]
         self.width = max(map(len, raw))
         self.bytes = np.array(raw, dtype=f"S{self.width}").view(f"V{self.width}")
         keep = np.arange(self.width) < np.array([len(r) for r in raw])[:, None]
@@ -167,7 +170,7 @@ def _parse_keys(block: bytes, top: int) -> Optional[np.ndarray]:
 
 def read_keyed_rows(fh, header: bytes, table: CellTable) -> Optional[np.ndarray]:
     """The keys of a file that write_keyed_rows wrote with this header
-    and table, where cell k is k in decimal and cell 0 may be empty;
+    and table, where cell k is k in decimal;
     None as soon as the file differs from such a file in any byte.
 
     fh is a binary handle. It is read in blocks cut at line ends; each
@@ -214,51 +217,22 @@ def share_count(n: int) -> int:
     return max(1, min(usable_cpus(), n // FORK_ROWS))
 
 
-def _row_template(fmt: str, fields: int) -> tuple:
-    """(texts, convert) for a row format of bare fields, one per
-    column: texts holds the literal text before each field and after
-    the last, convert the function of each field's cells, repr for {!r}
-    and str for {}. Any other field, or other than fields of them, is
-    a ValueError that names fmt, so no format spec or conversion can
-    change the bytes unseen."""
-    texts, convert = [""], []
-    for text, field, spec, conversion in string.Formatter().parse(fmt):
-        texts[-1] += text
-        if field is None:
-            continue
-        if field or spec or conversion not in (None, "r"):
-            raise ValueError(f"row format {fmt!r}: every field must be {{}} or {{!r}}")
-        convert.append(repr if conversion else str)
-        texts.append("")
-    if len(convert) != fields:
-        raise ValueError(f"row format {fmt!r} has {len(convert)} fields for {fields} columns")
-    return texts, convert
-
-
-def _format_rows(out, template: tuple, columns, lo: int, hi: int) -> None:
-    """Write the bytes of rows lo..hi-1, laid out by a template from
-    _row_template, to the binary handle out, CHUNK_ROWS rows at a time.
-    Array cells go through .tolist(), so floats format as Python floats.
-
-    A chunk is one list of the template's texts repeated row after row,
-    with an empty slot for each field: each column's cells are
-    converted into their slots with one slice assignment, and the list
-    is joined once. The text after a row's last field and the text
-    before the next row's first are one string.
-    """
-    texts, convert = template
-    m = len(convert)
-    row = [x for text in texts[1:] for x in (None, text)]
-    row[-1] += texts[0]
+def _format_rows(out, columns, eol: str, lo: int, hi: int) -> None:
+    """Write rows lo..hi-1 of columns, cells joined by commas and each
+    row ended by eol, to the binary handle out, CHUNK_ROWS rows at a
+    time (see the module docstring). A column is a numpy array, whose
+    cells are the reprs of its .tolist() items, or a list of its cells."""
+    m = len(columns)
+    row = [None, ","] * m
+    row[-1] = eol
     buf = []
     for start in range(lo, hi, CHUNK_ROWS):
         stop = min(start + CHUNK_ROWS, hi)
-        if len(buf) != 1 + 2 * m * (stop - start):
-            buf = [texts[0], *row * (stop - start)]
-            buf[-1] = texts[-1]
-        for j, (f, c) in enumerate(zip(convert, columns)):
+        if len(buf) != 2 * m * (stop - start):
+            buf = row * (stop - start)
+        for j, c in enumerate(columns):
             part = c[start:stop]
-            buf[1 + 2 * j::2 * m] = map(f, part.tolist() if isinstance(part, np.ndarray) else part)
+            buf[2 * j::2 * m] = part if isinstance(part, list) else map(repr, part.tolist())
         out.write("".join(buf).encode())
 
 
@@ -283,8 +257,7 @@ def _child(out, tables, pieces) -> None:
         try:
             ends = []
             for t, a, b in pieces:
-                _, _, template, columns = tables[t]
-                _format_rows(out, template, columns, a, b)
+                _format_rows(out, *tables[t][2:], a, b)
                 ends.append(out.tell())
             out.write(np.array(ends, np.int64).tobytes())
             out.flush()
@@ -318,27 +291,33 @@ def _reap(pids: dict, s: int, out, lo: int, hi: int, count: int) -> list:
 
 
 def write_tables(tables) -> None:
-    """Write each (path, header, fmt, columns) table to its path:
-    header, then fmt.format(*cells) for each row.
+    """Write each (path, header, columns) table to its path: header,
+    then for each row the repr of each column's .tolist() item, joined
+    by commas and ended by the header's own line end (\\r\\n or \\n).
 
-    Each field of fmt is a bare {!r} or {} and takes one column in
-    order; any other fmt is a ValueError, raised before anything is
-    written. Each column is a numpy array, a list or a range, all of
-    one table's columns of equal length. Array cells go through
-    .tolist(), so floats format as Python floats ({!r} gives their
-    shortest round-trip repr); a list of strings through "{}" gives the
-    same bytes as the floats they were formatted from. The rows of all the
-    tables are one row space, split across share_count(n) processes
-    (see the module docstring). The batch is all or nothing: no path
-    is replaced before every share has succeeded, and a share that
-    fails in its child is an OSError that names the failure. No
-    output, temporary file or child process outlives a failed call,
-    and no child process or temporary file outlives any call.
+    The columns are numpy arrays, all of one table's of equal length.
+    A column object that the batch holds more than once is formatted
+    once, here, before any share forks. The rows of all the tables are
+    one row space, split across share_count(n) processes (see the
+    module docstring). The batch is all or nothing: no path is
+    replaced before every share has succeeded, and a share that fails
+    in its child is an OSError that names the failure. No output,
+    temporary file or child process outlives a failed call, and no
+    child process or temporary file outlives any call.
     """
-    tables = [(path, header, _row_template(fmt, len(columns)), columns)
-              for path, header, fmt, columns in tables]
+    tables = [(path, header, list(columns), "\r\n" if header.endswith("\r\n") else "\n")
+              for path, header, columns in tables]
+    # Every column is held in a list from here on, so no two share an id.
+    held = collections.Counter(id(c) for _, _, columns, _ in tables for c in columns)
+    text = {}
+    for _, _, columns, _ in tables:
+        for j, c in enumerate(columns):
+            if held[id(c)] > 1:
+                if id(c) not in text:
+                    text[id(c)] = list(map(repr, c.tolist()))
+                columns[j] = text[id(c)]
     starts = [0]
-    for *_, columns in tables:
+    for _, _, columns, _ in tables:
         starts.append(starts[-1] + len(columns[0]))
     n = starts[-1]
     k = share_count(n)
@@ -358,12 +337,12 @@ def write_tables(tables) -> None:
             pids[s] = pid
         current = 0
         with contextlib.ExitStack() as outputs:
-            for (path, header, template, columns), pieces in zip(tables, by_table):
+            for (path, header, columns, eol), pieces in zip(tables, by_table):
                 fh = outputs.enter_context(atomic_write(path, "wb"))
                 fh.write(header.encode())
                 for s, a, b in pieces:
                     if s == 0:
-                        _format_rows(fh, template, columns, a, b)
+                        _format_rows(fh, columns, eol, a, b)
                         continue
                     if s != current:  # the first piece of share s
                         current, out, start = s, files[s - 1], 0

@@ -298,9 +298,8 @@ def cmd_decode(args) -> int:
     # entry in that table, "" for a silent window.
     t = np.arange(1, enc.resolution + 1) * enc.reader_period
     u = decode_ideal(t, enc) if args.mode == "ideal" else decode_linear(t, read_decoder(args.tuning))
-    table = CellTable(["", *map(repr, u.tolist())])
     with atomic_write(args.out, "wb") as fh:
-        write_keyed_rows(fh, b"window,u_hat\n", table, train.bins)
+        write_keyed_rows(fh, b"window,u_hat\n", CellTable(u), train.bins)
     print(f"decoded {len(train)} windows ({args.mode}) -> {args.out}")
     return 0
 
@@ -423,8 +422,7 @@ def cmd_sft_sweep(args) -> int:
     measured, _, rmse_mag, rmse_cplx = _sft_points(enc, scfg, noise, spec, freqs)
     os.makedirs(args.out_dir, exist_ok=True)
     write_tables([*_spectrum_tables(paths, measured, scfg.sample_period),
-                  (summary, "freq_hz,rmse_mag,rmse_complex\n", "{!r},{!r},{!r}\n",
-                   (np.array(freqs), rmse_mag, rmse_cplx))])
+                  (summary, "freq_hz,rmse_mag,rmse_complex\n", (np.array(freqs), rmse_mag, rmse_cplx))])
     for nu, rmse in zip(freqs, rmse_mag.tolist()):
         print(f"nu={nu:g} Hz: rmse_mag={rmse:.6g}")
     print(f"summary -> {summary}")

@@ -10,7 +10,7 @@ sample and as an RMS figure.
 
 from __future__ import annotations
 
-import collections
+import os
 from dataclasses import dataclass
 from typing import Optional
 
@@ -94,21 +94,16 @@ def empirical_errors(u_true, t_true, t_meas, cfg: EncoderConfig) -> ErrorReport:
 def write_error_reports(entries) -> None:
     """Write (report, csv_path, json_path, meta) entries: every CSV of
     per-sample errors in one write_tables batch, then each JSON
-    summary sidecar (json_path None puts it next to the CSV). Reports
-    that hold one u_in array between them format its cells once."""
+    summary sidecar (json_path None puts it next to the CSV). A
+    json_path that names its own CSV is a ValueError, raised before
+    anything is written."""
     entries = [(report, csv_path, sidecar_path(csv_path) if json_path is None else json_path, meta)
                for report, csv_path, json_path, meta in entries]
-    counts = collections.Counter(id(report.u_in) for report, *_ in entries)
-    cells = {}
-    tables = []
-    for report, csv_path, _, _ in entries:
-        u, fmt = report.u_in, "{!r},{!r},{!r}\r\n"
-        if counts[id(u)] > 1:
-            if id(u) not in cells:
-                cells[id(u)] = list(map(repr, u.tolist()))
-            u, fmt = cells[id(u)], "{},{!r},{!r}\r\n"
-        tables.append((csv_path, "u_in,eps_u,eps_ts\r\n", fmt, (u, report.eps_u, report.eps_ts)))
-    write_tables(tables)
+    for _, csv_path, json_path, _ in entries:
+        if os.path.abspath(json_path) == os.path.abspath(csv_path):
+            raise ValueError(f"{csv_path} would be its own JSON sidecar; name the sidecar another path")
+    write_tables([(csv_path, "u_in,eps_u,eps_ts\r\n", (report.u_in, report.eps_u, report.eps_ts))
+                  for report, csv_path, _, _ in entries])
     for report, _, json_path, meta in entries:
         write_json(json_path, {"rmse": report.rmse, "samples": int(report.u_in.size), **(meta or {})})
 

@@ -233,13 +233,12 @@ def sft_stream(train: SpikeTrain, cfg: SftConfig, hop: int | None = None) -> Spe
 def _spectrum_tables(paths, coefficients: np.ndarray, sample_period: float) -> list:
     """write_tables tables of bin, physical frequency, re, im and
     magnitude, one per row of an (F, K) stack of coefficients, to the
-    F paths. Every row of every table starts with the same bin and
-    frequency cells, so those are formatted once."""
+    F paths. Every table holds the same bin and frequency arrays, so
+    write_tables formats those once."""
     k = coefficients.shape[1]
-    head = [f"{b},{f!r}," for b, f in enumerate(_bin_frequencies(k, sample_period).tolist())]
-    mags = np.abs(coefficients)
-    return [(path, "bin,freq_hz,re,im,mag\r\n", "{}{!r},{!r},{!r}\r\n", (head, c.real, c.imag, m))
-            for path, c, m in zip(paths, coefficients, mags)]
+    bins, freqs = np.arange(k), _bin_frequencies(k, sample_period)
+    return [(path, "bin,freq_hz,re,im,mag\r\n", (bins, freqs, c.real, c.imag, m))
+            for path, c, m in zip(paths, coefficients, np.abs(coefficients))]
 
 
 def write_spectrum(spec: Spectrum, path: str) -> None:

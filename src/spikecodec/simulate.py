@@ -38,7 +38,8 @@ __all__ = [
 ]
 
 # A crossing within this relative distance of a reader tick counts as
-# hitting the tick. Guards ceil() against float dust in t_s / T_N.
+# hitting the tick, and a window count as whole. Guards ceil() and
+# floor() against float dust in t_s / T_N and duration / T_S.
 _TICK_SNAP = 1e-9
 
 NOISE_MODES = ("constant", "per-window")
@@ -190,6 +191,25 @@ def simulate_window(
     return int(bins) or None
 
 
+def _window_count(duration: float, sample_period: float) -> int:
+    """The whole windows of sample_period in duration. A count within
+    _TICK_SNAP of a whole number, relative to that number, is that
+    number, as _register snaps ticks, so that n * sample_period gives
+    back n: float dust alone loses a window from about 2.5e7 windows."""
+    windows = duration / sample_period
+    if windows > _MAX_WINDOWS:
+        raise ValueError(
+            f"signal duration {duration!r} s spans {windows:.6g} windows of "
+            f"{sample_period:.6g} s, more than the {_MAX_WINDOWS} that "
+            "float64 counts exactly"
+        )
+    near = round(windows)
+    count = near if abs(windows - near) <= _TICK_SNAP * near else math.floor(windows)
+    if count < 1:
+        raise ValueError("signal shorter than one sample window")
+    return count
+
+
 def encode_signal(
     sig: AnalogSignal,
     cfg: EncoderConfig,
@@ -202,16 +222,7 @@ def encode_signal(
     The signal must cover at least one full window and at most
     _MAX_WINDOWS of them; the count is checked before any allocation.
     """
-    windows = sig.duration / cfg.sample_period + _TICK_SNAP
-    if windows > _MAX_WINDOWS:
-        raise ValueError(
-            f"signal duration {sig.duration!r} s spans {windows:.6g} windows of "
-            f"{cfg.sample_period:.6g} s, more than the {_MAX_WINDOWS} that "
-            "float64 counts exactly"
-        )
-    m_windows = math.floor(windows)
-    if m_windows < 1:
-        raise ValueError("signal shorter than one sample window")
+    m_windows = _window_count(sig.duration, cfg.sample_period)
     u_held = sig(np.arange(m_windows) * cfg.sample_period)
     seed = None if noise is None else noise.rng_seed
     return SpikeTrain(bins=simulate_window(u_held, cfg, noise), config=cfg, seed=seed)
@@ -225,7 +236,7 @@ _HEADER = b"window,bin\n"
 
 def _bin_cells(n: int) -> CellTable:
     """The N + 1 bin cells of a train file: "" for silence, then 1..N."""
-    return CellTable(["", *map(str, range(1, n + 1))])
+    return CellTable(np.arange(1, n + 1))
 
 
 def write_spike_train(train: SpikeTrain, csv_path: str) -> None:
@@ -268,18 +279,29 @@ def _read_sidecar(json_path: str):
     return cfg, meta
 
 
+def _utf8(csv_path: str, where: str, line: str) -> str:
+    """line, read with errors="surrogateescape"; a byte that is not
+    UTF-8 text is a ValueError that names csv_path and where."""
+    try:
+        line.encode()
+    except UnicodeEncodeError as exc:
+        byte = ord(line[exc.start]) - 0xDC00
+        raise ValueError(f"{csv_path}: {where} has byte 0x{byte:02x}, not UTF-8 text") from None
+    return line
+
+
 def _read_bins_by_row(csv_path: str, n: int) -> list:
     """The bins of a train file that read_keyed_rows rejects, read as
     text in one pass: this accepts padded cells and other layouts a
     hand-edited file may hold, and names the first bad row, counting
     data rows from 1."""
     bins = []
-    with open(csv_path, newline="") as fh:
-        got = [c.strip() for c in fh.readline().split(",")]
+    with open(csv_path, newline="", encoding="utf-8", errors="surrogateescape") as fh:
+        got = [c.strip() for c in _utf8(csv_path, "header", fh.readline()).split(",")]
         if got != ["window", "bin"]:
             raise ValueError(f"{csv_path}: header is {','.join(got)!r}, expected 'window,bin'")
         for m, line in enumerate(fh):
-            cells = line.split(",")
+            cells = _utf8(csv_path, f"row {m + 1}", line).split(",")
             if len(cells) != 2:
                 raise ValueError(f"{csv_path}: row {m + 1} should hold 2 cells, holds {len(cells)}")
             w, c = cells[0], cells[1].strip()

@@ -165,6 +165,9 @@ class TestOwnSidecar:
             write_spike_train(train, str(tmp_path / "t.json"))
         with pytest.raises(ValueError, match="own JSON sidecar"):
             write_error_report(report, str(tmp_path / "r.json"))
+        # an explicit sidecar path used to replace its own CSV unseen
+        with pytest.raises(ValueError, match="own JSON sidecar"):
+            write_error_report(report, str(tmp_path / "r.csv"), str(tmp_path / "." / "r.csv"))
         assert list(tmp_path.iterdir()) == []
 
 
@@ -173,7 +176,7 @@ class TestTextTrainReader:
     def three_window_train(tmp_path, cfg3k, text):
         path = tmp_path / "train.csv"
         write_spike_train(SpikeTrain(bins=np.array([31, 0, 19]), config=cfg3k), str(path))
-        path.write_bytes(text.encode())
+        path.write_bytes(text.encode("latin-1"))  # "\xff" is the byte 0xff
         return str(path)
 
     @pytest.mark.parametrize("text, message", [
@@ -181,7 +184,11 @@ class TestTextTrainReader:
         ("window,bin\n0,x\n1,2,3\n2,19\n", "row 1 has bin 'x', not an integer"),
         ("window,bin\n0,31\n1,101\n2\n", "row 2 has bin 101, outside 0..100"),
         ("window,bin\n 0 ,31\n1 ,\n 3 ,19\n", "row 3 has window ' 3 ', expected 2"),
-    ], ids=["window-before-cells", "bin-before-cells", "range-before-cells", "padded-window"])
+        # a byte that is not UTF-8 used to be named by neither file nor row
+        ("window,bin\n0,31\n1,\xff\n2,19\n", "row 2 has byte 0xff, not UTF-8 text"),
+        ("window,b\xffin\n0,31\n1,\n2,19\n", "header has byte 0xff, not UTF-8 text"),
+    ], ids=["window-before-cells", "bin-before-cells", "range-before-cells", "padded-window",
+            "non-utf8-row", "non-utf8-header"])
     def test_first_bad_row_is_named(self, tmp_path, cfg3k, text, message):
         path = self.three_window_train(tmp_path, cfg3k, text)
         with pytest.raises(ValueError) as exc:

@@ -9,10 +9,11 @@ message on any file. The train reader must round-trip any bins array
 and keep its memory flat. The float writer must give the same bytes
 whether its rows are formatted in one process or split across forked
 children, wherever a split falls among the tables of a batch, and
-leave no child, temporary file or partial batch behind. Its row
-template must give the bytes of str.format on any cells and refuse any
-other field, and keyed rows must give the bytes of an f-string per row
-across every power of ten of the window.
+leave no child, temporary file or partial batch behind; a column that
+several tables hold is formatted once, before any child forks. Its
+rows must be the cell reprs joined by commas, and keyed rows must give
+the bytes of an f-string per row across every power of ten of the
+window.
 """
 
 import contextlib
@@ -179,7 +180,7 @@ class TestShares:
             # unflushed text: a child that flushed a handle it inherited
             # would write these bytes a second time
             fh.write("pending\r\n")
-            write_tables([(str(path), "a,b,c\r\n", "{!r},{!r},{!r}\r\n", cols)])
+            write_tables([(str(path), "a,b,c\r\n", cols)])
         assert path.read_bytes() == want
         assert pending.read_bytes() == b"pending\r\n"
 
@@ -208,18 +209,36 @@ class TestShares:
         cols = [float_columns(n, 2, seed=seed + t) for t, n in enumerate(sizes)]
         paths = [directory / f"table_{t}.csv" for t in range(len(sizes))]
         with nothing_left():
-            write_tables([(str(p), "a,b\r\n", "{!r},{!r}\r\n", c) for p, c in zip(paths, cols)])
+            write_tables([(str(p), "a,b\r\n", c) for p, c in zip(paths, cols)])
         for p, c in zip(paths, cols):
             assert p.read_bytes() == reference_csv(["a", "b"], zip(*c))
         assert sorted(directory.iterdir()) == sorted(paths)
 
-    def test_string_cells_give_the_bytes_of_their_floats(self, tmp_path, monkeypatch):
+    def test_a_shared_column_gives_the_bytes_of_separate_copies(self, tmp_path, monkeypatch):
         force_shares(monkeypatch, 2)
-        cols, want = share_case(CHUNK_ROWS + 1)
-        path = tmp_path / "rows.csv"
-        cells = list(map(repr, cols[0].tolist()))
-        write_tables([(str(path), "a,b,c\r\n", "{},{!r},{!r}\r\n", (cells, *cols[1:]))])
-        assert path.read_bytes() == want
+        cols = float_columns(CHUNK_ROWS + 1, 3, seed=7)
+        shared = [tmp_path / f"shared_{t}.csv" for t in range(2)]
+        own = [tmp_path / f"own_{t}.csv" for t in range(2)]
+        write_tables([(str(p), "a,b\r\n", (cols[0], c)) for p, c in zip(shared, cols[1:])])
+        write_tables([(str(p), "a,b\r\n", (cols[0].copy(), c)) for p, c in zip(own, cols[1:])])
+        for p, q, c in zip(shared, own, cols[1:]):
+            assert p.read_bytes() == q.read_bytes() == reference_csv(["a", "b"], zip(cols[0], c))
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_a_shared_column_is_formatted_once_in_this_process(self, tmp_path, monkeypatch, k):
+        force_shares(monkeypatch, k)
+        n = CHUNK_ROWS + 1
+        monkeypatch.setattr(Counted, "calls", 0)
+        counted = np.empty(n, object)
+        counted[:] = [Counted(i) for i in range(n)]
+        cols = float_columns(n, 3, seed=k)
+        paths = [tmp_path / f"table_{t}.csv" for t in range(3)]
+        with nothing_left():
+            write_tables([(str(p), "a,b\n", (counted, c)) for p, c in zip(paths, cols)])
+        assert Counted.calls == n
+        for p, c in zip(paths, cols):
+            want = "a,b\n" + "".join(f"c{i},{v!r}\n" for i, v in enumerate(c.tolist()))
+            assert p.read_bytes() == want.encode()
 
     def test_share_count(self, monkeypatch):
         monkeypatch.setattr(_rows, "usable_cpus", lambda: 3)
@@ -227,6 +246,22 @@ class TestShares:
                                                3 * FORK_ROWS, 100 * FORK_ROWS)] == [1, 1, 2, 3, 3]
         monkeypatch.delattr(os, "fork")
         assert _rows.share_count(100 * FORK_ROWS) == 1
+
+
+class Counted:
+    """A cell that counts the calls of its repr, and fails in any
+    process other than the one that made it (a forked child)."""
+
+    calls = 0
+
+    def __init__(self, i):
+        self.i, self.pid = i, os.getpid()
+
+    def __repr__(self):
+        if os.getpid() != self.pid:
+            raise AssertionError("formatted in a child process")
+        Counted.calls += 1
+        return f"c{self.i}"
 
 
 class Boom:
@@ -275,7 +310,7 @@ class TestShareFailures:
         force_shares(monkeypatch, 3)
         path = tmp_path / "rows.csv"
         with nothing_left(), pytest.raises(OSError) as info:
-            write_tables([(str(path), "u\r\n", "{!r}\r\n", [boom_column(self.N, self.N - 1, kill)])])
+            write_tables([(str(path), "u\r\n", [boom_column(self.N, self.N - 1, kill)])])
         assert re.fullmatch(rf"formatting rows {2 * self.N // 3}\.\.{self.N - 1} in child "
                             rf"process \d+ failed \({re.escape(message)}", str(info.value))
         assert list(tmp_path.iterdir()) == []
@@ -284,7 +319,7 @@ class TestShareFailures:
         force_shares(monkeypatch, 3)
         path = tmp_path / "rows.csv"
         with nothing_left(), pytest.raises(ZeroDivisionError):
-            write_tables([(str(path), "u\r\n", "{!r}\r\n", [boom_column(self.N, 0)])])
+            write_tables([(str(path), "u\r\n", [boom_column(self.N, 0)])])
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("kill", [False, True])
@@ -298,7 +333,7 @@ class TestShareFailures:
         paths = [tmp_path / f"table_{t}.csv" for t in range(len(sizes))]
         paths[0].write_text("old\n")
         with nothing_left(), pytest.raises(OSError, match=r"formatting rows 500\.\.999 in child"):
-            write_tables([(str(p), "u\r\n", "{!r}\r\n", c) for p, c in zip(paths, cols)])
+            write_tables([(str(p), "u\r\n", c) for p, c in zip(paths, cols)])
         assert list(tmp_path.iterdir()) == [paths[0]]
         assert paths[0].read_text() == "old\n"
 
@@ -317,63 +352,40 @@ class TestShareFailures:
         assert os.listdir(tmp_path / "out") == []
 
 
-# The row formats the package writes: the error report, the error
-# report with its u_in cells shared (as strings), the spectrum (bin and
-# frequency cells as one string) and the sft-sweep summary.
-FORMATS = ["{!r},{!r},{!r}\r\n", "{},{!r},{!r}\r\n", "{}{!r},{!r},{!r}\r\n", "{!r},{!r},{!r}\n"]
-
-
 @st.composite
-def format_cases(draw):
-    """(fmt, columns, lo, hi): one of FORMATS or a format with escaped
-    braces, a column per field of n rows, each an array of floats with
-    the SPECIAL values mixed in, a list of their reprs and empty
-    strings, or a range, and rows lo..hi-1 of them, across chunk
-    edges."""
-    fmt = draw(st.sampled_from(FORMATS + ["{{{!r}}}:{}\n"]))
+def row_cases(draw):
+    """(columns, formatted, eol, lo, hi): one to four columns of n rows,
+    each an array of floats with the SPECIAL values mixed in or of
+    integers, and the same columns as write_tables formats them (a
+    column it formats once, as a list of its cells, or the array), a
+    line end, and rows lo..hi-1 of them, across chunk edges."""
+    m = draw(st.integers(1, 4))
     n = draw(st.integers(0, 2 * CHUNK_ROWS + 3))
-    fields = fmt.count("{!r}") + fmt.count("{}")
-    floats = float_columns(n, fields, seed=draw(st.integers(0, 2**32 - 1)))
-    columns = []
-    for col in floats:
-        kind = draw(st.sampled_from(["array", "strings", "range"]))
-        if kind == "array":
-            columns.append(col)
-        elif kind == "strings":
-            columns.append([repr(v) if v > 0 else "" for v in col.tolist()])
-        else:
+    columns, formatted = [], []
+    for col in float_columns(n, m, seed=draw(st.integers(0, 2**32 - 1))):
+        if draw(st.booleans()):
             start = draw(st.integers(-10**6, 10**6))
-            columns.append(range(start, start + n))
+            col = np.arange(start, start + n)
+        columns.append(col)
+        formatted.append(list(map(repr, col.tolist())) if draw(st.booleans()) else col)
+    eol = draw(st.sampled_from(["\r\n", "\n"]))
     lo = draw(st.integers(0, n))
     hi = draw(st.integers(lo, n))
-    return fmt, columns, lo, hi
+    return columns, formatted, eol, lo, hi
 
 
-class TestRowTemplate:
-    """_format_rows gives the bytes of str.format row by row, and
-    refuses any field whose bytes it would not reproduce."""
+class TestRowFormat:
+    """_format_rows gives each row's cell reprs joined by commas and
+    ended by the line end."""
 
     @settings(max_examples=200, deadline=None)
-    @given(format_cases())
-    def test_same_bytes_as_str_format(self, case):
-        fmt, columns, lo, hi = case
+    @given(row_cases())
+    def test_same_bytes_as_joined_reprs(self, case):
+        columns, formatted, eol, lo, hi = case
         out = io.BytesIO()
-        _rows._format_rows(out, _rows._row_template(fmt, len(columns)), columns, lo, hi)
-        cells = [c[lo:hi].tolist() if isinstance(c, np.ndarray) else c[lo:hi] for c in columns]
-        assert out.getvalue() == "".join(map(fmt.format, *cells)).encode()
-
-    @pytest.mark.parametrize("fmt", ["{:.3g}\n", "{0}\n", "{!s}\n", "{!a}\n", "{x}\n", "{!r:>8}\n"])
-    def test_other_fields_are_refused(self, tmp_path, fmt):
-        path = tmp_path / "rows.csv"
-        with pytest.raises(ValueError, match=re.escape(f"row format {fmt!r}: every field")):
-            write_tables([(str(path), "u\n", fmt, [np.arange(3.0)])])
-        assert list(tmp_path.iterdir()) == []
-
-    def test_field_count_must_match_the_columns(self, tmp_path):
-        with pytest.raises(ValueError, match=re.escape("row format '{!r},{!r}\\n' has 2 fields "
-                                                       "for 3 columns")):
-            write_tables([(str(tmp_path / "rows.csv"), "u\n", "{!r},{!r}\n", [range(2)] * 3)])
-        assert list(tmp_path.iterdir()) == []
+        _rows._format_rows(out, formatted, eol, lo, hi)
+        rows = zip(*(c[lo:hi].tolist() for c in columns))
+        assert out.getvalue() == "".join(",".join(map(repr, row)) + eol for row in rows).encode()
 
 
 def reference_rows(lo, cells, keys) -> bytes:
@@ -382,6 +394,7 @@ def reference_rows(lo, cells, keys) -> bytes:
 
 
 BIN_CELLS = ["", *map(str, range(1, CFG3K.resolution + 1))]
+BIN_VALUES = np.arange(1, CFG3K.resolution + 1)
 
 
 class TestWindowDigits:
@@ -393,13 +406,13 @@ class TestWindowDigits:
     def test_render_rows_across_a_power_of_ten(self, k, below, n):
         lo = max(0, 10**k - below)
         keys = np.random.default_rng(k * 100 + n).integers(0, len(BIN_CELLS), n)
-        table = CellTable(BIN_CELLS)
+        table = CellTable(BIN_VALUES)
         assert _rows.render_rows(lo, table, keys) == reference_rows(lo, BIN_CELLS, keys)
 
     @pytest.mark.parametrize("lo", [0, 1, 9, 95, 990, 9_999 - 37, 123_456])
     def test_render_rows_over_many_places(self, lo):
         keys = np.random.default_rng(lo).integers(0, len(BIN_CELLS), 1234)
-        table = CellTable(BIN_CELLS)
+        table = CellTable(BIN_VALUES)
         assert _rows.render_rows(lo, table, keys) == reference_rows(lo, BIN_CELLS, keys)
 
     def test_read_block_edge_on_window_100000(self, tmp_path):
@@ -418,7 +431,7 @@ class TestWindowDigits:
         edge = len(b"window,bin\n") + blocks * BLOCK_BYTES
         assert data[edge - 1:edge] == b"\n" and data[edge:].startswith(b"100000,")
         with open(path, "rb") as fh:
-            assert np.array_equal(read_keyed_rows(fh, b"window,bin\n", CellTable(BIN_CELLS)), bins)
+            assert np.array_equal(read_keyed_rows(fh, b"window,bin\n", CellTable(BIN_VALUES)), bins)
         assert np.array_equal(read_spike_train(str(path)).bins, bins)
 
 
@@ -509,21 +522,34 @@ class TestTrainRoundTrip:
         assert back.config == train.config
 
 
+def check_utf8(csv_path, where, line):
+    """Raise the error that names the first byte of line, read with
+    errors="surrogateescape", that is not UTF-8 text."""
+    if bad := re.search("[\udc80-\udcff]", line):
+        byte = ord(bad.group()) - 0xDC00
+        raise ValueError(f"{csv_path}: {where} has byte 0x{byte:02x}, not UTF-8 text")
+
+
 def text_read_bins(csv_path, json_path=None):
     """The train reader as it was before trains were read as bytes: the
     file read as text 1024 lines at a time, each chunk split on commas,
-    and rows parsed one by one only where the chunk's fast check fails."""
+    and rows parsed one by one only where the chunk's fast check fails.
+    A byte that is not UTF-8 text is an error that names its row."""
     if json_path is None:
         json_path = os.path.splitext(csv_path)[0] + ".json"
     cfg, meta = _read_sidecar(json_path)
     n = cfg.resolution
     chunks = []
-    with open(csv_path, newline="") as fh:
-        got = tuple(c.strip() for c in fh.readline().split(","))
+    with open(csv_path, newline="", encoding="utf-8", errors="surrogateescape") as fh:
+        header = fh.readline()
+        check_utf8(csv_path, "header", header)
+        got = tuple(c.strip() for c in header.split(","))
         if got != ("window", "bin"):
             raise ValueError(f"{csv_path}: header is {','.join(got)!r}, expected 'window,bin'")
         lo = 0
         while lines := list(islice(fh, 1024)):
+            for i, line in enumerate(lines):
+                check_utf8(csv_path, f"row {lo + i + 1}", line)
             cells = ",".join(lines).split(",")
             windows, bin_cells = cells[0::2], cells[1::2]
             breaks = "".join(windows)
@@ -661,7 +687,7 @@ class TestTrainReaderAgainstTextReader:
         train = SpikeTrain(bins=base.bins[:edge + extra], config=CFG3K)
         path = tmp_path / "train.csv"
         write_spike_train(train, str(path))
-        cells = CellTable(["", *map(str, range(1, CFG3K.resolution + 1))])
+        cells = CellTable(BIN_VALUES)
         with open(path, "rb") as fh:
             assert np.array_equal(read_keyed_rows(fh, b"window,bin\n", cells), train.bins)
 
@@ -677,7 +703,7 @@ class TestTrainReaderAgainstTextReader:
         b"window, bin\n0,31\n1,\n2,19\n",
     ])
     def test_other_layouts_leave_the_byte_path(self, data):
-        cells = CellTable(["", *map(str, range(1, CFG3K.resolution + 1))])
+        cells = CellTable(BIN_VALUES)
         assert read_keyed_rows(io.BytesIO(data), b"window,bin\n", cells) is None
 
 

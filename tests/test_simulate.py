@@ -20,6 +20,7 @@ from spikecodec import (
     SineSpec,
     write_spike_train,
 )
+from spikecodec.simulate import _window_count
 from conftest import CFG3K
 
 
@@ -321,6 +322,18 @@ class TestEncodeSignal:
         # 128 * T_S computed in floats must still give 128 windows
         train = encode_signal(constant(3.0, 128 * cfg3k.sample_period), cfg3k)
         assert len(train) == 128
+
+    def test_window_count_is_exact_past_float_dust(self, cfg3k):
+        # encode passes duration = windows * T_S; at T_S = 1/3000 the
+        # count used to come back one short from 24,576,010 windows
+        n = 24_576_010
+        assert cfg3k.sample_period == 1 / 3000
+        assert _window_count(float(n * cfg3k.sample_period), cfg3k.sample_period) == n
+
+    @settings(max_examples=300, deadline=None)
+    @given(n=st.integers(1, 2**40), rate=st.sampled_from([3000.0, 1000.0, 48000.0, 7.0]))
+    def test_window_count_round_trips_through_the_duration(self, n, rate):
+        assert _window_count(float(n * (1 / rate)), 1 / rate) == n
 
 
 class TestSpikeTrainIO:
