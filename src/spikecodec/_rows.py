@@ -2,19 +2,20 @@
 whatever the file length.
 
 This module alone decides how a number becomes text: a cell is the
-repr of its column's .tolist() item (a float's shortest round-trip
-repr, an integer's decimal), so callers hand over numpy arrays, never
-text, and no cell ever needs quoting. Tables are formatted CHUNK_ROWS
-rows at a time (write_tables): a chunk is one list of the separators
-repeated row after row with a slot before each, each column fills its
-slots with one slice assignment of map(repr, ...), and the list is
-joined once, so the float repr is the whole cost. Rows of the form
-"<window>,<cell>\\n", with the window running on from row to row and
-the cell an entry of a small table (a train's bins, decode's
-voltages), are built and parsed as numpy byte arrays instead, in
-blocks of about BLOCK_BYTES bytes (write_keyed_rows, read_keyed_rows):
-a window digit is the same for runs of windows, so each digit column
-is a short run of digits repeated, with no division per window.
+repr of its column's .tolist() item (_texts), so callers hand over
+numpy arrays, never text, and no cell ever needs quoting. Tables are
+formatted CHUNK_ROWS rows at a time (write_tables): a chunk is one list
+of the separators repeated row after row with a slot before each, each
+column fills its slots with one slice assignment of its texts, and the
+list is joined once, so the float repr is the whole cost. Rows of the
+form "<window>,<cell>\\n", the window running on from row to row and
+the cell that of a key (a train's bin, decode's voltage of a bin), are
+built and parsed in blocks of about BLOCK_BYTES bytes as numpy byte
+matrices instead (write_keyed_rows, read_keyed_rows): the cells are S
+items, which numpy pads with NUL (cells), each window digit column is a
+short run of digits repeated, with NUL for a leading zero, and no
+written byte is NUL, so dropping every NUL leaves the rows. Rows fewer
+than the keys get cells for only the keys they hold (_table).
 
 write_tables writes a batch of tables, each (path, header, columns)
 and one file, as one row space: the rows of table 0, then of table 1,
@@ -75,21 +76,26 @@ BLOCK_BYTES = 1 << 16
 FORK_ROWS = 4 * CHUNK_ROWS
 
 
-class CellTable:
-    """The cells of keys 0..N, key 0's empty and key k's the repr of
-    values[k - 1], as one item of width bytes each, each cell followed
-    by a line break and padded, and a matching mask of the bytes each
-    cell holds. An item is a numpy void, so a gather copies whole cells."""
+def _texts(column: np.ndarray):
+    """The text of each cell of a numpy column, the repr of its .tolist()
+    item: a float's shortest round-trip repr or an integer's decimal."""
+    return map(repr, column.tolist())
 
-    def __init__(self, values: np.ndarray) -> None:
-        raw = [b"\n", *(repr(v).encode("ascii") + b"\n" for v in values.tolist())]
-        self.width = max(map(len, raw))
-        self.bytes = np.array(raw, dtype=f"S{self.width}").view(f"V{self.width}")
-        keep = np.arange(self.width) < np.array([len(r) for r in raw])[:, None]
-        self.keep = keep.view(f"V{self.width}")[:, 0]
 
-    def __len__(self) -> int:
-        return len(self.bytes)
+def cells(values: np.ndarray) -> np.ndarray:
+    """The cells of keys 0..N, key 0's empty and key k's the text of
+    values[k - 1], each ended by a line break, as S items padded with NUL."""
+    return np.array(["\n", *(text + "\n" for text in _texts(values))], dtype="S")
+
+
+def _table(keys: np.ndarray, top: int, values_of=None):
+    """The cells that rows of keys in 0..top are rendered from and the
+    index of each key's cell: the cells of every key where the rows are
+    more than top, else of key 0 and the keys held. values_of maps an
+    array of keys to their values; without it a key is its own value."""
+    held = np.arange(top + 1) if top < len(keys) else np.union1d(keys, 0)
+    values = held[1:] if values_of is None else values_of(held[1:])
+    return cells(values), keys if top < len(keys) else np.searchsorted(held, keys)
 
 
 _DIGITS = np.frombuffer(b"0123456789", np.uint8)
@@ -114,36 +120,32 @@ def _digit_column(lo: int, hi: int, place: int) -> np.ndarray:
     return run.repeat(count)
 
 
-def render_rows(lo: int, table: CellTable, keys: np.ndarray) -> bytes:
-    """The bytes of rows f"{lo + i},{cells[keys[i]]}\\n" for each i.
-
-    The window digits are computed column by column into a (rows,
-    width) byte matrix next to the gathered cells, and a mask of each
-    row's digit and cell lengths compacts the matrix into the rows.
-    """
+def render_rows(lo: int, table: np.ndarray, keys: np.ndarray) -> bytes:
+    """The bytes of rows lo.., row i holding window lo + i in decimal, a
+    comma and cell keys[i] of table (cells()): a (rows, width) byte
+    matrix of window digits, NUL for a leading zero, a comma and the
+    gathered cells, less its NULs."""
     n = len(keys)
     hi = lo + n
     digits = len(str(hi - 1))
-    rows = np.empty((n, digits + 1 + table.width), np.uint8)
-    keep = np.ones(rows.shape, bool)
+    rows = np.empty((n, digits + 1 + table.itemsize), np.uint8)
     for j in range(digits):
         place = 10 ** (digits - 1 - j)
         rows[:, j] = _digit_column(lo, hi, place)
         if place > 1:  # no leading zeros; window 0 is written "0"
-            keep[:max(0, min(place, hi) - lo), j] = False
+            rows[:max(0, min(place, hi) - lo), j] = 0
     rows[:, digits] = ord(",")
-    cell = slice(digits + 1, None)
-    rows[:, cell].view(table.bytes.dtype)[:, 0] = table.bytes.take(keys)
-    keep[:, cell].view(table.keep.dtype)[:, 0] = table.keep.take(keys)
-    return rows[keep].tobytes()
+    rows[:, digits + 1:].view(table.dtype)[:, 0] = table.take(keys)
+    return rows.tobytes().replace(b"\0", b"")
 
 
-def write_keyed_rows(fh, header: bytes, table: CellTable, keys: np.ndarray) -> None:
-    """Write header, then row i as window i and cell keys[i] of table,
-    to the binary handle fh."""
+def write_keyed_rows(fh, header: bytes, keys: np.ndarray, top: int, values_of=None) -> None:
+    """Write header, then row i as window i and the cell of keys[i], to
+    the binary handle fh; see _table for top and values_of."""
     fh.write(header)
+    table, keys = _table(keys, top, values_of)
     n = len(keys)
-    step = max(1, BLOCK_BYTES // (len(str(n)) + 1 + table.width))
+    step = max(1, BLOCK_BYTES // (len(str(n)) + 1 + table.itemsize))
     for lo in range(0, n, step):
         fh.write(render_rows(lo, table, keys[lo:lo + step]))
 
@@ -168,20 +170,19 @@ def _parse_keys(block: bytes, top: int) -> Optional[np.ndarray]:
     return keys
 
 
-def read_keyed_rows(fh, header: bytes, table: CellTable) -> Optional[np.ndarray]:
+def read_keyed_rows(fh, header: bytes, top: int) -> Optional[np.ndarray]:
     """The keys of a file that write_keyed_rows wrote with this header
-    and table, where cell k is k in decimal;
-    None as soon as the file differs from such a file in any byte.
+    and keys 0..top, each its own value; None as soon as the file
+    differs from such a file in any byte.
 
     fh is a binary handle. It is read in blocks cut at line ends; each
     block's keys are parsed with array arithmetic and the block is
-    proved by rendering those keys again and comparing bytes, which
-    checks the window column, the two cells of each row and the key
-    range in one step.
+    proved by rendering those keys again from _table's cells, which
+    checks the window column, both cells of each row and the key range.
     """
     if fh.readline() != header:
         return None
-    top = len(table) - 1
+    whole = None
     chunks = []
     lo = 0
     rest = b""
@@ -192,7 +193,12 @@ def read_keyed_rows(fh, header: bytes, table: CellTable) -> Optional[np.ndarray]
             return None  # a line longer than a block is no written row
         block, rest = block[:cut], block[cut:]
         keys = _parse_keys(block, top)
-        if keys is None or render_rows(lo, table, keys) != block:
+        if keys is None:
+            return None
+        table, index = (whole, keys) if whole is not None and top < len(keys) else _table(keys, top)
+        if top < len(keys):
+            whole = table  # the cells of every key, built once
+        if render_rows(lo, table, index) != block:
             return None
         chunks.append(keys)
         lo += len(keys)
@@ -221,7 +227,7 @@ def _format_rows(out, columns, eol: str, lo: int, hi: int) -> None:
     """Write rows lo..hi-1 of columns, cells joined by commas and each
     row ended by eol, to the binary handle out, CHUNK_ROWS rows at a
     time (see the module docstring). A column is a numpy array, whose
-    cells are the reprs of its .tolist() items, or a list of its cells."""
+    cells are its _texts, or a list of its cells."""
     m = len(columns)
     row = [None, ","] * m
     row[-1] = eol
@@ -232,7 +238,7 @@ def _format_rows(out, columns, eol: str, lo: int, hi: int) -> None:
             buf = row * (stop - start)
         for j, c in enumerate(columns):
             part = c[start:stop]
-            buf[2 * j::2 * m] = part if isinstance(part, list) else map(repr, part.tolist())
+            buf[2 * j::2 * m] = part if isinstance(part, list) else _texts(part)
         out.write("".join(buf).encode())
 
 
@@ -292,7 +298,7 @@ def _reap(pids: dict, s: int, out, lo: int, hi: int, count: int) -> list:
 
 def write_tables(tables) -> None:
     """Write each (path, header, columns) table to its path: header,
-    then for each row the repr of each column's .tolist() item, joined
+    then for each row the text of each column's item (_texts), joined
     by commas and ended by the header's own line end (\\r\\n or \\n).
 
     The columns are numpy arrays, all of one table's of equal length.
@@ -309,13 +315,10 @@ def write_tables(tables) -> None:
               for path, header, columns in tables]
     # Every column is held in a list from here on, so no two share an id.
     held = collections.Counter(id(c) for _, _, columns, _ in tables for c in columns)
-    text = {}
+    shared = {id(c): c for _, _, columns, _ in tables for c in columns if held[id(c)] > 1}
+    text = {i: list(_texts(c)) for i, c in shared.items()}
     for _, _, columns, _ in tables:
-        for j, c in enumerate(columns):
-            if held[id(c)] > 1:
-                if id(c) not in text:
-                    text[id(c)] = list(map(repr, c.tolist()))
-                columns[j] = text[id(c)]
+        columns[:] = [text.get(id(c), c) for c in columns]
     starts = [0]
     for _, _, columns, _ in tables:
         starts.append(starts[-1] + len(columns[0]))

@@ -25,7 +25,7 @@ from typing import Optional
 import numpy as np
 
 from ._atomic import atomic_write, read_json, sidecar_path, write_json
-from ._rows import CellTable, write_keyed_rows, write_tables
+from ._rows import write_keyed_rows, write_tables
 from .codec import (
     _is_finite_number,
     EncoderConfig,
@@ -131,7 +131,7 @@ def _typed(name: str, key: str, value):
         huge = isinstance(value, int) and not isinstance(value, bool)
         raise ValueError(f"{where} must be a number{' within float range' if huge else ''}, got {value!r}")
     if isinstance(kind, tuple):
-        ok, kind = value in kind, "one of " + ", ".join(map(repr, kind))
+        ok, kind = value in kind, "one of " + ", ".join(f"{k!r}" for k in kind)
     else:
         ok = _KIND_TESTS[kind](value)
     if not ok:
@@ -143,7 +143,7 @@ def _reject_unknown(where: str, doc: dict, known) -> None:
     """A typo in a name must not silently fall back to a default."""
     unknown = sorted(set(doc) - set(known))
     if unknown:
-        raise ValueError(f"{where} has unknown key(s): {', '.join(map(repr, unknown))}")
+        raise ValueError(f"{where} has unknown key(s): {', '.join(f'{k!r}' for k in unknown)}")
 
 
 def _load_config(path: Optional[str]) -> dict:
@@ -294,12 +294,13 @@ def cmd_decode(args) -> int:
     _spare_inputs(args, [args.out])
     train = read_spike_train(args.train)
     enc = train.config
-    # Decode each of the N bins once; a window's cell is its bin's
-    # entry in that table, "" for a silent window.
-    t = np.arange(1, enc.resolution + 1) * enc.reader_period
-    u = decode_ideal(t, enc) if args.mode == "ideal" else decode_linear(t, read_decoder(args.tuning))
+    params = read_decoder(args.tuning) if args.mode == "linear" else None
+    # A window's cell is its bin's voltage, "" for a silent window; each
+    # bin is decoded once, and only the bins the train holds if fewer.
     with atomic_write(args.out, "wb") as fh:
-        write_keyed_rows(fh, b"window,u_hat\n", CellTable(u), train.bins)
+        write_keyed_rows(fh, b"window,u_hat\n", train.bins, enc.resolution, lambda bins: (
+            decode_ideal(bins * enc.reader_period, enc) if params is None
+            else decode_linear(bins * enc.reader_period, params)))
     print(f"decoded {len(train)} windows ({args.mode}) -> {args.out}")
     return 0
 

@@ -24,7 +24,7 @@ import numpy as np
 
 from ._atomic import atomic_write, read_json, sidecar_path, write_json
 from ._draws import window_doubles
-from ._rows import CellTable, read_keyed_rows, write_keyed_rows
+from ._rows import read_keyed_rows, write_keyed_rows
 from .codec import _is_finite_number, EncoderConfig, crossing_time
 
 __all__ = [
@@ -234,18 +234,13 @@ def encode_signal(
 _HEADER = b"window,bin\n"
 
 
-def _bin_cells(n: int) -> CellTable:
-    """The N + 1 bin cells of a train file: "" for silence, then 1..N."""
-    return CellTable(np.arange(1, n + 1))
-
-
 def write_spike_train(train: SpikeTrain, csv_path: str) -> None:
     """Write a train as CSV (window,bin; bin empty for silence) plus
     the JSON sidecar that sidecar_path names, holding the config and
     seed."""
     json_path = sidecar_path(csv_path)  # first: a train named like its sidecar writes nothing
     with atomic_write(csv_path, "wb") as fh:
-        write_keyed_rows(fh, _HEADER, _bin_cells(train.config.resolution), train.bins)
+        write_keyed_rows(fh, _HEADER, train.bins, train.config.resolution)
     meta = {
         "encoder": asdict(train.config),
         "seed": train.seed,
@@ -330,7 +325,7 @@ def read_spike_train(csv_path: str) -> SpikeTrain:
     """
     with open(csv_path, "rb") as fh:  # first, so a missing train is named as itself
         cfg, meta = _read_sidecar(sidecar_path(csv_path))
-        bins = read_keyed_rows(fh, _HEADER, _bin_cells(cfg.resolution))
+        bins = read_keyed_rows(fh, _HEADER, cfg.resolution)
     if bins is None:
         bins = np.array(_read_bins_by_row(csv_path, cfg.resolution), dtype=np.int64)
     if len(bins) != meta["windows"]:

@@ -110,7 +110,8 @@ def test_every_public_function_is_reached():
     (r"\bsplitext\b", "the sidecar rule (_atomic.sidecar_path)"),
     (r"\bjson\.loads?\b", "the JSON reader (_atomic.read_json)"),
     (r"\{\*\*DEFAULT_SIGNAL\b", "the signal defaults merge (cli._signal_keys)"),
-], ids=["sidecar", "json-load", "signal-merge"])
+    (r"\brepr\b[,(]", "the cell text rule (_rows._texts)"),
+], ids=["sidecar", "json-load", "signal-merge", "cell-text"])
 def test_boundary_rule_is_stated_once(pattern, what):
     where = [f"{path.name}:{i}" for path in sorted(PACKAGE.rglob("*.py"))
              for i, line in enumerate(path.read_text().splitlines(), start=1)

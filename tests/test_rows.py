@@ -30,7 +30,7 @@ import signal
 import tempfile
 import tracemalloc
 import warnings
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from itertools import islice
 
 import numpy as np
@@ -49,7 +49,8 @@ from spikecodec import (
     write_spike_train,
 )
 from spikecodec import _rows
-from spikecodec._rows import BLOCK_BYTES, CHUNK_ROWS, FORK_ROWS, CellTable, read_keyed_rows, write_tables
+from spikecodec._rows import (BLOCK_BYTES, CHUNK_ROWS, FORK_ROWS, cells, read_keyed_rows,
+                              write_keyed_rows, write_tables)
 from spikecodec.simulate import _read_sidecar
 from spikecodec.cli import main
 from spikecodec.sft import write_spectrum
@@ -406,14 +407,29 @@ class TestWindowDigits:
     def test_render_rows_across_a_power_of_ten(self, k, below, n):
         lo = max(0, 10**k - below)
         keys = np.random.default_rng(k * 100 + n).integers(0, len(BIN_CELLS), n)
-        table = CellTable(BIN_VALUES)
-        assert _rows.render_rows(lo, table, keys) == reference_rows(lo, BIN_CELLS, keys)
+        assert _rows.render_rows(lo, cells(BIN_VALUES), keys) == reference_rows(lo, BIN_CELLS, keys)
 
     @pytest.mark.parametrize("lo", [0, 1, 9, 95, 990, 9_999 - 37, 123_456])
     def test_render_rows_over_many_places(self, lo):
         keys = np.random.default_rng(lo).integers(0, len(BIN_CELLS), 1234)
-        table = CellTable(BIN_VALUES)
-        assert _rows.render_rows(lo, table, keys) == reference_rows(lo, BIN_CELLS, keys)
+        assert _rows.render_rows(lo, cells(BIN_VALUES), keys) == reference_rows(lo, BIN_CELLS, keys)
+
+    @settings(max_examples=200, deadline=None)
+    @given(values=st.lists(st.sampled_from([-2.5, 1e-07, 1e+22, 3.0, 0.1]) | st.floats(
+               allow_nan=False, allow_infinity=False), min_size=1, max_size=30),
+           power=st.integers(0, 7), offset=st.integers(-40, 40), data=st.data())
+    def test_float_cells(self, values, power, offset, data):
+        # cells of differing widths, key 0's empty one among them; the
+        # writer's rows, fewer or more than the keys, give the same bytes
+        values = np.array(values)
+        keys = np.array(data.draw(st.lists(st.integers(0, len(values)), min_size=1, max_size=60)))
+        keys[data.draw(st.integers(0, len(keys) - 1))] = 0
+        lo = max(0, 10**power + offset)
+        texts = ["", *map(repr, values.tolist())]
+        assert _rows.render_rows(lo, cells(values), keys) == reference_rows(lo, texts, keys)
+        out = io.BytesIO()
+        write_keyed_rows(out, b"window,u\n", keys, len(values), lambda k: values[k - 1])
+        assert out.getvalue() == b"window,u\n" + reference_rows(0, texts, keys)
 
     def test_read_block_edge_on_window_100000(self, tmp_path):
         # one-digit bins, except as many two-digit ones as put the end
@@ -431,7 +447,7 @@ class TestWindowDigits:
         edge = len(b"window,bin\n") + blocks * BLOCK_BYTES
         assert data[edge - 1:edge] == b"\n" and data[edge:].startswith(b"100000,")
         with open(path, "rb") as fh:
-            assert np.array_equal(read_keyed_rows(fh, b"window,bin\n", CellTable(BIN_VALUES)), bins)
+            assert np.array_equal(read_keyed_rows(fh, b"window,bin\n", CFG3K.resolution), bins)
         assert np.array_equal(read_spike_train(str(path)).bins, bins)
 
 
@@ -687,9 +703,8 @@ class TestTrainReaderAgainstTextReader:
         train = SpikeTrain(bins=base.bins[:edge + extra], config=CFG3K)
         path = tmp_path / "train.csv"
         write_spike_train(train, str(path))
-        cells = CellTable(BIN_VALUES)
         with open(path, "rb") as fh:
-            assert np.array_equal(read_keyed_rows(fh, b"window,bin\n", cells), train.bins)
+            assert np.array_equal(read_keyed_rows(fh, b"window,bin\n", CFG3K.resolution), train.bins)
 
     @pytest.mark.parametrize("data", [
         b"window,bin\r\n0,31\r\n1,\r\n2,19\r\n",
@@ -703,8 +718,7 @@ class TestTrainReaderAgainstTextReader:
         b"window, bin\n0,31\n1,\n2,19\n",
     ])
     def test_other_layouts_leave_the_byte_path(self, data):
-        cells = CellTable(BIN_VALUES)
-        assert read_keyed_rows(io.BytesIO(data), b"window,bin\n", cells) is None
+        assert read_keyed_rows(io.BytesIO(data), b"window,bin\n", CFG3K.resolution) is None
 
 
 class TestMemory:
@@ -735,3 +749,41 @@ class TestMemory:
             finally:
                 tracemalloc.stop()
             assert peak <= 2 * 2**20
+
+    def test_keyed_row_write_peak(self, tmp_path):
+        # 17-digit cells, rows in blocks
+        values = np.random.default_rng(3).uniform(1, 5, 100)
+        keys = np.random.default_rng(4).integers(0, 101, 100_000)
+        assert max(len(repr(v)) for v in values.tolist()) == 18  # 17 digits and a point
+        with open(tmp_path / "u.csv", "wb") as fh:
+            tracemalloc.start()
+            try:
+                write_keyed_rows(fh, b"window,u_hat\n", keys, 100, lambda k: values[k - 1])
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak <= 2 * 2**20
+
+    @pytest.mark.parametrize("step", ["write", "read", "decode"])
+    def test_keyed_rows_follow_the_rows_not_the_bins(self, tmp_path, capsys, step):
+        # three windows at 1e6 bins each: cells for every bin take
+        # about 100 MiB, cells for the bins the rows hold a few bytes
+        cfg = replace(CFG3K, reader_period=CFG3K.sample_period / 10**6)
+        assert cfg.resolution == 10**6
+        path = str(tmp_path / "train.csv")
+        train = SpikeTrain(bins=np.array([123_456, 0, 10**6]), config=cfg, seed=None)
+        run = {
+            "write": lambda: write_spike_train(train, path),
+            "read": lambda: read_spike_train(path),
+            "decode": lambda: main(["decode", "--train", path, "--out", str(tmp_path / "u.csv")]),
+        }
+        if step != "write":
+            run["write"]()
+        tracemalloc.start()
+        try:
+            run[step]()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        capsys.readouterr()
+        assert peak <= 2 * 2**20
