@@ -35,22 +35,16 @@ from .codec import (
     decode_linear,
     timing_summary,
 )
-# write_error_report, sft_stream, write_spectrum and ideal_adc_fft are
-# no longer called here; they stay in this namespace, where the
-# benchmark's tracer (perfbench/tracing.py) wraps them.
+# write_error_report, write_spectrum and ideal_adc_fft are no longer
+# called here; they stay in this namespace, where the benchmark's
+# tracer (perfbench/tracing.py) wraps them.
 from .errors import empirical_errors, write_error_report, write_error_reports  # noqa: F401
-from .sft import (  # noqa: F401
-    SftConfig,
-    _bin_durations,
-    _coefficients,
-    _spectrum_tables,
-    sft_stream,
-    write_spectrum,
-)
+from .sft import SftConfig, _spectrum_tables, sft_stream, write_spectrum  # noqa: F401
 from .signals import SineSpec, constant, ideal_adc_fft, sine  # noqa: F401
 from .simulate import (
     _MAX_WINDOWS,
     NOISE_MODES,
+    SpikeTrain,
     ThermalNoiseModel,
     encode_signal,
     read_spike_train,
@@ -215,9 +209,19 @@ def _signal_keys(section: dict) -> dict:
     return d
 
 
+def _span(windows: int, key: str, enc: EncoderConfig) -> float:
+    """The seconds that windows of enc's sample_period last, key naming
+    the config key that set their count."""
+    duration = float(windows * enc.sample_period)
+    if not np.isfinite(duration):
+        raise ValueError(f"{key} = {windows} windows of encoder.sample_period = "
+                         f"{enc.sample_period!r} s last longer than float range")
+    return duration
+
+
 def _build_signal(section: dict, enc: EncoderConfig):
     d = _signal_keys(section)
-    duration = float(d.get("windows", 128) * enc.sample_period)
+    duration = _span(d.get("windows", 128), "signal.windows", enc)
     if d["type"] == "sine":
         return sine(SineSpec(d["amplitude"], d["frequency"], d["offset"]), duration)
     if "level" not in d:
@@ -234,7 +238,7 @@ def _resolve_decoder(spec, tuner: dict, enc: EncoderConfig) -> LinearDecoderPara
         return read_decoder(spec)
     try:
         return LinearDecoderParams(**spec)
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise ValueError(f"config section 'sft' key 'decoder': {exc}") from None
 
 
@@ -374,20 +378,25 @@ def _sft_points(enc: EncoderConfig, scfg: SftConfig, noise, spec: SineSpec, freq
     magnitude and complex errors, (F,) each, of one frame of K windows
     of spec's sine at each of the F frequencies, from phase zero.
 
+    Every sine is built, and so checked, before any frame is encoded.
     The frames are one (F, K) array of held voltages and one
     simulate_window call, each row from window 0, so per-window noise
-    gives every frame the draws of windows 0..K-1. The S-FT and the
-    reference are one FFT call each over the rows. Every frequency is
-    checked before any frame is encoded.
+    gives every frame the draws of windows 0..K-1. The reference is one
+    FFT over the rows; sft_stream frames the rows end to end at hop K.
     """
-    for nu in freqs:
-        replace(spec, frequency=nu)
     k = scfg.frame_size
+    duration = _span(k, "sft.frame_size", enc)
     t = np.arange(k) * enc.sample_period
-    held = spec.amplitude * np.sin(2.0 * np.pi * np.asarray(freqs, dtype=float)[:, None] * t) + spec.offset
+    held = np.array([sine(replace(spec, frequency=nu), duration)(t) for nu in freqs])
     bins = simulate_window(held, enc, noise)
-    measured = _coefficients(_bin_durations(bins, enc.reader_period, scfg), scfg)
-    reference = np.fft.fft(held, axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        reference = np.fft.fft(held, axis=1)
+    bad = ~np.isfinite(reference).all(axis=1)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ValueError(f"the reference spectrum at {freqs[i]!r} Hz overflows: the FFT of {k} held "
+                         f"voltages up to {held[i].max():.6g} V leaves float range")
+    measured = sft_stream(SpikeTrain(bins.ravel(), enc), scfg).coefficients
     return (measured, reference, *_spectrum_rmse(measured, reference))
 
 

@@ -41,7 +41,8 @@ def thermal_shift(u_in: float, delta_u: float, cfg: EncoderConfig) -> float:
     if delta_u < 0:
         raise ValueError("delta_u must be >= 0")
     if delta_u >= cfg.u_th:
-        raise ValueError("delta_u must stay below u_th")
+        raise ValueError(f"delta_u must stay below u_th, got delta_u = {delta_u!r} "
+                         f"and u_th = {cfg.u_th!r}")
     return encode_time(u_in, cfg).time - crossing_time(u_in, cfg.u_th - delta_u, cfg.tau)
 
 

@@ -140,16 +140,6 @@ def _check_times(times: np.ndarray) -> None:
         raise ValueError("spike times must be finite and non-negative")
 
 
-def _bin_durations(bins: np.ndarray, reader_period: float, cfg: SftConfig) -> np.ndarray:
-    """The charge duration of each reader bin's spike; a silent window
-    (bin 0) enters as the decoder's largest code time, clipped to the
-    charge phase."""
-    silent_time = min(cfg.decoder.t_lin_max, cfg.charge_duration)
-    times = np.where(bins > 0, bins * reader_period, silent_time)
-    _check_times(times)
-    return _durations(times, cfg)
-
-
 def _durations(times: np.ndarray, cfg: SftConfig) -> np.ndarray:
     """Overwrite spike times with their charge durations,
     max(T_charge - t, 0), and return the same array."""
@@ -225,8 +215,10 @@ def sft_stream(train: SpikeTrain, cfg: SftConfig, hop: int | None = None) -> Spe
             f"train windows last {period:.6g} s but the S-FT labels bins "
             f"for sample_period {cfg.sample_period:.6g} s"
         )
-    dur = _bin_durations(train.bins, train.config.reader_period, cfg)
-    frames = np.lib.stride_tricks.sliding_window_view(dur, k)[::hop]
+    silent_time = min(cfg.decoder.t_lin_max, cfg.charge_duration)
+    times = np.where(train.fired, train.bins * train.config.reader_period, silent_time)
+    _check_times(times)
+    frames = np.lib.stride_tricks.sliding_window_view(_durations(times, cfg), k)[::hop]
     return Spectra(_coefficients(frames, cfg), cfg.sample_period)
 
 

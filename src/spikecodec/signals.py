@@ -48,16 +48,24 @@ class SineSpec:
             raise ValueError("frequency must be positive")
         if self.offset < self.amplitude:
             raise ValueError("offset must be >= amplitude (signal would go negative)")
+        if not math.isfinite(self.offset + self.amplitude):
+            raise ValueError(f"offset + amplitude, the peak voltage, must be finite, got "
+                             f"{self.offset!r} + {self.amplitude!r}")
 
 
 def sine(spec: SineSpec, duration: float) -> AnalogSignal:
-    """Biased sine of the given duration, phase zero at t = 0."""
+    """Biased sine of the given duration, phase zero at t = 0. Its
+    phase 2 pi nu t must stay finite over the whole duration."""
     two_pi_nu = 2.0 * np.pi * spec.frequency
 
     def f(t):
         return spec.amplitude * np.sin(two_pi_nu * t) + spec.offset
 
-    return AnalogSignal(func=f, duration=duration)
+    sig = AnalogSignal(func=f, duration=duration)
+    if not math.isfinite(two_pi_nu * duration):
+        raise ValueError(f"frequency {spec.frequency!r} Hz over {duration!r} s overflows "
+                         "the sine's phase 2*pi*nu*t")
+    return sig
 
 
 def constant(level: float, duration: float) -> AnalogSignal:

@@ -182,7 +182,8 @@ def simulate_window(
     delta = 0.0
     if noise is not None:
         if noise.delta_u >= cfg.u_th:
-            raise ValueError("delta_u must stay below u_th")
+            raise ValueError(f"delta_u must stay below u_th, got delta_u = {noise.delta_u!r} "
+                             f"and u_th = {cfg.u_th!r}")
         windows = u.shape[-1:]
         delta = noise._offsets(window_index, math.prod(windows)).reshape(windows)
     bins = _register(crossing_time(u, cfg.u_th - delta, cfg.tau), cfg)

@@ -170,7 +170,7 @@ def fit_linear_decoder(cfg: EncoderConfig, tuner: Optional[TunerConfig] = None) 
     lo, hi = zip(tuner.k1_bounds, tuner.k2_bounds)
     scored = []
     # An overflow shows as a non-finite eps_lin, which is named below.
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for k in ((c / ts.t_min - 1.0, (c + span) / ts.t_max - 1.0), (0.0, 0.0)):
             k = np.clip(k, lo, hi)
             p = _params_from_k(k, ts, cfg)

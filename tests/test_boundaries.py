@@ -111,7 +111,8 @@ def test_every_public_function_is_reached():
     (r"\bjson\.loads?\b", "the JSON reader (_atomic.read_json)"),
     (r"\{\*\*DEFAULT_SIGNAL\b", "the signal defaults merge (cli._signal_keys)"),
     (r"\brepr\b[,(]", "the cell text rule (_rows._texts)"),
-], ids=["sidecar", "json-load", "signal-merge", "cell-text"])
+    (r"np\.sin\(", "the biased sine (signals.sine)"),
+], ids=["sidecar", "json-load", "signal-merge", "cell-text", "sine"])
 def test_boundary_rule_is_stated_once(pattern, what):
     where = [f"{path.name}:{i}" for path in sorted(PACKAGE.rglob("*.py"))
              for i, line in enumerate(path.read_text().splitlines(), start=1)

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from spikecodec import cli
 from spikecodec.cli import SCHEMA, main
 
 
@@ -144,6 +145,28 @@ class TestSft:
             rows = list(csv.DictReader(fh))
         assert [float(r["freq_hz"]) for r in rows] == [100.0, 500.0]
         assert (tmp_path / "sweep" / "spectrum_500hz.csv").exists()
+
+    def test_sweep_runs_the_library_sine_and_stream(self, tmp_path, monkeypatch):
+        # the sweep used to restate the sine and the stream's framing,
+        # so a wrapper around either saw no call
+        calls = {"sine": [], "sft_stream": []}
+
+        def spy(name):
+            original = getattr(cli, name)
+
+            def wrapped(*args, **kwargs):
+                calls[name].append(args)
+                return original(*args, **kwargs)
+            monkeypatch.setattr(cli, name, wrapped)
+
+        spy("sine")
+        spy("sft_stream")
+        cfg = write_config(tmp_path, {**BASE, "sft": {"frame_size": 24}})
+        assert main(["sft-sweep", "--config", cfg, "--freqs", "50,500,100",
+                     "--out-dir", str(tmp_path / "sweep")]) == 0
+        assert sorted(spec.frequency for spec, _ in calls["sine"]) == [50.0, 100.0, 500.0]
+        [(train, scfg)] = calls["sft_stream"]
+        assert scfg.frame_size == 24 and len(train) == 3 * 24
 
 
 class TestFailureModes:
@@ -349,7 +372,10 @@ class TestFailureModes:
          "error: slowest spike exceeds sample_period"),
         (["sft-sweep", "--freqs", "50,nan"], {**BASE, "sft": {"frame_size": 24}},
          "error: frequency must be finite"),
-    ], ids=["sweep-constant", "sft-sweep"])
+        # 2*pi*nu overflowed, and the NaN samples were blamed on window 0
+        (["sft-sweep", "--freqs", "50,1.7e308"], {**BASE, "sft": {"frame_size": 24}},
+         "error: frequency 1.7e+308 Hz over 0.008 s overflows the sine's phase 2*pi*nu*t"),
+    ], ids=["sweep-constant", "sft-sweep", "sft-sweep-phase"])
     def test_failed_sweep_writes_nothing(self, tmp_path, capsys, argv, doc, message):
         # the first entry succeeds and the second fails
         out_dir = tmp_path / "out"
@@ -612,6 +638,26 @@ class TestFailureModes:
         # a seed past float range encoded; it is refused like any other number key
         ({"noise": {"delta_u": 0.01, "mode": "per-window", "rng_seed": HUGE}}, "encode",
          f"config section 'noise' key 'rng_seed' must be a number within float range, got {HUGE}"),
+        # each of these near float max ended in RuntimeWarnings and an error
+        # that blamed the encoder's input, the S-FT or a key configs lost
+        ({"signal": {"frequency": 1.7e308}}, "encode",
+         "frequency 1.7e+308 Hz over 0.042666666666666665 s overflows the sine's phase 2*pi*nu*t"),
+        ({"signal": {"frequency": 1e300}, "encoder": {"sample_period": 1e300}}, "encode",
+         "frequency 1e+300 Hz over 1.28e+302 s overflows the sine's phase 2*pi*nu*t"),
+        ({"signal": {"amplitude": 1.7e308, "offset": 1.7e308}}, "encode",
+         "offset + amplitude, the peak voltage, must be finite, got 1.7e+308 + 1.7e+308"),
+        ({"signal": {"offset": 1.7e308}}, "sft",
+         "the reference spectrum at 500.0 Hz overflows: the FFT of 128 held voltages "
+         "up to 1.7e+308 V leaves float range"),
+        ({"encoder": {"u_min": 1e300, "u_max": 1.7e308}}, "tune",
+         "decoder fit error eps_lin is nan: the working range 1e+300..1.7e+308 V overflows its quadrature"),
+        ({"encoder": {"sample_period": 1e307, "tau": 1e306}}, "encode",
+         "signal.windows = 128 windows of encoder.sample_period = 1e+307 s last longer than float range"),
+        ({"encoder": {"sample_period": 1e307, "tau": 1e306}}, "sft",
+         "sft.frame_size = 128 windows of encoder.sample_period = 1e+307 s last longer than float range"),
+        # named neither value, so a threshold list did not say which one failed
+        ({"noise": {"delta_u": 0.2}}, "sweep-constant",
+         "delta_u must stay below u_th, got delta_u = 0.2 and u_th = 0.1"),
     ])
     def test_config_hole_is_named(self, tmp_path, capsys, doc, command, message):
         out = {"encode": ["--out", str(tmp_path / "t.csv")],
@@ -630,6 +676,8 @@ class TestFailureModes:
         ({"t_lin_min": "a", "t_lin_max": "b", "y_min": "c", "y_max": "d"},
          "must be a path string or an object of finite numbers, got {'t_lin_min': 'a'"),
         ({"t_lin_min": 1e-4}, "LinearDecoderParams.__init__() missing 3 required"),
+        # the decoder's own rule came without the key that broke it
+        ({"t_lin_min": 5e-5, "t_lin_max": 3e-4, "y_min": 5.0, "y_max": 1.0}, "need y_max > y_min"),
     ])
     def test_decoder_spec_must_be_a_path_or_an_object(self, tmp_path, capsys, spec, message):
         cfg = write_config(tmp_path, {"sft": {"decoder": spec}})
