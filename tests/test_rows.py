@@ -460,6 +460,31 @@ PINNED = {
 }
 
 
+# The commands whose files a 1-ulp change in a fit, a transform or an
+# encode would move unseen: each writes into out/, and the digests
+# were recorded before sft_stream's result type became Spectrum.
+COMMAND_RUNS = {
+    "tune": ({}, ["tune", "--out", "out/tuning.json"]),
+    "tune-wide": ({"encoder": {"u_th": 0.5, "sample_period": 7.4e-3, "resolution": 5000}},
+                  ["tune", "--out", "out/tuning.json"]),
+    "sft": ({}, ["sft", "--out-prefix", "out/sft"]),
+    "encode": ({"signal": {"windows": 128}}, ["encode", "--out", "out/train.csv"]),
+}
+PINNED_COMMANDS = {
+    "tune": {"tuning.json": "45173d2ec832afd1a545a2d3f65dacd20f79ba4cfa6441fc414be33f6ea1353c"},
+    "tune-wide": {"tuning.json": "fc7d4ff8429fd576dc8974ee1777f234b65853ea6cba0e5459082542b57c6834"},
+    "sft": {
+        "sft.json": "f840d929f088301d8a758f26d8810373a50f7192263c359111efabd9e54c6c8c",
+        "sft_ideal.csv": "f87a3cd500b5cc372fa0abcea05df771ed66f73adff52f33b0902a1c24832d1d",
+        "sft_spectrum.csv": "7f3e0541ac067344f74e2b6a37b36912190bd3ff39f4eb03587e0ed8ff54525f",
+    },
+    "encode": {
+        "train.csv": "918cd3adf0bd0c540650e4583cf0f474c715aec08772a4baeb42f84c166e9fa2",
+        "train.json": "8627395294ab61b5f2860c69b47279203867a96aead72f1edd1e0f4151bbff2d",
+    },
+}
+
+
 class TestPinnedBytes:
     N = 40_000
 
@@ -479,6 +504,18 @@ class TestPinnedBytes:
     def test_keyed_rows(self, tmp_path, capsys):
         assert keyed_row_digests(tmp_path) == PINNED_KEYED
         capsys.readouterr()
+
+    @pytest.mark.parametrize("run", sorted(COMMAND_RUNS))
+    def test_command(self, tmp_path, monkeypatch, capsys, run):
+        doc, argv = COMMAND_RUNS[run]
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "config.json").write_text(json.dumps(doc))
+        (tmp_path / "out").mkdir()
+        assert main([*argv, "--config", "config.json"]) == 0
+        capsys.readouterr()
+        assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                for p in sorted((tmp_path / "out").iterdir())} == PINNED_COMMANDS[run]
+
 
 
 # SHA-256 of a per-window-noise train of 120,000 windows, so that
