@@ -144,31 +144,24 @@ class LinearDecoderParams:
         return (self.t_lin_max - self.t_lin_min) / (self.y_max - self.y_min)
 
 
+@dataclass(frozen=True)
 class TimingSummary:
     """Derived timing figures of a configuration.
 
-    t_min   fastest spike, encode_time(u_max)
+    t_min   fastest spike, encode_time(u_max); it is also t_wait, the
+            dead time before the fastest spike can occur
     t_max   slowest spike, encode_time(u_min)
-    t_wait  dead time before the fastest spike can occur (= t_min)
-    t_spk   usable span of spike times, t_max - t_min
-    mu      t_spk / t_wait, a tau-free figure of merit: how much of the
+    mu      t_spk / t_wait, with t_spk = t_max - t_min the usable span
+            of spike times: a tau-free figure of merit, how much of the
             window carries information relative to the forced wait
     """
 
-    __slots__ = ("t_min", "t_max", "t_wait", "t_spk", "mu")
+    t_min: float
+    t_max: float
 
-    def __init__(self, t_min: float, t_max: float) -> None:
-        self.t_min = t_min
-        self.t_max = t_max
-        self.t_wait = t_min
-        self.t_spk = t_max - t_min
-        self.mu = self.t_spk / self.t_wait
-
-    def __repr__(self) -> str:
-        return (
-            f"TimingSummary(t_min={self.t_min:.6g}, t_max={self.t_max:.6g}, "
-            f"mu={self.mu:.4g})"
-        )
+    @property
+    def mu(self) -> float:
+        return (self.t_max - self.t_min) / self.t_min
 
 
 def crossing_time(u, threshold, tau):

@@ -31,7 +31,6 @@ from .simulate import SpikeTrain
 
 __all__ = [
     "SftConfig",
-    "Spectra",
     "Spectrum",
     "sft_frame",
     "sft_stream",
@@ -79,15 +78,17 @@ class SftConfig:
             sample_period=enc.sample_period,
         )
 
-    @property
-    def charge_duration(self) -> float:
-        """The charge phase: the N = T_S / tick whole ticks of one window."""
-        return round(self.sample_period / self.tick) * self.tick
+
+def _charge_duration(cfg: SftConfig) -> float:
+    """The charge phase: the N = T_S / tick whole ticks of one window."""
+    return round(cfg.sample_period / cfg.tick) * cfg.tick
 
 
 @dataclass(frozen=True, slots=True)
 class Spectrum:
-    """K complex coefficients in DFT units of the decoded values."""
+    """Complex coefficients in DFT units of the decoded values: K bins
+    of one frame, or (F, K) for F frames. len is the first axis, and an
+    index gives those rows' Spectrum, a view that keeps the array alive."""
 
     coefficients: np.ndarray
     sample_period: float
@@ -95,34 +96,17 @@ class Spectrum:
     def __post_init__(self) -> None:
         c = np.asarray(self.coefficients, dtype=complex)
         object.__setattr__(self, "coefficients", c)
-        if c.ndim != 1 or c.size < 2:
-            raise ValueError("coefficients must be a 1-d array, length >= 2")
-
-    def __len__(self) -> int:
-        return int(self.coefficients.size)
-
-    @property
-    def bin_frequencies(self) -> np.ndarray:
-        return _bin_frequencies(len(self), self.sample_period)
-
-    def magnitude(self) -> np.ndarray:
-        return np.abs(self.coefficients)
-
-
-@dataclass(frozen=True, slots=True)
-class Spectra:
-    """F frames' spectra, the rows of (F, K) coefficients. An index gives
-    a row's Spectrum, a view that keeps the array alive; a slice, a Spectra."""
-
-    coefficients: np.ndarray
-    sample_period: float
+        if c.ndim not in (1, 2) or c.shape[-1] < 2:
+            raise ValueError("coefficients must be a 1-d or 2-d array of at least 2 bins")
 
     def __len__(self) -> int:
         return len(self.coefficients)
 
-    def __getitem__(self, index):
-        kind = Spectra if isinstance(index, slice) else Spectrum
-        return kind(self.coefficients[index], self.sample_period)
+    def __getitem__(self, index) -> "Spectrum":
+        return Spectrum(self.coefficients[index], self.sample_period)
+
+    def magnitude(self) -> np.ndarray:
+        return np.abs(self.coefficients)
 
 
 def _bin_frequencies(k: int, sample_period: float) -> np.ndarray:
@@ -143,7 +127,7 @@ def _check_times(times: np.ndarray) -> None:
 def _durations(times: np.ndarray, cfg: SftConfig) -> np.ndarray:
     """Overwrite spike times with their charge durations,
     max(T_charge - t, 0), and return the same array."""
-    np.subtract(cfg.charge_duration, times, out=times)
+    np.subtract(_charge_duration(cfg), times, out=times)
     return np.clip(times, 0.0, None, out=times)
 
 
@@ -166,7 +150,7 @@ def _coefficients(dur: np.ndarray, cfg: SftConfig) -> np.ndarray:
     """
     p = cfg.decoder
     a = p.t_lin_min + p.slope * p.y_max
-    dc = (cfg.charge_duration - a) * cfg.frame_size
+    dc = (_charge_duration(cfg) - a) * cfg.frame_size
     scale = 1.0 / p.slope
     out = np.empty(dur.shape, dtype=np.complex128)
     parts = out.view(np.float64)
@@ -193,14 +177,15 @@ def sft_frame(times, cfg: SftConfig) -> Spectrum:
     return Spectrum(coefficients=coeff, sample_period=cfg.sample_period)
 
 
-def sft_stream(train: SpikeTrain, cfg: SftConfig, hop: int | None = None) -> Spectra:
+def sft_stream(train: SpikeTrain, cfg: SftConfig, hop: int | None = None) -> Spectrum:
     """Slice a spike train into frames and transform each.
 
     hop defaults to frame_size (back-to-back frames). Windows without
     a spike enter as the decoder's largest code time, clipped to the
     charge phase. The train must cover at least one frame, and its
     windows must last cfg.sample_period, which labels the bins.
-    Frames are transformed by FFT, a chunk at a time, into one array.
+    Frames are transformed by FFT, a chunk at a time, into the (F, K)
+    coefficients of one Spectrum.
     """
     k = cfg.frame_size
     if hop is None:
@@ -215,11 +200,11 @@ def sft_stream(train: SpikeTrain, cfg: SftConfig, hop: int | None = None) -> Spe
             f"train windows last {period:.6g} s but the S-FT labels bins "
             f"for sample_period {cfg.sample_period:.6g} s"
         )
-    silent_time = min(cfg.decoder.t_lin_max, cfg.charge_duration)
+    silent_time = min(cfg.decoder.t_lin_max, _charge_duration(cfg))
     times = np.where(train.fired, train.bins * train.config.reader_period, silent_time)
     _check_times(times)
     frames = np.lib.stride_tricks.sliding_window_view(_durations(times, cfg), k)[::hop]
-    return Spectra(_coefficients(frames, cfg), cfg.sample_period)
+    return Spectrum(_coefficients(frames, cfg), cfg.sample_period)
 
 
 def _spectrum_tables(paths, coefficients: np.ndarray, sample_period: float) -> list:

@@ -10,6 +10,7 @@ with a bad cell count even when an earlier row had a bad window.
 """
 
 import ast
+import dataclasses
 import inspect
 import json
 import re
@@ -104,6 +105,18 @@ def test_every_public_function_is_reached():
     assert values
     unreached = [name for name in values if name not in named]
     assert not unreached, f"{unreached} reached from none of {[p.name for p in CALLERS]}"
+
+
+def test_every_public_method_is_reached():
+    """The same rule for the methods and properties of an exported
+    class; its dataclass fields are its data, not its code."""
+    named = set().union(*map(named_in, CALLERS))
+    classes = [cls for cls in map(vars(spikecodec).get, spikecodec.__all__) if inspect.isclass(cls)]
+    assert classes
+    members = [f"{cls.__name__}.{name}" for cls in classes for name in vars(cls)
+               if not name.startswith("_") and name not in named
+               and not (dataclasses.is_dataclass(cls) and name in cls.__dataclass_fields__)]
+    assert not members, f"{members} reached from none of {[p.name for p in CALLERS]}"
 
 
 @pytest.mark.parametrize("pattern, what", [

@@ -162,9 +162,8 @@ class TestTimingSummary:
         ts = timing_summary(cfg3k)
         assert ts.t_min == pytest.approx(6.0608121952558396e-5, rel=1e-12)
         assert ts.t_max == pytest.approx(3.1608154697347884e-4, rel=1e-12)
-        assert ts.t_wait == ts.t_min
-        assert ts.t_spk == pytest.approx(ts.t_max - ts.t_min, rel=1e-12)
         assert ts.mu == pytest.approx(4.215168145630627, rel=1e-12)
+        assert ts.mu == (ts.t_max - ts.t_min) / ts.t_min
 
     def test_high_threshold_mu(self):
         cfg = EncoderConfig(

@@ -14,13 +14,12 @@ from spikecodec import (
     LinearDecoderParams,
     SftConfig,
     SpikeTrain,
-    Spectra,
     Spectrum,
     sft_frame,
     sft_stream,
     write_spectrum,
 )
-from spikecodec.sft import _CHUNK_FRAMES
+from spikecodec.sft import _CHUNK_FRAMES, _bin_frequencies, _charge_duration
 from conftest import CFG3K, affine_times, naive_dft
 
 
@@ -108,13 +107,14 @@ class TestSftStream:
         train = SpikeTrain(bins=np.arange(1, 33), config=cfg3k)
         cfg = SftConfig.for_encoder(cfg3k, DEC, frame_size=8)
         spectra = sft_stream(train, cfg, hop=2)
-        assert type(spectra) is Spectra and spectra.coefficients.shape == (13, 8)
+        assert type(spectra) is Spectrum and spectra.coefficients.shape == (13, 8)
         rows = [spectra[0], spectra[-1], *spectra[5:7], *list(spectra)[12:]]
         assert all(type(s) is Spectrum and s.sample_period == cfg.sample_period for s in rows)
+        assert all(s.coefficients.shape == (8,) for s in rows)
         assert all(np.shares_memory(s.coefficients, spectra.coefficients) for s in rows)
         assert [s.coefficients.tobytes() for s in rows] == [
             spectra.coefficients[f].tobytes() for f in (0, 12, 5, 6, 12)]
-        assert type(spectra[5:7]) is Spectra and len(spectra[5:7]) == 2
+        assert type(spectra[5:7]) is Spectrum and spectra[5:7].coefficients.shape == (2, 8)
         with pytest.raises(IndexError):
             spectra[13]
 
@@ -142,8 +142,8 @@ class TestSftStream:
         cfg = SftConfig.for_encoder(cfg3k, DEC, frame_size=128)
         with pytest.raises(ValueError, match=r"0\.000666667 s.*0\.000333333 s"):
             sft_stream(train, cfg)
-        assert sft_stream(train, SftConfig.for_encoder(slow, DEC))[0].bin_frequencies[1] == (
-            pytest.approx(3000.0 / 256.0, rel=1e-12))
+        spectra = sft_stream(train, SftConfig.for_encoder(slow, DEC))
+        assert _bin_frequencies(128, spectra.sample_period)[1] == pytest.approx(3000.0 / 256.0, rel=1e-12)
         # the reader period may differ: spike times come from the train's ticks
         fine = replace(cfg3k, reader_period=cfg3k.reader_period / 2)
         assert len(sft_stream(SpikeTrain(bins=np.full(128, 62), config=fine), cfg)) == 1
@@ -193,7 +193,7 @@ def stream_times(train, cfg, hop):
     """The (F, K) spike times of a stream's frames, silent windows
     entered as the decoder's latest code time clipped to the charge
     phase."""
-    silent_time = min(cfg.decoder.t_lin_max, cfg.charge_duration)
+    silent_time = min(cfg.decoder.t_lin_max, _charge_duration(cfg))
     times = np.where(train.fired, train.bins * train.config.reader_period, silent_time)
     return np.lib.stride_tricks.sliding_window_view(times, cfg.frame_size)[::hop]
 
@@ -247,13 +247,13 @@ class TestSftParity:
         cfg = SftConfig.for_encoder(CFG3K, decoder, frame_size=k)
         rng = np.random.default_rng(k)
         times = rng.integers(1, CFG3K.resolution + 1, k) * CFG3K.reader_period
-        times[::3] = cfg.charge_duration
+        times[::3] = _charge_duration(cfg)
         got = sft_frame(times, cfg).coefficients
         # bin 0's real part less (T_charge - a) * K, both parts times
         # 1 / slope, never a complex product or quotient
-        v = np.fft.fft(np.clip(cfg.charge_duration - times, 0.0, None))
+        v = np.fft.fft(np.clip(_charge_duration(cfg) - times, 0.0, None))
         re, im = v.real.copy(), v.imag.copy()
-        re[0] -= (cfg.charge_duration - offset(decoder)) * k
+        re[0] -= (_charge_duration(cfg) - offset(decoder)) * k
         want = np.empty(k, dtype=complex)
         want.real, want.imag = re * (1.0 / decoder.slope), im * (1.0 / decoder.slope)
         assert got.tobytes() == want.tobytes()
@@ -264,7 +264,7 @@ def matmul_coefficients(frames, cfg):
     one complex sum of the products, minus the row-sum term, divided
     by the slope."""
     p = cfg.decoder
-    t_charge = cfg.charge_duration
+    t_charge = _charge_duration(cfg)
     n = np.arange(cfg.frame_size)
     ang = 2.0 * np.pi * np.outer(n, n) / cfg.frame_size
     cos_w, sin_w = np.cos(ang), -np.sin(ang)
@@ -280,7 +280,7 @@ def long_double_coefficients(frames, cfg):
     ld = np.longdouble
     k = cfg.frame_size
     p = cfg.decoder
-    t_charge = ld(cfg.charge_duration)
+    t_charge = ld(_charge_duration(cfg))
     dur = np.clip(t_charge - frames.astype(ld), ld(0), None)
     # the angle 2 pi k n / K, reduced mod K before it is rounded
     ang = 8 * np.arctan(ld(1)) * np.arange(k).astype(ld) / k
@@ -367,17 +367,19 @@ class TestStreamMemory:
 
 class TestSpectrum:
     def test_bin_frequencies(self):
-        spec = Spectrum(coefficients=np.zeros(8, dtype=complex), sample_period=1.0 / 3000.0)
-        assert spec.bin_frequencies[1] == pytest.approx(375.0, rel=1e-12)
-        assert spec.bin_frequencies[4] == pytest.approx(1500.0, rel=1e-12)
+        assert _bin_frequencies(8, 1.0 / 3000.0)[1] == pytest.approx(375.0, rel=1e-12)
+        assert _bin_frequencies(8, 1.0 / 3000.0)[4] == pytest.approx(1500.0, rel=1e-12)
 
     def test_magnitude(self):
         spec = Spectrum(coefficients=np.array([3 + 4j, 1 + 0j]), sample_period=1e-3)
         assert spec.magnitude() == pytest.approx([5.0, 1.0])
 
-    @pytest.mark.parametrize("coefficients", [np.zeros(1), np.zeros((2, 2)), np.zeros(())])
+    # an (F, K) stack of frames is a spectrum too; a third axis, or rows
+    # of fewer than 2 bins, are not
+    @pytest.mark.parametrize("coefficients", [np.zeros(1), np.zeros((2, 1)), np.zeros(()),
+                                              np.zeros((2, 2, 2))])
     def test_rejects_a_short_or_not_1d_array(self, coefficients):
-        with pytest.raises(ValueError, match="1-d array"):
+        with pytest.raises(ValueError, match="1-d or 2-d array of at least 2 bins"):
             Spectrum(coefficients=coefficients, sample_period=1e-3)
 
     def test_csv_dump(self, tmp_path):
@@ -397,8 +399,8 @@ class TestSftConfig:
         cfg = SftConfig.for_encoder(cfg3k, DEC, frame_size=16)
         assert cfg.tick == cfg3k.reader_period
         # the N whole ticks of one window, with the bits of N * T_N
-        assert cfg.charge_duration == cfg3k.resolution * cfg3k.reader_period
-        assert cfg.charge_duration == pytest.approx(cfg3k.sample_period, rel=1e-12)
+        assert _charge_duration(cfg) == cfg3k.resolution * cfg3k.reader_period
+        assert _charge_duration(cfg) == pytest.approx(cfg3k.sample_period, rel=1e-12)
 
     def test_validation(self):
         with pytest.raises(ValueError, match="frame_size"):
