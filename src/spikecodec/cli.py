@@ -231,11 +231,12 @@ def _build_signal(section: dict, enc: EncoderConfig):
 
 def _resolve_decoder(spec, tuner: dict, enc: EncoderConfig) -> LinearDecoderParams:
     """Decoder from the sft section's spec: inline params, a tuning
-    file, or a fresh fit, which is deterministic, so reruns reproduce it."""
+    file fitted for enc, or a fresh fit, which is deterministic, so
+    reruns reproduce it."""
     if spec is None:
         return fit_linear_decoder(enc, TunerConfig(**tuner)).params
     if isinstance(spec, str):
-        return read_decoder(spec)
+        return read_decoder(spec, enc)
     try:
         return LinearDecoderParams(**spec)
     except (TypeError, ValueError) as exc:
@@ -298,7 +299,7 @@ def cmd_decode(args) -> int:
     _spare_inputs(args, [args.out])
     train = read_spike_train(args.train)
     enc = train.config
-    params = read_decoder(args.tuning) if args.mode == "linear" else None
+    params = read_decoder(args.tuning, enc) if args.mode == "linear" else None
     # A window's cell is its bin's voltage, "" for a silent window; each
     # bin is decoded once, and only the bins the train holds if fewer.
     with atomic_write(args.out, "wb") as fh:

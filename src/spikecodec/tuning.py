@@ -50,6 +50,10 @@ __all__ = [
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _SEARCH_STEPS = 80
 
+# The encoder fields a fit reads, through timing_summary and _code_grid;
+# the window and reader timing do not move it.
+_FIT_FIELDS = ("tau", "u_th", "u_min", "u_max")
+
 
 @dataclass(frozen=True)
 class TunerConfig:
@@ -213,15 +217,25 @@ def write_tuning(result: TuningResult, cfg: EncoderConfig, path: str,
     write_json(path, doc)
 
 
-def read_decoder(path: str) -> LinearDecoderParams:
-    """Load just the decoder parameters back from a tuning file.
+def read_decoder(path: str, enc: EncoderConfig) -> LinearDecoderParams:
+    """Load the decoder parameters back from a tuning file, for use
+    with the encoder enc.
 
-    Each of the four must be a finite number; a file that fails this
-    is a ValueError that names it.
+    Each of the four must be a finite number, and each field a fit
+    reads that the file's encoder records must equal enc's (JSON keeps
+    a float's bits); a file that fails this is a ValueError that names
+    it. A file without an encoder, written by hand, is taken as it is.
     """
     doc = read_json(path)
     if not isinstance(doc, dict):
         raise ValueError(f"{path}: tuning file is not a JSON object")
+    fitted = doc.get("encoder", {})
+    if not isinstance(fitted, dict):
+        raise ValueError(f"{path}: tuning file 'encoder' must be a JSON object, got {fitted!r}")
+    for key in _FIT_FIELDS:
+        if key in fitted and fitted[key] != getattr(enc, key):
+            raise ValueError(f"{path}: tuning file was fitted for encoder {key} = {fitted[key]!r}, "
+                             f"not the {getattr(enc, key)!r} in use")
     kw = {}
     for f in fields(LinearDecoderParams):
         if f.name not in doc:

@@ -527,6 +527,51 @@ class TestFailureModes:
         assert capsys.readouterr().err == f"error: {tuning}: {message}\n"
         assert not out.exists()
 
+    # (command, its output files): decode reads the train's encoder, sft
+    # the config's; both are the defaults here
+    TUNED_RUNS = {
+        "decode": (["decode", "--train", "train.csv", "--mode", "linear", "--tuning", "tuning.json",
+                    "--out", "out.csv"], ["out.csv"]),
+        "sft": (["sft", "--config", "sft.json", "--out-prefix", "out"],
+                ["out_spectrum.csv", "out_ideal.csv", "out.json"]),
+    }
+
+    @pytest.mark.parametrize("command", sorted(TUNED_RUNS))
+    def test_tuning_file_of_another_encoder_is_refused(self, tmp_path, monkeypatch, capsys, command):
+        # a file fitted for u_th = 0.2 V and tau = 1 ms used to be applied
+        # to the default encoder with exit 0: sft printed rmse_mag=19.4376,
+        # against 6.47398 with a fresh fit
+        argv, outputs = self.TUNED_RUNS[command]
+        self._tuned_inputs(tmp_path, monkeypatch, {"u_th": 0.2, "tau": 1e-3})
+        capsys.readouterr()
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            "error: tuning.json: tuning file was fitted for encoder tau = 0.001, not the 0.003 in use\n")
+        assert not any(map(Path.exists, map(Path, outputs)))
+
+    @pytest.mark.parametrize("command", sorted(TUNED_RUNS))
+    def test_tuning_file_of_another_resolution_loads(self, tmp_path, monkeypatch, command):
+        # the reader's timing does not move a fit, so a file fitted at 50
+        # bins per window gives the bytes of one fitted at the 100 in use
+        argv, outputs = self.TUNED_RUNS[command]
+        self._tuned_inputs(tmp_path, monkeypatch, {})
+        assert main(argv) == 0
+        want = [Path(name).read_bytes() for name in outputs]
+        self._tuned_inputs(tmp_path, monkeypatch, {"resolution": 50})
+        assert main(argv) == 0
+        assert [Path(name).read_bytes() for name in outputs] == want
+
+    @staticmethod
+    def _tuned_inputs(tmp_path, monkeypatch, encoder):
+        """In tmp_path as the working directory: a default-encoder
+        train, a tuning file fitted for encoder over the defaults, and
+        an sft config that reads it."""
+        monkeypatch.chdir(tmp_path)
+        Path("tune.json").write_text(json.dumps({"encoder": encoder}))
+        Path("sft.json").write_text(json.dumps({"sft": {"decoder": "tuning.json"}}))
+        assert main(["encode", "--out", "train.csv"]) == 0
+        assert main(["tune", "--config", "tune.json", "--out", "tuning.json"]) == 0
+
     def test_ideal_mode_refuses_a_tuning_file(self, tmp_path, capsys):
         # the file used to be read and checked, then left out of the decode
         train = tmp_path / "train.csv"

@@ -1,4 +1,5 @@
-from dataclasses import asdict
+import json
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -165,5 +166,21 @@ class TestTuningIO:
         fit = fit_linear_decoder(cfg3k, TunerConfig(generations=30))
         path = str(tmp_path / "tuning.json")
         write_tuning(fit, cfg3k, path)
-        p = read_decoder(path)
+        p = read_decoder(path, cfg3k)
         assert p == fit.params
+
+    @pytest.mark.parametrize("field", ["tau", "u_th", "u_min", "u_max"])
+    def test_each_field_the_fit_reads_must_match(self, tmp_path, cfg3k, field):
+        path = str(tmp_path / "tuning.json")
+        write_tuning(fit_linear_decoder(cfg3k), cfg3k, path)
+        enc = replace(cfg3k, **{field: getattr(cfg3k, field) * (1 + 2**-52)})
+        with pytest.raises(ValueError, match=f"fitted for encoder {field} = "):
+            read_decoder(path, enc)
+
+    def test_encoder_must_be_an_object(self, tmp_path, cfg3k):
+        # a string would pass `"tau" in encoder` and end in a TypeError
+        path = tmp_path / "tuning.json"
+        doc = {**asdict(endpoint_params(cfg3k)), "encoder": "tau u_th"}
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match="'encoder' must be a JSON object, got 'tau u_th'"):
+            read_decoder(str(path), cfg3k)
