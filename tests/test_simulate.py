@@ -1,5 +1,7 @@
+import decimal
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -157,6 +159,26 @@ class TestSimulateWindowProperties:
         k = np.arange(1, cfg.resolution + 1)
         u = decode_ideal(k * cfg.reader_period, cfg)
         assert np.array_equal(simulate_window(u, cfg), k)
+
+
+def decimal_bins(u, cfg):
+    """ceil(-tau ln(1 - u_th / u) / T_N) for each float voltage u, in
+    50-digit decimal arithmetic on the exact values of the floats."""
+    with decimal.localcontext(prec=50):
+        tau, u_th, t_n = map(decimal.Decimal, (cfg.tau, cfg.u_th, cfg.reader_period))
+        ticks = (-tau * (1 - u_th / decimal.Decimal(v)).ln() / t_n for v in u.tolist())
+        return [int(t.to_integral_value(decimal.ROUND_CEILING)) for t in ticks]
+
+
+class TestDecimalOracle:
+    @pytest.mark.parametrize("resolution", [10**6, 10**8, 5 * 10**8])
+    def test_bins_at_high_resolution(self, cfg3k, resolution):
+        # a crossing within 1e-9 of a tick, relative to the tick count,
+        # used to register on it: 1, 69 and 351 of these 2,000 windows
+        # landed one bin early
+        cfg = replace(cfg3k, reader_period=cfg3k.sample_period / resolution)
+        u = np.random.default_rng(resolution).uniform(1.0, 5.0, 2000)
+        assert simulate_window(u, cfg).tolist() == decimal_bins(u, cfg)
 
 
 class TestEulerOracle:
