@@ -87,8 +87,9 @@ def _charge_duration(cfg: SftConfig) -> float:
 @dataclass(frozen=True, slots=True)
 class Spectrum:
     """Complex coefficients in DFT units of the decoded values: K bins
-    of one frame, or (F, K) for F frames. len is the first axis, and an
-    index gives those rows' Spectrum, a view that keeps the array alive."""
+    of one frame, or (F, K) for F frames. len is the first axis; an
+    index into F frames gives the Spectrum of those rows, a view that
+    keeps the array alive."""
 
     coefficients: np.ndarray
     sample_period: float
