@@ -51,7 +51,7 @@ from .simulate import (
     simulate_window,
     write_spike_train,
 )
-from .tuning import TunerConfig, fit_linear_decoder, read_decoder, write_tuning
+from .tuning import fit_linear_decoder, read_decoder, write_tuning
 
 DEFAULT_ENCODER = {
     "tau": 3e-3,
@@ -75,7 +75,6 @@ SIGNAL_TYPE_KEYS = {"sine": ("amplitude", "frequency", "offset"), "constant": ("
 _NUMBER = "a number"
 _NUMBER_OR_NULL = "a number or null"
 _COUNT = "an integer of at least 1"
-_PAIR = "a pair of finite numbers"
 _DECODER = "a path string or an object of finite numbers"
 
 # Every config section and key, with the kind of value it takes.
@@ -87,10 +86,7 @@ SCHEMA = {
     # ThermalNoiseModel checks that rng_seed is a non-negative integer.
     "noise": {"delta_u": _NUMBER, "mode": NOISE_MODES, "rng_seed": _NUMBER},
     # generations is accepted and ignored, so older configs still load.
-    "tuner": {
-        "k1_bounds": _PAIR, "k2_bounds": _PAIR,
-        "grid_points": _COUNT, "generations": _NUMBER_OR_NULL,
-    },
+    "tuner": {"generations": _NUMBER_OR_NULL},
     # A null decoder, like a missing one, asks for a fresh fit.
     "sft": {"frame_size": _COUNT, "decoder": _DECODER},
     "signal": {
@@ -110,15 +106,14 @@ _KIND_TESTS = {
     _NUMBER: _is_number,
     _NUMBER_OR_NULL: lambda v: v is None or _is_number(v),
     _COUNT: lambda v: isinstance(v, int) and v >= 1,
-    _PAIR: lambda v: isinstance(v, list) and len(v) == 2 and all(map(_is_finite_number, v)),
     _DECODER: lambda v: v is None or isinstance(v, str) or (
         isinstance(v, dict) and all(map(_is_finite_number, v.values()))),
 }
 
 
 def _typed(name: str, key: str, value):
-    """value, checked against its kind in SCHEMA; a pair comes back as
-    a tuple. A count that is not a number at all is named as such."""
+    """value, checked against its kind in SCHEMA. A count that is not
+    a number at all is named as such."""
     kind = SCHEMA[name][key]
     where = f"config section {name!r} key {key!r}"
     if kind in (_NUMBER, _COUNT) and not _is_number(value):
@@ -130,7 +125,7 @@ def _typed(name: str, key: str, value):
         ok = _KIND_TESTS[kind](value)
     if not ok:
         raise ValueError(f"{where} must be {kind}, got {value!r}")
-    return tuple(value) if kind == _PAIR else value
+    return value
 
 
 def _reject_unknown(where: str, doc: dict, known) -> None:
@@ -229,12 +224,12 @@ def _build_signal(section: dict, enc: EncoderConfig):
     return constant(d["level"], duration)
 
 
-def _resolve_decoder(spec, tuner: dict, enc: EncoderConfig) -> LinearDecoderParams:
+def _resolve_decoder(spec, enc: EncoderConfig) -> LinearDecoderParams:
     """Decoder from the sft section's spec: inline params, a tuning
     file fitted for enc, or a fresh fit, which is deterministic, so
     reruns reproduce it."""
     if spec is None:
-        return fit_linear_decoder(enc, TunerConfig(**tuner)).params
+        return fit_linear_decoder(enc).params
     if isinstance(spec, str):
         return read_decoder(spec, enc)
     try:
@@ -348,7 +343,7 @@ def cmd_tune(args) -> int:
     cfg = _load_config(args.config)
     _spare_inputs(args, [args.out])
     enc = _build_encoder(cfg["encoder"])
-    result = fit_linear_decoder(enc, TunerConfig(**cfg["tuner"]))
+    result = fit_linear_decoder(enc)
     write_tuning(result, enc, args.out, seed=args.seed)
     print(
         f"k1={result.k1:.6g} k2={result.k2:.6g} eps_lin={result.eps_lin:.6g} "
@@ -370,7 +365,7 @@ def _sft_setup(args, outputs):
         raise ValueError(f"{args.command} needs signal type 'sine', got {sig['type']!r}")
     spec = SineSpec(sig["amplitude"], sig["frequency"], sig["offset"])
     sft_keys = dict(cfg["sft"])
-    decoder = _resolve_decoder(sft_keys.pop("decoder", None), cfg["tuner"], enc)
+    decoder = _resolve_decoder(sft_keys.pop("decoder", None), enc)
     return enc, noise, SftConfig.for_encoder(enc, decoder, **sft_keys), spec
 
 

@@ -38,8 +38,11 @@ __all__ = [
 ]
 
 # A window count within this relative distance of a whole number counts
-# as whole. Guards floor() against float dust in duration / T_S.
-_TICK_SNAP = 1e-9
+# as whole. Guards floor() against float dust in duration / T_S:
+# (n * T_S) / T_S misses n by at most 2.22e-16 relative (one ulp) over
+# periods of 1e-7..1 s and n < 2**51. A wider snap counts a partial
+# last window as whole: 1e-9 did so from about 5e8 windows.
+_WINDOW_SNAP = 4e-16
 
 # A crossing within this relative distance of a reader tick counts as
 # hitting the tick, so that ceil() keeps the bin of a time decoded from
@@ -201,9 +204,9 @@ def simulate_window(
 
 def _window_count(duration: float, sample_period: float) -> int:
     """The whole windows of sample_period in duration. A count within
-    _TICK_SNAP of a whole number, relative to that number, is that
-    number, as _register snaps ticks, so that n * sample_period gives
-    back n: float dust alone loses a window from about 2.5e7 windows."""
+    _WINDOW_SNAP of a whole number, relative to that number, is that
+    number, so that n * sample_period gives back n: float dust alone
+    loses a window from about 2.5e7 windows."""
     windows = duration / sample_period
     if windows > _MAX_WINDOWS:
         raise ValueError(
@@ -212,7 +215,7 @@ def _window_count(duration: float, sample_period: float) -> int:
             "float64 counts exactly"
         )
     near = round(windows)
-    count = near if abs(windows - near) <= _TICK_SNAP * near else math.floor(windows)
+    count = near if abs(windows - near) <= _WINDOW_SNAP * near else math.floor(windows)
     if count < 1:
         raise ValueError("signal shorter than one sample window")
     return count

@@ -55,46 +55,34 @@ _SEARCH_STEPS = 80
 _FIT_FIELDS = ("tau", "u_th", "u_min", "u_max")
 
 
+# The (k1, k2) box and quadrature size of every fit: the box that
+# acceptance criterion 5's grid oracle scans, and its trapezoid.
+_K_BOUNDS = (-1.0, 2.0)
+_GRID_POINTS = 1024
+
+
 @dataclass(frozen=True)
 class TunerConfig:
-    """Stretch bounds and quadrature size of the fit.
+    """Accepted and ignored, so configs and callers written for the
+    earlier evolutionary search, with its generations, still work."""
 
-    generations is accepted and ignored, so configs written for the
-    earlier evolutionary search still load.
-    """
-
-    k1_bounds: Tuple[float, float] = (-1.0, 2.0)
-    k2_bounds: Tuple[float, float] = (-1.0, 2.0)
-    grid_points: int = 1024
     generations: Optional[int] = None
 
-    def __post_init__(self) -> None:
-        for name, (lo, hi) in (("k1_bounds", self.k1_bounds), ("k2_bounds", self.k2_bounds)):
-            if lo < -1:
-                raise ValueError(f"{name}: stretch factors below -1 invert the code")
-            if not (math.isfinite(hi) and hi > lo):
-                raise ValueError(f"{name}: need finite upper > lower")
-        if self.grid_points < 2:
-            raise ValueError("grid_points must be at least 2")
 
-
-def _code_grid(cfg: EncoderConfig, grid_points: int):
+def _code_grid(cfg: EncoderConfig):
     """Quadrature nodes y over [u_min, u_max] and their exact spike times."""
-    if grid_points < 2:
-        raise ValueError("grid_points must be at least 2")
-    y = np.linspace(cfg.u_min, cfg.u_max, grid_points)
+    y = np.linspace(cfg.u_min, cfg.u_max, _GRID_POINTS)
     return y, crossing_time(y, cfg.u_th, cfg.tau)
 
 
-def linear_error(cfg: EncoderConfig, p: LinearDecoderParams,
-                 grid_points: int = TunerConfig.grid_points) -> float:
+def linear_error(cfg: EncoderConfig, p: LinearDecoderParams) -> float:
     """Integrated absolute decode error of the affine read-back.
 
     Encodes a dense grid over [u_min, u_max] with the exact code and
     integrates |y - decode_linear(f(y))| dy by the trapezoid rule.
     tau cancels: both f and the fitted time span scale with it.
     """
-    y, t = _code_grid(cfg, grid_points)
+    y, t = _code_grid(cfg)
     return float(np.trapezoid(np.abs(y - decode_linear(t, p)), y))
 
 
@@ -117,7 +105,7 @@ def _params_from_k(k: np.ndarray, ts, cfg: EncoderConfig) -> Optional[LinearDeco
     return LinearDecoderParams(t_lin_min=t_lo, t_lin_max=t_hi, y_min=cfg.u_min, y_max=cfg.u_max)
 
 
-def _solve_offset_span(cfg: EncoderConfig, tuner: TunerConfig, t_min: float, t_max: float):
+def _solve_offset_span(cfg: EncoderConfig, t_min: float, t_max: float):
     """Minimise eps_lin over (c, T) = (t_lin_min, t_lin_max - t_lin_min).
 
     The box puts c in [lo1, hi1] and c + T in [lo2, hi2]. On the
@@ -126,13 +114,11 @@ def _solve_offset_span(cfg: EncoderConfig, tuner: TunerConfig, t_min: float, t_m
     the best c is the trapezoid-weighted median of z, clipped into the
     c-range the box leaves for that T.
     """
-    y, t = _code_grid(cfg, tuner.grid_points)
+    y, t = _code_grid(cfg)
     w = np.convolve(np.diff(y), [0.5, 0.5])  # the trapezoid weights of linear_error
     y_span = cfg.u_max - cfg.u_min
-    lo1, hi1 = (t_min * (1.0 + k) for k in tuner.k1_bounds)
-    lo2, hi2 = (t_max * (1.0 + k) for k in tuner.k2_bounds)
-    if not hi2 > lo1:
-        raise ValueError("stretch bounds admit no decoder with t_lin_max > t_lin_min")
+    lo1, hi1 = (t_min * (1.0 + k) for k in _K_BOUNDS)
+    lo2, hi2 = (t_max * (1.0 + k) for k in _K_BOUNDS)
 
     def best_offset(span: float) -> Tuple[float, float]:
         z = t + (y - cfg.u_max) * (span / y_span)
@@ -159,27 +145,24 @@ def _solve_offset_span(cfg: EncoderConfig, tuner: TunerConfig, t_min: float, t_m
 
 
 def fit_linear_decoder(cfg: EncoderConfig, tuner: Optional[TunerConfig] = None) -> TuningResult:
-    """Find the (k1, k2) in the tuner's box that minimise eps_lin.
+    """Find the (k1, k2) in [-1, 2]^2 that minimise eps_lin; the
+    encoder alone decides the fit, and tuner is ignored.
 
     The exact solve competes with (0, 0), the plain endpoint
-    interpolation clipped into the box, and the lower eps_lin wins, so
-    the fit never comes back worse than that endpoint, rounding
-    included. Raises ValueError when the box admits no decoder or the
-    fit error is not finite.
+    interpolation, and the lower eps_lin wins, so the fit never comes
+    back worse than that endpoint, rounding included. Raises
+    ValueError when the fit error is not finite.
     """
-    if tuner is None:
-        tuner = TunerConfig()
     ts = timing_summary(cfg)
-    c, span = _solve_offset_span(cfg, tuner, ts.t_min, ts.t_max)
-    lo, hi = zip(tuner.k1_bounds, tuner.k2_bounds)
+    c, span = _solve_offset_span(cfg, ts.t_min, ts.t_max)
     scored = []
     # An overflow shows as a non-finite eps_lin, which is named below.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for k in ((c / ts.t_min - 1.0, (c + span) / ts.t_max - 1.0), (0.0, 0.0)):
-            k = np.clip(k, lo, hi)
+            k = np.clip(k, *_K_BOUNDS)
             p = _params_from_k(k, ts, cfg)
             if p is not None:
-                scored.append((linear_error(cfg, p, tuner.grid_points), float(k[0]), float(k[1]), p))
+                scored.append((linear_error(cfg, p), float(k[0]), float(k[1]), p))
     eps, k1, k2, params = min(scored, key=lambda s: s[0])
     if not math.isfinite(eps):
         raise ValueError(

@@ -463,16 +463,24 @@ PINNED = {
 # The commands whose files a 1-ulp change in a fit, a transform or an
 # encode would move unseen: each writes into out/, and the digests
 # were recorded before sft_stream's result type became Spectrum.
+# tune-edge's fit stops on the box edge k1 = -1, where the clip acts,
+# and tune-narrow's range starts at 2 V; both were recorded while the
+# fit's box and quadrature were still tuner settings.
 COMMAND_RUNS = {
     "tune": ({}, ["tune", "--out", "out/tuning.json"]),
     "tune-wide": ({"encoder": {"u_th": 0.5, "sample_period": 7.4e-3, "resolution": 5000}},
                   ["tune", "--out", "out/tuning.json"]),
+    "tune-edge": ({"encoder": {"u_th": 0.9, "sample_period": 7.4e-3, "resolution": 5000}},
+                  ["tune", "--out", "out/tuning.json"]),
+    "tune-narrow": ({"encoder": {"u_min": 2.0}}, ["tune", "--out", "out/tuning.json"]),
     "sft": ({}, ["sft", "--out-prefix", "out/sft"]),
     "encode": ({"signal": {"windows": 128}}, ["encode", "--out", "out/train.csv"]),
 }
 PINNED_COMMANDS = {
     "tune": {"tuning.json": "45173d2ec832afd1a545a2d3f65dacd20f79ba4cfa6441fc414be33f6ea1353c"},
     "tune-wide": {"tuning.json": "fc7d4ff8429fd576dc8974ee1777f234b65853ea6cba0e5459082542b57c6834"},
+    "tune-edge": {"tuning.json": "de88b7971aec024ff54c8ecdd4be3f46e0d8641720bef89c9e9f30d8bdd5cd5d"},
+    "tune-narrow": {"tuning.json": "300d3b80f826f25ae27c572a56180de21e02b7f2a5be05204e23692807ee6f17"},
     "sft": {
         "sft.json": "f840d929f088301d8a758f26d8810373a50f7192263c359111efabd9e54c6c8c",
         "sft_ideal.csv": "f87a3cd500b5cc372fa0abcea05df771ed66f73adff52f33b0902a1c24832d1d",

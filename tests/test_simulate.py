@@ -352,10 +352,18 @@ class TestEncodeSignal:
         assert cfg3k.sample_period == 1 / 3000
         assert _window_count(float(n * cfg3k.sample_period), cfg3k.sample_period) == n
 
+    # every n below 2**51, where a float duration still holds n, over
+    # periods of 1e-7..1 s
     @settings(max_examples=300, deadline=None)
-    @given(n=st.integers(1, 2**40), rate=st.sampled_from([3000.0, 1000.0, 48000.0, 7.0]))
+    @given(n=st.integers(1, 2**51 - 1),
+           rate=st.sampled_from([3000.0, 1000.0, 48000.0, 7.0, 1e7, 3e5, 1.0]))
     def test_window_count_round_trips_through_the_duration(self, n, rate):
         assert _window_count(float(n * (1 / rate)), 1 / rate) == n
+
+    @pytest.mark.parametrize("n, part", [(6 * 10**8, 0.7), (10**9, 0.6), (3 * 10**12, 0.7)])
+    def test_window_count_drops_a_partial_last_window(self, cfg3k, n, part):
+        # a snap of 1e-9 relative counted these as n + 1 windows
+        assert _window_count((n + part) * cfg3k.sample_period, cfg3k.sample_period) == n
 
 
 class TestSpikeTrainIO:

@@ -181,7 +181,7 @@ class TestBatchedSweep:
     @pytest.mark.parametrize("k", [2, 24, 128])
     @pytest.mark.parametrize("noise", sorted(NOISES))
     def test_same_bits_as_one_point_at_a_time(self, noise, k, freqs):
-        scfg = SftConfig.for_encoder(CFG3K, _resolve_decoder(None, {}, CFG3K), frame_size=k)
+        scfg = SftConfig.for_encoder(CFG3K, _resolve_decoder(None, CFG3K), frame_size=k)
         spec = SineSpec(amplitude=2.0, frequency=500.0, offset=3.0)
         got = _sft_points(CFG3K, scfg, NOISES[noise], spec, freqs)
         want = serial_points(CFG3K, scfg, NOISES[noise], spec, freqs)
