@@ -703,8 +703,11 @@ class TestFailureModes:
         # named neither value, so a threshold list did not say which one failed
         ({"noise": {"delta_u": 0.2}}, "sweep-constant",
          "delta_u must stay below u_th, got delta_u = 0.2 and u_th = 0.1"),
-        *[({"tuner": {key: [-0.5, 0.5]}}, "sft", f"config section 'tuner' has unknown key(s): {key!r}")
-          for key in ("k1_bounds", "k2_bounds")],
+        # the values that once moved sft's spectrum (see KEY_CASES), now
+        # refused with the keys
+        *[({"tuner": {key: value}}, "sft", f"config section 'tuner' has unknown key(s): {key!r}")
+          for key, value in [("k1_bounds", [-0.5, 0.5]), ("k2_bounds", [0.0, 0.5]),
+                             ("grid_points", 16)]],
     ])
     def test_config_hole_is_named(self, tmp_path, capsys, doc, command, message):
         out = {"encode": ["--out", str(tmp_path / "t.csv")],
@@ -734,6 +737,23 @@ class TestFailureModes:
         assert err.startswith("error: config section 'sft' key 'decoder'") and message in err
         assert err.count("\n") == 1
         assert list(tmp_path.iterdir()) == [tmp_path / "config.json"]
+
+    @pytest.mark.parametrize("key, value", [
+        ("k1_bounds", "ab"),
+        ("k1_bounds", 5),
+        ("k2_bounds", [0.0, float("inf")]),
+        ("k2_bounds", [0.0, 1.0, 2.0]),
+    ])
+    def test_stretch_bounds_must_be_a_finite_pair(self, tmp_path, capsys, key, value):
+        # "ab" and 5 used to end tune in a TypeError traceback; the box is
+        # now fixed, so these values, like a finite pair, are refused as an
+        # unknown key
+        cfg = write_config(tmp_path, {"tuner": {key: value}})
+        out = tmp_path / "t.json"
+        rc = main(["tune", "--config", cfg, "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: config section 'tuner' has unknown key(s): {key!r}\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("argv", [["encode", "--out", "{}/t.csv"],
                                       ["sft", "--out-prefix", "{}/x"]], ids=["encode", "sft"])
