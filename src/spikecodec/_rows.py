@@ -1,21 +1,29 @@
-"""CSV rows, written and read in fixed chunks so memory stays flat
+"""CSV rows, written and read in fixed blocks so memory stays flat
 whatever the file length.
 
 This module alone decides how a number becomes text: a cell is the
 repr of its column's .tolist() item (_texts), so callers hand over
-numpy arrays, never text, and no cell ever needs quoting. Tables are
-formatted CHUNK_ROWS rows at a time (write_tables): a chunk is one list
-of the separators repeated row after row with a slot before each, each
-column fills its slots with one slice assignment of its texts, and the
-list is joined once, so the float repr is the whole cost. Rows of the
-form "<window>,<cell>\\n", the window running on from row to row and
-the cell that of a key (a train's bin, decode's voltage of a bin), are
-built and parsed in blocks of about BLOCK_BYTES bytes as numpy byte
-matrices instead (write_keyed_rows, read_keyed_rows): the cells are S
-items, which numpy pads with NUL (cells), each window digit column is a
-short run of digits repeated, with NUL for a leading zero, and no
-written byte is NUL, so dropping every NUL leaves the rows. Rows fewer
-than the keys get cells for only the keys they hold (_table).
+numpy arrays, never text, and no cell ever needs quoting. Rows are
+built as numpy byte matrices: each cell is a row of a NUL-padded
+matrix, no written byte is NUL, and dropping every NUL from a block of
+rows leaves their text. A float64 cell in [1e-4, 1e16), where _texts
+writes fixed notation, is computed with array arithmetic instead of
+one call per cell (_float_cells): Dekker's exact product gives
+x * 10**p as an integer and a fraction, and the shortest digits that
+read back as x are the multiple of the largest power of ten that lies
+strictly inside x's rounding gap (_shortest). Every other cell, and a
+tie between two shortest decimals, is its _texts. write_tables renders
+rows in blocks of at most BLOCK_CELLS cells (_rendered): a block may
+span tables of one column count and line end, its float64 columns are
+formatted in one call, and each column's cells are copied between the
+separators of a (rows, width) byte matrix. Rows of the form
+"<window>,<cell>\\n", the window running on from row to row and the
+cell that of a key (a train's bin, decode's voltage of a bin), are
+built and parsed in blocks of about BLOCK_BYTES bytes
+(write_keyed_rows, read_keyed_rows): the cells are S items (cells),
+and each window digit column is a short run of digits repeated, with
+NUL for a leading zero. Rows fewer than the keys get cells for only
+the keys they hold (_table).
 
 write_tables writes a batch of tables, each (path, header, columns)
 and one file, as one row space: the rows of table 0, then of table 1,
@@ -28,7 +36,7 @@ share is formatted by a forked child into an anonymous temporary
 file, followed by the byte offset at which each of its tables' pieces
 ends. The parent writes the tables in order, formatting its own
 pieces and copying each child's pieces in blocks once that child has
-exited. Rows are independent and a float's repr is the same in every
+exited. Rows are independent and a cell's text is the same in every
 process, so the bytes do not depend on the share count. Every table
 goes to a temporary file next to its path (_atomic.atomic_write), and
 no path is replaced before the whole batch is written, so a failed
@@ -50,6 +58,7 @@ from __future__ import annotations
 
 import collections
 import contextlib
+import itertools
 import os
 import signal
 import tempfile
@@ -59,27 +68,186 @@ import numpy as np
 
 from ._atomic import atomic_write
 
-# Rows formatted per step by write_tables.
-# Larger chunks buy little speed and cost memory in proportion.
-CHUNK_ROWS = 1024
+# Cells per block of write_tables' rows. Smaller blocks lose speed to
+# numpy's per-call overhead; larger ones cost memory in proportion.
+BLOCK_CELLS = 3 * 1024
 
 # Bytes per block of keyed rows. Smaller blocks lose much of the speed
 # to numpy's per-call overhead; larger ones cost memory in proportion.
 BLOCK_BYTES = 1 << 16
 
 # Fewest rows write_tables gives one process. Measured on 2 cores
-# (Python 3.11, numpy 2.4): fork plus wait costs 3.5-9 ms, median about
-# 5 ms, and one row of three floats 4.2-5 us, so a child's share pays
-# for its fork from about 1,000-2,000 rows. 4 * CHUNK_ROWS keeps every
-# share two to four times past that, and splits sweep-constant's 3 x
-# 4,096 rows and sft-sweep's 64 x 128 + 64 rows on 2 CPUs.
-FORK_ROWS = 4 * CHUNK_ROWS
+# (Python 3.11, numpy 2.4): fork plus wait costs 2.7-3.0 ms (medians of
+# 40), and one row of three floats 0.9-1.2 us, so a child's share would
+# pay for its fork from about 2,500-3,300 rows. But sweep-constant's
+# 3 x 4,096 rows took 20.2 ms in two shares and 17.7 ms in one (medians
+# of 30), and sft-sweep's 64 x 128 + 64 rows 27.3 and 25.7 ms: the
+# child's bytes are copied back, and each share pays its own numpy
+# calls. 16 * 1024 keeps both batches in one process and splits a 1e5-
+# row error report on 2 CPUs.
+FORK_ROWS = 16 * 1024
 
 
 def _texts(column: np.ndarray):
     """The text of each cell of a numpy column, the repr of its .tolist()
     item: a float's shortest round-trip repr or an integer's decimal."""
     return map(repr, column.tolist())
+
+
+_POW10 = 10.0 ** np.arange(23)  # exact: 5**p < 2**53 for p <= 22
+_IPOW10 = 10 ** np.arange(18, dtype=np.int64)
+_MANTISSA = (1 << 52) - 1
+
+
+def _halves(a: np.ndarray):
+    """Veltkamp's split of doubles into two of at most 26 bits each."""
+    c = a * 134217729.0  # 2**27 + 1
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+_POW10_HALVES = _halves(_POW10)
+
+
+def _times_pow10(x: np.ndarray, p: np.ndarray):
+    """x * 10**p exactly, as the double nearest it and the remainder
+    (Dekker's product); no product or part here leaves float range."""
+    hi = x * _POW10[p]
+    xh, xl = _halves(x)
+    ph, pl = _POW10_HALVES[0][p], _POW10_HALVES[1][p]
+    return hi, ((xh * ph - hi) + xh * pl + xl * ph) + xl * pl
+
+
+def _shortest(x: np.ndarray):
+    """The shortest decimal of each double x that reads back as x: the
+    significand sig, with no trailing zero, and the count of places
+    after the point, so that the decimal is sig * 10**-places. x is
+    positive, in [1e-4, 1e16), and has a mantissa that is not a power
+    of two. Where two decimals of the shortest length are equally near
+    x, tie is set and sig is not defined.
+
+    x * 10**p, with p chosen to put it in [1e16, 1e17), is d + f for an
+    integer d and 0 <= f < 1, exactly, and the neighbours of x lie
+    half = spacing(x) * 10**p / 2 away on either side. The decimals
+    that read back as x are those strictly inside that gap. None lies on
+    its edge: d + f +- half is an odd multiple of 5**p * 2**(e + p - 1),
+    for x's last mantissa bit 2**e, so it is an integer only for p = 1
+    and e <= 1, where d + f is itself a multiple of 10 and so nearer.
+    The shortest decimal is thus the multiple of 10**k nearest d + f,
+    for the largest k such that a multiple of 10**k lies inside: for
+    k >= 2 the gap, under 23 wide, holds at most one. The float steps
+    are exact wherever they decide: f, half and their sums are below 64
+    and multiples of 2**-47, so each is a double.
+    """
+    p = 16 - np.floor(np.log10(x)).astype(np.int64)
+    hi, lo = _times_pow10(x, p)
+    off = (hi >= 1e17).astype(np.int64) - (hi < 1e16)  # log10 rounded across a power of ten
+    if off.any():
+        p -= off
+        hi, lo = _times_pow10(x, p)
+    whole = np.floor(lo)
+    d = hi.astype(np.int64) + whole.astype(np.int64)
+    f = lo - whole
+    half = np.spacing(x) * _POW10[p] * 0.5
+    # the integers strictly inside the gap are below + 1 .. top
+    below = d + np.floor(f - half).astype(np.int64)
+    top = d + np.ceil(f + half).astype(np.int64) - 1
+    zeros = np.zeros(len(x), np.int64)
+    live = np.arange(len(x))
+    for k in range(1, 18):
+        inside = top // _IPOW10[k] > below // _IPOW10[k]
+        live = live[inside]
+        if not len(live):
+            break
+        zeros[live] = k
+        top, below = top[inside], below[inside]
+    unit = _IPOW10[zeros]
+    sig = d // unit
+    down = (d - sig * unit) + f  # from the multiple below d + f
+    up = unit - down
+    return sig + (up < down), p - zeros, up == down
+
+
+def _digit_table() -> np.ndarray:
+    """The four ASCII digits of each of 0..9999, zero padded, as one uint32."""
+    i = np.arange(10**4)[:, None]
+    digits = (i // 10 ** np.arange(3, -1, -1) % 10 + ord("0")).astype(np.uint8)
+    return digits.view(np.uint32)[:, 0]
+
+
+_DIGITS4 = _digit_table()
+
+
+def _digit_columns(sig: np.ndarray) -> np.ndarray:
+    """The 20 ASCII digits of each sig < 10**20, zero padded, as an
+    (n, 20) uint8 matrix."""
+    groups = np.empty((5, len(sig)), np.int64)
+    q = sig
+    for j in range(4, 0, -1):
+        r = q
+        q = q // 10**4
+        np.subtract(r, q * 10**4, out=groups[j])
+    groups[0] = q
+    return np.ascontiguousarray(_DIGITS4.take(groups).T).view(np.uint8)
+
+
+def _float_cells(values: np.ndarray) -> np.ndarray:
+    """The cells of a float64 column as a NUL-padded (n, width) uint8
+    matrix: row i, its NULs dropped, is the text of values[i] (_texts).
+
+    A cell in [1e-4, 1e16) is written from its shortest decimal
+    (_shortest) in fixed notation, the form _texts gives there: a sign,
+    the integer digits, a point and at least one fraction digit. The
+    rows share one layout, NUL where a cell has no digit, and are
+    filled in runs of equal place count, each a few slice copies.
+    Every other cell, and a tie, goes through _texts: zero, NaN, +-inf,
+    exponent notation, and a mantissa that is a power of two, whose
+    lower gap is half its upper one.
+    """
+    x = np.abs(values)
+    fixed = (x >= 1e-4) & (x < 1e16) & (x.view(np.int64) & _MANTISSA != 0)
+    at = np.flatnonzero(fixed)
+    sig, places, tie = _shortest(x[at])
+    if tie.any():
+        fixed[at[tie]] = False
+        at, sig, places = at[~tie], sig[~tie], places[~tie]
+    slow = np.flatnonzero(~fixed)
+    order = np.argsort((places + 16).astype(np.uint8), kind="stable")  # places >= -15
+    at, sig, places = at[order], sig[order], places[order]
+    texts = np.array([text.encode() for text in _texts(values[slow])], dtype="S")
+    width = texts.itemsize
+    if len(at):
+        ints = len(str(int(x[at].max())))  # digits before the point
+        fracs = max(1, int(places[-1]))
+        width = max(width, ints + fracs + 2)
+        rows = np.zeros((len(at), ints + fracs + 2), np.uint8)
+        digits = _digit_columns(sig)
+        runs = np.flatnonzero(np.diff(places)) + 1
+        for lo, hi in zip([0, *runs.tolist()], [*runs.tolist(), len(at)]):
+            s = int(places[lo])
+            # digit column c of sig holds place 19 - c - s, which goes to
+            # column ints - place before the point and ints + 1 - place
+            # after it; first is the column of place ints - 1
+            first, end = 20 - s - ints, min(20, 20 - s)
+            start = max(first, 0)
+            rows[lo:hi, 1 + start - first:1 + end - first] = digits[lo:hi, start:end]
+            rows[lo:hi, 1 + end - first:1 + ints] = ord("0")  # places below sig's last digit
+            if s > 0:
+                rows[lo:hi, ints + 2:ints + 2 + s] = digits[lo:hi, 20 - s:]
+            else:
+                rows[lo:hi, ints + 2] = ord("0")
+        leading = np.ones(len(at), bool)
+        for c in range(1, ints):  # NUL for the zeros before a cell's first digit
+            leading &= rows[:, c] <= ord("0")
+            rows[leading, c] = 0
+        np.maximum(rows[:, ints], ord("0"), out=rows[:, ints])  # the 0 of 0.xxx
+        rows[:, ints + 1] = ord(".")
+        rows[:, 0] = np.where(values[at] < 0, ord("-"), 0)
+    out = np.zeros((len(values), width), np.uint8)
+    if len(at):
+        out[at, :rows.shape[1]] = rows
+    out[slow, :texts.itemsize] = texts.view(np.uint8).reshape(len(slow), texts.itemsize)
+    return out
 
 
 def cells(values: np.ndarray) -> np.ndarray:
@@ -136,7 +304,7 @@ def render_rows(lo: int, table: np.ndarray, keys: np.ndarray) -> bytes:
             rows[:max(0, min(place, hi) - lo), j] = 0
     rows[:, digits] = ord(",")
     rows[:, digits + 1:].view(table.dtype)[:, 0] = table.take(keys)
-    return rows.tobytes().replace(b"\0", b"")
+    return rows.tobytes().translate(None, b"\0")
 
 
 def write_keyed_rows(fh, header: bytes, keys: np.ndarray, top: int, values_of=None) -> None:
@@ -170,20 +338,22 @@ def _parse_keys(block: bytes, top: int) -> Optional[np.ndarray]:
     return keys
 
 
-def read_keyed_rows(fh, header: bytes, top: int) -> Optional[np.ndarray]:
+def read_keyed_rows(fh, header: bytes, top: int, rows: int) -> Optional[np.ndarray]:
     """The keys of a file that write_keyed_rows wrote with this header
     and keys 0..top, each its own value; None as soon as the file
-    differs from such a file in any byte.
+    differs from such a file in any byte, or holds more than rows rows.
 
     fh is a binary handle. It is read in blocks cut at line ends; each
     block's keys are parsed with array arithmetic and the block is
     proved by rendering those keys again from _table's cells, which
     checks the window column, both cells of each row and the key range.
+    The keys fill one array of rows keys, so rows must be one the file
+    can hold: a caller that takes it from elsewhere bounds it first.
     """
     if fh.readline() != header:
         return None
     whole = None
-    chunks = []
+    out = np.empty(rows, np.int64)
     lo = 0
     rest = b""
     while data := fh.read(BLOCK_BYTES):
@@ -193,18 +363,18 @@ def read_keyed_rows(fh, header: bytes, top: int) -> Optional[np.ndarray]:
             return None  # a line longer than a block is no written row
         block, rest = block[:cut], block[cut:]
         keys = _parse_keys(block, top)
-        if keys is None:
+        if keys is None or lo + len(keys) > rows:
             return None
         table, index = (whole, keys) if whole is not None and top < len(keys) else _table(keys, top)
         if top < len(keys):
             whole = table  # the cells of every key, built once
         if render_rows(lo, table, index) != block:
             return None
-        chunks.append(keys)
+        out[lo:lo + len(keys)] = keys
         lo += len(keys)
     if rest:
         return None  # the last row has no line break
-    return np.concatenate(chunks) if chunks else np.zeros(0, np.int64)
+    return out[:lo]
 
 
 def usable_cpus() -> int:
@@ -223,23 +393,74 @@ def share_count(n: int) -> int:
     return max(1, min(usable_cpus(), n // FORK_ROWS))
 
 
-def _format_rows(out, columns, eol: str, lo: int, hi: int) -> None:
-    """Write rows lo..hi-1 of columns, cells joined by commas and each
-    row ended by eol, to the binary handle out, CHUNK_ROWS rows at a
-    time (see the module docstring). A column is a numpy array, whose
-    cells are its _texts, or a list of its cells."""
-    m = len(columns)
-    row = [None, ","] * m
-    row[-1] = eol
-    buf = []
-    for start in range(lo, hi, CHUNK_ROWS):
-        stop = min(start + CHUNK_ROWS, hi)
-        if len(buf) != 2 * m * (stop - start):
-            buf = row * (stop - start)
-        for j, c in enumerate(columns):
-            part = c[start:stop]
-            buf[2 * j::2 * m] = part if isinstance(part, list) else _texts(part)
-        out.write("".join(buf).encode())
+def _cells(column: np.ndarray) -> np.ndarray:
+    """The cells of a numpy column as NUL-padded S items: an S column
+    as it is (cells already), a float64 one from _float_cells, any
+    other through _texts, UTF-8 encoded."""
+    if column.dtype.kind == "S":
+        return column
+    if column.dtype == np.float64:
+        matrix = _float_cells(column)
+        return matrix.view(f"S{matrix.shape[1]}")[:, 0]
+    return np.array([text.encode() for text in _texts(column)], dtype="S")
+
+
+def _blocks(tables, pieces):
+    """The (t, a, b) pieces cut into blocks: runs of rows of tables
+    with one column count and line end, BLOCK_CELLS cells at most
+    unless a single row holds more."""
+    block, rows, layout = [], 0, None
+    for t, a, b in pieces:
+        columns, eol = tables[t][2:]
+        if block and (len(columns), eol) != layout:
+            yield block
+            block, rows = [], 0
+        layout = (len(columns), eol)
+        cap = max(1, BLOCK_CELLS // len(columns))
+        while a < b:
+            if rows == cap:
+                yield block
+                block, rows = [], 0
+            c = min(b, a + cap - rows)
+            block.append((t, a, c))
+            rows += c - a
+            a = c
+    if block:
+        yield block
+
+
+def _rendered(tables, pieces):
+    """(t, bytes) for rows a..b-1 of table t of each (t, a, b) piece, in
+    order and in parts, each row its cells joined by commas and ended by
+    the table's line end. A block's float64 columns are formatted in one
+    _float_cells call, so a block of many short tables costs about what
+    one long table does."""
+    for block in _blocks(tables, pieces):
+        eol = tables[block[0][0]][3].encode()
+        n = sum(b - a for _, a, b in block)
+        # each column's parts, one per piece
+        by_column = list(zip(*[[c[a:b] for c in tables[t][2]] for t, a, b in block]))
+        floats = [j for j, parts in enumerate(by_column) if all(p.dtype == np.float64 for p in parts)]
+        cols = [None] * len(by_column)
+        if floats:
+            matrix = _float_cells(np.concatenate([p for j in floats for p in by_column[j]]))
+            texts = matrix.view(f"S{matrix.shape[1]}")[:, 0]
+            for i, j in enumerate(floats):
+                cols[j] = texts[i * n:(i + 1) * n]
+        cols = [np.concatenate([_cells(p) for p in parts]) if c is None else c
+                for c, parts in zip(cols, by_column)]
+        seps = [b","] * (len(cols) - 1) + [eol]
+        rows = np.empty((n, sum(c.itemsize + len(s) for c, s in zip(cols, seps))), np.uint8)
+        at = 0
+        for c, s in zip(cols, seps):
+            rows[:, at:at + c.itemsize].view(c.dtype)[:, 0] = c
+            at += c.itemsize
+            rows[:, at:at + len(s)] = np.frombuffer(s, np.uint8)
+            at += len(s)
+        lo = 0
+        for t, a, b in block:
+            yield t, rows[lo:lo + b - a].tobytes().translate(None, b"\0")
+            lo += b - a
 
 
 def _pieces(starts: list, lo: int, hi: int) -> list:
@@ -261,11 +482,11 @@ def _child(out, tables, pieces) -> None:
     code = 1
     try:
         try:
-            ends = []
-            for t, a, b in pieces:
-                _format_rows(out, *tables[t][2:], a, b)
-                ends.append(out.tell())
-            out.write(np.array(ends, np.int64).tobytes())
+            ends = {}
+            for t, data in _rendered(tables, pieces):
+                out.write(data)
+                ends[t] = out.tell()
+            out.write(np.array([ends[t] for t, _, _ in pieces], np.int64).tobytes())
             out.flush()
             code = 0
         except BaseException as exc:  # not re-raised: it would unwind into the caller's code
@@ -316,9 +537,9 @@ def write_tables(tables) -> None:
     # Every column is held in a list from here on, so no two share an id.
     held = collections.Counter(id(c) for _, _, columns, _ in tables for c in columns)
     shared = {id(c): c for _, _, columns, _ in tables for c in columns if held[id(c)] > 1}
-    text = {i: list(_texts(c)) for i, c in shared.items()}
+    formatted = {i: _cells(c) for i, c in shared.items()}
     for _, _, columns, _ in tables:
-        columns[:] = [text.get(id(c), c) for c in columns]
+        columns[:] = [formatted.get(id(c), c) for c in columns]
     starts = [0]
     for _, _, columns, _ in tables:
         starts.append(starts[-1] + len(columns[0]))
@@ -339,13 +560,14 @@ def write_tables(tables) -> None:
                 _child(files[-1], tables, shares[s])
             pids[s] = pid
         current = 0
+        own = itertools.groupby(_rendered(tables, shares[0]), key=lambda part: part[0])
         with contextlib.ExitStack() as outputs:
-            for (path, header, columns, eol), pieces in zip(tables, by_table):
+            for (path, header, _, _), pieces in zip(tables, by_table):
                 fh = outputs.enter_context(atomic_write(path, "wb"))
                 fh.write(header.encode())
                 for s, a, b in pieces:
-                    if s == 0:
-                        _format_rows(fh, columns, eol, a, b)
+                    if s == 0:  # the next run of share 0's parts is this table's
+                        fh.writelines(data for _, data in next(own)[1])
                         continue
                     if s != current:  # the first piece of share s
                         current, out, start = s, files[s - 1], 0

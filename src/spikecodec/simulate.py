@@ -17,6 +17,7 @@ equivalent threshold drop, which preserves the closed form.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, asdict
 from typing import Callable, Optional
 
@@ -336,7 +337,10 @@ def read_spike_train(csv_path: str) -> SpikeTrain:
     """
     with open(csv_path, "rb") as fh:  # first, so a missing train is named as itself
         cfg, meta = _read_sidecar(sidecar_path(csv_path))
-        bins = read_keyed_rows(fh, _HEADER, cfg.resolution)
+        # a row holds at least 3 bytes ("0,\n"), so a sidecar cannot
+        # make the reader allocate for more rows than the file can hold
+        rows = min(meta["windows"], os.fstat(fh.fileno()).st_size // 3)
+        bins = read_keyed_rows(fh, _HEADER, cfg.resolution, rows)
     if bins is None:
         bins = np.array(_read_bins_by_row(csv_path, cfg.resolution), dtype=np.int64)
     if len(bins) != meta["windows"]:

@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from spikecodec import EncoderConfig
+
+# Many more examples for the tests that leave max_examples to the
+# profile, such as the float cell exactness test; CI runs them so with
+# --hypothesis-profile=deep.
+settings.register_profile("deep", max_examples=20_000, deadline=None)
 
 
 # The reference channel: tau 3 ms, 100 mV threshold, 1-5 V range,

@@ -49,15 +49,17 @@ from spikecodec import (
     write_spike_train,
 )
 from spikecodec import _rows
-from spikecodec._rows import (BLOCK_BYTES, CHUNK_ROWS, FORK_ROWS, cells, read_keyed_rows,
+from spikecodec._rows import (BLOCK_BYTES, BLOCK_CELLS, FORK_ROWS, cells, read_keyed_rows,
                               write_keyed_rows, write_tables)
 from spikecodec.simulate import _read_sidecar
 from spikecodec.cli import main
 from spikecodec.sft import write_spectrum
 from conftest import CFG3K
 
-# Row counts on both sides of the chunk boundaries.
-ROW_COUNTS = [1, CHUNK_ROWS, CHUNK_ROWS + 1, 2 * CHUNK_ROWS + 3]
+# Rows of a block of three-column tables, and row counts on both sides
+# of the block boundaries.
+BLOCK_ROWS = BLOCK_CELLS // 3
+ROW_COUNTS = [1, BLOCK_ROWS, BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 3]
 SPECIAL = [float("nan"), float("inf"), -float("inf"), 0.0, -0.0, 1e-20, 5e-324, 1.7976931348623157e308]
 
 
@@ -170,8 +172,8 @@ class TestShares:
     across processes, and leaves no process or file behind."""
 
     @pytest.mark.parametrize("k", [1, 2, 3, 5])
-    @pytest.mark.parametrize("n", [1, FORK_ROWS - 1, FORK_ROWS, 2 * FORK_ROWS + 1,
-                                   4 * FORK_ROWS - 1, 4 * FORK_ROWS, 8 * FORK_ROWS + 1, 100_000])
+    @pytest.mark.parametrize("n", [1, FORK_ROWS // 4 - 1, FORK_ROWS // 4, FORK_ROWS // 2 + 1,
+                                   FORK_ROWS - 1, FORK_ROWS, 2 * FORK_ROWS + 1, 100_000])
     def test_bytes_do_not_depend_on_the_share_count(self, tmp_path, monkeypatch, k, n):
         force_shares(monkeypatch, k)
         cols, want = share_case(n)
@@ -197,7 +199,7 @@ class TestShares:
         self.check_batch(tmp_path, self.SIZES, seed=k)
 
     @settings(max_examples=25, deadline=None)
-    @given(sizes=st.lists(st.integers(0, 5) | st.sampled_from([CHUNK_ROWS, CHUNK_ROWS + 1]),
+    @given(sizes=st.lists(st.integers(0, 5) | st.sampled_from([BLOCK_ROWS, BLOCK_ROWS + 1]),
                           min_size=1, max_size=6),
            k=st.sampled_from([1, 2, 3, 5]), seed=st.integers(0, 2**32 - 1))
     def test_any_batch_and_share_count(self, sizes, k, seed):
@@ -217,7 +219,7 @@ class TestShares:
 
     def test_a_shared_column_gives_the_bytes_of_separate_copies(self, tmp_path, monkeypatch):
         force_shares(monkeypatch, 2)
-        cols = float_columns(CHUNK_ROWS + 1, 3, seed=7)
+        cols = float_columns(BLOCK_ROWS + 1, 3, seed=7)
         shared = [tmp_path / f"shared_{t}.csv" for t in range(2)]
         own = [tmp_path / f"own_{t}.csv" for t in range(2)]
         write_tables([(str(p), "a,b\r\n", (cols[0], c)) for p, c in zip(shared, cols[1:])])
@@ -228,7 +230,7 @@ class TestShares:
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_a_shared_column_is_formatted_once_in_this_process(self, tmp_path, monkeypatch, k):
         force_shares(monkeypatch, k)
-        n = CHUNK_ROWS + 1
+        n = BLOCK_ROWS + 1
         monkeypatch.setattr(Counted, "calls", 0)
         counted = np.empty(n, object)
         counted[:] = [Counted(i) for i in range(n)]
@@ -285,15 +287,15 @@ def boom_column(n, row, kill=False):
     return col
 
 
-def failing_in_children(format_rows):
-    """format_rows, but raising MemoryError in any process other than
-    the one that made it."""
+def failing_in_children(rendered):
+    """rendered, but raising MemoryError in any process other than the
+    one that made it."""
     pid = os.getpid()
 
     def wrapped(*args):
         if os.getpid() != pid:
             raise MemoryError("no room")
-        format_rows(*args)
+        return rendered(*args)
     return wrapped
 
 
@@ -342,7 +344,7 @@ class TestShareFailures:
         # a share that fails in its child reaches the command line as one
         # error line
         force_shares(monkeypatch, 2)
-        monkeypatch.setattr(_rows, "_format_rows", failing_in_children(_rows._format_rows))
+        monkeypatch.setattr(_rows, "_rendered", failing_in_children(_rows._rendered))
         cfg = tmp_path / "config.json"
         cfg.write_text(json.dumps({"signal": {"type": "constant", "level": 3.0}}))
         with nothing_left():
@@ -357,18 +359,18 @@ class TestShareFailures:
 def row_cases(draw):
     """(columns, formatted, eol, lo, hi): one to four columns of n rows,
     each an array of floats with the SPECIAL values mixed in or of
-    integers, and the same columns as write_tables formats them (a
-    column it formats once, as a list of its cells, or the array), a
-    line end, and rows lo..hi-1 of them, across chunk edges."""
+    integers, and the same columns as write_tables renders them (a
+    column it formats once, as its cells, or the array), a line end,
+    and rows lo..hi-1 of them, across block edges."""
     m = draw(st.integers(1, 4))
-    n = draw(st.integers(0, 2 * CHUNK_ROWS + 3))
+    n = draw(st.integers(0, 2 * BLOCK_ROWS + 3))
     columns, formatted = [], []
     for col in float_columns(n, m, seed=draw(st.integers(0, 2**32 - 1))):
         if draw(st.booleans()):
             start = draw(st.integers(-10**6, 10**6))
             col = np.arange(start, start + n)
         columns.append(col)
-        formatted.append(list(map(repr, col.tolist())) if draw(st.booleans()) else col)
+        formatted.append(_rows._cells(col) if draw(st.booleans()) else col)
     eol = draw(st.sampled_from(["\r\n", "\n"]))
     lo = draw(st.integers(0, n))
     hi = draw(st.integers(lo, n))
@@ -376,17 +378,81 @@ def row_cases(draw):
 
 
 class TestRowFormat:
-    """_format_rows gives each row's cell reprs joined by commas and
-    ended by the line end."""
+    """_rendered gives each row's cell reprs joined by commas and ended
+    by the line end, in order, whether a block holds one table or
+    several."""
 
     @settings(max_examples=200, deadline=None)
     @given(row_cases())
     def test_same_bytes_as_joined_reprs(self, case):
         columns, formatted, eol, lo, hi = case
-        out = io.BytesIO()
-        _rows._format_rows(out, formatted, eol, lo, hi)
         rows = zip(*(c[lo:hi].tolist() for c in columns))
-        assert out.getvalue() == "".join(",".join(map(repr, row)) + eol for row in rows).encode()
+        want = "".join(",".join(map(repr, row)) + eol for row in rows).encode()
+        table = (None, None, formatted, eol)
+        parts = list(_rows._rendered([table, table], [(0, lo, hi), (1, lo, hi)]))
+        assert [t for t, _ in parts] == sorted(t for t, _ in parts)
+        for t in (0, 1):
+            assert b"".join(data for u, data in parts if u == t) == want
+
+
+def float_cell_lines(values) -> bytes:
+    """_float_cells' rows, their NULs dropped, one per line."""
+    matrix = _rows._float_cells(np.asarray(values, dtype=float))
+    lines = np.full((len(matrix), matrix.shape[1] + 1), ord("\n"), np.uint8)
+    lines[:, :-1] = matrix
+    return lines.tobytes().translate(None, b"\0")
+
+
+def text_lines(values) -> bytes:
+    """The text of each value (_texts), one per line."""
+    return ("\n".join(_rows._texts(np.asarray(values, dtype=float))) + "\n").encode()
+
+
+# Doubles where the fixed-notation arithmetic turns, each taken with
+# both signs: the neighbours of the range's edges 1e-4 and 1e16 and of
+# 0.1, 0.01 and 0.001 (below each, x * 10**p falls under 1e16); every
+# power of two in range, whose lower gap is half its upper one;
+# decimals that end half-way, exact (15.0, 0.125) or a tie between two
+# shortest decimals (1e15 + 0.25 is written ...0.2, 1e15 + 0.75 ...0.8);
+# integers with trailing zeros; and zero, the smallest subnormal and
+# the largest float.
+EDGES = [
+    *(np.nextafter(edge, direction) for edge in (1e-4, 1e16, 0.1, 0.01, 0.001) for direction in (0, np.inf)),
+    1e-4, 0.1, 0.01, 0.001, 9999999999999998.0,
+    *np.ldexp(1.0, np.arange(-13, 54)),
+    15.0, 0.125, 2.5, 1e15 + 0.25, 1e15 + 0.75, 2095277819909404.25, 1518982792074838.75,
+    1200.0, 1e15, 123456789012345.6, 1 / 3, 0.0, 5e-324, 1.7976931348623157e308,
+]
+
+
+class TestFloatCells:
+    """_float_cells gives, cell for cell, the text _texts gives."""
+
+    @given(st.lists(st.floats(), min_size=1, max_size=50))
+    def test_any_doubles(self, values):
+        # NaN, infinities, -0.0 and subnormals included
+        assert float_cell_lines(values).split(b"\n") == text_lines(values).split(b"\n")
+
+    def test_edges(self):
+        values = np.array(EDGES)
+        values = np.concatenate([values, -values])
+        assert float_cell_lines(values).split(b"\n") == text_lines(values).split(b"\n")
+
+    def test_a_million_doubles(self):
+        # random bit patterns with the exponent field drawn over the
+        # range written in fixed notation and six binades past each
+        # edge, and doubles log-uniform over that range
+        rng = np.random.default_rng(20261019)
+        n = 2**19
+        bits = rng.integers(0, 2**64, n, dtype=np.uint64)
+        bits &= ~np.uint64(0x7FF << 52)
+        bits |= rng.integers(1023 - 20, 1023 + 60, n).astype(np.uint64) << np.uint64(52)
+        fixed = np.exp(rng.uniform(np.log(1e-4), np.log(1e16), n)) * rng.choice([-1.0, 1.0], n)
+        for values in (bits.view(np.float64), fixed):
+            for lo in range(0, n, 2**16):
+                block = values[lo:lo + 2**16]
+                got, want = float_cell_lines(block), text_lines(block)
+                assert got == want or got.split(b"\n") == want.split(b"\n")
 
 
 def reference_rows(lo, cells, keys) -> bytes:
@@ -447,7 +513,7 @@ class TestWindowDigits:
         edge = len(b"window,bin\n") + blocks * BLOCK_BYTES
         assert data[edge - 1:edge] == b"\n" and data[edge:].startswith(b"100000,")
         with open(path, "rb") as fh:
-            assert np.array_equal(read_keyed_rows(fh, b"window,bin\n", CFG3K.resolution), bins)
+            assert np.array_equal(read_keyed_rows(fh, b"window,bin\n", CFG3K.resolution, len(bins)), bins)
         assert np.array_equal(read_spike_train(str(path)).bins, bins)
 
 
@@ -571,7 +637,7 @@ def keyed_row_digests(directory) -> dict:
 class TestTrainRoundTrip:
     @settings(max_examples=40, deadline=None)
     @given(n=st.one_of(st.integers(0, 40),
-                       st.sampled_from(ROW_COUNTS + [CHUNK_ROWS - 1, 3 * CHUNK_ROWS])),
+                       st.sampled_from(ROW_COUNTS + [BLOCK_ROWS - 1, 3 * BLOCK_ROWS])),
            seed=st.integers(0, 2**32 - 1))
     def test_write_then_read_returns_the_bins(self, n, seed):
         train = random_train(n, seed)
@@ -581,6 +647,41 @@ class TestTrainRoundTrip:
             back = read_spike_train(path)
         assert np.array_equal(back.bins, train.bins)
         assert back.config == train.config
+
+
+class TestTrainReadAllocation:
+    """The byte reader fills one array sized by the sidecar's window
+    count, bounded by what the file can hold."""
+
+    def test_read_peak_per_window(self, tmp_path):
+        # the bins alone take 8 B per window; block arrays joined at the
+        # end, a second whole-train array, take 16
+        n = 10**6
+        path = str(tmp_path / "train.csv")
+        write_spike_train(random_train(n, seed=1), path)
+        tracemalloc.start()
+        try:
+            read_spike_train(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 12 * n
+
+    @pytest.mark.parametrize("rows, want", [(2, None), (3, [31, 0, 19]), (4, [31, 0, 19])])
+    def test_rows_bound_the_keys(self, rows, want):
+        got = read_keyed_rows(io.BytesIO(b"window,bin\n0,31\n1,\n2,19\n"), b"window,bin\n",
+                              CFG3K.resolution, rows)
+        assert (got if got is None else got.tolist()) == want
+
+    def test_sidecar_claiming_2_60_windows(self, tmp_path, capsys):
+        # one named error, not an allocation of 8 EiB
+        path = tmp_path / "train.csv"
+        write_spike_train(random_train(3, seed=2), str(path))
+        sidecar = tmp_path / "train.json"
+        sidecar.write_text(json.dumps({**json.loads(sidecar.read_text()), "windows": 2**60}))
+        assert main(["decode", "--train", str(path), "--out", str(tmp_path / "u.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {path} has 3 windows, its sidecar records {2**60}\n"
 
 
 def check_utf8(csv_path, where, line):
@@ -749,7 +850,8 @@ class TestTrainReaderAgainstTextReader:
         path = tmp_path / "train.csv"
         write_spike_train(train, str(path))
         with open(path, "rb") as fh:
-            assert np.array_equal(read_keyed_rows(fh, b"window,bin\n", CFG3K.resolution), train.bins)
+            assert np.array_equal(read_keyed_rows(fh, b"window,bin\n", CFG3K.resolution, len(train)),
+                                  train.bins)
 
     @pytest.mark.parametrize("data", [
         b"window,bin\r\n0,31\r\n1,\r\n2,19\r\n",
@@ -763,7 +865,7 @@ class TestTrainReaderAgainstTextReader:
         b"window, bin\n0,31\n1,\n2,19\n",
     ])
     def test_other_layouts_leave_the_byte_path(self, data):
-        assert read_keyed_rows(io.BytesIO(data), b"window,bin\n", CFG3K.resolution) is None
+        assert read_keyed_rows(io.BytesIO(data), b"window,bin\n", CFG3K.resolution, 3) is None
 
 
 class TestMemory:
