@@ -152,9 +152,13 @@ def _shortest(x: np.ndarray):
     # the integers strictly inside the gap are below + 1 .. top
     below = d + np.floor(f - half).astype(np.int64)
     top = d + np.ceil(f + half).astype(np.int64) - 1
-    zeros = np.zeros(len(x), np.int64)
-    live = np.arange(len(x))
-    for k in range(1, 18):
+    # most cells stop at k = 1 or 2, so those run on every cell and
+    # only the rest are picked out
+    hundreds = top // 100 > below // 100
+    zeros = (top // 10 > below // 10) + hundreds.astype(np.int64)
+    live = np.flatnonzero(hundreds)
+    top, below = top[live], below[live]
+    for k in range(3, 18):
         inside = top // _IPOW10[k] > below // _IPOW10[k]
         live = live[inside]
         if not len(live):
@@ -220,7 +224,7 @@ def _float_cells(values: np.ndarray) -> np.ndarray:
         ints = len(str(int(x[at].max())))  # digits before the point
         fracs = max(1, int(places[-1]))
         width = max(width, ints + fracs + 2)
-        rows = np.zeros((len(at), ints + fracs + 2), np.uint8)
+        rows = np.zeros((len(at), width), np.uint8)
         digits = _digit_columns(sig)
         runs = np.flatnonzero(np.diff(places)) + 1
         for lo, hi in zip([0, *runs.tolist()], [*runs.tolist(), len(at)]):
@@ -243,11 +247,11 @@ def _float_cells(values: np.ndarray) -> np.ndarray:
         np.maximum(rows[:, ints], ord("0"), out=rows[:, ints])  # the 0 of 0.xxx
         rows[:, ints + 1] = ord(".")
         rows[:, 0] = np.where(values[at] < 0, ord("-"), 0)
-    out = np.zeros((len(values), width), np.uint8)
+    out = np.empty(len(values), f"S{width}")  # each row one item, so one copy a cell
     if len(at):
-        out[at, :rows.shape[1]] = rows
-    out[slow, :texts.itemsize] = texts.view(np.uint8).reshape(len(slow), texts.itemsize)
-    return out
+        out[at] = rows.view(out.dtype)[:, 0]
+    out[slow] = texts
+    return out.view(np.uint8).reshape(len(values), width)
 
 
 def cells(values: np.ndarray) -> np.ndarray:
