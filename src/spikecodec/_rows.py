@@ -94,6 +94,7 @@ def _texts(column: np.ndarray):
     return map(repr, column.tolist())
 
 
+_DIGITS = np.frombuffer(b"0123456789", np.uint8)
 _POW10 = 10.0 ** np.arange(23)  # exact: 5**p < 2**53 for p <= 22
 _IPOW10 = 10 ** np.arange(18, dtype=np.int64)
 _MANTISSA = (1 << 52) - 1
@@ -129,15 +130,17 @@ def _shortest(x: np.ndarray):
     x * 10**p, with p chosen to put it in [1e16, 1e17), is d + f for an
     integer d and 0 <= f < 1, exactly, and the neighbours of x lie
     half = spacing(x) * 10**p / 2 away on either side. The decimals
-    that read back as x are those strictly inside that gap. None lies on
-    its edge: d + f +- half is an odd multiple of 5**p * 2**(e + p - 1),
-    for x's last mantissa bit 2**e, so it is an integer only for p = 1
-    and e <= 1, where d + f is itself a multiple of 10 and so nearer.
-    The shortest decimal is thus the multiple of 10**k nearest d + f,
-    for the largest k such that a multiple of 10**k lies inside: for
-    k >= 2 the gap, under 23 wide, holds at most one. The float steps
-    are exact wherever they decide: f, half and their sums are below 64
-    and multiples of 2**-47, so each is a double.
+    that read back as x are those strictly inside that gap. None that
+    could be the shortest lies on its edge: d + f +- half is an odd
+    multiple of 5**p * 2**(e + p - 1), for x's last mantissa bit 2**e,
+    so it is an integer only where p = 1 and x is an integer (e = 0 or
+    1). There d + f = 10x, a multiple of 10, is nearer than any edge,
+    and the edges, 10x +- 5 or 10x +- 10 with x even, are no multiples
+    of 100. The shortest decimal is thus the multiple of 10**k nearest
+    d + f, for the largest k such that a multiple of 10**k lies inside:
+    for k >= 2 the gap, under 23 wide, holds at most one. The float
+    steps are exact wherever they decide: f, half and their sums are
+    below 64 and multiples of 2**-47, so each is a double.
     """
     p = 16 - np.floor(np.log10(x)).astype(np.int64)
     hi, lo = _times_pow10(x, p)
@@ -173,10 +176,12 @@ def _shortest(x: np.ndarray):
 
 
 def _digit_table() -> np.ndarray:
-    """The four ASCII digits of each of 0..9999, zero padded, as one uint32."""
-    i = np.arange(10**4)[:, None]
-    digits = (i // 10 ** np.arange(3, -1, -1) % 10 + ord("0")).astype(np.uint8)
-    return digits.view(np.uint32)[:, 0]
+    """The four ASCII digits of each of 0..9999, zero padded, as one
+    uint32, built by broadcasting alone, so import makes no temporaries."""
+    table = np.empty((10, 10, 10, 10, 4), np.uint8)
+    for j in range(4):
+        table[..., j] = _DIGITS.reshape([10 if k == j else 1 for k in range(4)])
+    return table.reshape(10**4, 4).view(np.uint32)[:, 0]
 
 
 _DIGITS4 = _digit_table()
@@ -268,9 +273,6 @@ def _table(keys: np.ndarray, top: int, values_of=None):
     held = np.arange(top + 1) if top < len(keys) else np.union1d(keys, 0)
     values = held[1:] if values_of is None else values_of(held[1:])
     return cells(values), keys if top < len(keys) else np.searchsorted(held, keys)
-
-
-_DIGITS = np.frombuffer(b"0123456789", np.uint8)
 
 
 def _digit_column(lo: int, hi: int, place: int) -> np.ndarray:
@@ -447,8 +449,7 @@ def _rendered(tables, pieces):
         floats = [j for j, parts in enumerate(by_column) if all(p.dtype == np.float64 for p in parts)]
         cols = [None] * len(by_column)
         if floats:
-            matrix = _float_cells(np.concatenate([p for j in floats for p in by_column[j]]))
-            texts = matrix.view(f"S{matrix.shape[1]}")[:, 0]
+            texts = _cells(np.concatenate([p for j in floats for p in by_column[j]]))
             for i, j in enumerate(floats):
                 cols[j] = texts[i * n:(i + 1) * n]
         cols = [np.concatenate([_cells(p) for p in parts]) if c is None else c

@@ -13,7 +13,9 @@ leave no child, temporary file or partial batch behind; a column that
 several tables hold is formatted once, before any child forks. Its
 rows must be the cell reprs joined by commas, and keyed rows must give
 the bytes of an f-string per row across every power of ten of the
-window.
+window. The float cells computed by array arithmetic must be, cell for
+cell, the repr of the value, on Hypothesis floats, on the doubles where
+the arithmetic turns and on a seeded million.
 """
 
 import contextlib
