@@ -221,7 +221,7 @@ def _float_cells(values: np.ndarray) -> np.ndarray:
         fixed[at[tie]] = False
         at, sig, places = at[~tie], sig[~tie], places[~tie]
     slow = np.flatnonzero(~fixed)
-    order = np.argsort((places + 16).astype(np.uint8), kind="stable")  # places >= -15
+    order = np.argsort((places + 16).astype(np.uint8), kind="stable")  # places = p - k >= 1 - 17
     at, sig, places = at[order], sig[order], places[order]
     texts = np.array([text.encode() for text in _texts(values[slow])], dtype="S")
     width = texts.itemsize
