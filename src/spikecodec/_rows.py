@@ -128,19 +128,20 @@ def _shortest(x: np.ndarray):
     x, tie is set and sig is not defined.
 
     x * 10**p, with p chosen to put it in [1e16, 1e17), is d + f for an
-    integer d and 0 <= f < 1, exactly, and the neighbours of x lie
-    half = spacing(x) * 10**p / 2 away on either side. The decimals
-    that read back as x are those strictly inside that gap. None that
-    could be the shortest lies on its edge: d + f +- half is an odd
-    multiple of 5**p * 2**(e + p - 1), for x's last mantissa bit 2**e,
-    so it is an integer only where p = 1 and x is an integer (e = 0 or
-    1). There d + f = 10x, a multiple of 10, is nearer than any edge,
-    and the edges, 10x +- 5 or 10x +- 10 with x even, are no multiples
-    of 100. The shortest decimal is thus the multiple of 10**k nearest
-    d + f, for the largest k such that a multiple of 10**k lies inside:
-    for k >= 2 the gap, under 23 wide, holds at most one. The float
-    steps are exact wherever they decide: f, half and their sums are
-    below 64 and multiples of 2**-47, so each is a double.
+    integer d and 0 <= f < 1, exactly, and the midpoints between x and
+    its neighbours lie half = spacing(x) * 10**p / 2 away on either
+    side. The decimals that read back as x are those strictly inside
+    that gap. None that could be the shortest lies on its edge:
+    d + f +- half is an odd multiple of 5**p * 2**(e + p - 1), for x's
+    last mantissa bit 2**e, so it is an integer only where p = 1 and x
+    is an integer (e = 0 or 1). There d + f = 10x, a multiple of 10, is
+    nearer than any edge, and the edges, 10x +- 5 or 10x +- 10 with x
+    even, are no multiples of 100. The shortest decimal is thus the
+    multiple of 10**k nearest d + f, for the largest k such that a
+    multiple of 10**k lies inside: for k >= 2 the gap, under 23 wide,
+    holds at most one. The float steps are exact wherever they decide:
+    f, half and their sums are below 64 and multiples of 2**-47, so
+    each is a double.
     """
     p = 16 - np.floor(np.log10(x)).astype(np.int64)
     hi, lo = _times_pow10(x, p)
