@@ -1,29 +1,28 @@
 """CSV rows, written and read in fixed blocks so memory stays flat
 whatever the file length.
 
-This module alone decides how a number becomes text: a cell is the
-repr of its column's .tolist() item (_texts), so callers hand over
-numpy arrays, never text, and no cell ever needs quoting. Rows are
-built as numpy byte matrices: each cell is a row of a NUL-padded
-matrix, no written byte is NUL, and dropping every NUL from a block of
-rows leaves their text. A float64 cell in [1e-4, 1e16), where _texts
-writes fixed notation, is computed with array arithmetic instead of
-one call per cell (_float_cells): Dekker's exact product gives
-x * 10**p as an integer and a fraction, and the shortest digits that
-read back as x are the multiple of the largest power of ten that lies
-strictly inside x's rounding gap (_shortest). Every other cell, and a
-tie between two shortest decimals, is its _texts. write_tables renders
-rows in blocks of at most BLOCK_CELLS cells (_rendered): a block may
-span tables of one column count and line end, its float64 columns are
-formatted in one call, and each column's cells are copied between the
-separators of a (rows, width) byte matrix. Rows of the form
-"<window>,<cell>\\n", the window running on from row to row and the
-cell that of a key (a train's bin, decode's voltage of a bin), are
-built and parsed in blocks of about BLOCK_BYTES bytes
-(write_keyed_rows, read_keyed_rows): the cells are S items (cells),
-and each window digit column is a short run of digits repeated, with
-NUL for a leading zero. Rows fewer than the keys get cells for only
-the keys they hold (_table).
+This module alone decides how a number becomes text and opens every
+CSV file it writes. A cell is the repr of its column's .tolist() item
+(_texts), so callers hand over numpy arrays, never text, and no cell
+ever needs quoting; _cells alone turns a column into cells, NUL-padded
+S items, and rows are numpy byte matrices with each column's cells
+copied between the separators. No written byte is NUL, so dropping
+every NUL from a block of rows leaves their text. A float64 cell in
+[1e-4, 1e16), where _texts writes fixed notation, is computed with
+array arithmetic, BLOCK_CELLS cells at a time (_float_cells): Dekker's
+exact product gives x * 10**p as an integer and a fraction, and the
+shortest digits that read back as x are the multiple of the largest
+power of ten that lies strictly inside x's rounding gap (_shortest).
+Every other cell, and a tie between two shortest decimals, is its
+_texts. write_tables renders rows in blocks of at most BLOCK_CELLS
+cells (_rendered): a block may span tables of one column count and
+line end, and its float64 columns are formatted in one call. Rows of
+the form "<window>,<cell>\\n", the window running on from row to row
+and the cell that of a key (a train's bin, decode's voltage of a bin),
+are built and parsed in blocks of about BLOCK_BYTES bytes
+(write_keyed_rows, read_keyed_rows): each window digit column is a
+short run of digits repeated, with NUL for a leading zero. Rows fewer
+than the keys get cells for only the keys they hold (_table).
 
 write_tables writes a batch of tables, each (path, header, columns)
 and one file, as one row space: the rows of table 0, then of table 1,
@@ -88,16 +87,15 @@ BLOCK_BYTES = 1 << 16
 FORK_ROWS = 16 * 1024
 
 
-def _texts(column: np.ndarray):
-    """The text of each cell of a numpy column, the repr of its .tolist()
-    item: a float's shortest round-trip repr or an integer's decimal."""
-    return map(repr, column.tolist())
+def _texts(column: np.ndarray) -> np.ndarray:
+    """The text of each cell of a numpy column as S items, the repr of its
+    .tolist() item: a float's shortest round-trip repr or an integer's decimal."""
+    return np.array(list(map(repr, column.tolist())), dtype="S")
 
 
 _DIGITS = np.frombuffer(b"0123456789", np.uint8)
 _POW10 = 10.0 ** np.arange(23)  # exact: 5**p < 2**53 for p <= 22
 _IPOW10 = 10 ** np.arange(18, dtype=np.int64)
-_MANTISSA = (1 << 52) - 1
 
 
 def _halves(a: np.ndarray):
@@ -123,9 +121,8 @@ def _shortest(x: np.ndarray):
     """The shortest decimal of each double x that reads back as x: the
     significand sig, with no trailing zero, and the count of places
     after the point, so that the decimal is sig * 10**-places. x is
-    positive, in [1e-4, 1e16), and has a mantissa that is not a power
-    of two. Where two decimals of the shortest length are equally near
-    x, tie is set and sig is not defined.
+    positive and in [1e-4, 1e16). Where two decimals of the shortest
+    length are equally near x, tie is set and sig is not defined.
 
     x * 10**p, with p chosen to put it in [1e16, 1e17), is d + f for an
     integer d and 0 <= f < 1, exactly, and the midpoints between x and
@@ -141,7 +138,9 @@ def _shortest(x: np.ndarray):
     multiple of 10**k lies inside: for k >= 2 the gap, under 23 wide,
     holds at most one. The float steps are exact wherever they decide:
     f, half and their sums are below 64 and multiples of 2**-47, so
-    each is a double.
+    each is a double. A power of two's gap is narrower below it than
+    taken here; TestFloatCells::test_edges checks all 67 in range, with
+    both signs, against _texts.
     """
     p = 16 - np.floor(np.log10(x)).astype(np.int64)
     hi, lo = _times_pow10(x, p)
@@ -202,20 +201,19 @@ def _digit_columns(sig: np.ndarray) -> np.ndarray:
 
 
 def _float_cells(values: np.ndarray) -> np.ndarray:
-    """The cells of a float64 column as a NUL-padded (n, width) uint8
-    matrix: row i, its NULs dropped, is the text of values[i] (_texts).
+    """The cells of a float64 column as NUL-padded S items: item i, its
+    NULs dropped, is the text of values[i] (_texts).
 
     A cell in [1e-4, 1e16) is written from its shortest decimal
     (_shortest) in fixed notation, the form _texts gives there: a sign,
     the integer digits, a point and at least one fraction digit. The
     rows share one layout, NUL where a cell has no digit, and are
     filled in runs of equal place count, each a few slice copies.
-    Every other cell, and a tie, goes through _texts: zero, NaN, +-inf,
-    exponent notation, and a mantissa that is a power of two, whose
-    lower gap is half its upper one.
+    Every other cell, and a tie, goes through _texts: zero, NaN, +-inf
+    and exponent notation.
     """
     x = np.abs(values)
-    fixed = (x >= 1e-4) & (x < 1e16) & (x.view(np.int64) & _MANTISSA != 0)
+    fixed = (x >= 1e-4) & (x < 1e16)
     at = np.flatnonzero(fixed)
     sig, places, tie = _shortest(x[at])
     if tie.any():
@@ -224,7 +222,7 @@ def _float_cells(values: np.ndarray) -> np.ndarray:
     slow = np.flatnonzero(~fixed)
     order = np.argsort((places + 16).astype(np.uint8), kind="stable")  # places = p - k >= 1 - 17
     at, sig, places = at[order], sig[order], places[order]
-    texts = np.array([text.encode() for text in _texts(values[slow])], dtype="S")
+    texts = _texts(values[slow])
     width = texts.itemsize
     if len(at):
         ints = len(str(int(x[at].max())))  # digits before the point
@@ -257,23 +255,19 @@ def _float_cells(values: np.ndarray) -> np.ndarray:
     if len(at):
         out[at] = rows.view(out.dtype)[:, 0]
     out[slow] = texts
-    return out.view(np.uint8).reshape(len(values), width)
-
-
-def cells(values: np.ndarray) -> np.ndarray:
-    """The cells of keys 0..N, key 0's empty and key k's the text of
-    values[k - 1], each ended by a line break, as S items padded with NUL."""
-    return np.array(["\n", *(text + "\n" for text in _texts(values))], dtype="S")
+    return out
 
 
 def _table(keys: np.ndarray, top: int, values_of=None):
-    """The cells that rows of keys in 0..top are rendered from and the
-    index of each key's cell: the cells of every key where the rows are
-    more than top, else of key 0 and the keys held. values_of maps an
-    array of keys to their values; without it a key is its own value."""
+    """The cells rows of keys in 0..top are rendered from, key 0's empty
+    and key k's its value's (_cells), and each key's index among them:
+    of every key where the rows are more than top, else of key 0 and the
+    keys held. values_of maps keys to values; by default a key is its own."""
     held = np.arange(top + 1) if top < len(keys) else np.union1d(keys, 0)
-    values = held[1:] if values_of is None else values_of(held[1:])
-    return cells(values), keys if top < len(keys) else np.searchsorted(held, keys)
+    cells = _cells(held[1:] if values_of is None else values_of(held[1:]))
+    # a NUL past the widest cell, which render_rows overwrites with the line end
+    table = np.concatenate([[b""], cells], dtype=f"S{cells.itemsize + 1}")
+    return table, keys if top < len(keys) else np.searchsorted(held, keys)
 
 
 def _digit_column(lo: int, hi: int, place: int) -> np.ndarray:
@@ -297,9 +291,8 @@ def _digit_column(lo: int, hi: int, place: int) -> np.ndarray:
 
 def render_rows(lo: int, table: np.ndarray, keys: np.ndarray) -> bytes:
     """The bytes of rows lo.., row i holding window lo + i in decimal, a
-    comma and cell keys[i] of table (cells()): a (rows, width) byte
-    matrix of window digits, NUL for a leading zero, a comma and the
-    gathered cells, less its NULs."""
+    comma, cell keys[i] of table (_table) and a line break: a byte matrix
+    of those columns, NUL for a leading zero, less its NULs."""
     n = len(keys)
     hi = lo + n
     digits = len(str(hi - 1))
@@ -311,18 +304,19 @@ def render_rows(lo: int, table: np.ndarray, keys: np.ndarray) -> bytes:
             rows[:max(0, min(place, hi) - lo), j] = 0
     rows[:, digits] = ord(",")
     rows[:, digits + 1:].view(table.dtype)[:, 0] = table.take(keys)
+    rows[:, -1] = ord("\n")
     return rows.tobytes().translate(None, b"\0")
 
 
-def write_keyed_rows(fh, header: bytes, keys: np.ndarray, top: int, values_of=None) -> None:
+def write_keyed_rows(path: str, header: bytes, keys: np.ndarray, top: int, values_of=None) -> None:
     """Write header, then row i as window i and the cell of keys[i], to
-    the binary handle fh; see _table for top and values_of."""
-    fh.write(header)
+    path (_atomic.atomic_write); see _table for top and values_of."""
     table, keys = _table(keys, top, values_of)
-    n = len(keys)
-    step = max(1, BLOCK_BYTES // (len(str(n)) + 1 + table.itemsize))
-    for lo in range(0, n, step):
-        fh.write(render_rows(lo, table, keys[lo:lo + step]))
+    step = max(1, BLOCK_BYTES // (len(str(len(keys))) + 1 + table.itemsize))
+    with atomic_write(path, "wb") as fh:
+        fh.write(header)
+        for lo in range(0, len(keys), step):
+            fh.write(render_rows(lo, table, keys[lo:lo + step]))
 
 
 def _parse_keys(block: bytes, top: int) -> Optional[np.ndarray]:
@@ -401,15 +395,15 @@ def share_count(n: int) -> int:
 
 
 def _cells(column: np.ndarray) -> np.ndarray:
-    """The cells of a numpy column as NUL-padded S items: an S column
-    as it is (cells already), a float64 one from _float_cells, any
-    other through _texts, UTF-8 encoded."""
+    """The cells of a numpy column as NUL-padded S items: an S column as
+    it is, a float64 one from _float_cells in slices of BLOCK_CELLS, so
+    a long column's temporaries stay small, any other from _texts."""
     if column.dtype.kind == "S":
         return column
     if column.dtype == np.float64:
-        matrix = _float_cells(column)
-        return matrix.view(f"S{matrix.shape[1]}")[:, 0]
-    return np.array([text.encode() for text in _texts(column)], dtype="S")
+        return np.concatenate([_float_cells(column[lo:lo + BLOCK_CELLS])
+                               for lo in range(0, max(1, len(column)), BLOCK_CELLS)])
+    return _texts(column)
 
 
 def _blocks(tables, pieces):
@@ -440,7 +434,7 @@ def _rendered(tables, pieces):
     """(t, bytes) for rows a..b-1 of table t of each (t, a, b) piece, in
     order and in parts, each row its cells joined by commas and ended by
     the table's line end. A block's float64 columns are formatted in one
-    _float_cells call, so a block of many short tables costs about what
+    _cells call, so a block of many short tables costs about what
     one long table does."""
     for block in _blocks(tables, pieces):
         eol = tables[block[0][0]][3].encode()

@@ -24,7 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from ._atomic import atomic_write, read_json, sidecar_path, write_json
+from ._atomic import read_json, sidecar_path, write_json
 from ._rows import write_keyed_rows, write_tables
 from .codec import (
     _is_finite_number,
@@ -297,10 +297,9 @@ def cmd_decode(args) -> int:
     params = read_decoder(args.tuning, enc) if args.mode == "linear" else None
     # A window's cell is its bin's voltage, "" for a silent window; each
     # bin is decoded once, and only the bins the train holds if fewer.
-    with atomic_write(args.out, "wb") as fh:
-        write_keyed_rows(fh, b"window,u_hat\n", train.bins, enc.resolution, lambda bins: (
-            decode_ideal(bins * enc.reader_period, enc) if params is None
-            else decode_linear(bins * enc.reader_period, params)))
+    write_keyed_rows(args.out, b"window,u_hat\n", train.bins, enc.resolution, lambda bins: (
+        decode_ideal(bins * enc.reader_period, enc) if params is None
+        else decode_linear(bins * enc.reader_period, params)))
     print(f"decoded {len(train)} windows ({args.mode}) -> {args.out}")
     return 0
 

@@ -137,6 +137,12 @@ class LinearDecoderParams:
             raise ValueError("need t_lin_max > t_lin_min")
         if not (self.y_max > self.y_min):
             raise ValueError("need y_max > y_min")
+        # decode_linear divides by the slope and the S-FT by its reciprocal
+        t_span, y_span = float(self.t_lin_max) - float(self.t_lin_min), float(self.y_max) - float(self.y_min)
+        if not (0 < t_span < math.inf and 0 < y_span < math.inf
+                and 0 < t_span / y_span < math.inf and y_span / t_span < math.inf):
+            raise ValueError(f"need t_lin_max - t_lin_min = {t_span!r}, y_max - y_min = {y_span!r}, their ratio "
+                             "(the slope) and its reciprocal all above 0 and within float range")
 
     @property
     def slope(self) -> float:

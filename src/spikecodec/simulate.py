@@ -23,7 +23,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from ._atomic import atomic_write, read_json, sidecar_path, write_json
+from ._atomic import read_json, sidecar_path, write_json
 from ._draws import window_doubles
 from ._rows import read_keyed_rows, write_keyed_rows
 from .codec import _is_finite_number, EncoderConfig, crossing_time
@@ -251,8 +251,7 @@ def write_spike_train(train: SpikeTrain, csv_path: str) -> None:
     the JSON sidecar that sidecar_path names, holding the config and
     seed."""
     json_path = sidecar_path(csv_path)  # first: a train named like its sidecar writes nothing
-    with atomic_write(csv_path, "wb") as fh:
-        write_keyed_rows(fh, _HEADER, train.bins, train.config.resolution)
+    write_keyed_rows(csv_path, _HEADER, train.bins, train.config.resolution)
     meta = {
         "encoder": asdict(train.config),
         "seed": train.seed,

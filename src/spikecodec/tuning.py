@@ -100,9 +100,10 @@ class TuningResult:
 def _params_from_k(k: np.ndarray, ts, cfg: EncoderConfig) -> Optional[LinearDecoderParams]:
     t_lo = ts.t_min * (1.0 + k[0])
     t_hi = ts.t_max * (1.0 + k[1])
-    if not t_hi > t_lo:
+    try:
+        return LinearDecoderParams(t_lin_min=t_lo, t_lin_max=t_hi, y_min=cfg.u_min, y_max=cfg.u_max)
+    except ValueError:  # t_hi <= t_lo, or a span or slope past float range
         return None
-    return LinearDecoderParams(t_lin_min=t_lo, t_lin_max=t_hi, y_min=cfg.u_min, y_max=cfg.u_max)
 
 
 def _solve_offset_span(cfg: EncoderConfig, t_min: float, t_max: float):
@@ -156,14 +157,14 @@ def fit_linear_decoder(cfg: EncoderConfig, tuner: Optional[TunerConfig] = None) 
     ts = timing_summary(cfg)
     c, span = _solve_offset_span(cfg, ts.t_min, ts.t_max)
     scored = []
-    # An overflow shows as a non-finite eps_lin, which is named below.
+    # An overflow shows as a non-finite eps_lin, or as no decoder at all, named below.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for k in ((c / ts.t_min - 1.0, (c + span) / ts.t_max - 1.0), (0.0, 0.0)):
             k = np.clip(k, *_K_BOUNDS)
             p = _params_from_k(k, ts, cfg)
             if p is not None:
                 scored.append((linear_error(cfg, p), float(k[0]), float(k[1]), p))
-    eps, k1, k2, params = min(scored, key=lambda s: s[0])
+    eps, k1, k2, params = min(scored, key=lambda s: s[0], default=(math.nan, 0.0, 0.0, None))
     if not math.isfinite(eps):
         raise ValueError(
             f"decoder fit error eps_lin is {eps!r}: the working range "

@@ -20,6 +20,8 @@ from spikecodec.cli import SCHEMA, main
 
 # A JSON integer past float range: 401 digits.
 HUGE = 10**400
+# The end of a decoder's error when a span or the slope leaves float range.
+SPAN_RULE = "their ratio (the slope) and its reciprocal all above 0 and within float range"
 
 
 def write_config(tmp_path, doc):
@@ -513,6 +515,14 @@ class TestFailureModes:
         # ended in "OverflowError: int too large to convert to float"
         ({"t_lin_min": HUGE, "t_lin_max": 3e-4, "y_min": 1.0, "y_max": 5.0},
          f"tuning file 't_lin_min' must be a finite number, got {HUGE}"),
+        # a span past float range wrote -inf after a RuntimeWarning, or
+        # y_max, in every row, and a slope past float range -inf
+        ({"t_lin_min": 0.0, "t_lin_max": 1e-3, "y_min": -1.7e308, "y_max": 1.7e308},
+         f"need t_lin_max - t_lin_min = 0.001, y_max - y_min = inf, {SPAN_RULE}"),
+        ({"t_lin_min": -1.7e308, "t_lin_max": 1.7e308, "y_min": 1.0, "y_max": 5.0},
+         f"need t_lin_max - t_lin_min = inf, y_max - y_min = 4.0, {SPAN_RULE}"),
+        ({"t_lin_min": 0.0, "t_lin_max": 1e-10, "y_min": 0.0, "y_max": 1e300},
+         f"need t_lin_max - t_lin_min = 1e-10, y_max - y_min = 1e+300, {SPAN_RULE}"),
     ])
     def test_malformed_tuning_file_is_named(self, tmp_path, capsys, doc, message):
         train = tmp_path / "train.csv"
@@ -728,6 +738,14 @@ class TestFailureModes:
         ({"t_lin_min": 1e-4}, "LinearDecoderParams.__init__() missing 3 required"),
         # the decoder's own rule came without the key that broke it
         ({"t_lin_min": 5e-5, "t_lin_max": 3e-4, "y_min": 5.0, "y_max": 1.0}, "need y_max > y_min"),
+        # ended in a ZeroDivisionError traceback, or in a RuntimeWarning
+        # and an error that blamed the S-FT
+        ({"t_lin_min": 0.0, "t_lin_max": 1e-3, "y_min": -1.7e308, "y_max": 1.7e308},
+         f"need t_lin_max - t_lin_min = 0.001, y_max - y_min = inf, {SPAN_RULE}"),
+        ({"t_lin_min": -1.7e308, "t_lin_max": 1.7e308, "y_min": 1.0, "y_max": 5.0},
+         f"need t_lin_max - t_lin_min = inf, y_max - y_min = 4.0, {SPAN_RULE}"),
+        ({"t_lin_min": 0.0, "t_lin_max": 1e300, "y_min": 0.0, "y_max": 1e-10},
+         f"need t_lin_max - t_lin_min = 1e+300, y_max - y_min = 1e-10, {SPAN_RULE}"),
     ])
     def test_decoder_spec_must_be_a_path_or_an_object(self, tmp_path, capsys, spec, message):
         cfg = write_config(tmp_path, {"sft": {"decoder": spec}})

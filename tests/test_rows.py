@@ -51,7 +51,7 @@ from spikecodec import (
     write_spike_train,
 )
 from spikecodec import _rows
-from spikecodec._rows import (BLOCK_BYTES, BLOCK_CELLS, FORK_ROWS, cells, read_keyed_rows,
+from spikecodec._rows import (BLOCK_BYTES, BLOCK_CELLS, FORK_ROWS, read_keyed_rows,
                               write_keyed_rows, write_tables)
 from spikecodec.simulate import _read_sidecar
 from spikecodec.cli import main
@@ -397,17 +397,19 @@ class TestRowFormat:
             assert b"".join(data for u, data in parts if u == t) == want
 
 
+def cell_lines(cells) -> bytes:
+    """S items, their NULs dropped, one per line."""
+    return b"".join(cell + b"\n" for cell in cells.tolist()).translate(None, b"\0")
+
+
 def float_cell_lines(values) -> bytes:
-    """_float_cells' rows, their NULs dropped, one per line."""
-    matrix = _rows._float_cells(np.asarray(values, dtype=float))
-    lines = np.full((len(matrix), matrix.shape[1] + 1), ord("\n"), np.uint8)
-    lines[:, :-1] = matrix
-    return lines.tobytes().translate(None, b"\0")
+    """_float_cells' items, their NULs dropped, one per line."""
+    return cell_lines(_rows._float_cells(np.asarray(values, dtype=float)))
 
 
 def text_lines(values) -> bytes:
     """The text of each value (_texts), one per line."""
-    return ("\n".join(_rows._texts(np.asarray(values, dtype=float))) + "\n").encode()
+    return cell_lines(_rows._texts(np.asarray(values, dtype=float)))
 
 
 # Doubles where the fixed-notation arithmetic turns, each taken with
@@ -462,6 +464,11 @@ def reference_rows(lo, cells, keys) -> bytes:
     return "".join(f"{lo + i},{cells[k]}\n" for i, k in enumerate(keys.tolist())).encode()
 
 
+def key_cells(values) -> np.ndarray:
+    """_table's cells of every key 0..len(values), key k's value values[k - 1]."""
+    return _rows._table(np.arange(len(values) + 1), len(values), lambda k: values[k - 1])[0]
+
+
 BIN_CELLS = ["", *map(str, range(1, CFG3K.resolution + 1))]
 BIN_VALUES = np.arange(1, CFG3K.resolution + 1)
 
@@ -475,12 +482,12 @@ class TestWindowDigits:
     def test_render_rows_across_a_power_of_ten(self, k, below, n):
         lo = max(0, 10**k - below)
         keys = np.random.default_rng(k * 100 + n).integers(0, len(BIN_CELLS), n)
-        assert _rows.render_rows(lo, cells(BIN_VALUES), keys) == reference_rows(lo, BIN_CELLS, keys)
+        assert _rows.render_rows(lo, key_cells(BIN_VALUES), keys) == reference_rows(lo, BIN_CELLS, keys)
 
     @pytest.mark.parametrize("lo", [0, 1, 9, 95, 990, 9_999 - 37, 123_456])
     def test_render_rows_over_many_places(self, lo):
         keys = np.random.default_rng(lo).integers(0, len(BIN_CELLS), 1234)
-        assert _rows.render_rows(lo, cells(BIN_VALUES), keys) == reference_rows(lo, BIN_CELLS, keys)
+        assert _rows.render_rows(lo, key_cells(BIN_VALUES), keys) == reference_rows(lo, BIN_CELLS, keys)
 
     @settings(max_examples=200, deadline=None)
     @given(values=st.lists(st.sampled_from([-2.5, 1e-07, 1e+22, 3.0, 0.1]) | st.floats(
@@ -494,10 +501,11 @@ class TestWindowDigits:
         keys[data.draw(st.integers(0, len(keys) - 1))] = 0
         lo = max(0, 10**power + offset)
         texts = ["", *map(repr, values.tolist())]
-        assert _rows.render_rows(lo, cells(values), keys) == reference_rows(lo, texts, keys)
-        out = io.BytesIO()
-        write_keyed_rows(out, b"window,u\n", keys, len(values), lambda k: values[k - 1])
-        assert out.getvalue() == b"window,u\n" + reference_rows(0, texts, keys)
+        assert _rows.render_rows(lo, key_cells(values), keys) == reference_rows(lo, texts, keys)
+        with tempfile.TemporaryDirectory() as tmp:  # no tmp_path fixture under @given
+            path = os.path.join(tmp, "u.csv")
+            write_keyed_rows(path, b"window,u\n", keys, len(values), lambda k: values[k - 1])
+            assert pathlib.Path(path).read_bytes() == b"window,u\n" + reference_rows(0, texts, keys)
 
     def test_read_block_edge_on_window_100000(self, tmp_path):
         # one-digit bins, except as many two-digit ones as put the end
@@ -904,14 +912,30 @@ class TestMemory:
         values = np.random.default_rng(3).uniform(1, 5, 100)
         keys = np.random.default_rng(4).integers(0, 101, 100_000)
         assert max(len(repr(v)) for v in values.tolist()) == 18  # 17 digits and a point
-        with open(tmp_path / "u.csv", "wb") as fh:
-            tracemalloc.start()
-            try:
-                write_keyed_rows(fh, b"window,u_hat\n", keys, 100, lambda k: values[k - 1])
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+        tracemalloc.start()
+        try:
+            write_keyed_rows(str(tmp_path / "u.csv"), b"window,u_hat\n", keys, 100, lambda k: values[k - 1])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
         assert peak <= 2 * 2**20
+
+    def test_keyed_table_of_every_key_peak(self, tmp_path):
+        # more rows than keys, so a float cell is built for every key
+        # and the table, not the rows, sets the peak
+        top = 2**18
+        values = np.random.default_rng(5).uniform(-1, 3, top)
+        keys = np.random.default_rng(6).integers(0, top + 1, top + 1)
+        path = tmp_path / "u.csv"
+        tracemalloc.start()
+        try:
+            write_keyed_rows(str(path), b"window,u_hat\n", keys, top, lambda k: values[k - 1])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 64 * top
+        texts = ["", *map(repr, values.tolist())]
+        assert path.read_bytes() == b"window,u_hat\n" + reference_rows(0, texts, keys)
 
     @pytest.mark.parametrize("step", ["write", "read", "decode"])
     def test_keyed_rows_follow_the_rows_not_the_bins(self, tmp_path, capsys, step):
