@@ -352,9 +352,9 @@ def cmd_tune(args) -> int:
 
 
 def _sft_setup(args, outputs):
-    """Encoder, noise, transform geometry and sine of the sft commands,
-    each built once from the config, once no path in outputs names an
-    input file."""
+    """Noise, S-FT config, which holds the encoder, and sine of the sft
+    commands, each built once from the config, once no path in outputs
+    names an input file."""
     cfg = _load_config(args.config)
     _spare_inputs(args, outputs, cfg)
     enc = _build_encoder(cfg["encoder"])
@@ -365,10 +365,10 @@ def _sft_setup(args, outputs):
     spec = SineSpec(sig["amplitude"], sig["frequency"], sig["offset"])
     sft_keys = dict(cfg["sft"])
     decoder = _resolve_decoder(sft_keys.pop("decoder", None), enc)
-    return enc, noise, SftConfig.for_encoder(enc, decoder, **sft_keys), spec
+    return noise, SftConfig(enc, decoder, **sft_keys), spec
 
 
-def _sft_points(enc: EncoderConfig, scfg: SftConfig, noise, spec: SineSpec, freqs):
+def _sft_points(scfg: SftConfig, noise, spec: SineSpec, freqs):
     """Measured and reference spectra, (F, K) each, and their RMS
     magnitude and complex errors, (F,) each, of one frame of K windows
     of spec's sine at each of the F frequencies, from phase zero.
@@ -379,7 +379,7 @@ def _sft_points(enc: EncoderConfig, scfg: SftConfig, noise, spec: SineSpec, freq
     gives every frame the draws of windows 0..K-1. The reference is one
     FFT over the rows; sft_stream frames the rows end to end at hop K.
     """
-    k = scfg.frame_size
+    enc, k = scfg.encoder, scfg.frame_size
     duration = _span(k, "sft.frame_size", enc)
     t = np.arange(k) * enc.sample_period
     held = np.array([sine(replace(spec, frequency=nu), duration)(t) for nu in freqs])
@@ -398,9 +398,9 @@ def _sft_points(enc: EncoderConfig, scfg: SftConfig, noise, spec: SineSpec, freq
 def cmd_sft(args) -> int:
     paths = [f"{args.out_prefix}_spectrum.csv", f"{args.out_prefix}_ideal.csv"]
     json_path = f"{args.out_prefix}.json"
-    enc, noise, scfg, spec = _sft_setup(args, [*paths, json_path])
-    measured, reference, rmse_mag, rmse_cplx = _sft_points(enc, scfg, noise, spec, [spec.frequency])
-    write_tables(_spectrum_tables(paths, np.concatenate([measured, reference]), scfg.sample_period))
+    noise, scfg, spec = _sft_setup(args, [*paths, json_path])
+    measured, reference, rmse_mag, rmse_cplx = _sft_points(scfg, noise, spec, [spec.frequency])
+    write_tables(_spectrum_tables(paths, np.concatenate([measured, reference]), scfg.encoder.sample_period))
     write_json(
         json_path,
         {
@@ -421,12 +421,12 @@ def cmd_sft_sweep(args) -> int:
     freqs.sort()
     paths = [os.path.join(args.out_dir, f"spectrum_{nu:g}hz.csv") for nu in freqs]
     summary = os.path.join(args.out_dir, "summary.csv")
-    enc, noise, scfg, spec = _sft_setup(args, [*paths, summary])
+    noise, scfg, spec = _sft_setup(args, [*paths, summary])
     # Every point is computed before the first write, so a failed run
     # leaves no files; the spectra and the summary are one batch.
-    measured, _, rmse_mag, rmse_cplx = _sft_points(enc, scfg, noise, spec, freqs)
+    measured, _, rmse_mag, rmse_cplx = _sft_points(scfg, noise, spec, freqs)
     os.makedirs(args.out_dir, exist_ok=True)
-    write_tables([*_spectrum_tables(paths, measured, scfg.sample_period),
+    write_tables([*_spectrum_tables(paths, measured, scfg.encoder.sample_period),
                   (summary, "freq_hz,rmse_mag,rmse_complex\n", (np.array(freqs), rmse_mag, rmse_cplx))])
     for nu, rmse in zip(freqs, rmse_mag.tolist()):
         print(f"nu={nu:g} Hz: rmse_mag={rmse:.6g}")

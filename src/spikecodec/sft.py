@@ -42,24 +42,25 @@ __all__ = [
 class SftConfig:
     """Geometry of the transform.
 
-    frame_size     K, windows per frame and output bins
-    decoder        affine time code the frame was produced with
-    tick           seconds per step (the reader period upstream)
-    sample_period  window length T_S; it labels bins with physical
-                   frequencies k / (K * T_S), and the charge phase
-                   lasts the whole ticks of one window
+    encoder     the encoder whose windows the transform reads: its
+                window T_S labels the bins with physical frequencies
+                k / (K * T_S), and the charge phase lasts the N reader
+                ticks of one window
+    decoder     affine time code the frame was produced with; a silent
+                window enters at its t_lin_max, so that must be >= 0
+    frame_size  K, windows per frame and output bins
     """
 
-    frame_size: int
+    encoder: EncoderConfig
     decoder: LinearDecoderParams
-    tick: float
-    sample_period: float
+    frame_size: int = 128
 
     def __post_init__(self) -> None:
         if self.frame_size < 2:
             raise ValueError("frame_size must be at least 2")
-        if not (0 < self.tick <= self.sample_period):
-            raise ValueError("need 0 < tick <= sample_period")
+        if not self.decoder.t_lin_max >= 0:
+            raise ValueError(f"need decoder t_lin_max >= 0, got {self.decoder.t_lin_max!r} s: "
+                             "silent windows enter the S-FT at that time")
 
     @classmethod
     def for_encoder(
@@ -68,20 +69,14 @@ class SftConfig:
         decoder: LinearDecoderParams,
         frame_size: int = 128,
     ) -> "SftConfig":
-        """Derive phase geometry from an encoder: ticks of one reader
-        period, and a charge phase of one window, which the encoder
-        already checked holds the slowest in-range spike."""
-        return cls(
-            frame_size=frame_size,
-            decoder=decoder,
-            tick=enc.reader_period,
-            sample_period=enc.sample_period,
-        )
+        """The S-FT of enc's windows; the same as SftConfig(enc,
+        decoder, frame_size)."""
+        return cls(enc, decoder, frame_size)
 
 
 def _charge_duration(cfg: SftConfig) -> float:
-    """The charge phase: the N = T_S / tick whole ticks of one window."""
-    return round(cfg.sample_period / cfg.tick) * cfg.tick
+    """The charge phase: the N whole reader ticks of one window, N * T_N."""
+    return cfg.encoder.resolution * cfg.encoder.reader_period
 
 
 @dataclass(frozen=True, slots=True)
@@ -118,11 +113,6 @@ def _bin_frequencies(k: int, sample_period: float) -> np.ndarray:
 # Frames per FFT call in sft_stream, so that each chunk is calibrated
 # while it is in cache. Any chunk size gives the same bits.
 _CHUNK_FRAMES = 64
-
-
-def _check_times(times: np.ndarray) -> None:
-    if not np.all(np.isfinite(times)) or np.any(times < 0):
-        raise ValueError("spike times must be finite and non-negative")
 
 
 def _durations(times: np.ndarray, cfg: SftConfig) -> np.ndarray:
@@ -167,15 +157,18 @@ def sft_frame(times, cfg: SftConfig) -> Spectrum:
     """Transform one frame of spike times into a calibrated spectrum.
 
     times holds K in-window spike times, seconds from each window's
-    start; silent windows must already be substituted (sft_stream uses
-    the decoder's latest code time, i.e. the smallest value).
+    start, each finite and >= 0; silent windows must already be
+    substituted (sft_stream uses the decoder's latest code time, i.e.
+    the smallest value). Times past the charge phase of cfg.encoder's
+    window charge for no time.
     """
     times = np.array(times, dtype=float)
     if times.shape != (cfg.frame_size,):
         raise ValueError(f"expected {cfg.frame_size} spike times, got {times.shape}")
-    _check_times(times)
+    if not np.all(np.isfinite(times)) or np.any(times < 0):
+        raise ValueError("spike times must be finite and non-negative")
     coeff = _coefficients(_durations(times[None, :], cfg), cfg)[0]
-    return Spectrum(coefficients=coeff, sample_period=cfg.sample_period)
+    return Spectrum(coefficients=coeff, sample_period=cfg.encoder.sample_period)
 
 
 def sft_stream(train: SpikeTrain, cfg: SftConfig, hop: int | None = None) -> Spectrum:
@@ -184,7 +177,8 @@ def sft_stream(train: SpikeTrain, cfg: SftConfig, hop: int | None = None) -> Spe
     hop defaults to frame_size (back-to-back frames). Windows without
     a spike enter as the decoder's largest code time, clipped to the
     charge phase. The train must cover at least one frame, and its
-    windows must last cfg.sample_period, which labels the bins.
+    windows must last the window T_S of cfg.encoder, which labels the
+    bins; its reader period may differ.
     Frames are transformed by FFT, a chunk at a time, into the (F, K)
     coefficients of one Spectrum.
     """
@@ -195,17 +189,16 @@ def sft_stream(train: SpikeTrain, cfg: SftConfig, hop: int | None = None) -> Spe
         raise ValueError("hop must be at least 1")
     if len(train) < k:
         raise ValueError(f"train has {len(train)} windows, need at least {k}")
-    period = train.config.sample_period
-    if abs(period - cfg.sample_period) > _REL_EPS * cfg.sample_period:
+    period, own = train.config.sample_period, cfg.encoder.sample_period
+    if abs(period - own) > _REL_EPS * own:
         raise ValueError(
             f"train windows last {period:.6g} s but the S-FT labels bins "
-            f"for sample_period {cfg.sample_period:.6g} s"
+            f"for sample_period {own:.6g} s"
         )
     silent_time = min(cfg.decoder.t_lin_max, _charge_duration(cfg))
     times = np.where(train.fired, train.bins * train.config.reader_period, silent_time)
-    _check_times(times)
     frames = np.lib.stride_tricks.sliding_window_view(_durations(times, cfg), k)[::hop]
-    return Spectrum(_coefficients(frames, cfg), cfg.sample_period)
+    return Spectrum(_coefficients(frames, cfg), own)
 
 
 def _spectrum_tables(paths, coefficients: np.ndarray, sample_period: float) -> list:

@@ -178,11 +178,14 @@ def simulate_window(
     None when the window stays silent. An array holds one voltage per
     window and returns an int64 bin array with 0 for silence; element
     i of its last axis is window window_index + i, so each row of a
-    2-D array is a run of its own over the same windows. window_index
-    only matters for per-window noise, where it selects each window's
-    random draw. A non-finite held voltage raises ValueError: it would
-    otherwise read as a silent window.
+    2-D array is a run of its own over the same windows. window_index,
+    a non-negative integer in every noise mode, only changes the bins
+    under per-window noise, where it selects each window's random draw.
+    A non-finite held voltage raises ValueError: it would otherwise
+    read as a silent window.
     """
+    if not _is_non_negative_int(window_index):
+        raise ValueError(f"window_index must be a non-negative integer, got {window_index!r}")
     u = np.asarray(u_in, dtype=float)
     bad = ~np.isfinite(u)
     if bad.any():

@@ -22,6 +22,14 @@ from spikecodec.cli import SCHEMA, main
 HUGE = 10**400
 # The end of a decoder's error when a span or the slope leaves float range.
 SPAN_RULE = "their ratio (the slope) and its reciprocal all above 0 and within float range"
+# A decoder whose code times all fall before the window starts, the
+# error that names it, and the runs it fails: the default sine, where
+# every window fires, and a sine down to 0 V, which leaves some silent.
+EARLY_DECODER = {"t_lin_min": -2e-4, "t_lin_max": -1e-4, "y_min": 1.0, "y_max": 5.0}
+EARLY_DECODER_RULE = ("need decoder t_lin_max >= 0, got -0.0001 s: "
+                      "silent windows enter the S-FT at that time")
+EARLY_DECODER_RUNS = [({}, "sft"), ({"amplitude": 3.0, "offset": 3.0}, "sft"),
+                      ({"amplitude": 3.0, "offset": 3.0}, "sft-sweep")]
 
 
 def write_config(tmp_path, doc):
@@ -559,6 +567,18 @@ class TestFailureModes:
             "error: tuning.json: tuning file was fitted for encoder tau = 0.001, not the 0.003 in use\n")
         assert not any(map(Path.exists, map(Path, outputs)))
 
+    @pytest.mark.parametrize("signal, command", EARLY_DECODER_RUNS,
+                             ids=["sft", "sft-some-silent", "sft-sweep-some-silent"])
+    def test_tuning_file_that_ends_before_the_window_is_refused(self, tmp_path, monkeypatch, capsys,
+                                                                 signal, command):
+        monkeypatch.chdir(tmp_path)
+        Path("tuning.json").write_text(json.dumps(EARLY_DECODER))
+        write_config(tmp_path, {"sft": {"decoder": "tuning.json"}, "signal": signal})
+        out = {"sft": ["--out-prefix", "run"], "sft-sweep": ["--out-dir", "sweep"]}[command]
+        assert main([command, "--config", "config.json", *out]) == 1
+        assert capsys.readouterr().err == f"error: {EARLY_DECODER_RULE}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "tuning.json"]
+
     @pytest.mark.parametrize("command", sorted(TUNED_RUNS))
     def test_tuning_file_of_another_resolution_loads(self, tmp_path, monkeypatch, command):
         # the reader's timing does not move a fit, so a file fitted at 50
@@ -718,6 +738,12 @@ class TestFailureModes:
         *[({"tuner": {key: value}}, "sft", f"config section 'tuner' has unknown key(s): {key!r}")
           for key, value in [("k1_bounds", [-0.5, 0.5]), ("k2_bounds", [0.0, 0.5]),
                              ("grid_points", 16)]],
+        ({"signal": {"amplitude": -1}}, "encode", "amplitude must be >= 0"),
+        # a decoder whose code times all fall before the window: sft
+        # printed rmse_mag=65.5223 when every window fired, and ended in
+        # "spike times must be finite and non-negative" when one was silent
+        *[({"sft": {"decoder": EARLY_DECODER}, "signal": signal}, command, EARLY_DECODER_RULE)
+          for signal, command in EARLY_DECODER_RUNS],
     ])
     def test_config_hole_is_named(self, tmp_path, capsys, doc, command, message):
         out = {"encode": ["--out", str(tmp_path / "t.csv")],

@@ -87,6 +87,8 @@ class TestEmpiricalErrors:
             empirical_errors([2.0], [1e-4], [0.0], cfg3k)
         with pytest.raises(ValueError, match="empty"):
             ErrorReport(u_in=[], eps_u=[], eps_ts=[], rmse=0.0)
+        with pytest.raises(ValueError, match="per-sample arrays must have equal length"):
+            ErrorReport(u_in=[2.0, 3.0], eps_u=[0.0], eps_ts=[0.0, 0.0], rmse=0.0)
 
     def test_rmse_that_overflows_is_named(self, cfg3k):
         # an RMSE of inf used to come back as a result

@@ -26,8 +26,10 @@ from conftest import CFG3K, affine_times, naive_dft
 DEC = LinearDecoderParams(t_lin_min=5e-5, t_lin_max=3e-4, y_min=1.0, y_max=5.0)
 
 
-def make_cfg(frame_size, tick=1e-6):
-    return SftConfig(frame_size=frame_size, decoder=DEC, tick=tick, sample_period=1.0 / 3000.0)
+def make_cfg(frame_size, ticks=333):
+    """The S-FT of an encoder with ticks reader ticks per 1/3000 s window."""
+    enc = replace(CFG3K, reader_period=CFG3K.sample_period / ticks)
+    return SftConfig.for_encoder(enc, DEC, frame_size=frame_size)
 
 
 class TestSftFrame:
@@ -76,13 +78,14 @@ class TestSftFrame:
         assert np.abs(c_mix - c_sep).max() < 1e-9 * np.abs(c_sep).max()
 
     def test_quantized_times_stay_within_half_tick_bound(self):
-        cfg = make_cfg(32, tick=3e-6)
+        cfg = make_cfg(32, ticks=111)
+        tick = cfg.encoder.reader_period
         rng = np.random.default_rng(15)
         y = rng.uniform(1.0, 5.0, 32)
         times = affine_times(y, DEC)
         exact = sft_frame(times, cfg).coefficients
-        rounded = sft_frame(np.round(times / cfg.tick) * cfg.tick, cfg).coefficients
-        bound = cfg.frame_size * cfg.tick / (2 * DEC.slope)
+        rounded = sft_frame(np.round(times / tick) * tick, cfg).coefficients
+        bound = cfg.frame_size * tick / (2 * DEC.slope)
         assert np.abs(rounded - exact).max() <= bound * (1 + 1e-9)
 
     def test_validation(self):
@@ -109,7 +112,7 @@ class TestSftStream:
         spectra = sft_stream(train, cfg, hop=2)
         assert type(spectra) is Spectrum and spectra.coefficients.shape == (13, 8)
         rows = [spectra[0], spectra[-1], *spectra[5:7], *list(spectra)[12:]]
-        assert all(type(s) is Spectrum and s.sample_period == cfg.sample_period for s in rows)
+        assert all(type(s) is Spectrum and s.sample_period == cfg.encoder.sample_period for s in rows)
         assert all(s.coefficients.shape == (8,) for s in rows)
         assert all(np.shares_memory(s.coefficients, spectra.coefficients) for s in rows)
         assert [s.coefficients.tobytes() for s in rows] == [
@@ -238,7 +241,7 @@ class TestSftParity:
         assert np.array_equal(train.bins, before)
         want = [sft_frame(times, cfg) for times in stream_times(train, cfg, hop)]
         assert len(got) == len(want) == frames
-        assert all(type(s) is Spectrum and s.sample_period == cfg.sample_period for s in got)
+        assert all(type(s) is Spectrum and s.sample_period == cfg.encoder.sample_period for s in got)
         assert got.coefficients.tobytes() == np.stack([s.coefficients for s in want]).tobytes()
 
     @pytest.mark.parametrize("decoder", [DEC, DEC_LATE], ids=["early", "late"])
@@ -397,15 +400,23 @@ class TestSpectrum:
 class TestSftConfig:
     def test_for_encoder_defaults(self, cfg3k):
         cfg = SftConfig.for_encoder(cfg3k, DEC, frame_size=16)
-        assert cfg.tick == cfg3k.reader_period
+        assert cfg.encoder is cfg3k
+        assert cfg == SftConfig(cfg3k, DEC, frame_size=16)
+        assert SftConfig(cfg3k, DEC).frame_size == 128
         # the N whole ticks of one window, with the bits of N * T_N
         assert _charge_duration(cfg) == cfg3k.resolution * cfg3k.reader_period
         assert _charge_duration(cfg) == pytest.approx(cfg3k.sample_period, rel=1e-12)
 
-    def test_validation(self):
+    def test_validation(self, cfg3k):
         with pytest.raises(ValueError, match="frame_size"):
-            SftConfig(frame_size=1, decoder=DEC, tick=1e-6, sample_period=1e-3)
-        # a tick longer than the window would leave a charge phase of no ticks
-        for tick in (0.0, 2.5e-3):
-            with pytest.raises(ValueError, match="need 0 < tick <= sample_period"):
-                SftConfig(frame_size=8, decoder=DEC, tick=tick, sample_period=1e-3)
+            SftConfig(cfg3k, DEC, frame_size=1)
+
+    # a silent window enters at t_lin_max; before the window starts, it
+    # made sft_stream fail on spike times, or pass when no window was silent
+    @pytest.mark.parametrize("t_lin_max", [-1e-4, -5e-324])
+    def test_rejects_a_decoder_that_ends_before_the_window(self, cfg3k, t_lin_max):
+        early = LinearDecoderParams(t_lin_min=-2e-4, t_lin_max=t_lin_max, y_min=1.0, y_max=5.0)
+        with pytest.raises(ValueError, match=rf"t_lin_max >= 0, got {t_lin_max!r} s"):
+            SftConfig(cfg3k, early)
+        zero = replace(early, t_lin_max=0.0)
+        assert SftConfig(cfg3k, zero).decoder is zero

@@ -82,6 +82,15 @@ class TestIdealAdcFft:
         with pytest.raises(ValueError, match="fit"):
             ideal_adc_fft(sig, 1.0 / 3000.0, 64)
 
+    @pytest.mark.parametrize("sample_period, frame_size, message", [
+        (1.0 / 3000.0, 1, "frame_size must be at least 2"),
+        (0.0, 64, "sample_period must be positive"),
+    ])
+    def test_rejects_a_short_frame_or_a_period_of_zero(self, sample_period, frame_size, message):
+        sig = sine(SineSpec(2.0, 500.0, 3.0), duration=0.1)
+        with pytest.raises(ValueError, match=message):
+            ideal_adc_fft(sig, sample_period, frame_size)
+
     def test_bin_frequencies_label(self):
         sig = sine(SineSpec(2.0, 500.0, 3.0), duration=120 / 3000.0)
         spec = ideal_adc_fft(sig, 1.0 / 3000.0, 120)

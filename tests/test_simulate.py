@@ -22,6 +22,7 @@ from spikecodec import (
     SineSpec,
     write_spike_train,
 )
+from spikecodec._draws import window_doubles
 from spikecodec.simulate import _window_count
 from conftest import CFG3K
 
@@ -118,6 +119,15 @@ class TestSimulateWindowArrays:
         # it must not read as a silent window
         with pytest.raises(ValueError, match="window 7 holds a non-finite input voltage"):
             simulate_window(bad, cfg3k, window_index=7)
+
+    # with no noise or constant noise, -1 and 2.5 used to give bin 31 or
+    # 28; per-window noise named _draws' window range or raised TypeError
+    @pytest.mark.parametrize("noise", NOISE_MODELS, ids=["none", "constant", "per-window"])
+    @pytest.mark.parametrize("window_index", [-1, 2.5])
+    def test_window_index_is_checked_in_every_noise_mode(self, noise, window_index):
+        with pytest.raises(ValueError, match=rf"^window_index must be a non-negative integer, "
+                                             rf"got {window_index}$"):
+            simulate_window(3.0, CFG3K, noise, window_index=window_index)
 
     def test_array_non_finite_voltage_is_rejected(self, cfg3k):
         u = np.array([3.0, 1e12, np.nan, np.inf, 3.0])
@@ -250,6 +260,18 @@ class TestThermalNoise:
         finally:
             tracemalloc.stop()
         assert peak <= 8 * 2**20
+
+    @pytest.mark.parametrize("draw, message", [
+        (lambda: window_doubles(-1, 0, 1), "seed must be a non-negative integer"),
+        (lambda: ThermalNoiseModel(0.01, "per-window").offset(-1),
+         r"window indices -1..-1 must lie in 0..2\*\*64-1"),
+        (lambda: simulate_window(np.full(3, 3.0), CFG3K, ThermalNoiseModel(0.01, "per-window"),
+                                 window_index=2**64 - 2),
+         rf"window indices {2**64 - 2}..{2**64} must lie in 0..2\*\*64-1"),
+    ], ids=["negative-seed", "negative-window", "past-2**64-1"])
+    def test_draws_outside_their_range_are_refused(self, draw, message):
+        with pytest.raises(ValueError, match=message):
+            draw()
 
     @pytest.mark.parametrize("seed", [1.5, -3, True, "7"])
     def test_rejects_seed_that_is_not_a_non_negative_integer(self, seed):
@@ -393,6 +415,8 @@ class TestSpikeTrainIO:
             SpikeTrain(bins=np.array([5, 101]), config=cfg3k)
         with pytest.raises(ValueError, match="bin indices"):
             SpikeTrain(bins=np.array([-1]), config=cfg3k)
+        with pytest.raises(ValueError, match="bins must be one-dimensional"):
+            SpikeTrain(bins=np.full((2, 2), 31), config=cfg3k)
 
     def test_spike_times_use_reader_period(self, cfg3k):
         train = SpikeTrain(bins=np.array([31, 0]), config=cfg3k)

@@ -151,10 +151,10 @@ def test_pinned_bytes(tmp_path, capsys, run):
     assert digests(out) == PINNED[run]
 
 
-def serial_points(enc, scfg, noise, spec, freqs):
+def serial_points(scfg, noise, spec, freqs):
     """The per-frequency loop the batched sweep replaced: a sine,
     encode, S-FT stream, FFT reference and RMSE for each frequency."""
-    k = scfg.frame_size
+    enc, k = scfg.encoder, scfg.frame_size
     rows = []
     for nu in freqs:
         sig = sine(replace(spec, frequency=nu), k * enc.sample_period)
@@ -183,8 +183,8 @@ class TestBatchedSweep:
     def test_same_bits_as_one_point_at_a_time(self, noise, k, freqs):
         scfg = SftConfig.for_encoder(CFG3K, _resolve_decoder(None, CFG3K), frame_size=k)
         spec = SineSpec(amplitude=2.0, frequency=500.0, offset=3.0)
-        got = _sft_points(CFG3K, scfg, NOISES[noise], spec, freqs)
-        want = serial_points(CFG3K, scfg, NOISES[noise], spec, freqs)
+        got = _sft_points(scfg, NOISES[noise], spec, freqs)
+        want = serial_points(scfg, NOISES[noise], spec, freqs)
         for g, w in zip(got, want):
             assert g.shape == w.shape and g.tobytes() == w.tobytes()
 
