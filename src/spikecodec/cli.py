@@ -227,15 +227,23 @@ def _build_signal(section: dict, enc: EncoderConfig):
 def _resolve_decoder(spec, enc: EncoderConfig) -> LinearDecoderParams:
     """Decoder from the sft section's spec: inline params, a tuning
     file fitted for enc, or a fresh fit, which is deterministic, so
-    reruns reproduce it."""
+    reruns reproduce it. A given decoder that the S-FT of enc refuses
+    is named by its key or its file."""
     if spec is None:
         return fit_linear_decoder(enc).params
     if isinstance(spec, str):
-        return read_decoder(spec, enc)
+        where, decoder = spec, read_decoder(spec, enc)
+    else:
+        where = "config section 'sft' key 'decoder'"
+        try:
+            decoder = LinearDecoderParams(**spec)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{where}: {exc}") from None
     try:
-        return LinearDecoderParams(**spec)
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"config section 'sft' key 'decoder': {exc}") from None
+        SftConfig(enc, decoder)
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from None
+    return decoder
 
 
 def _spectrum_rmse(measured: np.ndarray, reference: np.ndarray):

@@ -110,9 +110,12 @@ def _bin_frequencies(k: int, sample_period: float) -> np.ndarray:
     return np.arange(k) / (k * sample_period)
 
 
-# Frames per FFT call in sft_stream, so that each chunk is calibrated
-# while it is in cache. Any chunk size gives the same bits.
-_CHUNK_FRAMES = 64
+# Frames per FFT call in sft_stream. Each call costs about 10 us of
+# Python, and at hop < K a chunk's windows are cast to complex once for
+# all its frames, so larger chunks pay off until the chunk's buffer
+# leaves cache; each chunk is calibrated while it is in cache. Any chunk
+# size gives the same bits.
+_CHUNK_FRAMES = 256
 
 
 def _durations(times: np.ndarray, cfg: SftConfig) -> np.ndarray:
@@ -122,9 +125,9 @@ def _durations(times: np.ndarray, cfg: SftConfig) -> np.ndarray:
     return np.clip(times, 0.0, None, out=times)
 
 
-def _coefficients(dur: np.ndarray, cfg: SftConfig) -> np.ndarray:
-    """Calibrated spectra, (F, K) complex, of an (F, K) stack of charge
-    durations.
+def _coefficients(dur: np.ndarray, cfg: SftConfig, hop: int) -> np.ndarray:
+    """Calibrated spectra, (F, K) complex, of the frames of K windows
+    that start every hop windows of a 1-D array of charge durations.
 
     Each +w membrane charges w * (T_charge - t) per spike, and the
     weight rows are DFT rows, so a frame's membranes are the DFT of its
@@ -134,22 +137,37 @@ def _coefficients(dur: np.ndarray, cfg: SftConfig) -> np.ndarray:
     so subtract the constant from the real part of bin 0 and rescale
     to DFT units of the decoded values.
 
-    The FFT fills the result _CHUNK_FRAMES frames at a time, and each
-    chunk is calibrated in place through a float view, so no part is
-    multiplied by a complex number. A row's FFT does not depend on the
-    rows beside it, so a frame has the same bits alone or in a stack.
+    The FFT fills the result _CHUNK_FRAMES frames at a time. Each chunk
+    is cast to complex into one buffer, which a strided view, built
+    once, reads as the chunk's frames. At hop < K the buffer holds the
+    chunk's windows, so a window in several frames is cast once, not
+    once per frame; at hop >= K no window is in two frames, and the
+    frames are cast as they stand. Either way the buffer holds at most
+    one chunk of frames. Each chunk is calibrated in place through a
+    float view, so no part is multiplied by a complex number. A row's
+    FFT does not depend on the rows beside it, so a frame has the same
+    bits alone or in a stack.
     """
-    p = cfg.decoder
+    p, k = cfg.decoder, cfg.frame_size
     a = p.t_lin_min + p.slope * p.y_max
-    dc = (_charge_duration(cfg) - a) * cfg.frame_size
+    dc = (_charge_duration(cfg) - a) * k
     scale = 1.0 / p.slope
-    out = np.empty(dur.shape, dtype=np.complex128)
+    frames = (len(dur) - k) // hop + 1
+    chunk, step = min(_CHUNK_FRAMES, frames), min(hop, k)
+    buf = np.empty((chunk - 1) * step + k, dtype=np.complex128)
+    view = np.lib.stride_tricks.as_strided(buf, (chunk, k), (step * buf.itemsize, buf.itemsize))
+    apart = np.lib.stride_tricks.sliding_window_view(dur, k)[::hop] if hop > k else None
+    out = np.empty((frames, k), dtype=np.complex128)
     parts = out.view(np.float64)
-    for lo in range(0, len(dur), _CHUNK_FRAMES):
-        hi = lo + _CHUNK_FRAMES
-        np.fft.fft(dur[lo:hi], axis=1, out=out[lo:hi])
-        parts[lo:hi, 0] -= dc
-        parts[lo:hi] *= scale
+    for lo in range(0, frames, chunk):
+        n = min(chunk, frames - lo)
+        if apart is None:
+            buf[: (n - 1) * hop + k] = dur[lo * hop : (lo + n - 1) * hop + k]
+        else:
+            view[:n] = apart[lo : lo + n]
+        np.fft.fft(view[:n], axis=1, out=out[lo : lo + n])
+        parts[lo : lo + n, 0] -= dc
+        parts[lo : lo + n] *= scale
     return out
 
 
@@ -167,7 +185,7 @@ def sft_frame(times, cfg: SftConfig) -> Spectrum:
         raise ValueError(f"expected {cfg.frame_size} spike times, got {times.shape}")
     if not np.all(np.isfinite(times)) or np.any(times < 0):
         raise ValueError("spike times must be finite and non-negative")
-    coeff = _coefficients(_durations(times[None, :], cfg), cfg)[0]
+    coeff = _coefficients(_durations(times, cfg), cfg, cfg.frame_size)[0]
     return Spectrum(coefficients=coeff, sample_period=cfg.encoder.sample_period)
 
 
@@ -179,8 +197,9 @@ def sft_stream(train: SpikeTrain, cfg: SftConfig, hop: int | None = None) -> Spe
     charge phase. The train must cover at least one frame, and its
     windows must last the window T_S of cfg.encoder, which labels the
     bins; its reader period may differ.
-    Frames are transformed by FFT, a chunk at a time, into the (F, K)
-    coefficients of one Spectrum.
+    Frames are transformed by FFT, _CHUNK_FRAMES at a time, into the (F, K)
+    coefficients of one Spectrum; each chunk's windows are cast to
+    complex once, however many of its frames share them.
     """
     k = cfg.frame_size
     if hop is None:
@@ -197,8 +216,7 @@ def sft_stream(train: SpikeTrain, cfg: SftConfig, hop: int | None = None) -> Spe
         )
     silent_time = min(cfg.decoder.t_lin_max, _charge_duration(cfg))
     times = np.where(train.fired, train.bins * train.config.reader_period, silent_time)
-    frames = np.lib.stride_tricks.sliding_window_view(_durations(times, cfg), k)[::hop]
-    return Spectrum(_coefficients(frames, cfg), own)
+    return Spectrum(_coefficients(_durations(times, cfg), cfg, hop), own)
 
 
 def _spectrum_tables(paths, coefficients: np.ndarray, sample_period: float) -> list:

@@ -65,6 +65,13 @@ def _is_non_negative_int(value) -> bool:
     return not isinstance(value, bool) and isinstance(value, (int, np.integer)) and value >= 0
 
 
+def _check_window_index(window_index) -> None:
+    """Refuse a first window that is not a non-negative integer, in
+    every noise mode."""
+    if not _is_non_negative_int(window_index):
+        raise ValueError(f"window_index must be a non-negative integer, got {window_index!r}")
+
+
 @dataclass(frozen=True)
 class ThermalNoiseModel:
     """Additive membrane offset, expressed as a threshold drop delta_u.
@@ -90,6 +97,7 @@ class ThermalNoiseModel:
             raise ValueError(f"rng_seed must be a non-negative integer, got {self.rng_seed!r}")
 
     def offset(self, window_index: int) -> float:
+        _check_window_index(window_index)
         return float(self._offsets(window_index, 1)[0])
 
     def _offsets(self, first: int, n: int) -> np.ndarray:
@@ -184,8 +192,7 @@ def simulate_window(
     A non-finite held voltage raises ValueError: it would otherwise
     read as a silent window.
     """
-    if not _is_non_negative_int(window_index):
-        raise ValueError(f"window_index must be a non-negative integer, got {window_index!r}")
+    _check_window_index(window_index)
     u = np.asarray(u_in, dtype=float)
     bad = ~np.isfinite(u)
     if bad.any():

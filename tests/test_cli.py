@@ -23,8 +23,9 @@ HUGE = 10**400
 # The end of a decoder's error when a span or the slope leaves float range.
 SPAN_RULE = "their ratio (the slope) and its reciprocal all above 0 and within float range"
 # A decoder whose code times all fall before the window starts, the
-# error that names it, and the runs it fails: the default sine, where
-# every window fires, and a sine down to 0 V, which leaves some silent.
+# error that names it after its source (inline, or a tuning file), and
+# the runs it fails: the default sine, where every window fires, and a
+# sine down to 0 V, which leaves some silent.
 EARLY_DECODER = {"t_lin_min": -2e-4, "t_lin_max": -1e-4, "y_min": 1.0, "y_max": 5.0}
 EARLY_DECODER_RULE = ("need decoder t_lin_max >= 0, got -0.0001 s: "
                       "silent windows enter the S-FT at that time")
@@ -576,8 +577,19 @@ class TestFailureModes:
         write_config(tmp_path, {"sft": {"decoder": "tuning.json"}, "signal": signal})
         out = {"sft": ["--out-prefix", "run"], "sft-sweep": ["--out-dir", "sweep"]}[command]
         assert main([command, "--config", "config.json", *out]) == 1
-        assert capsys.readouterr().err == f"error: {EARLY_DECODER_RULE}\n"
+        assert capsys.readouterr().err == f"error: tuning.json: {EARLY_DECODER_RULE}\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "tuning.json"]
+
+    def test_tuning_file_that_ends_before_the_window_is_named_by_its_path(self, tmp_path, capsys):
+        # the path as the config gives it, as read_decoder's own rules do
+        fits = tmp_path / "fits"
+        fits.mkdir()
+        tuning = fits / "early.json"
+        tuning.write_text(json.dumps(EARLY_DECODER))
+        config = write_config(tmp_path, {"sft": {"decoder": str(tuning)}})
+        assert main(["sft", "--config", config, "--out-prefix", str(tmp_path / "run")]) == 1
+        assert capsys.readouterr().err == f"error: {tuning}: {EARLY_DECODER_RULE}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "fits"]
 
     @pytest.mark.parametrize("command", sorted(TUNED_RUNS))
     def test_tuning_file_of_another_resolution_loads(self, tmp_path, monkeypatch, command):
@@ -742,7 +754,8 @@ class TestFailureModes:
         # a decoder whose code times all fall before the window: sft
         # printed rmse_mag=65.5223 when every window fired, and ended in
         # "spike times must be finite and non-negative" when one was silent
-        *[({"sft": {"decoder": EARLY_DECODER}, "signal": signal}, command, EARLY_DECODER_RULE)
+        *[({"sft": {"decoder": EARLY_DECODER}, "signal": signal}, command,
+           f"config section 'sft' key 'decoder': {EARLY_DECODER_RULE}")
           for signal, command in EARLY_DECODER_RUNS],
     ])
     def test_config_hole_is_named(self, tmp_path, capsys, doc, command, message):

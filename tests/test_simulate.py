@@ -263,8 +263,7 @@ class TestThermalNoise:
 
     @pytest.mark.parametrize("draw, message", [
         (lambda: window_doubles(-1, 0, 1), "seed must be a non-negative integer"),
-        (lambda: ThermalNoiseModel(0.01, "per-window").offset(-1),
-         r"window indices -1..-1 must lie in 0..2\*\*64-1"),
+        (lambda: window_doubles(0, -1, 1), r"window indices -1..-1 must lie in 0..2\*\*64-1"),
         (lambda: simulate_window(np.full(3, 3.0), CFG3K, ThermalNoiseModel(0.01, "per-window"),
                                  window_index=2**64 - 2),
          rf"window indices {2**64 - 2}..{2**64} must lie in 0..2\*\*64-1"),
@@ -272,6 +271,15 @@ class TestThermalNoise:
     def test_draws_outside_their_range_are_refused(self, draw, message):
         with pytest.raises(ValueError, match=message):
             draw()
+
+    # constant mode returned delta_u for both; per-window mode named
+    # _draws' window range for -1 and raised TypeError for 2.5
+    @pytest.mark.parametrize("mode", ["constant", "per-window"])
+    @pytest.mark.parametrize("window_index", [-1, 2.5])
+    def test_offset_checks_its_window_index(self, mode, window_index):
+        with pytest.raises(ValueError, match=rf"^window_index must be a non-negative integer, "
+                                             rf"got {window_index}$"):
+            ThermalNoiseModel(0.01, mode).offset(window_index)
 
     @pytest.mark.parametrize("seed", [1.5, -3, True, "7"])
     def test_rejects_seed_that_is_not_a_non_negative_integer(self, seed):

@@ -2,11 +2,13 @@
 sft-sweep, and the batched frequency sweep against the per-point loop
 it replaced.
 
-The sweep-constant digests were recorded when it wrote each threshold's
-report on its own. The sft-sweep digests were recorded when the S-FT
-moved from two weight-matrix products to np.fft.fft, which moved every
-spectrum by at most 7e-15 of its largest magnitude. Any change to those
-files' bytes turns them red.
+The noisy sweep-constant digests were recorded when it wrote each
+threshold's report on its own; the clean run, with no noise section,
+was pinned later, on code that still gave the noisy run its recorded
+bytes. The sft-sweep digests were recorded when the S-FT moved from two
+weight-matrix products to np.fft.fft, which moved every spectrum by at
+most 7e-15 of its largest magnitude. Any change to those files' bytes
+turns them red.
 """
 
 import hashlib
@@ -107,6 +109,20 @@ PINNED = {
         "summary.csv":
             "9f2847d729886790dadd3127ac4a15555b691a39986f899e73814ef52d1c742a",
     },
+    "sweep-constant-clean": {
+        "sweep_uth_0.1.csv":
+            "8969594c9e754d1b5a20f27aca07afc2cbed75c6776f9b152bd5f4daba7421c9",
+        "sweep_uth_0.1.json":
+            "7b2cc56284590105f97b7888ee456e7fff9d4b5b090b54da0a873f70283dec96",
+        "sweep_uth_0.5.csv":
+            "2a4bab7e7ba4fab813121cc4e452340bea33015caa8ddad0a5d17afa88caf39d",
+        "sweep_uth_0.5.json":
+            "f5054e698ad946155f83028ccd775b596e2910fefe7c1c79931a2c23fe1212e6",
+        "sweep_uth_0.9.csv":
+            "b808a12669447a834e9ffc80eb7fbcf11bd24b3270837c996629db7f0a01245b",
+        "sweep_uth_0.9.json":
+            "12c9e9341f98587d838e1dcc4069ed3e005609162a43f19fe72cb1969515a1fb",
+    },
     "sweep-constant": {
         "sweep_uth_0.1.csv":
             "33045febba5df5caa0aa0df75304faeb731add9e7b47ddd97efda1bd13c48d49",
@@ -127,6 +143,8 @@ RUNS = {
     "sweep-constant": ({"noise": PER_WINDOW},
                        ["sweep-constant", "--thresholds", "0.1,0.5,0.9", "--points", "4096",
                         "--seed", "7"]),
+    # no noise section: every window takes the closed-form crossing alone
+    "sweep-constant-clean": ({}, ["sweep-constant", "--thresholds", "0.1,0.5,0.9", "--points", "4096"]),
     "sft-sweep": ({"encoder": REFERENCE_ENCODER, "sft": {"frame_size": 128}},
                   ["sft-sweep", "--freqs", SWEEP_FREQS]),
     "sft-sweep-noisy": ({"encoder": REFERENCE_ENCODER, "sft": {"frame_size": 128},
