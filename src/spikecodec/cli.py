@@ -39,7 +39,7 @@ from .codec import (
 # called here; they stay in this namespace, where the benchmark's
 # tracer (perfbench/tracing.py) wraps them.
 from .errors import empirical_errors, write_error_report, write_error_reports  # noqa: F401
-from .sft import SftConfig, _spectrum_tables, sft_stream, write_spectrum  # noqa: F401
+from .sft import SftConfig, Spectrum, _spectrum_tables, sft_stream, write_spectrum  # noqa: F401
 from .signals import SineSpec, constant, ideal_adc_fft, sine  # noqa: F401
 from .simulate import (
     _MAX_WINDOWS,
@@ -75,6 +75,7 @@ SIGNAL_TYPE_KEYS = {"sine": ("amplitude", "frequency", "offset"), "constant": ("
 _NUMBER = "a number"
 _NUMBER_OR_NULL = "a number or null"
 _COUNT = "an integer of at least 1"
+_FRAME_SIZE = "an integer of at least 2"
 _DECODER = "a path string or an object of finite numbers"
 
 # Every config section and key, with the kind of value it takes.
@@ -88,7 +89,7 @@ SCHEMA = {
     # generations is accepted and ignored, so older configs still load.
     "tuner": {"generations": _NUMBER_OR_NULL},
     # A null decoder, like a missing one, asks for a fresh fit.
-    "sft": {"frame_size": _COUNT, "decoder": _DECODER},
+    "sft": {"frame_size": _FRAME_SIZE, "decoder": _DECODER},
     "signal": {
         "type": ("sine", "constant"), "amplitude": _NUMBER, "frequency": _NUMBER,
         "offset": _NUMBER, "level": _NUMBER, "windows": _COUNT,
@@ -106,6 +107,7 @@ _KIND_TESTS = {
     _NUMBER: _is_number,
     _NUMBER_OR_NULL: lambda v: v is None or _is_number(v),
     _COUNT: lambda v: isinstance(v, int) and v >= 1,
+    _FRAME_SIZE: lambda v: isinstance(v, int) and v >= 2,
     _DECODER: lambda v: v is None or isinstance(v, str) or (
         isinstance(v, dict) and all(map(_is_finite_number, v.values()))),
 }
@@ -116,7 +118,7 @@ def _typed(name: str, key: str, value):
     a number at all is named as such."""
     kind = SCHEMA[name][key]
     where = f"config section {name!r} key {key!r}"
-    if kind in (_NUMBER, _COUNT) and not _is_number(value):
+    if kind in (_NUMBER, _COUNT, _FRAME_SIZE) and not _is_number(value):
         huge = isinstance(value, int) and not isinstance(value, bool)
         raise ValueError(f"{where} must be a number{' within float range' if huge else ''}, got {value!r}")
     if isinstance(kind, tuple):
@@ -385,7 +387,8 @@ def _sft_points(scfg: SftConfig, noise, spec: SineSpec, freqs):
     The frames are one (F, K) array of held voltages and one
     simulate_window call, each row from window 0, so per-window noise
     gives every frame the draws of windows 0..K-1. The reference is one
-    FFT over the rows; sft_stream frames the rows end to end at hop K.
+    real FFT over the rows, as ideal_adc_fft takes it, mirrored to K
+    bins; sft_stream frames the rows end to end at hop K.
     """
     enc, k = scfg.encoder, scfg.frame_size
     duration = _span(k, "sft.frame_size", enc)
@@ -393,7 +396,7 @@ def _sft_points(scfg: SftConfig, noise, spec: SineSpec, freqs):
     held = np.array([sine(replace(spec, frequency=nu), duration)(t) for nu in freqs])
     bins = simulate_window(held, enc, noise)
     with np.errstate(over="ignore", invalid="ignore"):
-        reference = np.fft.fft(held, axis=1)
+        reference = Spectrum(np.fft.rfft(held, axis=1), k, enc.sample_period).coefficients
     bad = ~np.isfinite(reference).all(axis=1)
     if bad.any():
         i = int(np.argmax(bad))

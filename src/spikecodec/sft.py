@@ -6,7 +6,9 @@ weighted +w, one -w, with w a row of DFT cosines or negative sines)
 charge during the frame: a spike arriving at time t contributes
 w * (T_charge - t), so earlier spikes (larger values) contribute more.
 The +w membranes of the K bins are thus the DFT of the frame's charge
-durations, which the model computes with np.fft.fft. Because the code
+durations, which the model computes with np.fft.rfft: the durations are
+real, so bin K - k is the conjugate of bin k, and only bins 0..K/2 are
+computed and held. Because the code
 is affine in the value, each membrane is affine in the DFT coefficient
 of the decoded samples, and the constant part is carried by the
 weight-row sum, which vanishes for every bin except DC. The ideal
@@ -81,28 +83,55 @@ def _charge_duration(cfg: SftConfig) -> float:
 
 @dataclass(frozen=True, slots=True)
 class Spectrum:
-    """Complex coefficients in DFT units of the decoded values: K bins
-    of one frame, or (F, K) for F frames. len is the first axis; an
-    index into F frames gives the Spectrum of those rows, a view that
-    keeps the array alive."""
+    """Complex coefficients in DFT units of the decoded values, of one
+    frame of K windows or of F frames. The frames are real, so bin
+    K - k is the conjugate of bin k, and a Spectrum holds one side:
+    half is the (K//2 + 1,) bins of non-negative frequency of a frame,
+    or (F, K//2 + 1) for F frames, as np.fft.rfft lays them out.
 
-    coefficients: np.ndarray
+    coefficients rebuilds all K bins, (K,) or (F, K), into a new array
+    on each read; keep the array rather than read it per row. len is
+    the first axis of coefficients; an index into F frames gives the
+    Spectrum of those rows, a view that keeps the array alive. One
+    frame has no frames to index."""
+
+    half: np.ndarray
+    frame_size: int
     sample_period: float
 
     def __post_init__(self) -> None:
-        c = np.asarray(self.coefficients, dtype=complex)
-        object.__setattr__(self, "coefficients", c)
-        if c.ndim not in (1, 2) or c.shape[-1] < 2:
-            raise ValueError("coefficients must be a 1-d or 2-d array of at least 2 bins")
+        h = np.asarray(self.half, dtype=complex)
+        object.__setattr__(self, "half", h)
+        k = self.frame_size
+        if not (isinstance(k, (int, np.integer)) and k >= 2 and h.ndim in (1, 2)
+                and h.shape[-1] == k // 2 + 1):
+            raise ValueError("half must be a 1-d or 2-d array of frame_size // 2 + 1 bins, frame_size "
+                             f"an integer of at least 2; got shape {h.shape} and frame_size {k!r}")
+
+    @property
+    def coefficients(self) -> np.ndarray:
+        return _two_sided(self.half, self.frame_size)
 
     def __len__(self) -> int:
-        return len(self.coefficients)
+        return len(self.half) if self.half.ndim == 2 else self.frame_size
 
     def __getitem__(self, index) -> "Spectrum":
-        return Spectrum(self.coefficients[index], self.sample_period)
+        return Spectrum(self.half[index], self.frame_size, self.sample_period)
 
     def magnitude(self) -> np.ndarray:
-        return np.abs(self.coefficients)
+        return _two_sided(np.abs(self.half), self.frame_size)
+
+
+def _two_sided(half: np.ndarray, k: int) -> np.ndarray:
+    """All K bins of a real frame's spectrum, in a new array, from the
+    bins 0..K//2 on half's last axis: bin K - k is the conjugate of bin
+    k, so each appears bit for bit. A real half (magnitudes) mirrors
+    as it stands."""
+    n = half.shape[-1]
+    out = np.empty((*half.shape[:-1], k), dtype=half.dtype)
+    out[..., :n] = half
+    np.conjugate(half[..., k - n : 0 : -1], out=out[..., n:])
+    return out
 
 
 def _bin_frequencies(k: int, sample_period: float) -> np.ndarray:
@@ -111,10 +140,9 @@ def _bin_frequencies(k: int, sample_period: float) -> np.ndarray:
 
 
 # Frames per FFT call in sft_stream. Each call costs about 10 us of
-# Python, and at hop < K a chunk's windows are cast to complex once for
-# all its frames, so larger chunks pay off until the chunk's buffer
-# leaves cache; each chunk is calibrated while it is in cache. Any chunk
-# size gives the same bits.
+# Python, so larger chunks pay off until a chunk leaves cache; each
+# chunk is calibrated while it is in cache. Any chunk size gives the
+# same bits.
 _CHUNK_FRAMES = 256
 
 
@@ -126,8 +154,9 @@ def _durations(times: np.ndarray, cfg: SftConfig) -> np.ndarray:
 
 
 def _coefficients(dur: np.ndarray, cfg: SftConfig, hop: int) -> np.ndarray:
-    """Calibrated spectra, (F, K) complex, of the frames of K windows
-    that start every hop windows of a 1-D array of charge durations.
+    """Calibrated one-sided spectra, (F, K//2 + 1) complex, of the
+    frames of K windows that start every hop windows of a 1-D array of
+    charge durations.
 
     Each +w membrane charges w * (T_charge - t) per spike, and the
     weight rows are DFT rows, so a frame's membranes are the DFT of its
@@ -137,37 +166,25 @@ def _coefficients(dur: np.ndarray, cfg: SftConfig, hop: int) -> np.ndarray:
     so subtract the constant from the real part of bin 0 and rescale
     to DFT units of the decoded values.
 
-    The FFT fills the result _CHUNK_FRAMES frames at a time. Each chunk
-    is cast to complex into one buffer, which a strided view, built
-    once, reads as the chunk's frames. At hop < K the buffer holds the
-    chunk's windows, so a window in several frames is cast once, not
-    once per frame; at hop >= K no window is in two frames, and the
-    frames are cast as they stand. Either way the buffer holds at most
-    one chunk of frames. Each chunk is calibrated in place through a
-    float view, so no part is multiplied by a complex number. A row's
-    FFT does not depend on the rows beside it, so a frame has the same
-    bits alone or in a stack.
+    The durations are real, so np.fft.rfft computes bins 0..K//2 alone,
+    reading each chunk of _CHUNK_FRAMES frames as a view of the
+    durations, with no copy or cast of its own. Each chunk is calibrated
+    in place through a float view, so no part is multiplied by a
+    complex number. A row's FFT does not depend on the rows beside it,
+    so a frame has the same bits alone or in a stack.
     """
     p, k = cfg.decoder, cfg.frame_size
     a = p.t_lin_min + p.slope * p.y_max
     dc = (_charge_duration(cfg) - a) * k
     scale = 1.0 / p.slope
-    frames = (len(dur) - k) // hop + 1
-    chunk, step = min(_CHUNK_FRAMES, frames), min(hop, k)
-    buf = np.empty((chunk - 1) * step + k, dtype=np.complex128)
-    view = np.lib.stride_tricks.as_strided(buf, (chunk, k), (step * buf.itemsize, buf.itemsize))
-    apart = np.lib.stride_tricks.sliding_window_view(dur, k)[::hop] if hop > k else None
-    out = np.empty((frames, k), dtype=np.complex128)
+    frames = np.lib.stride_tricks.sliding_window_view(dur, k)[::hop]
+    out = np.empty((len(frames), k // 2 + 1), dtype=np.complex128)
     parts = out.view(np.float64)
-    for lo in range(0, frames, chunk):
-        n = min(chunk, frames - lo)
-        if apart is None:
-            buf[: (n - 1) * hop + k] = dur[lo * hop : (lo + n - 1) * hop + k]
-        else:
-            view[:n] = apart[lo : lo + n]
-        np.fft.fft(view[:n], axis=1, out=out[lo : lo + n])
-        parts[lo : lo + n, 0] -= dc
-        parts[lo : lo + n] *= scale
+    for lo in range(0, len(frames), _CHUNK_FRAMES):
+        hi = lo + _CHUNK_FRAMES
+        np.fft.rfft(frames[lo:hi], axis=1, out=out[lo:hi])
+        parts[lo:hi, 0] -= dc
+        parts[lo:hi] *= scale
     return out
 
 
@@ -185,8 +202,8 @@ def sft_frame(times, cfg: SftConfig) -> Spectrum:
         raise ValueError(f"expected {cfg.frame_size} spike times, got {times.shape}")
     if not np.all(np.isfinite(times)) or np.any(times < 0):
         raise ValueError("spike times must be finite and non-negative")
-    coeff = _coefficients(_durations(times, cfg), cfg, cfg.frame_size)[0]
-    return Spectrum(coefficients=coeff, sample_period=cfg.encoder.sample_period)
+    half = _coefficients(_durations(times, cfg), cfg, cfg.frame_size)[0]
+    return Spectrum(half, cfg.frame_size, cfg.encoder.sample_period)
 
 
 def sft_stream(train: SpikeTrain, cfg: SftConfig, hop: int | None = None) -> Spectrum:
@@ -197,9 +214,9 @@ def sft_stream(train: SpikeTrain, cfg: SftConfig, hop: int | None = None) -> Spe
     charge phase. The train must cover at least one frame, and its
     windows must last the window T_S of cfg.encoder, which labels the
     bins; its reader period may differ.
-    Frames are transformed by FFT, _CHUNK_FRAMES at a time, into the (F, K)
-    coefficients of one Spectrum; each chunk's windows are cast to
-    complex once, however many of its frames share them.
+    Frames are transformed by a real FFT, _CHUNK_FRAMES at a time, into
+    the (F, K//2 + 1) half of one Spectrum; the mirrored bins are built
+    only when its coefficients are read.
     """
     k = cfg.frame_size
     if hop is None:
@@ -215,8 +232,9 @@ def sft_stream(train: SpikeTrain, cfg: SftConfig, hop: int | None = None) -> Spe
             f"for sample_period {own:.6g} s"
         )
     silent_time = min(cfg.decoder.t_lin_max, _charge_duration(cfg))
-    times = np.where(train.fired, train.bins * train.config.reader_period, silent_time)
-    return Spectrum(_coefficients(_durations(times, cfg), cfg, hop), own)
+    times = train.bins * train.config.reader_period
+    times[~train.fired] = silent_time
+    return Spectrum(_coefficients(_durations(times, cfg), cfg, hop), k, own)
 
 
 def _spectrum_tables(paths, coefficients: np.ndarray, sample_period: float) -> list:

@@ -84,7 +84,8 @@ def ideal_adc_fft(sig: AnalogSignal, sample_period: float, frame_size: int) -> S
 
     Samples sig at m * sample_period for m = 0..frame_size-1 (the
     same instants a sample-and-hold encoder grabs) and returns the
-    plain FFT. The frame must fit inside the signal.
+    plain DFT, computed one-sided by np.fft.rfft as the S-FT's is. The
+    frame must fit inside the signal.
     """
     if frame_size < 2:
         raise ValueError("frame_size must be at least 2")
@@ -95,4 +96,4 @@ def ideal_adc_fft(sig: AnalogSignal, sample_period: float, frame_size: int) -> S
         raise ValueError("frame does not fit inside the signal")
     t = np.arange(frame_size) * sample_period
     samples = np.asarray(sig(t), dtype=float)
-    return Spectrum(coefficients=np.fft.fft(samples), sample_period=sample_period)
+    return Spectrum(np.fft.rfft(samples), frame_size, sample_period)

@@ -642,7 +642,7 @@ class TestFailureModes:
         ({"signal": {"windows": 10.5}}, "encode",
          "config section 'signal' key 'windows' must be an integer of at least 1, got 10.5"),
         ({"sft": {"frame_size": 128.5}}, "sft",
-         "config section 'sft' key 'frame_size' must be an integer of at least 1, got 128.5"),
+         "config section 'sft' key 'frame_size' must be an integer of at least 2, got 128.5"),
         # the ideal readout is exact, so its length used to be accepted and change nothing
         ({"sft": {"readout_phase_steps": 16}}, "sft",
          "config section 'sft' has unknown key(s): 'readout_phase_steps'"),
@@ -767,6 +767,19 @@ class TestFailureModes:
         rc = main([command, "--config", write_config(tmp_path, doc), *out])
         assert rc == 1
         assert capsys.readouterr().err == f"error: {message}\n"
+        assert list(tmp_path.iterdir()) == [tmp_path / "config.json"]
+
+    # a frame needs 2 windows: 1 was refused as "frame_size must be at
+    # least 2", without the key's name, and 128.5 as an integer of at least 1
+    @pytest.mark.parametrize("size", [1, 0, 128.5, 1.0])
+    @pytest.mark.parametrize("command", ["sft", "sft-sweep"])
+    def test_frame_size_below_two_is_named(self, tmp_path, capsys, command, size):
+        out = {"sft": ["--out-prefix", str(tmp_path / "run")],
+               "sft-sweep": ["--out-dir", str(tmp_path / "sweep")]}[command]
+        rc = main([command, "--config", write_config(tmp_path, {"sft": {"frame_size": size}}), *out])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: config section 'sft' key 'frame_size' must be an integer of at least 2, got {size!r}\n")
         assert list(tmp_path.iterdir()) == [tmp_path / "config.json"]
 
     @pytest.mark.parametrize("spec, message", [

@@ -102,12 +102,12 @@ class TestByteIdentity:
 
     @pytest.mark.parametrize("n", [2, 128] + ROW_COUNTS[1:])
     def test_spectrum(self, tmp_path, n):
-        coeff = np.empty(n, dtype=complex)
-        coeff.real, coeff.imag = float_columns(n, 2, seed=n)
-        spec = Spectrum(coefficients=coeff, sample_period=CFG3K.sample_period)
+        half = np.empty(n // 2 + 1, dtype=complex)
+        half.real, half.imag = float_columns(n, 2, seed=n)[:, : half.size]
+        spec = Spectrum(half, n, CFG3K.sample_period)
         path = tmp_path / "spectrum.csv"
         write_spectrum(spec, str(path))
-        freqs, mags = np.arange(n) / (n * CFG3K.sample_period), spec.magnitude()
+        freqs, mags = np.arange(n) / (n * CFG3K.sample_period), np.abs(spec.coefficients)
         buf = io.StringIO(newline="")
         w = csv.writer(buf)
         w.writerow(["bin", "freq_hz", "re", "im", "mag"])
@@ -529,16 +529,21 @@ class TestWindowDigits:
 
 # SHA-256 of write_error_report and write_spectrum output for the
 # 40,000-row columns below, recorded when every row was formatted in
-# one process. Float repr is the same on every machine.
+# one process. Float repr is the same on every machine. The spectrum
+# was recorded again when a Spectrum came to hold the bins of
+# non-negative frequency alone: its lower 20,001 rows keep their
+# bytes, and the rest are now their conjugates.
+PIN_ROWS = 40_000
 PINNED = {
     "errors": "b626f320a430c307a29de3f6998d74af0293d2054810e5d3ac136e4758032843",
-    "spectrum": "07494c9eb544f488200dd1d63a6145e0e20afcf0982e0e14ac0c0cdb26d50c57",
+    "spectrum": "271fec29b1c968b960d00beb376e512c783476787643fc56ed4b24c6cfff3c7e",
 }
 
 
 # The commands whose files a 1-ulp change in a fit, a transform or an
 # encode would move unseen: each writes into out/, and the digests
-# were recorded before sft_stream's result type became Spectrum.
+# were recorded before sft_stream's result type became Spectrum, sft's
+# again when the S-FT and its reference became one-sided real FFTs.
 # tune-edge's fit stops on the box edge k1 = -1, where the clip acts,
 # and tune-narrow's range starts at 2 V; both were recorded while the
 # fit's box and quadrature were still tuner settings.
@@ -558,48 +563,15 @@ PINNED_COMMANDS = {
     "tune-edge": {"tuning.json": "de88b7971aec024ff54c8ecdd4be3f46e0d8641720bef89c9e9f30d8bdd5cd5d"},
     "tune-narrow": {"tuning.json": "300d3b80f826f25ae27c572a56180de21e02b7f2a5be05204e23692807ee6f17"},
     "sft": {
-        "sft.json": "f840d929f088301d8a758f26d8810373a50f7192263c359111efabd9e54c6c8c",
-        "sft_ideal.csv": "f87a3cd500b5cc372fa0abcea05df771ed66f73adff52f33b0902a1c24832d1d",
-        "sft_spectrum.csv": "7f3e0541ac067344f74e2b6a37b36912190bd3ff39f4eb03587e0ed8ff54525f",
+        "sft.json": "5340d90209e3627f80a513bb477d19e283461ed5289d95ba5d4dc0695a5489ec",
+        "sft_ideal.csv": "050c0e0d2b27884f6c93b517c744e858d22ff3927df4b5e55f1e33520299763e",
+        "sft_spectrum.csv": "e079b56a0aad7041a70f87160858ca28b527053c24d682921ba578837c820b0d",
     },
     "encode": {
         "train.csv": "918cd3adf0bd0c540650e4583cf0f474c715aec08772a4baeb42f84c166e9fa2",
         "train.json": "8627395294ab61b5f2860c69b47279203867a96aead72f1edd1e0f4151bbff2d",
     },
 }
-
-
-class TestPinnedBytes:
-    N = 40_000
-
-    def test_error_report(self, tmp_path):
-        u, eps_u, eps_ts = float_columns(self.N, 3, seed=self.N)
-        path = tmp_path / "errors.csv"
-        write_error_report(ErrorReport(u_in=u, eps_u=eps_u, eps_ts=eps_ts, rmse=0.5), str(path))
-        assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED["errors"]
-
-    def test_spectrum(self, tmp_path):
-        coeff = np.empty(self.N, dtype=complex)
-        coeff.real, coeff.imag = float_columns(self.N, 2, seed=self.N + 1)
-        path = tmp_path / "spectrum.csv"
-        write_spectrum(Spectrum(coefficients=coeff, sample_period=CFG3K.sample_period), str(path))
-        assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED["spectrum"]
-
-    def test_keyed_rows(self, tmp_path, capsys):
-        assert keyed_row_digests(tmp_path) == PINNED_KEYED
-        capsys.readouterr()
-
-    @pytest.mark.parametrize("run", sorted(COMMAND_RUNS))
-    def test_command(self, tmp_path, monkeypatch, capsys, run):
-        doc, argv = COMMAND_RUNS[run]
-        monkeypatch.chdir(tmp_path)
-        (tmp_path / "config.json").write_text(json.dumps(doc))
-        (tmp_path / "out").mkdir()
-        assert main([*argv, "--config", "config.json"]) == 0
-        capsys.readouterr()
-        assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
-                for p in sorted((tmp_path / "out").iterdir())} == PINNED_COMMANDS[run]
-
 
 
 # SHA-256 of a per-window-noise train of 120,000 windows, so that
@@ -622,9 +594,28 @@ PINNED_KEYED = {
 }
 
 
-def keyed_row_digests(directory) -> dict:
-    """SHA-256 of an encode and both decodes of its train, run in
-    directory through the command line."""
+def digests(directory) -> dict:
+    """SHA-256 of each file in directory, by name."""
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(directory.iterdir())}
+
+
+def write_error_report_pin(directory) -> None:
+    u, eps_u, eps_ts = float_columns(PIN_ROWS, 3, seed=PIN_ROWS)
+    # the pin is the CSV; its sidecar goes beside out/
+    write_error_report(ErrorReport(u_in=u, eps_u=eps_u, eps_ts=eps_ts, rmse=0.5),
+                       str(directory / "out" / "errors.csv"), str(directory / "errors.json"))
+
+
+def write_spectrum_pin(directory) -> None:
+    # one frame of 40,000 bins: the pinned floats fill bins 0..20,000
+    half = np.empty(PIN_ROWS // 2 + 1, dtype=complex)
+    half.real, half.imag = float_columns(PIN_ROWS, 2, seed=PIN_ROWS + 1)[:, : half.size]
+    write_spectrum(Spectrum(half, PIN_ROWS, CFG3K.sample_period), str(directory / "out" / "spectrum.csv"))
+
+
+def write_keyed_rows_pin(directory) -> None:
+    """An encode and both decodes of its train, through the command
+    line, their inputs in directory."""
     config = directory / "config.json"
     config.write_text(json.dumps({
         "noise": {"delta_u": 0.01, "mode": "per-window"},
@@ -634,14 +625,69 @@ def keyed_row_digests(directory) -> dict:
     tuning = directory / "tuning.json"
     tuning.write_text(json.dumps(asdict(
         LinearDecoderParams(t_lin_min=1e-4, t_lin_max=3e-4, y_min=1.0, y_max=5.0))))
-    train = str(directory / "train.csv")
+    out = directory / "out"
+    train = str(out / "train.csv")
     assert main(["encode", "--config", str(config), "--seed", "7", "--out", train]) == 0
-    assert main(["decode", "--train", train, "--mode", "ideal",
-                 "--out", str(directory / "ideal.csv")]) == 0
+    assert main(["decode", "--train", train, "--mode", "ideal", "--out", str(out / "ideal.csv")]) == 0
     assert main(["decode", "--train", train, "--mode", "linear", "--tuning", str(tuning),
-                 "--out", str(directory / "linear.csv")]) == 0
-    return {name: hashlib.sha256((directory / name).read_bytes()).hexdigest()
-            for name in PINNED_KEYED}
+                 "--out", str(out / "linear.csv")]) == 0
+
+
+def run_command_pin(run, directory) -> None:
+    """COMMAND_RUNS[run] from directory, which holds its config."""
+    doc, argv = COMMAND_RUNS[run]
+    (directory / "config.json").write_text(json.dumps(doc))
+    cwd = os.getcwd()
+    os.chdir(directory)
+    try:
+        assert main([*argv, "--config", "config.json"]) == 0
+    finally:
+        os.chdir(cwd)
+
+
+# Every pin of this module: name -> (writer, recorded digests). The
+# writer puts the outputs in out/ of the empty directory it is given,
+# and anything it reads beside it; tests/pins.py reprints them all.
+PINS = {
+    "errors": (write_error_report_pin, {"errors.csv": PINNED["errors"]}),
+    "spectrum": (write_spectrum_pin, {"spectrum.csv": PINNED["spectrum"]}),
+    "keyed-rows": (write_keyed_rows_pin, PINNED_KEYED),
+    **{f"command[{run}]": (functools.partial(run_command_pin, run), PINNED_COMMANDS[run])
+       for run in COMMAND_RUNS},
+}
+
+
+def pin_digests(name, directory) -> dict:
+    writer, _ = PINS[name]
+    (directory / "out").mkdir()
+    writer(directory)
+    return digests(directory / "out")
+
+
+class TestPinnedBytes:
+    def test_error_report(self, tmp_path):
+        assert pin_digests("errors", tmp_path) == PINS["errors"][1]
+
+    def test_spectrum(self, tmp_path):
+        assert pin_digests("spectrum", tmp_path) == PINS["spectrum"][1]
+
+    def test_keyed_rows(self, tmp_path, capsys):
+        assert pin_digests("keyed-rows", tmp_path) == PINNED_KEYED
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("run", sorted(COMMAND_RUNS))
+    def test_command(self, tmp_path, capsys, run):
+        assert pin_digests(f"command[{run}]", tmp_path) == PINNED_COMMANDS[run]
+        capsys.readouterr()
+
+    def test_ulp_distance_of_the_pin_script(self):
+        from pins import ulp_distance
+        assert ulp_distance(b"re,im\n1.0,-0.0\n", b"re,im\n1.0000000000000002,0.0\n") == \
+            "1 ulp over 2 of 4 tokens"
+        assert ulp_distance(b"x\n5e-324\n", b"x\n-5e-324\n") == "2 ulp over 1 of 2 tokens"
+        assert ulp_distance(b"x\n1.0\n", b"y\n1.0\n") == "a token other than a number differs"
+        assert ulp_distance(b"1.0\n", b"1.0,2.0\n") == "1 tokens against 2"
+        assert ulp_distance(b"nan\n", b"1.0\n") == "a NaN moved"
 
 
 class TestTrainRoundTrip:

@@ -7,11 +7,13 @@ threshold's report on its own; the clean run, with no noise section,
 was pinned later, on code that still gave the noisy run its recorded
 bytes. The sft-sweep digests were recorded when the S-FT moved from two
 weight-matrix products to np.fft.fft, which moved every spectrum by at
-most 7e-15 of its largest magnitude. Any change to those files' bytes
-turns them red.
+most 7e-15 of its largest magnitude, and again when the S-FT and its
+reference became one-sided np.fft.rfft, which moved every spectrum by
+at most 8.5e-17 of its largest magnitude. Any change to those files'
+bytes turns them red; tests/pins.py reprints them all.
 """
 
-import hashlib
+import functools
 import json
 from dataclasses import replace
 
@@ -30,6 +32,7 @@ from spikecodec import (
 )
 from spikecodec.cli import _resolve_decoder, _sft_points, main
 from conftest import CFG3K
+from test_rows import digests
 
 SWEEP_FREQS = "25,50,75,100,150,200,250,300,400,500,600,700,750,800,900,1000"
 REFERENCE_ENCODER = {"tau": 3e-3, "u_th": 0.1, "u_min": 1.0, "u_max": 5.0,
@@ -39,75 +42,75 @@ PER_WINDOW = {"delta_u": 0.01, "mode": "per-window"}
 PINNED = {
     "sft-sweep": {
         "spectrum_1000hz.csv":
-            "a29348b1f9b36d34e01770e2f7c48cc8382405f86cd41899961d947e45851f82",
+            "617a3ceac2d60a7adc9b94f0bd323ba78bed27e8d3fcec63f6b6b4db1865b564",
         "spectrum_100hz.csv":
-            "c964b5e78711f90330c4b4d1e058503a09473795f1dff18f5d24342b9a371d73",
+            "cb2595c50670042561106aae6a84d150477a2a8b1ff01eee6e41051a1be58677",
         "spectrum_150hz.csv":
-            "fdb3cf4f25b499b82670f703c9f07347b96f2f3fbe4043db1d03df18997a9e79",
+            "cf98f5a02f51496d774ded4e079bcfdb1e5f16e86e9522d14db74c678faa2674",
         "spectrum_200hz.csv":
-            "011c61deb98126850de256303c6055745ca7d38534ea3a89bbcf647823e7d24a",
+            "0a810580fdf0fd72cbb99cb23306aa03c6cf06388768d46093439151edaf7894",
         "spectrum_250hz.csv":
-            "f386fb648e9d73d5d1377aea4750ef905f6d8f03a0f2eaf916d0a14d7286e815",
+            "b7e681badf7253f64b292559857a7870c1096ad4474db7e645616206df461a76",
         "spectrum_25hz.csv":
-            "63fda83c68a670a39f59c5558693393e84599c102e16f3aa5288cba3b0976349",
+            "3d1ceae5446663ceb7a50532f6a21f4638efd125b4177b4e109ac0d9b6038da3",
         "spectrum_300hz.csv":
-            "2f4a2a928b0a603649961d03009aa84d290671d23f25d0bbf13c27c8a112eeef",
+            "ef176f190e05605cc3bd166e051141ecca7f2612e0d4bd90e56377db927649ee",
         "spectrum_400hz.csv":
-            "97c39fc782d4d25c1465817260fed563f52fe1549670d6792297ab790d346c1f",
+            "f2e00b917505cd28f680e82e47e711e91b865a9503324ca6dbdf7cf25f12a6d0",
         "spectrum_500hz.csv":
-            "7f3e0541ac067344f74e2b6a37b36912190bd3ff39f4eb03587e0ed8ff54525f",
+            "e079b56a0aad7041a70f87160858ca28b527053c24d682921ba578837c820b0d",
         "spectrum_50hz.csv":
-            "e85c3396d8fcf109b4ece926678a8070935fa823b11c2938532cc0f5ea10e941",
+            "822e4d422d875a76892604ca2d8aeebe73fae2797ce0d28f38ead9d5af2c3928",
         "spectrum_600hz.csv":
-            "e8ebfb56db4fd814ee9f303547fa19f84333cb1468b117880ffcd48a27d18766",
+            "b9e409369d2bcf8341eab810dbc28040bed051a4b4c6e6c3c9e9bc3e7c61cb2a",
         "spectrum_700hz.csv":
-            "6b301af0563cbc31929a536548042f3a7eed3d2f84b9cffcfaaa814abf6ff8d1",
+            "78450024e58c8add1f22d13afdf9c7eb74505871c70b634f9799ffcba8dd8b97",
         "spectrum_750hz.csv":
-            "2ff9928fb029f509ad7bf088a4627bfce16cf1c4c6ff02a30874449b2e116964",
+            "8417d07347f8c203c9b7f20bb7fcefe5ace00acda521824ecabd74b9ea024044",
         "spectrum_75hz.csv":
-            "37b9515bb4e01f65f15be1d6e6cfab30bb94830002c102c84204b82fea6ef6f2",
+            "e90cafb5fda1549e43b2bddeb6e60fd3a68f0eea1df0fba8b3303dbb5038724b",
         "spectrum_800hz.csv":
-            "5a6a0c4dabaa2ed6f6e2578a427b3e6817b54703ad684f595df129421bd3c9db",
+            "3a50b7dab1a6ab39eccfd9f8a0193f719623d0c8d6bb35bbad8bea691fc95223",
         "spectrum_900hz.csv":
-            "75f5168ae9833e9de188375e0bea2b6406c4132e57be2f8b5f31f5e014ec2ac8",
+            "a6aea30e7a8d78c3b79517c641dc1355d8b8eab9b0720f1c644ec3068ae5076d",
         "summary.csv":
-            "31618890852b5324435476bc19bb457d81be817d3677c4559174c5d6d1f37005",
+            "3aae6e91f6a9184d54ad20a2f7115d62769fa4999c468e9b073e56c5496db548",
     },
     "sft-sweep-noisy": {
         "spectrum_1000hz.csv":
-            "070ce499d6cc6833966b500a5f0eb4dec8560c3d525b9b2a2c7e4f863d146174",
+            "9597c076ff8aed1e52024d96261478211e9daad05bfcd43262237d24d9e2ae4c",
         "spectrum_100hz.csv":
-            "dca543fd37241f16a8ea5d7a35094b2e6f54bc7e1133516ee5f22307a0092c09",
+            "0102999bfb5377b49422f4dac0ab303d5a2759d762e68f90543ba369a2a91a68",
         "spectrum_150hz.csv":
-            "4583291411370ae34953d71d187a7b38738f6a2e8b6dbe25fd573902be8ad817",
+            "b75eb32fa31f1c5eceebb19273ec8c4da5155b70ee18f3d9a9af6133fd128911",
         "spectrum_200hz.csv":
-            "0111c3167b7808d3624f44947455ed194533c6b9655d1d7bb26e71ed9ca60ea9",
+            "5cbc81438455b97c89ef87619129746123e920e57ce70bdbd9d13a8f19eab5ea",
         "spectrum_250hz.csv":
-            "7a3b49db7acbbd87d6dd2c79626dab31187e86c7e8e3d2b65ce50aede7643d5c",
+            "82477c0d9ed4b8e4801391fb3cf0b1ddbb987ec3bb2bcf3135e7f89b31155592",
         "spectrum_25hz.csv":
-            "d507053b568d4078459aec362da6b389beded2aa3155060c9ab5f40f352654b0",
+            "1541e1ca812424bafa758666a6ab2a1b0f399f854e390c646f8c449f7a5b45c9",
         "spectrum_300hz.csv":
-            "cd96dd31da9a5961889c3aa4545a474d5fe8e8ad8ffc36fdfa9eaacb2580e719",
+            "3d4c20cc8e8f1562cbb788516bf6d55747a704181dd38bdb29a9a1380e84a78a",
         "spectrum_400hz.csv":
-            "d3552f675b2112b1ab4e817a049019d6895ee551886d4724db5cdf5ef8e8940f",
+            "0cc8cc4ea3ee9df04b480e7f2c80fe35ed68cd7794f1b6de2c97595dc822ad2b",
         "spectrum_500hz.csv":
-            "ea02eee315e36b8d32c23642b8d6071048609bd4f1bb319b85fcd2c3ef93f5b9",
+            "3b052066b2aa1b08a7e56bab4b935aaa9fac1b75446de46a33574e83321a260c",
         "spectrum_50hz.csv":
-            "66ece864060d06be1b20a753935cdd6d52cc22b9123da3f6d8108fe7d4599956",
+            "26c00f5bdf6deaa6f6f790857e27859fa12cfe0c46254383f962625f4959b9da",
         "spectrum_600hz.csv":
-            "ae2c5fc4ee1801b6aaf33a886e41ae2adba1b2585e546abad937bd174aa1b6b1",
+            "fc28ce6dd475d3cb5d3975a6318eda226a1f4206b46b4c9b8cba509e7de9fbf9",
         "spectrum_700hz.csv":
-            "8fd17b862b8b79f3aa02c999c06738d3e87947914307646e93def2d7d25eb41f",
+            "21252ba23062ba6d81479bf336390109ef94fa086cbb129cbcb4d4c09bc4ae8f",
         "spectrum_750hz.csv":
-            "b1c7feb8eedffa82c85c79722b704aaf00471c814b0edf6e12053604bbf98c91",
+            "776a301d36d2f3434c5a2aba0f66199dfca88ac33e76e5c01dd52d3ba5e74e2a",
         "spectrum_75hz.csv":
-            "6633ba10fbeee73d0097935562a62c0a42241f9048f77bbd9446259d6748edcd",
+            "2f36256eea76abb5400ebb8f053e72ab2aafdffaa558867fb37572442d39a3d6",
         "spectrum_800hz.csv":
-            "97e631a9d2923b5b62bcaba7a87dafa3b623e3e21d34f997dcb1bca898f9ec9e",
+            "48ce4cee02ffc8cae2bd251459387f6a28187e100ff1c4c863f3cf6d11b53a08",
         "spectrum_900hz.csv":
-            "dbaa6b43c967807c7e5c3f206bf3909d06e11e444ec9b9b099bf2ec6b1cfa1fc",
+            "a1d5728f2bed746736e1d411f7da4834548fcbf339ba2b4208accc6474c8595a",
         "summary.csv":
-            "9f2847d729886790dadd3127ac4a15555b691a39986f899e73814ef52d1c742a",
+            "25c9e77a71717c47d7a0f1ab64f22645ba8236af7067e38aabd150bc2b230463",
     },
     "sweep-constant-clean": {
         "sweep_uth_0.1.csv":
@@ -153,20 +156,23 @@ RUNS = {
 }
 
 
-def digests(directory) -> dict:
-    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
-            for p in sorted(directory.iterdir())}
+def write_run(run, directory) -> None:
+    """RUNS[run] into out/ of directory, which holds its config."""
+    doc, argv = RUNS[run]
+    config = directory / "config.json"
+    config.write_text(json.dumps(doc))
+    assert main([*argv, "--config", str(config), "--out-dir", str(directory / "out")]) == 0
+
+
+# Every pin of this module, as test_rows.PINS lays them out.
+PINS = {run: (functools.partial(write_run, run), PINNED[run]) for run in RUNS}
 
 
 @pytest.mark.parametrize("run", sorted(RUNS))
 def test_pinned_bytes(tmp_path, capsys, run):
-    doc, argv = RUNS[run]
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps(doc))
-    out = tmp_path / "out"
-    assert main([*argv, "--config", str(config), "--out-dir", str(out)]) == 0
+    write_run(run, tmp_path)
     capsys.readouterr()
-    assert digests(out) == PINNED[run]
+    assert digests(tmp_path / "out") == PINNED[run]
 
 
 def serial_points(scfg, noise, spec, freqs):
