@@ -39,7 +39,7 @@ from .codec import (
 # called here; they stay in this namespace, where the benchmark's
 # tracer (perfbench/tracing.py) wraps them.
 from .errors import empirical_errors, write_error_report, write_error_reports  # noqa: F401
-from .sft import SftConfig, Spectrum, _spectrum_tables, sft_stream, write_spectrum  # noqa: F401
+from .sft import SftConfig, _spectrum_rmse, _spectrum_tables, _two_sided, sft_stream, write_spectrum  # noqa: F401
 from .signals import SineSpec, constant, ideal_adc_fft, sine  # noqa: F401
 from .simulate import (
     _MAX_WINDOWS,
@@ -248,21 +248,6 @@ def _resolve_decoder(spec, enc: EncoderConfig) -> LinearDecoderParams:
     return decoder
 
 
-def _spectrum_rmse(measured: np.ndarray, reference: np.ndarray):
-    """RMS magnitude and complex error of each row of an (F, K) stack
-    of measured spectra against its reference row, as two (F,) arrays."""
-    diffs = (np.abs(measured) - np.abs(reference), measured - reference)
-    with np.errstate(over="ignore"):
-        rmse_mag, rmse_cplx = (np.sqrt(np.mean(np.abs(d) ** 2, axis=1)) for d in diffs)
-    bad = ~(np.isfinite(rmse_mag) & np.isfinite(rmse_cplx))
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise ValueError(f"spectrum error rmse_mag is {float(rmse_mag[i])!r} and rmse_complex is "
-                         f"{float(rmse_cplx[i])!r}: the S-FT is too far from the ideal converter "
-                         "to square its error")
-    return rmse_mag, rmse_cplx
-
-
 def _spare_inputs(args, outputs, cfg: Optional[dict] = None) -> None:
     """Refuse, before anything is written, an output path that names a
     file the command reads (--config, --train and its sidecar,
@@ -379,16 +364,17 @@ def _sft_setup(args, outputs):
 
 
 def _sft_points(scfg: SftConfig, noise, spec: SineSpec, freqs):
-    """Measured and reference spectra, (F, K) each, and their RMS
-    magnitude and complex errors, (F,) each, of one frame of K windows
-    of spec's sine at each of the F frequencies, from phase zero.
+    """Measured and reference spectra, the (F, K//2 + 1) bins of
+    non-negative frequency each, and their RMS magnitude and complex
+    errors over all K bins, (F,) each, of one frame of K windows of
+    spec's sine at each of the F frequencies, from phase zero.
 
     Every sine is built, and so checked, before any frame is encoded.
     The frames are one (F, K) array of held voltages and one
     simulate_window call, each row from window 0, so per-window noise
     gives every frame the draws of windows 0..K-1. The reference is one
-    real FFT over the rows, as ideal_adc_fft takes it, mirrored to K
-    bins; sft_stream frames the rows end to end at hop K.
+    real FFT over the rows, as ideal_adc_fft takes it; sft_stream frames
+    the rows end to end at hop K.
     """
     enc, k = scfg.encoder, scfg.frame_size
     duration = _span(k, "sft.frame_size", enc)
@@ -396,14 +382,14 @@ def _sft_points(scfg: SftConfig, noise, spec: SineSpec, freqs):
     held = np.array([sine(replace(spec, frequency=nu), duration)(t) for nu in freqs])
     bins = simulate_window(held, enc, noise)
     with np.errstate(over="ignore", invalid="ignore"):
-        reference = Spectrum(np.fft.rfft(held, axis=1), k, enc.sample_period).coefficients
+        reference = np.fft.rfft(held, axis=1)
     bad = ~np.isfinite(reference).all(axis=1)
     if bad.any():
         i = int(np.argmax(bad))
         raise ValueError(f"the reference spectrum at {freqs[i]!r} Hz overflows: the FFT of {k} held "
                          f"voltages up to {held[i].max():.6g} V leaves float range")
-    measured = sft_stream(SpikeTrain(bins.ravel(), enc), scfg).coefficients
-    return (measured, reference, *_spectrum_rmse(measured, reference))
+    measured = sft_stream(SpikeTrain(bins.ravel(), enc), scfg).half
+    return (measured, reference, *_spectrum_rmse(measured, reference, k))
 
 
 def cmd_sft(args) -> int:
@@ -411,7 +397,8 @@ def cmd_sft(args) -> int:
     json_path = f"{args.out_prefix}.json"
     noise, scfg, spec = _sft_setup(args, [*paths, json_path])
     measured, reference, rmse_mag, rmse_cplx = _sft_points(scfg, noise, spec, [spec.frequency])
-    write_tables(_spectrum_tables(paths, np.concatenate([measured, reference]), scfg.encoder.sample_period))
+    coefficients = _two_sided(np.concatenate([measured, reference]), scfg.frame_size)
+    write_tables(_spectrum_tables(paths, coefficients, scfg.encoder.sample_period))
     write_json(
         json_path,
         {
@@ -437,7 +424,8 @@ def cmd_sft_sweep(args) -> int:
     # leaves no files; the spectra and the summary are one batch.
     measured, _, rmse_mag, rmse_cplx = _sft_points(scfg, noise, spec, freqs)
     os.makedirs(args.out_dir, exist_ok=True)
-    write_tables([*_spectrum_tables(paths, measured, scfg.encoder.sample_period),
+    coefficients = _two_sided(measured, scfg.frame_size)
+    write_tables([*_spectrum_tables(paths, coefficients, scfg.encoder.sample_period),
                   (summary, "freq_hz,rmse_mag,rmse_complex\n", (np.array(freqs), rmse_mag, rmse_cplx))])
     for nu, rmse in zip(freqs, rmse_mag.tolist()):
         print(f"nu={nu:g} Hz: rmse_mag={rmse:.6g}")

@@ -134,6 +134,28 @@ def _two_sided(half: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
+def _spectrum_rmse(measured: np.ndarray, reference: np.ndarray, k: int):
+    """RMS magnitude and complex error over all K bins of each row of
+    an (F, K//2 + 1) stack of one-sided measured spectra against its
+    reference row, as two (F,) arrays. Bins 1..(K-1)//2 stand for
+    their mirrors too, whose errors are their conjugates, so they are
+    summed twice. A bin's magnitude error ||m| - |r|| is at most its
+    complex error |m - r|, and is capped there, so that rounding cannot
+    give rmse_mag > rmse_complex."""
+    with np.errstate(over="ignore"):
+        err = np.abs(measured - reference)
+        errs = (np.minimum(np.abs(np.abs(measured) - np.abs(reference)), err), err)
+        rmse_mag, rmse_cplx = (np.sqrt((sq.sum(axis=1) + sq[:, 1 : (k + 1) // 2].sum(axis=1)) / k)
+                               for sq in (e**2 for e in errs))
+    bad = ~(np.isfinite(rmse_mag) & np.isfinite(rmse_cplx))
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ValueError(f"spectrum error rmse_mag is {float(rmse_mag[i])!r} and rmse_complex is "
+                         f"{float(rmse_cplx[i])!r}: the S-FT is too far from the ideal converter "
+                         "to square its error")
+    return rmse_mag, rmse_cplx
+
+
 def _bin_frequencies(k: int, sample_period: float) -> np.ndarray:
     """The physical frequency of each of K bins, k / (K * T_S)."""
     return np.arange(k) / (k * sample_period)

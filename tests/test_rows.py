@@ -55,7 +55,7 @@ from spikecodec._rows import (BLOCK_BYTES, BLOCK_CELLS, FORK_ROWS, read_keyed_ro
                               write_keyed_rows, write_tables)
 from spikecodec.simulate import _read_sidecar
 from spikecodec.cli import main
-from spikecodec.sft import write_spectrum
+from spikecodec.sft import _spectrum_tables, write_spectrum
 from conftest import CFG3K
 
 # Rows of a block of three-column tables, and row counts on both sides
@@ -527,16 +527,13 @@ class TestWindowDigits:
         assert np.array_equal(read_spike_train(str(path)).bins, bins)
 
 
-# SHA-256 of write_error_report and write_spectrum output for the
+# SHA-256 of write_error_report and spectrum-writer output for the
 # 40,000-row columns below, recorded when every row was formatted in
-# one process. Float repr is the same on every machine. The spectrum
-# was recorded again when a Spectrum came to hold the bins of
-# non-negative frequency alone: its lower 20,001 rows keep their
-# bytes, and the rest are now their conjugates.
+# one process. Float repr is the same on every machine.
 PIN_ROWS = 40_000
 PINNED = {
     "errors": "b626f320a430c307a29de3f6998d74af0293d2054810e5d3ac136e4758032843",
-    "spectrum": "271fec29b1c968b960d00beb376e512c783476787643fc56ed4b24c6cfff3c7e",
+    "spectrum": "07494c9eb544f488200dd1d63a6145e0e20afcf0982e0e14ac0c0cdb26d50c57",
 }
 
 
@@ -607,10 +604,12 @@ def write_error_report_pin(directory) -> None:
 
 
 def write_spectrum_pin(directory) -> None:
-    # one frame of 40,000 bins: the pinned floats fill bins 0..20,000
-    half = np.empty(PIN_ROWS // 2 + 1, dtype=complex)
-    half.real, half.imag = float_columns(PIN_ROWS, 2, seed=PIN_ROWS + 1)[:, : half.size]
-    write_spectrum(Spectrum(half, PIN_ROWS, CFG3K.sample_period), str(directory / "out" / "spectrum.csv"))
+    # 40,000 unrelated bins, more than a Spectrum of real frames holds,
+    # straight into the tables write_spectrum writes
+    coeff = np.empty(PIN_ROWS, dtype=complex)
+    coeff.real, coeff.imag = float_columns(PIN_ROWS, 2, seed=PIN_ROWS + 1)
+    write_tables(_spectrum_tables([str(directory / "out" / "spectrum.csv")], coeff[None],
+                                  CFG3K.sample_period))
 
 
 def write_keyed_rows_pin(directory) -> None:

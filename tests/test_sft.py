@@ -27,7 +27,7 @@ from spikecodec import (
     write_spectrum,
 )
 from spikecodec.cli import _sft_points
-from spikecodec.sft import _CHUNK_FRAMES, _bin_frequencies, _charge_duration
+from spikecodec.sft import _CHUNK_FRAMES, _bin_frequencies, _charge_duration, _spectrum_rmse, _two_sided
 from conftest import CFG3K, affine_times, naive_dft
 from test_simulate import encoders
 
@@ -363,6 +363,19 @@ class TestOneSided:
             assert k % 2 or np.all(c[..., k // 2].imag == 0)
             assert spec.magnitude().tobytes() == np.abs(c).tobytes()
 
+    @pytest.mark.parametrize("k", [2, 3, 16, 127, 128, 256])
+    def test_rmse_over_the_half_is_over_all_bins(self, k):
+        # _spectrum_rmse counts bins 1..(K-1)//2 twice, for their
+        # mirrors; that is the mean over all K bins but for rounding
+        # (worst of these cases 1.2 eps, relative)
+        rng = np.random.default_rng(k)
+        measured, reference = (np.fft.rfft(rng.normal(3.0, 1.0, (50, k)), axis=1) for _ in range(2))
+        got = _spectrum_rmse(measured, reference, k)
+        m, r = _two_sided(measured, k), _two_sided(reference, k)
+        want = [np.sqrt(np.mean(np.abs(d) ** 2, axis=1)) for d in (np.abs(m) - np.abs(r), m - r)]
+        for g, w in zip(got, want):
+            assert np.all(np.abs(g - w) <= 4 * np.finfo(float).eps * w)
+
     # Each one-sided bin is within 4 eps * log2(K) of the frame's summed
     # charge durations over the slope, the bound on any DFT bin's size,
     # from the bin of one np.fft.fft with the same calibration. The
@@ -446,6 +459,18 @@ class TestParseval:
         bound = 16 * np.finfo(float).eps * np.sqrt(k) * size
         assert np.all(np.abs(rmse_complex - parseval) <= bound), (rmse_complex, parseval, bound)
         assert np.all(rmse_mag <= rmse_complex)
+
+    def test_magnitude_error_stays_within_the_complex_error(self):
+        # a frame whose magnitude and complex errors agree but for
+        # rounding: squared and summed as they stood, in 38 of its 107
+        # bins the magnitude error came out above the complex error,
+        # and rmse_mag 1 ulp above rmse_complex
+        enc = replace(CFG3K, tau=0.09375, u_th=1.0, u_min=2.0, u_max=4.0,
+                      sample_period=0.25586878344888603, reader_period=0.0009073361115208724)
+        decoder = LinearDecoderParams(0.02176969488550179, 0.057833782303973104, 2.0, 4.0)
+        _, _, rmse_mag, rmse_complex = _sft_points(SftConfig(enc, decoder, 107), None,
+                                                   SineSpec(0.369140625, 1.0, 3.9375), [1.302751077487036])
+        assert rmse_mag[0] <= rmse_complex[0]
 
 
 THREADS_SCRIPT = """

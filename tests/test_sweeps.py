@@ -9,8 +9,9 @@ bytes. The sft-sweep digests were recorded when the S-FT moved from two
 weight-matrix products to np.fft.fft, which moved every spectrum by at
 most 7e-15 of its largest magnitude, and again when the S-FT and its
 reference became one-sided np.fft.rfft, which moved every spectrum by
-at most 8.5e-17 of its largest magnitude. Any change to those files'
-bytes turns them red; tests/pins.py reprints them all.
+at most 8.5e-17 of its largest magnitude and each summary's RMSEs,
+now summed over the one-sided bins, by at most 2 ulp. Any change to
+those files' bytes turns them red; tests/pins.py reprints them all.
 """
 
 import functools
@@ -31,6 +32,7 @@ from spikecodec import (
     sine,
 )
 from spikecodec.cli import _resolve_decoder, _sft_points, main
+from spikecodec.sft import _spectrum_rmse
 from conftest import CFG3K
 from test_rows import digests
 
@@ -74,7 +76,7 @@ PINNED = {
         "spectrum_900hz.csv":
             "a6aea30e7a8d78c3b79517c641dc1355d8b8eab9b0720f1c644ec3068ae5076d",
         "summary.csv":
-            "3aae6e91f6a9184d54ad20a2f7115d62769fa4999c468e9b073e56c5496db548",
+            "14e38573989e7cf1ef3ee338630f2dbc70d9d2aa461073fd074b8686ff596bbe",
     },
     "sft-sweep-noisy": {
         "spectrum_1000hz.csv":
@@ -110,7 +112,7 @@ PINNED = {
         "spectrum_900hz.csv":
             "a1d5728f2bed746736e1d411f7da4834548fcbf339ba2b4208accc6474c8595a",
         "summary.csv":
-            "25c9e77a71717c47d7a0f1ab64f22645ba8236af7067e38aabd150bc2b230463",
+            "2730ea60331ec6070da43a1d2e392aec1d4812eef79a34d6eb962e57969c6b17",
     },
     "sweep-constant-clean": {
         "sweep_uth_0.1.csv":
@@ -183,10 +185,9 @@ def serial_points(scfg, noise, spec, freqs):
     for nu in freqs:
         sig = sine(replace(spec, frequency=nu), k * enc.sample_period)
         train = encode_signal(sig, enc, noise)
-        measured = sft_stream(train, scfg, hop=k)[0].coefficients
-        reference = ideal_adc_fft(sig, enc.sample_period, k).coefficients
-        diffs = (np.abs(measured) - np.abs(reference), measured - reference)
-        rmse_mag, rmse_cplx = (float(np.sqrt(np.mean(np.abs(d) ** 2))) for d in diffs)
+        measured = sft_stream(train, scfg, hop=k)[0].half
+        reference = ideal_adc_fft(sig, enc.sample_period, k).half
+        (rmse_mag,), (rmse_cplx,) = _spectrum_rmse(measured[None], reference[None], k)
         rows.append((measured, reference, rmse_mag, rmse_cplx))
     measured, reference, rmse_mag, rmse_cplx = zip(*rows)
     return np.stack(measured), np.stack(reference), np.array(rmse_mag), np.array(rmse_cplx)
