@@ -226,13 +226,16 @@ def _build_signal(section: dict, enc: EncoderConfig):
     return constant(d["level"], duration)
 
 
-def _resolve_decoder(spec, enc: EncoderConfig) -> LinearDecoderParams:
-    """Decoder from the sft section's spec: inline params, a tuning
-    file fitted for enc, or a fresh fit, which is deterministic, so
-    reruns reproduce it. A given decoder that the S-FT of enc refuses
-    is named by its key or its file."""
+def _sft_config(keys: dict, enc: EncoderConfig) -> SftConfig:
+    """The S-FT of enc's windows from the sft section's keys. Its
+    decoder is given inline, by a tuning file fitted for enc, or is a
+    fresh fit, which is deterministic, so reruns reproduce it. The
+    config schema has checked frame_size, so a refusal names a given
+    decoder, by its key or its file."""
+    keys = dict(keys)
+    spec = keys.pop("decoder", None)
     if spec is None:
-        return fit_linear_decoder(enc).params
+        return SftConfig(enc, fit_linear_decoder(enc).params, **keys)
     if isinstance(spec, str):
         where, decoder = spec, read_decoder(spec, enc)
     else:
@@ -242,10 +245,9 @@ def _resolve_decoder(spec, enc: EncoderConfig) -> LinearDecoderParams:
         except (TypeError, ValueError) as exc:
             raise ValueError(f"{where}: {exc}") from None
     try:
-        SftConfig(enc, decoder)
+        return SftConfig(enc, decoder, **keys)
     except ValueError as exc:
         raise ValueError(f"{where}: {exc}") from None
-    return decoder
 
 
 def _spare_inputs(args, outputs, cfg: Optional[dict] = None) -> None:
@@ -358,9 +360,7 @@ def _sft_setup(args, outputs):
     if sig["type"] != "sine":
         raise ValueError(f"{args.command} needs signal type 'sine', got {sig['type']!r}")
     spec = SineSpec(sig["amplitude"], sig["frequency"], sig["offset"])
-    sft_keys = dict(cfg["sft"])
-    decoder = _resolve_decoder(sft_keys.pop("decoder", None), enc)
-    return noise, SftConfig(enc, decoder, **sft_keys), spec
+    return noise, _sft_config(cfg["sft"], enc), spec
 
 
 def _sft_points(scfg: SftConfig, noise, spec: SineSpec, freqs):
@@ -492,7 +492,7 @@ def main(argv=None) -> int:
         if getattr(args, "seed", None) is not None and args.seed < 0:
             raise ValueError(f"--seed must be a non-negative integer, got {args.seed}")
         return args.func(args)
-    except (ValueError, OSError, KeyError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except MemoryError as exc:  # numpy's names the array it could not allocate

@@ -185,6 +185,13 @@ def crossing_time(u, threshold, tau):
     return float(t) if t.ndim == 0 else t
 
 
+def _check_offset(delta_u: float, cfg: EncoderConfig) -> None:
+    """A membrane offset lowers the threshold to u_th - delta_u, which
+    must stay above zero for a crossing to be a spike."""
+    if delta_u >= cfg.u_th:
+        raise ValueError(f"delta_u must stay below u_th, got delta_u = {delta_u!r} and u_th = {cfg.u_th!r}")
+
+
 def encode_time(u_in: float, cfg: EncoderConfig) -> SpikeTime:
     """Exact threshold-crossing time for a constant input voltage.
 

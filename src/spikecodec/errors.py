@@ -18,7 +18,7 @@ import numpy as np
 
 from ._atomic import sidecar_path, write_json
 from ._rows import write_tables
-from .codec import EncoderConfig, crossing_time, encode_time, decode_ideal
+from .codec import _check_offset, EncoderConfig, crossing_time, encode_time, decode_ideal
 
 __all__ = [
     "thermal_shift",
@@ -40,9 +40,7 @@ def thermal_shift(u_in: float, delta_u: float, cfg: EncoderConfig) -> float:
         raise ValueError("u_in must exceed u_th for a baseline spike")
     if delta_u < 0:
         raise ValueError("delta_u must be >= 0")
-    if delta_u >= cfg.u_th:
-        raise ValueError(f"delta_u must stay below u_th, got delta_u = {delta_u!r} "
-                         f"and u_th = {cfg.u_th!r}")
+    _check_offset(delta_u, cfg)
     return encode_time(u_in, cfg).time - crossing_time(u_in, cfg.u_th - delta_u, cfg.tau)
 
 

@@ -161,13 +161,6 @@ def _bin_frequencies(k: int, sample_period: float) -> np.ndarray:
     return np.arange(k) / (k * sample_period)
 
 
-# Frames per FFT call in sft_stream. Each call costs about 10 us of
-# Python, so larger chunks pay off until a chunk leaves cache; each
-# chunk is calibrated while it is in cache. Any chunk size gives the
-# same bits.
-_CHUNK_FRAMES = 256
-
-
 def _durations(times: np.ndarray, cfg: SftConfig) -> np.ndarray:
     """Overwrite spike times with their charge durations,
     max(T_charge - t, 0), and return the same array."""
@@ -188,25 +181,20 @@ def _coefficients(dur: np.ndarray, cfg: SftConfig, hop: int) -> np.ndarray:
     so subtract the constant from the real part of bin 0 and rescale
     to DFT units of the decoded values.
 
-    The durations are real, so np.fft.rfft computes bins 0..K//2 alone,
-    reading each chunk of _CHUNK_FRAMES frames as a view of the
-    durations, with no copy or cast of its own. Each chunk is calibrated
-    in place through a float view, so no part is multiplied by a
-    complex number. A row's FFT does not depend on the rows beside it,
-    so a frame has the same bits alone or in a stack.
+    The durations are real, so one np.fft.rfft call computes bins
+    0..K//2 of every frame, reading the frames as a view of the
+    durations, with no copy or cast of its own. The result is
+    calibrated in place through a float view, so no part is multiplied
+    by a complex number. A row's FFT does not depend on the rows beside
+    it, so a frame has the same bits alone or in a stack.
     """
     p, k = cfg.decoder, cfg.frame_size
     a = p.t_lin_min + p.slope * p.y_max
-    dc = (_charge_duration(cfg) - a) * k
-    scale = 1.0 / p.slope
     frames = np.lib.stride_tricks.sliding_window_view(dur, k)[::hop]
-    out = np.empty((len(frames), k // 2 + 1), dtype=np.complex128)
+    out = np.fft.rfft(frames, axis=1)
     parts = out.view(np.float64)
-    for lo in range(0, len(frames), _CHUNK_FRAMES):
-        hi = lo + _CHUNK_FRAMES
-        np.fft.rfft(frames[lo:hi], axis=1, out=out[lo:hi])
-        parts[lo:hi, 0] -= dc
-        parts[lo:hi] *= scale
+    parts[:, 0] -= (_charge_duration(cfg) - a) * k
+    parts *= 1.0 / p.slope
     return out
 
 
@@ -236,8 +224,8 @@ def sft_stream(train: SpikeTrain, cfg: SftConfig, hop: int | None = None) -> Spe
     charge phase. The train must cover at least one frame, and its
     windows must last the window T_S of cfg.encoder, which labels the
     bins; its reader period may differ.
-    Frames are transformed by a real FFT, _CHUNK_FRAMES at a time, into
-    the (F, K//2 + 1) half of one Spectrum; the mirrored bins are built
+    All frames are transformed by one real FFT call into the
+    (F, K//2 + 1) half of one Spectrum; the mirrored bins are built
     only when its coefficients are read.
     """
     k = cfg.frame_size
@@ -264,6 +252,8 @@ def _spectrum_tables(paths, coefficients: np.ndarray, sample_period: float) -> l
     magnitude, one per row of an (F, K) stack of coefficients, to the
     F paths. Every table holds the same bin and frequency arrays, so
     write_tables formats those once."""
+    if len(paths) != len(coefficients):
+        raise ValueError(f"{len(paths)} spectrum paths for {len(coefficients)} rows of coefficients")
     k = coefficients.shape[1]
     bins, freqs = np.arange(k), _bin_frequencies(k, sample_period)
     return [(path, "bin,freq_hz,re,im,mag\r\n", (bins, freqs, c.real, c.imag, m))
@@ -271,5 +261,8 @@ def _spectrum_tables(paths, coefficients: np.ndarray, sample_period: float) -> l
 
 
 def write_spectrum(spec: Spectrum, path: str) -> None:
-    """CSV dump: bin, physical frequency, re, im, magnitude."""
+    """CSV dump of one frame's spectrum: bin, physical frequency, re,
+    im, magnitude."""
+    if spec.half.ndim != 1:
+        raise ValueError(f"write_spectrum writes one frame's spectrum, got a stream of {len(spec)} frames")
     write_tables(_spectrum_tables([path], spec.coefficients[None], spec.sample_period))

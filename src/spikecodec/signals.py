@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .codec import _REL_EPS
 from .sft import Spectrum
 from .simulate import AnalogSignal
 
@@ -92,7 +93,7 @@ def ideal_adc_fft(sig: AnalogSignal, sample_period: float, frame_size: int) -> S
     if sample_period <= 0:
         raise ValueError("sample_period must be positive")
     span = (frame_size - 1) * sample_period
-    if span > sig.duration * (1 + 1e-9):
+    if span > sig.duration * (1 + _REL_EPS):
         raise ValueError("frame does not fit inside the signal")
     t = np.arange(frame_size) * sample_period
     samples = np.asarray(sig(t), dtype=float)

@@ -26,7 +26,7 @@ import numpy as np
 from ._atomic import read_json, sidecar_path, write_json
 from ._draws import window_doubles
 from ._rows import read_keyed_rows, write_keyed_rows
-from .codec import _is_finite_number, EncoderConfig, crossing_time
+from .codec import _check_offset, _is_finite_number, EncoderConfig, crossing_time
 
 __all__ = [
     "ThermalNoiseModel",
@@ -202,9 +202,7 @@ def simulate_window(
         raise ValueError(f"window {window_index + m} holds a non-finite input voltage ({v!r})")
     delta = 0.0
     if noise is not None:
-        if noise.delta_u >= cfg.u_th:
-            raise ValueError(f"delta_u must stay below u_th, got delta_u = {noise.delta_u!r} "
-                             f"and u_th = {cfg.u_th!r}")
+        _check_offset(noise.delta_u, cfg)
         windows = u.shape[-1:]
         delta = noise._offsets(window_index, math.prod(windows)).reshape(windows)
     bins = _register(crossing_time(u, cfg.u_th - delta, cfg.tau), cfg)

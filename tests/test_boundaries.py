@@ -136,7 +136,8 @@ def test_every_public_method_is_reached():
     (r"\{\*\*DEFAULT_SIGNAL\b", "the signal defaults merge (cli._signal_keys)"),
     (r"\brepr\b[,(]", "the cell text rule (_rows._texts)"),
     (r"np\.sin\(", "the biased sine (signals.sine)"),
-], ids=["sidecar", "json-load", "signal-merge", "cell-text", "sine"])
+    (r"delta_u must stay below u_th", "the membrane offset rule (codec._check_offset)"),
+], ids=["sidecar", "json-load", "signal-merge", "cell-text", "sine", "offset"])
 def test_boundary_rule_is_stated_once(pattern, what):
     where = [f"{path.name}:{i}" for path in sorted(PACKAGE.rglob("*.py"))
              for i, line in enumerate(path.read_text().splitlines(), start=1)

@@ -22,7 +22,6 @@ import numpy as np
 import pytest
 
 from spikecodec import (
-    SftConfig,
     SineSpec,
     ThermalNoiseModel,
     encode_signal,
@@ -31,7 +30,7 @@ from spikecodec import (
     simulate_window,
     sine,
 )
-from spikecodec.cli import _resolve_decoder, _sft_points, main
+from spikecodec.cli import _sft_config, _sft_points, main
 from spikecodec.sft import _spectrum_rmse
 from conftest import CFG3K
 from test_rows import digests
@@ -206,7 +205,7 @@ class TestBatchedSweep:
     @pytest.mark.parametrize("k", [2, 24, 128])
     @pytest.mark.parametrize("noise", sorted(NOISES))
     def test_same_bits_as_one_point_at_a_time(self, noise, k, freqs):
-        scfg = SftConfig.for_encoder(CFG3K, _resolve_decoder(None, CFG3K), frame_size=k)
+        scfg = _sft_config({"frame_size": k}, CFG3K)
         spec = SineSpec(amplitude=2.0, frequency=500.0, offset=3.0)
         got = _sft_points(scfg, NOISES[noise], spec, freqs)
         want = serial_points(scfg, NOISES[noise], spec, freqs)
