@@ -16,7 +16,10 @@ power of ten that lies strictly inside x's rounding gap (_shortest).
 Every other cell, and a tie between two shortest decimals, is its
 _texts. write_tables renders rows in blocks of at most BLOCK_CELLS
 cells (_rendered): a block may span tables of one column count and
-line end, and its float64 columns are formatted in one call. Rows of
+line end, its float64 columns are formatted in one call, and its text
+is handed on in parts of at most BLOCK_BYTES. A longer column, and
+the cells of a keyed table, are formatted a block at a time into one
+array (_joined), so they are never held twice. Rows of
 the form "<window>,<cell>\\n", the window running on from row to row
 and the cell that of a key (a train's bin, decode's voltage of a bin),
 are built and parsed in blocks of about BLOCK_BYTES bytes
@@ -67,9 +70,15 @@ import numpy as np
 
 from ._atomic import atomic_write
 
-# Cells per block of write_tables' rows. Smaller blocks lose speed to
-# numpy's per-call overhead; larger ones cost memory in proportion.
-BLOCK_CELLS = 3 * 1024
+# Cells per block of write_tables' rows, and of the cells of a longer
+# column or of a keyed table. Smaller blocks lose speed to numpy's
+# per-call overhead; larger ones cost memory in proportion, 100-145 B a
+# cell at the peak. stream_noisy's error report (95,926 rows of three
+# floats, one process; 2 cores, Python 3.11.7, numpy 2.4.6; medians of
+# 25) took 91 / 87 / 77 / 74 / 82 / 85 ms in blocks of 3,072 / 4,096 /
+# 6,144 / 8,192 / 12,288 / 16,384 cells, at a tracemalloc peak of
+# 0.26 / 0.36 / 0.52 / 0.67 / 1.02 / 1.32 MiB.
+BLOCK_CELLS = 8 * 1024
 
 # Bytes per block of keyed rows. Smaller blocks lose much of the speed
 # to numpy's per-call overhead; larger ones cost memory in proportion.
@@ -77,10 +86,10 @@ BLOCK_BYTES = 1 << 16
 
 # Fewest rows write_tables gives one process. Measured on 2 cores
 # (Python 3.11, numpy 2.4): fork plus wait costs 2.7-3.0 ms (medians of
-# 40), and one row of three floats 0.9-1.2 us, so a child's share would
-# pay for its fork from about 2,500-3,300 rows. But sweep-constant's
-# 3 x 4,096 rows took 20.2 ms in two shares and 17.7 ms in one (medians
-# of 30), and sft-sweep's 64 x 128 + 64 rows 27.3 and 25.7 ms: the
+# 40), and one row of three floats 0.6-0.8 us, so a child's share would
+# pay for its fork from about 3,400-5,000 rows. But sweep-constant's
+# 3 x 4,096 rows took 25.1 ms in two shares and 16.6 ms in one (medians
+# of 30), and sft-sweep's 64 x 128 + 64 rows 36.9 and 29.9 ms: the
 # child's bytes are copied back, and each share pays its own numpy
 # calls. 16 * 1024 keeps both batches in one process and splits a 1e5-
 # row error report on 2 CPUs.
@@ -106,15 +115,23 @@ def _halves(a: np.ndarray):
 
 
 _POW10_HALVES = _halves(_POW10)
+_EXPONENT_BITS = np.int64(0x7FF << 52)
 
 
 def _times_pow10(x: np.ndarray, p: np.ndarray):
     """x * 10**p exactly, as the double nearest it and the remainder
     (Dekker's product); no product or part here leaves float range."""
-    hi = x * _POW10[p]
+    hi = _POW10.take(p)
+    hi *= x
     xh, xl = _halves(x)
-    ph, pl = _POW10_HALVES[0][p], _POW10_HALVES[1][p]
-    return hi, ((xh * ph - hi) + xh * pl + xl * ph) + xl * pl
+    ph = _POW10_HALVES[0].take(p)
+    lo = xh * ph
+    lo -= hi
+    pl = _POW10_HALVES[1].take(p)
+    lo += np.multiply(xh, pl, out=xh)
+    lo += np.multiply(xl, ph, out=ph)
+    lo += np.multiply(xl, pl, out=pl)
+    return hi, lo
 
 
 def _shortest(x: np.ndarray):
@@ -127,7 +144,8 @@ def _shortest(x: np.ndarray):
     x * 10**p, with p chosen to put it in [1e16, 1e17), is d + f for an
     integer d and 0 <= f < 1, exactly, and the midpoints between x and
     its neighbours lie half = spacing(x) * 10**p / 2 away on either
-    side. The decimals that read back as x are those strictly inside
+    side; spacing(x) is 2**-52 times x's exponent bits, read as a
+    double. The decimals that read back as x are those strictly inside
     that gap. None that could be the shortest lies on its edge:
     d + f +- half is an odd multiple of 5**p * 2**(e + p - 1), for x's
     last mantissa bit 2**e, so it is an integer only where p = 1 and x
@@ -141,24 +159,47 @@ def _shortest(x: np.ndarray):
     each is a double. A power of two's gap is narrower below it than
     taken here; TestFloatCells::test_edges checks all 67 in range, with
     both signs, against _texts.
+
+    Each step writes into an array it no longer needs where it can, so
+    a call's peak is about seven 8-byte arrays of the cells' length.
     """
-    p = 16 - np.floor(np.log10(x)).astype(np.int64)
+    e = np.log10(x)
+    np.floor(e, out=e)
+    np.subtract(16, e, out=e)
+    p = e.astype(np.int64)
+    del e
     hi, lo = _times_pow10(x, p)
-    off = (hi >= 1e17).astype(np.int64) - (hi < 1e16)  # log10 rounded across a power of ten
-    if off.any():
-        p -= off
+    if (hi >= 1e17).any() or (hi < 1e16).any():  # log10 rounded across a power of ten
+        p -= hi >= 1e17
+        p += hi < 1e16
+        del hi, lo
         hi, lo = _times_pow10(x, p)
+    d = hi.astype(np.int64)
+    del hi
     whole = np.floor(lo)
-    d = hi.astype(np.int64) + whole.astype(np.int64)
-    f = lo - whole
-    half = np.spacing(x) * _POW10[p] * 0.5
+    f = np.subtract(lo, whole, out=lo)
+    d += whole.astype(np.int64)
+    del whole
+    half = (x.view(np.int64) & _EXPONENT_BITS).view(np.float64)
+    half *= 2.0**-53
+    half *= _POW10.take(p)
     # the integers strictly inside the gap are below + 1 .. top
-    below = d + np.floor(f - half).astype(np.int64)
-    top = d + np.ceil(f + half).astype(np.int64) - 1
+    t = f - half
+    np.floor(t, out=t)
+    below = t.astype(np.int64)
+    below += d
+    np.add(f, half, out=t)
+    del half
+    np.ceil(t, out=t)
+    top = t.astype(np.int64)
+    del t
+    top += d
+    top -= 1
     # most cells stop at k = 1 or 2, so those run on every cell and
     # only the rest are picked out
     hundreds = top // 100 > below // 100
-    zeros = (top // 10 > below // 10) + hundreds.astype(np.int64)
+    zeros = (top // 10 > below // 10).astype(np.int64)
+    zeros += hundreds
     live = np.flatnonzero(hundreds)
     top, below = top[live], below[live]
     for k in range(3, 18):
@@ -168,11 +209,16 @@ def _shortest(x: np.ndarray):
             break
         zeros[live] = k
         top, below = top[inside], below[inside]
-    unit = _IPOW10[zeros]
+    unit = _IPOW10.take(zeros)
     sig = d // unit
-    down = (d - sig * unit) + f  # from the multiple below d + f
+    d -= sig * unit
+    down = np.add(d, f, out=f)  # from the multiple below d + f
+    del d
     up = unit - down
-    return sig + (up < down), p - zeros, up == down
+    del unit
+    sig += up < down
+    p -= zeros
+    return sig, p, up == down
 
 
 def _digit_table() -> np.ndarray:
@@ -189,15 +235,17 @@ _DIGITS4 = _digit_table()
 
 def _digit_columns(sig: np.ndarray) -> np.ndarray:
     """The 20 ASCII digits of each sig < 10**20, zero padded, as an
-    (n, 20) uint8 matrix."""
-    groups = np.empty((5, len(sig)), np.int64)
+    (n, 20) uint8 matrix: four digits of each of five groups."""
+    groups = np.empty((len(sig), 5), np.uint32)
     q = sig
     for j in range(4, 0, -1):
-        r = q
-        q = q // 10**4
-        np.subtract(r, q * 10**4, out=groups[j])
-    groups[0] = q
-    return np.ascontiguousarray(_DIGITS4.take(groups).T).view(np.uint8)
+        high = q // 10**4
+        low = high * 10**4
+        np.subtract(q, low, out=low)
+        groups[:, j] = _DIGITS4.take(low)
+        q = high
+    groups[:, 0] = _DIGITS4.take(q)
+    return groups.view(np.uint8)
 
 
 def _float_cells(values: np.ndarray) -> np.ndarray:
@@ -213,26 +261,33 @@ def _float_cells(values: np.ndarray) -> np.ndarray:
     and exponent notation.
     """
     x = np.abs(values)
-    fixed = (x >= 1e-4) & (x < 1e16)
+    fixed = x >= 1e-4
+    fixed &= x < 1e16
     at = np.flatnonzero(fixed)
-    sig, places, tie = _shortest(x[at])
+    x = x[at]
+    sig, places, tie = _shortest(x)
     if tie.any():
         fixed[at[tie]] = False
-        at, sig, places = at[~tie], sig[~tie], places[~tie]
-    slow = np.flatnonzero(~fixed)
-    order = np.argsort((places + 16).astype(np.uint8), kind="stable")  # places = p - k >= 1 - 17
-    at, sig, places = at[order], sig[order], places[order]
-    texts = _texts(values[slow])
+        keep = ~tie
+        at, sig, places, x = at[keep], sig[keep], places[keep], x[keep]
+    ints = len(str(int(x.max()))) if len(at) else 0  # digits before the point
+    del x
+    texts = _texts(values[~fixed])
     width = texts.itemsize
     if len(at):
-        ints = len(str(int(x[at].max())))  # digits before the point
-        fracs = max(1, int(places[-1]))
+        key = (places + 16).astype(np.uint8)  # places = p - k >= 1 - 17
+        del places
+        order = np.argsort(key, kind="stable")
+        at, sig, key = at[order], sig[order], key[order]
+        del order
+        fracs = max(1, int(key[-1]) - 16)
         width = max(width, ints + fracs + 2)
-        rows = np.zeros((len(at), width), np.uint8)
         digits = _digit_columns(sig)
-        runs = np.flatnonzero(np.diff(places)) + 1
+        del sig
+        rows = np.zeros((len(at), width), np.uint8)
+        runs = np.flatnonzero(np.diff(key)) + 1
         for lo, hi in zip([0, *runs.tolist()], [*runs.tolist(), len(at)]):
-            s = int(places[lo])
+            s = int(key[lo]) - 16
             # digit column c of sig holds place 19 - c - s, which goes to
             # column ints - place before the point and ints + 1 - place
             # after it; first is the column of place ints - 1
@@ -244,17 +299,18 @@ def _float_cells(values: np.ndarray) -> np.ndarray:
                 rows[lo:hi, ints + 2:ints + 2 + s] = digits[lo:hi, 20 - s:]
             else:
                 rows[lo:hi, ints + 2] = ord("0")
+        del digits, key
         leading = np.ones(len(at), bool)
         for c in range(1, ints):  # NUL for the zeros before a cell's first digit
             leading &= rows[:, c] <= ord("0")
             rows[leading, c] = 0
         np.maximum(rows[:, ints], ord("0"), out=rows[:, ints])  # the 0 of 0.xxx
         rows[:, ints + 1] = ord(".")
-        rows[:, 0] = np.where(values[at] < 0, ord("-"), 0)
+        rows[values[at] < 0, 0] = ord("-")
     out = np.empty(len(values), f"S{width}")  # each row one item, so one copy a cell
     if len(at):
         out[at] = rows.view(out.dtype)[:, 0]
-    out[slow] = texts
+    out[~fixed] = texts
     return out
 
 
@@ -262,12 +318,20 @@ def _table(keys: np.ndarray, top: int, values_of=None):
     """The cells rows of keys in 0..top are rendered from, key 0's empty
     and key k's its value's (_cells), and each key's index among them:
     of every key where the rows are more than top, else of key 0 and the
-    keys held. values_of maps keys to values; by default a key is its own."""
-    held = np.arange(top + 1) if top < len(keys) else np.union1d(keys, 0)
-    cells = _cells(held[1:] if values_of is None else values_of(held[1:]))
+    keys held. values_of maps keys to values; by default a key is its
+    own. The keys are mapped and formatted BLOCK_CELLS at a time into
+    the table (_joined), so neither all the values nor a second copy of
+    the cells is ever held."""
+    every = top < len(keys)
+    held = None if every else np.union1d(keys, 0)
+
+    def cells_of(lo, hi):
+        some = np.arange(lo + 1, hi + 1) if every else held[lo + 1:hi + 1]
+        return _cells(some if values_of is None else values_of(some))
+
     # a NUL past the widest cell, which render_rows overwrites with the line end
-    table = np.concatenate([[b""], cells], dtype=f"S{cells.itemsize + 1}")
-    return table, keys if top < len(keys) else np.searchsorted(held, keys)
+    table = _joined(top if every else len(held) - 1, cells_of, first=1, spare=1)
+    return table, keys if every else np.searchsorted(held, keys)
 
 
 def _digit_column(lo: int, hi: int, place: int) -> np.ndarray:
@@ -394,16 +458,42 @@ def share_count(n: int) -> int:
     return max(1, min(usable_cpus(), n // FORK_ROWS))
 
 
+def _joined(n: int, cells_of, first: int = 0, spare: int = 0) -> np.ndarray:
+    """Cells 0..n-1 as one NUL-padded S array, after first empty items
+    and with spare NULs past the widest cell; cells_of(lo, hi) gives
+    cells lo..hi-1, and is called for BLOCK_CELLS of them at a time, so
+    a long column's temporaries stay small.
+
+    The array takes the width of the first block. A wider block widens
+    it in place: its buffer grows (ndarray.resize, a realloc) and the
+    items filled so far are moved apart, last first, a block at a time,
+    so the cells are never held twice."""
+    buf, width = np.zeros(0, np.uint8), 0
+    for lo in range(0, max(1, n), BLOCK_CELLS):
+        cells = cells_of(lo, min(n, lo + BLOCK_CELLS))
+        if cells.itemsize + spare > width:
+            old, width = width, cells.itemsize + spare
+            buf.resize((first + n) * width, refcheck=False)  # no view of buf outlives a statement
+            if old:
+                for hi in range(first + lo, 0, -BLOCK_CELLS):
+                    a = max(0, hi - BLOCK_CELLS)
+                    moved = buf[a * old:hi * old].copy()  # it may overlap where it goes
+                    buf[a * width:hi * width].view(f"S{width}")[:] = moved.view(f"S{old}")
+        buf.view(f"S{width}")[first + lo:first + lo + len(cells)] = cells
+    return buf.view(f"S{width}")
+
+
 def _cells(column: np.ndarray) -> np.ndarray:
     """The cells of a numpy column as NUL-padded S items: an S column as
-    it is, a float64 one from _float_cells in slices of BLOCK_CELLS, so
-    a long column's temporaries stay small, any other from _texts."""
+    it is, a float64 one from _float_cells, in blocks (_joined) when it
+    is longer than BLOCK_CELLS, any other from _texts."""
     if column.dtype.kind == "S":
         return column
-    if column.dtype == np.float64:
-        return np.concatenate([_float_cells(column[lo:lo + BLOCK_CELLS])
-                               for lo in range(0, max(1, len(column)), BLOCK_CELLS)])
-    return _texts(column)
+    if column.dtype != np.float64:
+        return _texts(column)
+    if len(column) <= BLOCK_CELLS:
+        return _float_cells(column)
+    return _joined(len(column), lambda lo, hi: _float_cells(column[lo:hi]))
 
 
 def _blocks(tables, pieces):
@@ -447,6 +537,7 @@ def _rendered(tables, pieces):
             texts = _cells(np.concatenate([p for j in floats for p in by_column[j]]))
             for i, j in enumerate(floats):
                 cols[j] = texts[i * n:(i + 1) * n]
+            del texts
         cols = [np.concatenate([_cells(p) for p in parts]) if c is None else c
                 for c, parts in zip(cols, by_column)]
         seps = [b","] * (len(cols) - 1) + [eol]
@@ -457,10 +548,16 @@ def _rendered(tables, pieces):
             at += c.itemsize
             rows[:, at:at + len(s)] = np.frombuffer(s, np.uint8)
             at += len(s)
+        del cols, c  # the cells are in rows now
+        # parts of at most BLOCK_BYTES, so a part's bytes and their
+        # NUL-free copy stay small beside the rows
+        step = max(1, BLOCK_BYTES // rows.shape[1])
         lo = 0
         for t, a, b in block:
-            yield t, rows[lo:lo + b - a].tobytes().translate(None, b"\0")
+            for i in range(lo, lo + b - a, step):
+                yield t, rows[i:min(i + step, lo + b - a)].tobytes().translate(None, b"\0")
             lo += b - a
+        del rows  # not held while the next block is formatted
 
 
 def _pieces(starts: list, lo: int, hi: int) -> list:

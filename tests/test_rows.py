@@ -59,9 +59,10 @@ from spikecodec.sft import _spectrum_tables, write_spectrum
 from conftest import CFG3K
 
 # Rows of a block of three-column tables, and row counts on both sides
-# of the block boundaries.
+# of the block boundaries: those of 3,072-cell blocks (1,024 rows), and
+# those of the block size in use.
 BLOCK_ROWS = BLOCK_CELLS // 3
-ROW_COUNTS = [1, BLOCK_ROWS, BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 3]
+ROW_COUNTS = [1, 1024, 1025, 2 * 1024 + 3, BLOCK_ROWS, BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 3]
 SPECIAL = [float("nan"), float("inf"), -float("inf"), 0.0, -0.0, 1e-20, 5e-324, 1.7976931348623157e308]
 
 
@@ -251,6 +252,57 @@ class TestShares:
                                                3 * FORK_ROWS, 100 * FORK_ROWS)] == [1, 1, 2, 3, 3]
         monkeypatch.delattr(os, "fork")
         assert _rows.share_count(100 * FORK_ROWS) == 1
+
+
+def joined_reprs(header, columns) -> bytes:
+    """header, then each row's item reprs joined by commas and ended by
+    the header's own line end."""
+    eol = "\r\n" if header.endswith("\r\n") else "\n"
+    rows = zip(*(c.tolist() for c in columns))
+    return (header + "".join(",".join(map(repr, row)) + eol for row in rows)).encode()
+
+
+class TestBlockSize:
+    """The bytes do not depend on BLOCK_CELLS: blocks of one cell, of a
+    few, of 3,072 and of the size in use give the same files."""
+
+    SIZES = [1, 7, 3 * 1024, BLOCK_CELLS]
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_write_tables(self, tmp_path, monkeypatch, k):
+        # one to four columns, both line ends, a column that two tables
+        # hold, integers beside floats, and with k = 2 a second share
+        # formatted in a forked child
+        force_shares(monkeypatch, k)
+        shared = float_columns(300, 1, seed=1)[0]
+        cols = float_columns(300, 4, seed=2)
+        ints = np.arange(-150, 150)
+        tables = [("x,y,z\r\n", (shared, cols[0], ints)),
+                  ("x\n", (cols[1],)),
+                  ("x,y\n", (cols[2], shared)),
+                  ("w,x,y,z\r\n", (cols[3][:40], shared[:40], ints[:40], cols[0][:40]))]
+        want = [joined_reprs(header, columns) for header, columns in tables]
+        for size in self.SIZES:
+            monkeypatch.setattr(_rows, "BLOCK_CELLS", size)
+            paths = [tmp_path / f"{size}_{t}.csv" for t in range(len(tables))]
+            with nothing_left():
+                write_tables([(str(p), header, columns) for p, (header, columns) in zip(paths, tables)])
+            assert [p.read_bytes() for p in paths] == want, size
+
+    # 1,000 rows hold a cell for every one of the 500 keys; 100 rows
+    # only for the keys they hold
+    @pytest.mark.parametrize("rows", [1000, 100])
+    @pytest.mark.parametrize("floats", [True, False])
+    def test_write_keyed_rows(self, tmp_path, monkeypatch, rows, floats):
+        top = 500
+        values = float_columns(top, 1, seed=3)[0] if floats else np.arange(1, top + 1)
+        keys = np.random.default_rng(4).integers(0, top + 1, rows)
+        want = b"window,u\n" + reference_rows(0, ["", *map(repr, values.tolist())], keys)
+        for size in self.SIZES:
+            monkeypatch.setattr(_rows, "BLOCK_CELLS", size)
+            path = tmp_path / f"{size}.csv"
+            write_keyed_rows(str(path), b"window,u\n", keys, top, lambda k: values[k - 1])
+            assert path.read_bytes() == want, size
 
 
 class Counted:
@@ -978,9 +1030,34 @@ class TestMemory:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 64 * top
+        assert peak <= 40 * top
         texts = ["", *map(repr, values.tolist())]
         assert path.read_bytes() == b"window,u_hat\n" + reference_rows(0, texts, keys)
+
+    @pytest.mark.parametrize("kind", ["fixed", "exponent", "mixed"])
+    def test_float_column_cells_peak_per_block_cell(self, kind):
+        # a float64 column of 32 blocks is formatted a block at a time
+        # into one array, so past that array the peak is one block's
+        # temporaries. The worst case measured (Python 3.11, numpy 2.4)
+        # was 143 B a block cell, on a column all in exponent notation,
+        # whose cells are reprs; a fixed-notation column, all arithmetic,
+        # took 120 B and the mixed one 106 B. The bound leaves about
+        # 10 % for other interpreters.
+        n = 32 * BLOCK_CELLS
+        rng = np.random.default_rng(8)
+        column = {
+            "fixed": rng.uniform(-1, 3, n),
+            "exponent": rng.uniform(1, 9, n) * 10.0 ** rng.integers(-300, -5, n),
+            "mixed": float_columns(n, 1, seed=8)[0],
+        }[kind]
+        tracemalloc.start()
+        try:
+            cells = _rows._cells(column)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(cells) == n
+        assert peak - cells.nbytes <= 160 * BLOCK_CELLS
 
     @pytest.mark.parametrize("step", ["write", "read", "decode"])
     def test_keyed_rows_follow_the_rows_not_the_bins(self, tmp_path, capsys, step):
