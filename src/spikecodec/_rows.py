@@ -28,32 +28,13 @@ short run of digits repeated, with NUL for a leading zero. Rows fewer
 than the keys get cells for only the keys they hold (_table).
 
 write_tables writes a batch of tables, each (path, header, columns)
-and one file, as one row space: the rows of table 0, then of table 1,
-and so on. A column object that the batch holds more than once is
-formatted once, in this process, before any share forks. A batch of
-at least 2 * FORK_ROWS rows is split into contiguous shares, one per
-usable CPU and each of at least FORK_ROWS rows; a share may begin or
-end inside a table. Share 0 is formatted in this process; each other
-share is formatted by a forked child into an anonymous temporary
-file, followed by the byte offset at which each of its tables' pieces
-ends. The parent writes the tables in order, formatting its own
-pieces and copying each child's pieces in blocks once that child has
-exited. Rows are independent and a cell's text is the same in every
-process, so the bytes do not depend on the share count. Every table
-goes to a temporary file next to its path (_atomic.atomic_write), and
-no path is replaced before the whole batch is written, so a failed
-batch leaves every path as it was.
-
-The child is fork-safe because it does nothing else: it formats its
-share, writes and flushes its own file and leaves through os._exit, so
-it never flushes the buffered text of a handle it inherited, never
-runs the caller's cleanup and never runs atexit handlers. The children
-are forked before any output file is opened. On Python 3.12 and later
-os.fork warns (DeprecationWarning) when the process has other threads,
-which numpy's BLAS pool starts in every numpy process; the default
-warning filters hide it outside __main__. Where os.fork does not
-exist, or a batch is too short for two shares, every row is formatted
-in this process.
+and one file, in this process: the rows of table 0, then of table 1,
+and so on, rendered in blocks (_rendered) and written one table at a
+time with one output handle open. A column object that the batch holds
+more than once is formatted once. Every table goes to a temporary file
+next to its path (_atomic.atomic_write), and no path is replaced
+before the whole batch is written, so a failed batch leaves every path
+as it was.
 """
 
 from __future__ import annotations
@@ -61,9 +42,6 @@ from __future__ import annotations
 import collections
 import contextlib
 import itertools
-import os
-import signal
-import tempfile
 from typing import Optional
 
 import numpy as np
@@ -83,18 +61,6 @@ BLOCK_CELLS = 8 * 1024
 # Bytes per block of keyed rows. Smaller blocks lose much of the speed
 # to numpy's per-call overhead; larger ones cost memory in proportion.
 BLOCK_BYTES = 1 << 16
-
-# Fewest rows write_tables gives one process. Measured on 2 cores
-# (Python 3.11, numpy 2.4): fork plus wait costs 2.7-3.0 ms (medians of
-# 40), and one row of three floats 0.6-0.8 us, so a child's share would
-# pay for its fork from about 3,400-5,000 rows. But sweep-constant's
-# 3 x 4,096 rows took 25.1 ms in two shares and 16.6 ms in one (medians
-# of 30), and sft-sweep's 64 x 128 + 64 rows 36.9 and 29.9 ms: the
-# child's bytes are copied back, and each share pays its own numpy
-# calls. 16 * 1024 keeps both batches in one process and splits a 1e5-
-# row error report on 2 CPUs.
-FORK_ROWS = 16 * 1024
-
 
 def _texts(column: np.ndarray) -> np.ndarray:
     """The text of each cell of a numpy column as S items, the repr of its
@@ -442,22 +408,6 @@ def read_keyed_rows(fh, header: bytes, top: int, rows: int) -> Optional[np.ndarr
     return out[:lo]
 
 
-def usable_cpus() -> int:
-    """The CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no sched_getaffinity on this platform
-        return os.cpu_count() or 1
-
-
-def share_count(n: int) -> int:
-    """How many processes write_tables splits n rows across: one per
-    usable CPU, with at least FORK_ROWS rows in each."""
-    if not hasattr(os, "fork"):
-        return 1
-    return max(1, min(usable_cpus(), n // FORK_ROWS))
-
-
 def _joined(n: int, cells_of, first: int = 0, spare: int = 0) -> np.ndarray:
     """Cells 0..n-1 as one NUL-padded S array, after first empty items
     and with spare NULs past the widest cell; cells_of(lo, hi) gives
@@ -560,60 +510,6 @@ def _rendered(tables, pieces):
         del rows  # not held while the next block is formatted
 
 
-def _pieces(starts: list, lo: int, hi: int) -> list:
-    """(table, first row, end row) of every table's rows that fall in
-    rows lo..hi-1 of the whole batch, in order; starts[t] is the batch
-    row of table t's first row. Tables with no rows there are left out."""
-    pieces = []
-    for t, (first, end) in enumerate(zip(starts, starts[1:])):
-        a, b = max(lo, first), min(hi, end)
-        if a < b:
-            pieces.append((t, a - first, b - first))
-    return pieces
-
-
-def _child(out, tables, pieces) -> None:
-    """In a forked child: format pieces into out, then their end
-    offsets as int64, and exit 0; on any failure out holds the failure
-    and the status is 1."""
-    code = 1
-    try:
-        try:
-            ends = {}
-            for t, data in _rendered(tables, pieces):
-                out.write(data)
-                ends[t] = out.tell()
-            out.write(np.array([ends[t] for t, _, _ in pieces], np.int64).tobytes())
-            out.flush()
-            code = 0
-        except BaseException as exc:  # not re-raised: it would unwind into the caller's code
-            out.seek(0)
-            out.truncate()
-            out.write(f"{type(exc).__name__}: {exc}".encode(errors="replace"))
-            out.flush()
-    finally:
-        os._exit(code)
-
-
-def _reap(pids: dict, s: int, out, lo: int, hi: int, count: int) -> list:
-    """Wait for the child pids[s], which formatted rows lo..hi-1 into
-    out as count pieces, and return the end offset of each piece, with
-    out rewound; a failed child is an OSError that names its rows."""
-    status = os.waitpid(pids[s], 0)[1]
-    pid = pids.pop(s)  # reaped, so no longer write_tables' to kill
-    code = os.waitstatus_to_exitcode(status)
-    if code:
-        out.seek(0)
-        why = f"exit status {code}" if code > 0 else f"signal {-code}"
-        message = out.read(BLOCK_BYTES).decode(errors="replace") or "no message"
-        raise OSError(f"formatting rows {lo}..{hi - 1} in child process {pid} "
-                      f"failed ({why}): {message}")
-    out.seek(-8 * count, os.SEEK_END)
-    ends = np.frombuffer(out.read(8 * count), np.int64).tolist()
-    out.seek(0)
-    return ends
-
-
 def write_tables(tables) -> None:
     """Write each (path, header, columns) table to its path: header,
     then for each row the text of each column's item (_texts), joined
@@ -621,13 +517,9 @@ def write_tables(tables) -> None:
 
     The columns are numpy arrays, all of one table's of equal length.
     A column object that the batch holds more than once is formatted
-    once, here, before any share forks. The rows of all the tables are
-    one row space, split across share_count(n) processes (see the
-    module docstring). The batch is all or nothing: no path is
-    replaced before every share has succeeded, and a share that fails
-    in its child is an OSError that names the failure. No output,
-    temporary file or child process outlives a failed call, and no
-    child process or temporary file outlives any call.
+    once, before any row. The batch is all or nothing: no path is
+    replaced before every table is written, and no output or temporary
+    file outlives a failed call.
     """
     tables = [(path, header, list(columns), "\r\n" if header.endswith("\r\n") else "\n")
               for path, header, columns in tables]
@@ -637,48 +529,12 @@ def write_tables(tables) -> None:
     formatted = {i: _cells(c) for i, c in shared.items()}
     for _, _, columns, _ in tables:
         columns[:] = [formatted.get(id(c), c) for c in columns]
-    starts = [0]
-    for _, _, columns, _ in tables:
-        starts.append(starts[-1] + len(columns[0]))
-    n = starts[-1]
-    k = share_count(n)
-    bounds = [n * i // k for i in range(k + 1)]
-    shares = [_pieces(starts, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
-    by_table = [[] for _ in tables]
-    for s, pieces in enumerate(shares):
-        for t, a, b in pieces:
-            by_table[t].append((s, a, b))
-    files, pids = [], {}  # pids: share -> child not reaped yet
-    try:
-        for s in range(1, k):
-            files.append(tempfile.TemporaryFile())
-            pid = os.fork()
-            if pid == 0:
-                _child(files[-1], tables, shares[s])
-            pids[s] = pid
-        current = 0
-        own = itertools.groupby(_rendered(tables, shares[0]), key=lambda part: part[0])
-        with contextlib.ExitStack() as outputs:
-            for (path, header, _, _), pieces in zip(tables, by_table):
-                fh = outputs.enter_context(atomic_write(path, "wb"))
-                fh.write(header.encode())
-                for s, a, b in pieces:
-                    if s == 0:  # the next run of share 0's parts is this table's
-                        fh.writelines(data for _, data in next(own)[1])
-                        continue
-                    if s != current:  # the first piece of share s
-                        current, out, start = s, files[s - 1], 0
-                        ends = iter(_reap(pids, s, out, bounds[s], bounds[s + 1], len(shares[s])))
-                    left = next(ends) - start
-                    start += left
-                    while left > 0 and (block := out.read(min(BLOCK_BYTES, left))):
-                        fh.write(block)
-                        left -= len(block)
-                fh.close()
-    finally:
-        for pid in pids.values():  # not reaped yet, so the pid is still this child's
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-        for tmp in files:
-            tmp.close()
-
+    pieces = [(t, 0, len(columns[0])) for t, (_, _, columns, _) in enumerate(tables) if len(columns[0])]
+    parts = itertools.groupby(_rendered(tables, pieces), key=lambda part: part[0])
+    with contextlib.ExitStack() as outputs:
+        for path, header, columns, _ in tables:
+            fh = outputs.enter_context(atomic_write(path, "wb"))
+            fh.write(header.encode())
+            if len(columns[0]):  # the next run of parts is this table's
+                fh.writelines(data for _, data in next(parts)[1])
+            fh.close()

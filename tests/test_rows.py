@@ -6,16 +6,15 @@ the chunked writers must give the same bytes. Trains used to be read
 only as text, in chunks of 1024 lines; that reader is kept here too,
 and the byte reader must return the same bins or raise the same
 message on any file. The train reader must round-trip any bins array
-and keep its memory flat. The float writer must give the same bytes
-whether its rows are formatted in one process or split across forked
-children, wherever a split falls among the tables of a batch, and
-leave no child, temporary file or partial batch behind; a column that
-several tables hold is formatted once, before any child forks. Its
-rows must be the cell reprs joined by commas, and keyed rows must give
-the bytes of an f-string per row across every power of ten of the
-window. The float cells computed by array arithmetic must be, cell for
-cell, the repr of the value, on Hypothesis floats, on the doubles where
-the arithmetic turns and on a seeded million.
+and keep its memory flat. The float writer must give every table of
+a batch the same bytes, keep one output handle open at a time, and
+leave no temporary file or partial batch behind; a column that
+several tables hold is formatted once. Its rows must be the cell
+reprs joined by commas, and keyed rows must give the bytes of an
+f-string per row across every power of ten of the window. The float
+cells computed by array arithmetic must be, cell for cell, the repr
+of the value, on Hypothesis floats, on the doubles where the
+arithmetic turns and on a seeded million.
 """
 
 import contextlib
@@ -28,12 +27,16 @@ import json
 import os
 import pathlib
 import re
-import signal
 import tempfile
 import tracemalloc
 import warnings
 from dataclasses import asdict, replace
 from itertools import islice
+
+try:
+    import resource
+except ImportError:  # not on every platform
+    resource = None
 
 import numpy as np
 import pytest
@@ -51,8 +54,7 @@ from spikecodec import (
     write_spike_train,
 )
 from spikecodec import _rows
-from spikecodec._rows import (BLOCK_BYTES, BLOCK_CELLS, FORK_ROWS, read_keyed_rows,
-                              write_keyed_rows, write_tables)
+from spikecodec._rows import BLOCK_BYTES, BLOCK_CELLS, read_keyed_rows, write_keyed_rows, write_tables
 from spikecodec.simulate import _read_sidecar
 from spikecodec.cli import main
 from spikecodec.sft import _spectrum_tables, write_spectrum
@@ -138,13 +140,8 @@ class TestByteIdentity:
         assert out.read_bytes() == want.encode()
 
 
-def force_shares(monkeypatch, k):
-    """Make write_tables split every batch into k shares, however short."""
-    monkeypatch.setattr(_rows, "share_count", lambda n: k)
-
-
 @functools.lru_cache(maxsize=None)
-def share_case(n):
+def rows_case(n):
     """Three float columns of n rows and their reference bytes."""
     cols = float_columns(n, 3, seed=n)
     return cols, reference_csv(["a", "b", "c"], zip(*cols))
@@ -157,8 +154,8 @@ def open_fds():
 
 @contextlib.contextmanager
 def nothing_left():
-    """Check that the body leaves no child process, open file
-    descriptor or unclosed file (which warns when collected) behind."""
+    """Check that the body leaves no open file descriptor or unclosed
+    file (which warns when collected) behind."""
     fds = open_fds()
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", ResourceWarning)
@@ -166,48 +163,33 @@ def nothing_left():
         gc.collect()
     assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
     assert open_fds() == fds
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
 
 
-class TestShares:
-    """write_tables gives the same bytes however its rows are split
-    across processes, and leaves no process or file behind."""
+class TestBatches:
+    """write_tables gives every table of a batch the bytes of the
+    per-row loop, and leaves no file or handle behind."""
 
-    @pytest.mark.parametrize("k", [1, 2, 3, 5])
-    @pytest.mark.parametrize("n", [1, FORK_ROWS // 4 - 1, FORK_ROWS // 4, FORK_ROWS // 2 + 1,
-                                   FORK_ROWS - 1, FORK_ROWS, 2 * FORK_ROWS + 1, 100_000])
-    def test_bytes_do_not_depend_on_the_share_count(self, tmp_path, monkeypatch, k, n):
-        force_shares(monkeypatch, k)
-        cols, want = share_case(n)
+    @pytest.mark.parametrize("n", [1, 4095, 4096, 8193, 16383, 16384, 32769, 100_000])
+    def test_bytes(self, tmp_path, n):
+        cols, want = rows_case(n)
         path = tmp_path / "rows.csv"
-        pending = tmp_path / "pending.txt"
-        with nothing_left(), open(pending, "w", newline="") as fh:
-            # unflushed text: a child that flushed a handle it inherited
-            # would write these bytes a second time
-            fh.write("pending\r\n")
+        with nothing_left():
             write_tables([(str(path), "a,b,c\r\n", cols)])
         assert path.read_bytes() == want
-        assert pending.read_bytes() == b"pending\r\n"
 
-    # Row counts of a batch of six tables, and where k shares split its
-    # ten rows: 2 shares inside table 3; 3 on the edge of table 0 and
-    # the empty table 1, and inside table 3; 5 inside table 0, after the
-    # one-row table 2, and on the edge of table 3 and the empty table 4.
+    # Row counts of a batch of six tables: empty tables after the first
+    # and between others, and a one-row table.
     SIZES = [3, 0, 1, 4, 0, 2]
 
-    @pytest.mark.parametrize("k", [1, 2, 3, 5])
-    def test_a_batch_does_not_depend_on_where_shares_split_it(self, tmp_path, monkeypatch, k):
-        force_shares(monkeypatch, k)
-        self.check_batch(tmp_path, self.SIZES, seed=k)
+    def test_a_batch_of_six_tables(self, tmp_path):
+        self.check_batch(tmp_path, self.SIZES, seed=1)
 
     @settings(max_examples=25, deadline=None)
     @given(sizes=st.lists(st.integers(0, 5) | st.sampled_from([BLOCK_ROWS, BLOCK_ROWS + 1]),
                           min_size=1, max_size=6),
-           k=st.sampled_from([1, 2, 3, 5]), seed=st.integers(0, 2**32 - 1))
-    def test_any_batch_and_share_count(self, sizes, k, seed):
-        with tempfile.TemporaryDirectory() as d, pytest.MonkeyPatch.context() as mp:
-            force_shares(mp, k)
+           seed=st.integers(0, 2**32 - 1))
+    def test_any_batch(self, sizes, seed):
+        with tempfile.TemporaryDirectory() as d:
             self.check_batch(pathlib.Path(d), sizes, seed)
 
     @staticmethod
@@ -220,8 +202,7 @@ class TestShares:
             assert p.read_bytes() == reference_csv(["a", "b"], zip(*c))
         assert sorted(directory.iterdir()) == sorted(paths)
 
-    def test_a_shared_column_gives_the_bytes_of_separate_copies(self, tmp_path, monkeypatch):
-        force_shares(monkeypatch, 2)
+    def test_a_shared_column_gives_the_bytes_of_separate_copies(self, tmp_path):
         cols = float_columns(BLOCK_ROWS + 1, 3, seed=7)
         shared = [tmp_path / f"shared_{t}.csv" for t in range(2)]
         own = [tmp_path / f"own_{t}.csv" for t in range(2)]
@@ -230,14 +211,12 @@ class TestShares:
         for p, q, c in zip(shared, own, cols[1:]):
             assert p.read_bytes() == q.read_bytes() == reference_csv(["a", "b"], zip(cols[0], c))
 
-    @pytest.mark.parametrize("k", [1, 2, 3])
-    def test_a_shared_column_is_formatted_once_in_this_process(self, tmp_path, monkeypatch, k):
-        force_shares(monkeypatch, k)
+    def test_a_shared_column_is_formatted_once(self, tmp_path, monkeypatch):
         n = BLOCK_ROWS + 1
         monkeypatch.setattr(Counted, "calls", 0)
         counted = np.empty(n, object)
         counted[:] = [Counted(i) for i in range(n)]
-        cols = float_columns(n, 3, seed=k)
+        cols = float_columns(n, 3, seed=1)
         paths = [tmp_path / f"table_{t}.csv" for t in range(3)]
         with nothing_left():
             write_tables([(str(p), "a,b\n", (counted, c)) for p, c in zip(paths, cols)])
@@ -246,12 +225,19 @@ class TestShares:
             want = "a,b\n" + "".join(f"c{i},{v!r}\n" for i, v in enumerate(c.tolist()))
             assert p.read_bytes() == want.encode()
 
-    def test_share_count(self, monkeypatch):
-        monkeypatch.setattr(_rows, "usable_cpus", lambda: 3)
-        assert [_rows.share_count(n) for n in (0, 2 * FORK_ROWS - 1, 2 * FORK_ROWS,
-                                               3 * FORK_ROWS, 100 * FORK_ROWS)] == [1, 1, 2, 3, 3]
-        monkeypatch.delattr(os, "fork")
-        assert _rows.share_count(100 * FORK_ROWS) == 1
+    @pytest.mark.skipif(resource is None or not os.path.isdir("/proc/self/fd"),
+                        reason="needs resource and /proc/self/fd")
+    def test_one_output_handle_at_a_time(self, tmp_path):
+        # sft-sweep writes a table per frequency in one batch: 300 of
+        # them must not need 300 descriptors
+        soft, hard = resource.getrlimit(resource.RLIMIT_NOFILE)
+        resource.setrlimit(resource.RLIMIT_NOFILE, (len(open_fds()) + 16, hard))
+        try:
+            paths = [tmp_path / f"table_{t}.csv" for t in range(300)]
+            write_tables([(str(p), "u\n", [np.array([t / 7])]) for t, p in enumerate(paths)])
+        finally:
+            resource.setrlimit(resource.RLIMIT_NOFILE, (soft, hard))
+        assert [p.read_bytes() for p in paths] == [f"u\n{t / 7!r}\n".encode() for t in range(300)]
 
 
 def joined_reprs(header, columns) -> bytes:
@@ -268,12 +254,9 @@ class TestBlockSize:
 
     SIZES = [1, 7, 3 * 1024, BLOCK_CELLS]
 
-    @pytest.mark.parametrize("k", [1, 2])
-    def test_write_tables(self, tmp_path, monkeypatch, k):
+    def test_write_tables(self, tmp_path, monkeypatch):
         # one to four columns, both line ends, a column that two tables
-        # hold, integers beside floats, and with k = 2 a second share
-        # formatted in a forked child
-        force_shares(monkeypatch, k)
+        # hold, and integers beside floats
         shared = float_columns(300, 1, seed=1)[0]
         cols = float_columns(300, 4, seed=2)
         ints = np.arange(-150, 150)
@@ -306,106 +289,68 @@ class TestBlockSize:
 
 
 class Counted:
-    """A cell that counts the calls of its repr, and fails in any
-    process other than the one that made it (a forked child)."""
+    """A cell that counts the calls of its repr."""
 
     calls = 0
 
     def __init__(self, i):
-        self.i, self.pid = i, os.getpid()
+        self.i = i
 
     def __repr__(self):
-        if os.getpid() != self.pid:
-            raise AssertionError("formatted in a child process")
         Counted.calls += 1
         return f"c{self.i}"
 
 
 class Boom:
-    """A cell whose repr fails: it raises in the process that made it
-    and kills any other process (a forked child) outright when kill is
-    set."""
-
-    def __init__(self, kill=False):
-        self.pid, self.kill = os.getpid(), kill
+    """A cell whose repr fails."""
 
     def __repr__(self):
-        if self.kill and os.getpid() != self.pid:
-            os.kill(os.getpid(), signal.SIGKILL)
         raise ZeroDivisionError("boom")
 
 
-def boom_column(n, row, kill=False):
+def boom_column(n, row):
     col = np.arange(n, dtype=float).astype(object)
-    col[row] = Boom(kill)
+    col[row] = Boom()
     return col
 
 
-def failing_in_children(rendered):
-    """rendered, but raising MemoryError in any process other than the
-    one that made it."""
-    pid = os.getpid()
+class TestFailures:
+    """A batch that fails raises, and leaves no output or temporary
+    file behind."""
 
-    def wrapped(*args):
-        if os.getpid() != pid:
-            raise MemoryError("no room")
-        return rendered(*args)
-    return wrapped
-
-
-class TestShareFailures:
-    """A failing share raises, and leaves no output, temporary file or
-    child process behind."""
-
-    N = 1000
-
-    @pytest.mark.parametrize("kill, message", [
-        (False, "exit status 1): ZeroDivisionError: boom"),
-        (True, "signal 9): no message"),
-    ])
-    def test_failed_child_is_an_oserror(self, tmp_path, monkeypatch, kill, message):
-        force_shares(monkeypatch, 3)
-        path = tmp_path / "rows.csv"
-        with nothing_left(), pytest.raises(OSError) as info:
-            write_tables([(str(path), "u\r\n", [boom_column(self.N, self.N - 1, kill)])])
-        assert re.fullmatch(rf"formatting rows {2 * self.N // 3}\.\.{self.N - 1} in child "
-                            rf"process \d+ failed \({re.escape(message)}", str(info.value))
-        assert list(tmp_path.iterdir()) == []
-
-    def test_failed_parent_share_stops_every_child(self, tmp_path, monkeypatch):
-        force_shares(monkeypatch, 3)
+    def test_a_failing_cell_writes_nothing(self, tmp_path):
         path = tmp_path / "rows.csv"
         with nothing_left(), pytest.raises(ZeroDivisionError):
-            write_tables([(str(path), "u\r\n", [boom_column(self.N, 0)])])
+            write_tables([(str(path), "u\r\n", [boom_column(1000, 0)])])
         assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.parametrize("kill", [False, True])
-    def test_failed_child_in_a_later_table_replaces_nothing(self, tmp_path, monkeypatch, kill):
-        # the parent has written tables 0 and 1 in full when the child
-        # that formats the rest of the batch fails in table 3
-        force_shares(monkeypatch, 2)
+    def test_a_failure_in_a_later_table_replaces_nothing(self, tmp_path):
+        # table 3's line end puts it in a block of its own, so tables 0
+        # and 1 are written in full when it fails
         sizes = [300, 200, 400, 100]
         cols = [[np.arange(n, dtype=float)] for n in sizes]
-        cols[3] = [boom_column(sizes[3], sizes[3] - 1, kill)]
+        cols[3] = [boom_column(sizes[3], sizes[3] - 1)]
         paths = [tmp_path / f"table_{t}.csv" for t in range(len(sizes))]
+        headers = ["u\r\n"] * 3 + ["u\n"]
         paths[0].write_text("old\n")
-        with nothing_left(), pytest.raises(OSError, match=r"formatting rows 500\.\.999 in child"):
-            write_tables([(str(p), "u\r\n", c) for p, c in zip(paths, cols)])
+        with nothing_left(), pytest.raises(ZeroDivisionError, match="boom"):
+            write_tables([(str(p), h, c) for p, h, c in zip(paths, headers, cols)])
         assert list(tmp_path.iterdir()) == [paths[0]]
         assert paths[0].read_text() == "old\n"
 
     def test_cli_names_the_failure(self, tmp_path, monkeypatch, capsys):
-        # a share that fails in its child reaches the command line as one
-        # error line
-        force_shares(monkeypatch, 2)
-        monkeypatch.setattr(_rows, "_rendered", failing_in_children(_rows._rendered))
+        # a formatting failure reaches the command line as one error line
+        def no_room(*args):
+            raise MemoryError("no room")
+            yield
+
+        monkeypatch.setattr(_rows, "_rendered", no_room)
         cfg = tmp_path / "config.json"
         cfg.write_text(json.dumps({"signal": {"type": "constant", "level": 3.0}}))
         with nothing_left():
             assert main(["sweep-constant", "--config", str(cfg), "--thresholds", "0.5",
                          "--points", "8", "--out-dir", str(tmp_path / "out")]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: formatting rows 4..7 in child process") and err.count("\n") == 1
+        assert capsys.readouterr().err == "error: no room\n"
         assert os.listdir(tmp_path / "out") == []
 
 
@@ -990,19 +935,16 @@ class TestMemory:
             tracemalloc.stop()
         assert peak <= 3 * 2**20
 
-    def test_error_report_write_peak(self, tmp_path, monkeypatch):
-        # in one process, and with a forked child's file appended
+    def test_error_report_write_peak(self, tmp_path):
         u, eps_u, eps_ts = float_columns(100_000, 3, seed=2)
         report = ErrorReport(u_in=u, eps_u=eps_u, eps_ts=eps_ts, rmse=0.5)
-        for k in (1, 2):
-            force_shares(monkeypatch, k)
-            tracemalloc.start()
-            try:
-                write_error_report(report, str(tmp_path / "errors.csv"))
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert peak <= 2 * 2**20
+        tracemalloc.start()
+        try:
+            write_error_report(report, str(tmp_path / "errors.csv"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * 2**20
 
     def test_keyed_row_write_peak(self, tmp_path):
         # 17-digit cells, rows in blocks
