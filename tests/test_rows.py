@@ -7,9 +7,10 @@ only as text, in chunks of 1024 lines; that reader is kept here too,
 and the byte reader must return the same bins or raise the same
 message on any file. The train reader must round-trip any bins array
 and keep its memory flat. The float writer must give every table of
-a batch the same bytes, keep one output handle open at a time, and
-leave no temporary file or partial batch behind; a column that
-several tables hold is formatted once. Its rows must be the cell
+a batch the same bytes, however many tables share a column and
+wherever blocks split the batch, keep one output handle open at a
+time, and leave no temporary file or partial batch behind; a column
+that several tables hold is formatted once. Its rows must be the cell
 reprs joined by commas, and keyed rows must give the bytes of an
 f-string per row across every power of ten of the window. The float
 cells computed by array arithmetic must be, cell for cell, the repr
@@ -165,31 +166,49 @@ def nothing_left():
     assert open_fds() == fds
 
 
-class TestBatches:
+def block_rows(monkeypatch, rows, width):
+    """Make write_tables cut a batch of tables of width columns into
+    blocks of rows rows."""
+    monkeypatch.setattr(_rows, "BLOCK_CELLS", rows * width)
+
+
+class TestShares:
     """write_tables gives every table of a batch the bytes of the
-    per-row loop, and leaves no file or handle behind."""
+    per-row loop however many tables share a column and wherever its
+    blocks split the batch, and leaves no file or handle behind."""
 
+    # k tables share the three columns, which are formatted once before
+    # the rows and then cut into blocks as S columns
+    @pytest.mark.parametrize("k", [1, 2, 3, 5])
     @pytest.mark.parametrize("n", [1, 4095, 4096, 8193, 16383, 16384, 32769, 100_000])
-    def test_bytes(self, tmp_path, n):
+    def test_bytes_do_not_depend_on_the_share_count(self, tmp_path, k, n):
         cols, want = rows_case(n)
-        path = tmp_path / "rows.csv"
+        paths = [tmp_path / f"rows_{t}.csv" for t in range(k)]
         with nothing_left():
-            write_tables([(str(path), "a,b,c\r\n", cols)])
-        assert path.read_bytes() == want
+            write_tables([(str(p), "a,b,c\r\n", cols) for p in paths])
+        assert [p.read_bytes() for p in paths] == [want] * k
 
-    # Row counts of a batch of six tables: empty tables after the first
-    # and between others, and a one-row table.
+    # Row counts of a batch of six tables, and where blocks of 10 // k
+    # rows split its ten rows: k = 2 inside table 3; k = 3 on the edge
+    # of table 0 and the empty table 1, inside table 3 and inside table
+    # 5; k = 5 inside table 0, after the one-row table 2, inside table 3
+    # and on the edge of table 3 and the empty table 4.
     SIZES = [3, 0, 1, 4, 0, 2]
 
-    def test_a_batch_of_six_tables(self, tmp_path):
-        self.check_batch(tmp_path, self.SIZES, seed=1)
+    @pytest.mark.parametrize("k", [1, 2, 3, 5])
+    def test_a_batch_does_not_depend_on_where_shares_split_it(self, tmp_path, monkeypatch, k):
+        block_rows(monkeypatch, sum(self.SIZES) // k, 2)
+        self.check_batch(tmp_path, self.SIZES, seed=k)
 
     @settings(max_examples=25, deadline=None)
     @given(sizes=st.lists(st.integers(0, 5) | st.sampled_from([BLOCK_ROWS, BLOCK_ROWS + 1]),
                           min_size=1, max_size=6),
-           seed=st.integers(0, 2**32 - 1))
-    def test_any_batch(self, sizes, seed):
-        with tempfile.TemporaryDirectory() as d:
+           k=st.sampled_from([1, 2, 3, 5]), seed=st.integers(0, 2**32 - 1))
+    def test_any_batch_and_share_count(self, sizes, k, seed):
+        # blocks of a k-th of the batch's rows, or of the size in use
+        with tempfile.TemporaryDirectory() as d, pytest.MonkeyPatch.context() as mp:
+            if k > 1:
+                block_rows(mp, max(1, sum(sizes) // k), 2)
             self.check_batch(pathlib.Path(d), sizes, seed)
 
     @staticmethod
@@ -211,13 +230,15 @@ class TestBatches:
         for p, q, c in zip(shared, own, cols[1:]):
             assert p.read_bytes() == q.read_bytes() == reference_csv(["a", "b"], zip(cols[0], c))
 
-    def test_a_shared_column_is_formatted_once(self, tmp_path, monkeypatch):
+    # k tables hold the counted column: one, or several that share it
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_a_shared_column_is_formatted_once_in_this_process(self, tmp_path, monkeypatch, k):
         n = BLOCK_ROWS + 1
         monkeypatch.setattr(Counted, "calls", 0)
         counted = np.empty(n, object)
         counted[:] = [Counted(i) for i in range(n)]
-        cols = float_columns(n, 3, seed=1)
-        paths = [tmp_path / f"table_{t}.csv" for t in range(3)]
+        cols = float_columns(n, k, seed=k)
+        paths = [tmp_path / f"table_{t}.csv" for t in range(k)]
         with nothing_left():
             write_tables([(str(p), "a,b\n", (counted, c)) for p, c in zip(paths, cols)])
         assert Counted.calls == n
@@ -254,15 +275,18 @@ class TestBlockSize:
 
     SIZES = [1, 7, 3 * 1024, BLOCK_CELLS]
 
-    def test_write_tables(self, tmp_path, monkeypatch):
-        # one to four columns, both line ends, a column that two tables
-        # hold, and integers beside floats
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_write_tables(self, tmp_path, monkeypatch, k):
+        # one to four columns, both line ends, integers beside floats,
+        # and a column that k tables hold: with k = 2 tables 0 and 2
+        # share one object, formatted before the rows; with k = 1 table
+        # 2 holds a copy of it
         shared = float_columns(300, 1, seed=1)[0]
         cols = float_columns(300, 4, seed=2)
         ints = np.arange(-150, 150)
         tables = [("x,y,z\r\n", (shared, cols[0], ints)),
                   ("x\n", (cols[1],)),
-                  ("x,y\n", (cols[2], shared)),
+                  ("x,y\n", (cols[2], shared if k == 2 else shared.copy())),
                   ("w,x,y,z\r\n", (cols[3][:40], shared[:40], ints[:40], cols[0][:40]))]
         want = [joined_reprs(header, columns) for header, columns in tables]
         for size in self.SIZES:
