@@ -22,10 +22,12 @@ the cells of a keyed table, are formatted a block at a time into one
 array (_joined), so they are never held twice. Rows of
 the form "<window>,<cell>\\n", the window running on from row to row
 and the cell that of a key (a train's bin, decode's voltage of a bin),
-are built and parsed in blocks of about BLOCK_BYTES bytes
+are built and parsed in blocks of about BLOCK_BYTES (256 KiB)
 (write_keyed_rows, read_keyed_rows): each window digit column is a
-short run of digits repeated, with NUL for a leading zero. Rows fewer
-than the keys get cells for only the keys they hold (_table).
+short run of digits repeated, cut from one tiling of 0..9 per block,
+with NUL for a leading zero, and a block's keys are read from the
+digits that end its lines. Rows fewer than the keys get cells for
+only the keys they hold (_table).
 
 write_tables writes a batch of tables, each (path, header, columns)
 and one file, in this process: the rows of table 0, then of table 1,
@@ -60,7 +62,12 @@ BLOCK_CELLS = 8 * 1024
 
 # Bytes per block of keyed rows. Smaller blocks lose much of the speed
 # to numpy's per-call overhead; larger ones cost memory in proportion.
-BLOCK_BYTES = 1 << 16
+# stream_noisy's 100,000-window train (2 cores, Python 3.11.7, numpy
+# 2.4.6; medians of 6 processes) was written in 3.2 / 2.9 ms, and its
+# decoded volts in 7.8 / 7.0 ms, at 64 / 256 KiB. Read back at 256 KiB
+# it took 4.3 ms, against 5.2 ms at 64 KiB when keys were parsed from
+# the commas (6.4 ms at 256 KiB).
+BLOCK_BYTES = 1 << 18
 
 def _texts(column: np.ndarray) -> np.ndarray:
     """The text of each cell of a numpy column as S items, the repr of its
@@ -251,7 +258,7 @@ def _float_cells(values: np.ndarray) -> np.ndarray:
         digits = _digit_columns(sig)
         del sig
         rows = np.zeros((len(at), width), np.uint8)
-        runs = np.flatnonzero(np.diff(key)) + 1
+        runs = np.flatnonzero(key[1:] != key[:-1]) + 1
         for lo, hi in zip([0, *runs.tolist()], [*runs.tolist(), len(at)]):
             s = int(key[lo]) - 16
             # digit column c of sig holds place 19 - c - s, which goes to
@@ -260,19 +267,20 @@ def _float_cells(values: np.ndarray) -> np.ndarray:
             first, end = 20 - s - ints, min(20, 20 - s)
             start = max(first, 0)
             rows[lo:hi, 1 + start - first:1 + end - first] = digits[lo:hi, start:end]
-            rows[lo:hi, 1 + end - first:1 + ints] = ord("0")  # places below sig's last digit
             if s > 0:
                 rows[lo:hi, ints + 2:ints + 2 + s] = digits[lo:hi, 20 - s:]
             else:
+                rows[lo:hi, 1 + end - first:1 + ints] = ord("0")  # places below sig's last digit
                 rows[lo:hi, ints + 2] = ord("0")
         del digits, key
         leading = np.ones(len(at), bool)
         for c in range(1, ints):  # NUL for the zeros before a cell's first digit
             leading &= rows[:, c] <= ord("0")
-            rows[leading, c] = 0
+            rows[:, c] *= ~leading
         np.maximum(rows[:, ints], ord("0"), out=rows[:, ints])  # the 0 of 0.xxx
         rows[:, ints + 1] = ord(".")
-        rows[values[at] < 0, 0] = ord("-")
+        if np.fmin.reduce(values) < 0:  # fmin passes over NaN
+            rows[values[at] < 0, 0] = ord("-")
     out = np.empty(len(values), f"S{width}")  # each row one item, so one copy a cell
     if len(at):
         out[at] = rows.view(out.dtype)[:, 0]
@@ -300,17 +308,18 @@ def _table(keys: np.ndarray, top: int, values_of=None):
     return table, keys if every else np.searchsorted(held, keys)
 
 
-def _digit_column(lo: int, hi: int, place: int) -> np.ndarray:
+def _digit_column(lo: int, hi: int, place: int, cycle: np.ndarray) -> np.ndarray:
     """The ASCII digit at a place value of each window lo..hi-1.
 
     The digit holds for runs of place windows, so the column is the
     short run of the digits of the quotients lo // place ..
-    (hi - 1) // place, cut from a tiling of 0..9, with each digit
-    repeated for the windows of its run that lie in lo..hi-1.
+    (hi - 1) // place, cut from cycle, a tiling of 0..9 at least
+    hi - lo + 9 long, with each digit repeated for the windows of its
+    run that lie in lo..hi-1.
     """
     first, last = lo // place, (hi - 1) // place
     k = last - first + 1
-    run = np.tile(_DIGITS, k // 10 + 2)[first % 10:first % 10 + k]
+    run = cycle[first % 10:first % 10 + k]
     if place == 1:  # one window per digit: the run is the column
         return run
     count = np.full(k, place)
@@ -327,9 +336,10 @@ def render_rows(lo: int, table: np.ndarray, keys: np.ndarray) -> bytes:
     hi = lo + n
     digits = len(str(hi - 1))
     rows = np.empty((n, digits + 1 + table.itemsize), np.uint8)
+    cycle = np.tile(_DIGITS, n // 10 + 2)  # one tiling for every column's run
     for j in range(digits):
         place = 10 ** (digits - 1 - j)
-        rows[:, j] = _digit_column(lo, hi, place)
+        rows[:, j] = _digit_column(lo, hi, place, cycle)
         if place > 1:  # no leading zeros; window 0 is written "0"
             rows[:max(0, min(place, hi) - lo), j] = 0
     rows[:, digits] = ord(",")
@@ -350,21 +360,22 @@ def write_keyed_rows(path: str, header: bytes, keys: np.ndarray, top: int, value
 
 
 def _parse_keys(block: bytes, top: int) -> Optional[np.ndarray]:
-    """The decimal in the last bytes after the comma of each line of
-    block (0 where there are none), or None when the block holds more
-    or fewer commas than line ends, or a key outside 0..top. Nothing
-    else is checked: a block is proved by rendering it again."""
+    """The decimal in the run of at most len(str(top)) digits that ends
+    each line of block (0 where there is none), or None when a key is
+    above top. Nothing else is checked, not even the comma before the
+    run: a block is proved by rendering it again."""
     a = np.frombuffer(block, np.uint8)
-    ends = np.flatnonzero(a == ord("\n"))
-    commas = np.flatnonzero(a == ord(","))
-    if len(commas) != len(ends):
-        return None
-    lengths = ends - commas - 1
-    keys = np.zeros(len(ends), np.int64)
-    for j in range(1, len(str(top)) + 1):  # the j-th byte before each line end
-        digit = a.take(ends - j, mode="clip").astype(np.int64) - ord("0")
-        keys += np.where(lengths >= j, digit, 0) * 10 ** (j - 1)
-    if keys.min() < 0 or keys.max() > top:
+    at = np.flatnonzero(a == ord("\n"))
+    keys = np.zeros(len(at), np.int64)
+    live = np.ones(len(at), bool)  # every byte so far back from the line end is a digit
+    for j in range(len(str(top))):
+        at -= 1
+        digit = a.take(at, mode="clip")  # before the block's start, its first byte
+        digit -= ord("0")  # a byte that is no digit wraps to 10 or more
+        live &= digit < 10
+        digit *= live
+        keys += np.multiply(digit, 10**j, dtype=np.int64)
+    if keys.max() > top:
         return None
     return keys
 
@@ -375,9 +386,10 @@ def read_keyed_rows(fh, header: bytes, top: int, rows: int) -> Optional[np.ndarr
     differs from such a file in any byte, or holds more than rows rows.
 
     fh is a binary handle. It is read in blocks cut at line ends; each
-    block's keys are parsed with array arithmetic and the block is
-    proved by rendering those keys again from _table's cells, which
-    checks the window column, both cells of each row and the key range.
+    block's keys are parsed with array arithmetic from its line ends
+    alone, checked against top, and the block is proved by rendering
+    those keys again from _table's cells, which checks the window
+    column, the comma and both cells of each row.
     The keys fill one array of rows keys, so rows must be one the file
     can hold: a caller that takes it from elsewhere bounds it first.
     """

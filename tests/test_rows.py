@@ -271,7 +271,8 @@ def joined_reprs(header, columns) -> bytes:
 
 class TestBlockSize:
     """The bytes do not depend on BLOCK_CELLS: blocks of one cell, of a
-    few, of 3,072 and of the size in use give the same files."""
+    few, of 3,072 and of the size in use give the same files. Nor do
+    keyed rows and the keys read back from them depend on BLOCK_BYTES."""
 
     SIZES = [1, 7, 3 * 1024, BLOCK_CELLS]
 
@@ -310,6 +311,29 @@ class TestBlockSize:
             path = tmp_path / f"{size}.csv"
             write_keyed_rows(str(path), b"window,u\n", keys, top, lambda k: values[k - 1])
             assert path.read_bytes() == want, size
+
+    # Keyed rows in byte blocks smaller than a row, of 4 KiB, of 64 KiB
+    # and of the size in use, over windows 9,999 -> 10,000 and
+    # 99,999 -> 100,000, where a row gains a digit. 16-byte blocks take
+    # seconds for 100,000 rows, so they cover the first crossing only.
+    BYTE_SIZES = [(16, 10_050), (4096, 100_050), (1 << 16, 100_050), (BLOCK_BYTES, 100_050)]
+
+    @pytest.mark.parametrize("floats", [True, False])
+    def test_keyed_rows_over_byte_blocks(self, tmp_path, monkeypatch, floats):
+        top = CFG3K.resolution
+        values = float_columns(top, 1, seed=5)[0] if floats else None
+        cells = ["", *map(repr, (BIN_VALUES if values is None else values).tolist())]
+        keys = np.random.default_rng(6).integers(0, top + 1, max(rows for _, rows in self.BYTE_SIZES))
+        want = {rows: b"window,u\n" + reference_rows(0, cells, keys[:rows]) for _, rows in self.BYTE_SIZES}
+        for size, rows in self.BYTE_SIZES:
+            monkeypatch.setattr(_rows, "BLOCK_BYTES", size)
+            path = tmp_path / f"{size}.csv"
+            write_keyed_rows(str(path), b"window,u\n", keys[:rows], top,
+                             None if values is None else lambda k: values[k - 1])
+            assert path.read_bytes() == want[rows], size
+            if values is None:  # a train: its keys read back
+                with open(path, "rb") as fh:
+                    assert np.array_equal(read_keyed_rows(fh, b"window,u\n", top, rows), keys[:rows]), size
 
 
 class Counted:
@@ -529,13 +553,16 @@ class TestWindowDigits:
             assert pathlib.Path(path).read_bytes() == b"window,u\n" + reference_rows(0, texts, keys)
 
     def test_read_block_edge_on_window_100000(self, tmp_path):
-        # one-digit bins, except as many two-digit ones as put the end
-        # of window 99,999's row on a byte block's edge
+        # one-digit bins, except as many two-digit ones (a byte more) or
+        # silent ones (a byte less) as put the end of window 99,999's
+        # row on the byte block edge nearest it
         rows = 100_000
         base = sum(len(str(w)) + 3 for w in range(rows))
-        blocks = -(-base // BLOCK_BYTES)
+        blocks = round(base / BLOCK_BYTES)
+        extra = blocks * BLOCK_BYTES - base
+        assert abs(extra) <= rows
         bins = np.full(rows + 500, 5)
-        bins[np.random.default_rng(0).choice(rows, blocks * BLOCK_BYTES - base, replace=False)] = 50
+        bins[np.random.default_rng(0).choice(rows, abs(extra), replace=False)] = 50 if extra > 0 else 0
         bins[rows + 1::3] = 0
         train = SpikeTrain(bins=bins, config=CFG3K, seed=None)
         path = tmp_path / "train.csv"
@@ -904,7 +931,10 @@ def outcome(read, path):
 
 
 class TestTrainReaderAgainstTextReader:
-    @settings(max_examples=300, deadline=None)
+    # 300 examples, or a tenth of the profile's count where that is
+    # more: CI's deep profile runs 2,000, since an example takes about
+    # 20 ms on 2 cores and its full 20,000 would take about 7 minutes
+    @settings(max_examples=max(300, settings.default.max_examples // 10), deadline=None)
     @given(train_files())
     def test_same_bins_or_same_message(self, case):
         train, written, data = case
