@@ -17,7 +17,7 @@ Every other cell, and a tie between two shortest decimals, is its
 _texts. write_tables renders rows in blocks of at most BLOCK_CELLS
 cells (_rendered): a block may span tables of one column count and
 line end, its float64 columns are formatted in one call, and its text
-is handed on in parts of at most BLOCK_BYTES. A longer column, and
+is handed on in one part per table it holds. A longer column, and
 the cells of a keyed table, are formatted a block at a time into one
 array (_joined), so they are never held twice. Rows of
 the form "<window>,<cell>\\n", the window running on from row to row
@@ -26,8 +26,8 @@ are built and parsed in blocks of about BLOCK_BYTES (256 KiB)
 (write_keyed_rows, read_keyed_rows): each window digit column is a
 short run of digits repeated, cut from one tiling of 0..9 per block,
 with NUL for a leading zero, and a block's keys are read from the
-digits that end its lines. Rows fewer than the keys get cells for
-only the keys they hold (_table).
+digits that end its lines. A keyed cell holds its line break, and
+rows fewer than the keys get cells for only the keys they hold (_table).
 
 write_tables writes a batch of tables, each (path, header, columns)
 and one file, in this process: the rows of table 0, then of table 1,
@@ -108,8 +108,9 @@ def _times_pow10(x: np.ndarray, p: np.ndarray):
 
 
 def _shortest(x: np.ndarray):
-    """The shortest decimal of each double x that reads back as x: the
-    significand sig, with no trailing zero, and the count of places
+    """The shortest decimal of each double x that reads back as x, with
+    at least one place after the point: the significand sig, with no
+    trailing zero after that place, and the count places >= 1 of places
     after the point, so that the decimal is sig * 10**-places. x is
     positive and in [1e-4, 1e16). Where two decimals of the shortest
     length are equally near x, tie is set and sig is not defined.
@@ -127,11 +128,14 @@ def _shortest(x: np.ndarray):
     even, are no multiples of 100. The shortest decimal is thus the
     multiple of 10**k nearest d + f, for the largest k such that a
     multiple of 10**k lies inside: for k >= 2 the gap, under 23 wide,
-    holds at most one. The float steps are exact wherever they decide:
-    f, half and their sums are below 64 and multiples of 2**-47, so
-    each is a double. A power of two's gap is narrower below it than
-    taken here; TestFloatCells::test_edges checks all 67 in range, with
-    both signs, against _texts.
+    holds at most one. k is capped at p - 1. Only an integer x has
+    k >= p, since a non-integer's gap is narrower than its distance to
+    the nearest integer; there d + f = x * 10**p exactly, so the capped
+    sig is 10x, written x.0, as repr writes it. The float steps are
+    exact wherever they decide: f, half and their sums are below 64 and
+    multiples of 2**-47, so each is a double. A power of two's gap is
+    narrower below it than taken here; TestFloatCells::test_edges checks
+    all 67 in range, with both signs, against _texts.
 
     Each step writes into an array it no longer needs where it can, so
     a call's peak is about seven 8-byte arrays of the cells' length.
@@ -182,6 +186,7 @@ def _shortest(x: np.ndarray):
             break
         zeros[live] = k
         top, below = top[inside], below[inside]
+    np.minimum(zeros, p - 1, out=zeros)  # one place after the point at least
     unit = _IPOW10.take(zeros)
     sig = d // unit
     d -= sig * unit
@@ -248,30 +253,25 @@ def _float_cells(values: np.ndarray) -> np.ndarray:
     texts = _texts(values[~fixed])
     width = texts.itemsize
     if len(at):
-        key = (places + 16).astype(np.uint8)  # places = p - k >= 1 - 17
+        key = places.astype(np.uint8)  # 1..20; a stable sort of uint8 is a radix sort
         del places
         order = np.argsort(key, kind="stable")
         at, sig, key = at[order], sig[order], key[order]
         del order
-        fracs = max(1, int(key[-1]) - 16)
-        width = max(width, ints + fracs + 2)
+        width = max(width, ints + int(key[-1]) + 2)
         digits = _digit_columns(sig)
         del sig
         rows = np.zeros((len(at), width), np.uint8)
         runs = np.flatnonzero(key[1:] != key[:-1]) + 1
         for lo, hi in zip([0, *runs.tolist()], [*runs.tolist(), len(at)]):
-            s = int(key[lo]) - 16
+            s = int(key[lo])
             # digit column c of sig holds place 19 - c - s, which goes to
             # column ints - place before the point and ints + 1 - place
             # after it; first is the column of place ints - 1
-            first, end = 20 - s - ints, min(20, 20 - s)
+            first = 20 - s - ints
             start = max(first, 0)
-            rows[lo:hi, 1 + start - first:1 + end - first] = digits[lo:hi, start:end]
-            if s > 0:
-                rows[lo:hi, ints + 2:ints + 2 + s] = digits[lo:hi, 20 - s:]
-            else:
-                rows[lo:hi, 1 + end - first:1 + ints] = ord("0")  # places below sig's last digit
-                rows[lo:hi, ints + 2] = ord("0")
+            rows[lo:hi, 1 + start - first:1 + ints] = digits[lo:hi, start:20 - s]
+            rows[lo:hi, ints + 2:ints + 2 + s] = digits[lo:hi, 20 - s:]
         del digits, key
         leading = np.ones(len(at), bool)
         for c in range(1, ints):  # NUL for the zeros before a cell's first digit
@@ -289,22 +289,25 @@ def _float_cells(values: np.ndarray) -> np.ndarray:
 
 
 def _table(keys: np.ndarray, top: int, values_of=None):
-    """The cells rows of keys in 0..top are rendered from, key 0's empty
-    and key k's its value's (_cells), and each key's index among them:
-    of every key where the rows are more than top, else of key 0 and the
-    keys held. values_of maps keys to values; by default a key is its
-    own. The keys are mapped and formatted BLOCK_CELLS at a time into
-    the table (_joined), so neither all the values nor a second copy of
-    the cells is ever held."""
+    """The cells rows of keys in 0..top are rendered from, each with its
+    line break, key 0's empty and key k's its value's (_cells), and each
+    key's index among them: of every key where the rows are more than
+    top, else of key 0 and the keys held. values_of maps keys to values;
+    by default a key is its own. The keys are mapped and formatted
+    BLOCK_CELLS at a time into the table (_joined), so neither all the
+    values nor a second copy of the cells is ever held."""
     every = top < len(keys)
     held = None if every else np.union1d(keys, 0)
 
     def cells_of(lo, hi):
         some = np.arange(lo + 1, hi + 1) if every else held[lo + 1:hi + 1]
-        return _cells(some if values_of is None else values_of(some))
+        # np.add joins S items. A 100-bin train's cells, line break and
+        # all, are 4-byte items, which numpy copies about 3x faster than
+        # 3-byte ones.
+        return np.add(_cells(some if values_of is None else values_of(some)), b"\n")
 
-    # a NUL past the widest cell, which render_rows overwrites with the line end
-    table = _joined(top if every else len(held) - 1, cells_of, first=1, spare=1)
+    table = _joined(top if every else len(held) - 1, cells_of, first=1)
+    table[0] = b"\n"
     return table, keys if every else np.searchsorted(held, keys)
 
 
@@ -330,8 +333,8 @@ def _digit_column(lo: int, hi: int, place: int, cycle: np.ndarray) -> np.ndarray
 
 def render_rows(lo: int, table: np.ndarray, keys: np.ndarray) -> bytes:
     """The bytes of rows lo.., row i holding window lo + i in decimal, a
-    comma, cell keys[i] of table (_table) and a line break: a byte matrix
-    of those columns, NUL for a leading zero, less its NULs."""
+    comma and cell keys[i] of table (_table), with its line break: a
+    byte matrix of those columns, NUL for a leading zero, less its NULs."""
     n = len(keys)
     hi = lo + n
     digits = len(str(hi - 1))
@@ -344,7 +347,6 @@ def render_rows(lo: int, table: np.ndarray, keys: np.ndarray) -> bytes:
             rows[:max(0, min(place, hi) - lo), j] = 0
     rows[:, digits] = ord(",")
     rows[:, digits + 1:].view(table.dtype)[:, 0] = table.take(keys)
-    rows[:, -1] = ord("\n")
     return rows.tobytes().translate(None, b"\0")
 
 
@@ -420,11 +422,10 @@ def read_keyed_rows(fh, header: bytes, top: int, rows: int) -> Optional[np.ndarr
     return out[:lo]
 
 
-def _joined(n: int, cells_of, first: int = 0, spare: int = 0) -> np.ndarray:
-    """Cells 0..n-1 as one NUL-padded S array, after first empty items
-    and with spare NULs past the widest cell; cells_of(lo, hi) gives
-    cells lo..hi-1, and is called for BLOCK_CELLS of them at a time, so
-    a long column's temporaries stay small.
+def _joined(n: int, cells_of, first: int = 0) -> np.ndarray:
+    """Cells 0..n-1 as one NUL-padded S array, after first empty items;
+    cells_of(lo, hi) gives cells lo..hi-1, and is called for BLOCK_CELLS
+    of them at a time, so a long column's temporaries stay small.
 
     The array takes the width of the first block. A wider block widens
     it in place: its buffer grows (ndarray.resize, a realloc) and the
@@ -433,8 +434,8 @@ def _joined(n: int, cells_of, first: int = 0, spare: int = 0) -> np.ndarray:
     buf, width = np.zeros(0, np.uint8), 0
     for lo in range(0, max(1, n), BLOCK_CELLS):
         cells = cells_of(lo, min(n, lo + BLOCK_CELLS))
-        if cells.itemsize + spare > width:
-            old, width = width, cells.itemsize + spare
+        if cells.itemsize > width:
+            old, width = width, cells.itemsize
             buf.resize((first + n) * width, refcheck=False)  # no view of buf outlives a statement
             if old:
                 for hi in range(first + lo, 0, -BLOCK_CELLS):
@@ -458,22 +459,20 @@ def _cells(column: np.ndarray) -> np.ndarray:
     return _joined(len(column), lambda lo, hi: _float_cells(column[lo:hi]))
 
 
-def _blocks(tables, pieces):
-    """The (t, a, b) pieces cut into blocks: runs of rows of tables
-    with one column count and line end, BLOCK_CELLS cells at most
-    unless a single row holds more."""
+def _blocks(tables):
+    """The rows of tables cut into blocks, each a list of (t, a, b)
+    pieces, rows a..b-1 of table t: runs of rows with one column count
+    and line end, BLOCK_CELLS cells at most unless a single row holds
+    more. A table with no rows is in no block."""
     block, rows, layout = [], 0, None
-    for t, a, b in pieces:
-        columns, eol = tables[t][2:]
-        if block and (len(columns), eol) != layout:
-            yield block
-            block, rows = [], 0
-        layout = (len(columns), eol)
+    for t, (_, _, columns, eol) in enumerate(tables):
         cap = max(1, BLOCK_CELLS // len(columns))
+        a, b = 0, len(columns[0])
         while a < b:
-            if rows == cap:
+            if rows == cap or block and layout != (len(columns), eol):
                 yield block
                 block, rows = [], 0
+            layout = (len(columns), eol)
             c = min(b, a + cap - rows)
             block.append((t, a, c))
             rows += c - a
@@ -482,13 +481,16 @@ def _blocks(tables, pieces):
         yield block
 
 
-def _rendered(tables, pieces):
-    """(t, bytes) for rows a..b-1 of table t of each (t, a, b) piece, in
-    order and in parts, each row its cells joined by commas and ended by
-    the table's line end. A block's float64 columns are formatted in one
-    _cells call, so a block of many short tables costs about what
-    one long table does."""
-    for block in _blocks(tables, pieces):
+def _rendered(tables):
+    """(t, bytes) for the rows of each table t, in order, one part for
+    each piece of a block (_blocks), each row its cells joined by commas
+    and ended by the table's line end. A block's float64 columns are
+    formatted in one _cells call, so a block of many short tables costs
+    about what one long table does. No cell of a column the package
+    writes is longer than 24 bytes (a float64's repr; an int64's takes
+    20), so a part, a block's rows less their NULs, holds at most about
+    213 KB."""
+    for block in _blocks(tables):
         eol = tables[block[0][0]][3].encode()
         n = sum(b - a for _, a, b in block)
         # each column's parts, one per piece
@@ -511,13 +513,9 @@ def _rendered(tables, pieces):
             rows[:, at:at + len(s)] = np.frombuffer(s, np.uint8)
             at += len(s)
         del cols, c  # the cells are in rows now
-        # parts of at most BLOCK_BYTES, so a part's bytes and their
-        # NUL-free copy stay small beside the rows
-        step = max(1, BLOCK_BYTES // rows.shape[1])
         lo = 0
         for t, a, b in block:
-            for i in range(lo, lo + b - a, step):
-                yield t, rows[i:min(i + step, lo + b - a)].tobytes().translate(None, b"\0")
+            yield t, rows[lo:lo + b - a].tobytes().translate(None, b"\0")
             lo += b - a
         del rows  # not held while the next block is formatted
 
@@ -541,8 +539,7 @@ def write_tables(tables) -> None:
     formatted = {i: _cells(c) for i, c in shared.items()}
     for _, _, columns, _ in tables:
         columns[:] = [formatted.get(id(c), c) for c in columns]
-    pieces = [(t, 0, len(columns[0])) for t, (_, _, columns, _) in enumerate(tables) if len(columns[0])]
-    parts = itertools.groupby(_rendered(tables, pieces), key=lambda part: part[0])
+    parts = itertools.groupby(_rendered(tables), key=lambda part: part[0])
     with contextlib.ExitStack() as outputs:
         for path, header, columns, _ in tables:
             fh = outputs.enter_context(atomic_write(path, "wb"))

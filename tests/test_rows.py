@@ -427,7 +427,7 @@ def row_cases(draw):
 class TestRowFormat:
     """_rendered gives each row's cell reprs joined by commas and ended
     by the line end, in order, whether a block holds one table or
-    several."""
+    several, in one part for each table a block holds."""
 
     @settings(max_examples=200, deadline=None)
     @given(row_cases())
@@ -435,11 +435,26 @@ class TestRowFormat:
         columns, formatted, eol, lo, hi = case
         rows = zip(*(c[lo:hi].tolist() for c in columns))
         want = "".join(",".join(map(repr, row)) + eol for row in rows).encode()
-        table = (None, None, formatted, eol)
-        parts = list(_rows._rendered([table, table], [(0, lo, hi), (1, lo, hi)]))
+        table = (None, None, [c[lo:hi] for c in formatted], eol)
+        parts = list(_rows._rendered([table, table]))
         assert [t for t, _ in parts] == sorted(t for t, _ in parts)
         for t in (0, 1):
             assert b"".join(data for u, data in parts if u == t) == want
+        # the two tables run on through blocks of cap rows: a part for
+        # every block that a table's rows meet
+        n, cap = hi - lo, max(1, BLOCK_CELLS // len(columns))
+        pieces = [((t + 1) * n - 1) // cap - t * n // cap + 1 if n else 0 for t in (0, 1)]
+        assert [t for t, _ in parts] == [0] * pieces[0] + [1] * pieces[1]
+
+    def test_a_block_of_the_widest_cells_is_one_part_of_at_most_block_bytes(self):
+        # -2.2250738585072014e-308 has the longest repr of any float64,
+        # 24 bytes, so one column ended by \r\n, 26 bytes a cell, gives
+        # the largest part: 8,192 cells take 212,992 bytes
+        widest = np.full(BLOCK_CELLS, -2.2250738585072014e-308)
+        assert len(repr(float(widest[0]))) == 24
+        parts = list(_rows._rendered([(None, None, [widest], "\r\n")]))
+        assert len(parts) == 1
+        assert len(parts[0][1]) <= BLOCK_BYTES
 
 
 def cell_lines(cells) -> bytes:
@@ -486,6 +501,18 @@ class TestFloatCells:
         values = np.array(EDGES)
         values = np.concatenate([values, -values])
         assert float_cell_lines(values).split(b"\n") == text_lines(values).split(b"\n")
+
+    def test_integers(self):
+        # integer-valued doubles alone, whose shortest decimals have no
+        # fraction digit: every cell takes the layout of one, x.0
+        rng = np.random.default_rng(20261021)
+        values = np.array([*(k * 10.0**j for k in range(1, 10) for j in range(16)),
+                           *rng.integers(1, 2**53, 200).astype(float), 1e15, 9007199254740992.0])
+        values = np.concatenate([values, -values])
+        assert (_rows._shortest(np.abs(values))[1] == 1).all()
+        got = float_cell_lines(values)
+        assert got.split(b"\n") == text_lines(values).split(b"\n")
+        assert all(cell.endswith(b".0") for cell in got.split(b"\n")[:-1])
 
     def test_a_million_doubles(self):
         # random bit patterns with the exponent field drawn over the
@@ -861,23 +888,27 @@ def train_text(bins) -> str:
     return "window,bin\n" + "".join(map("{},{}\n".format, range(len(cells)), cells))
 
 
-def block_edge(text: str) -> int:
-    """How many rows of a train file fill the byte block read after its
-    header."""
+def block_edge(text: str, block: int) -> int:
+    """How many rows of a train file fill the byte block of block bytes
+    read after its header."""
     header = text.index("\n") + 1
-    return text.count("\n", header, header + BLOCK_BYTES)
+    return text.count("\n", header, header + block)
 
-
-# More rows than fill one byte block: past window 999 a row is at
-# least six bytes long.
-EDGE_ROWS = BLOCK_BYTES // 6 + 1000
 
 @functools.lru_cache(maxsize=None)
-def edge_train(seed):
-    """A train of EDGE_ROWS windows, its file and its block edge."""
-    train = random_train(EDGE_ROWS, seed)
+def edge_train(seed, block=BLOCK_BYTES):
+    """A train with more rows than fill one byte block of block bytes
+    (past window 999 a row is at least six bytes long), its file and its
+    block edge."""
+    train = random_train(block // 6 + 1000, seed)
     text = train_text(train.bins)
-    return train, text, block_edge(text)
+    return train, text, block_edge(text, block)
+
+
+# Bytes per read block of the mutation test: its edge trains hold
+# 3,730 rows, against 44,690 at BLOCK_BYTES, and each example crosses
+# the same edges.
+MUTATION_BLOCK = 1 << 14
 
 
 # Bytes a mutation writes over one byte: digits, space, comma, letters
@@ -887,11 +918,12 @@ MUTATIONS = ["none", "delete", "duplicate", "swap", "byte", "crlf", "unterminate
 
 
 @st.composite
-def train_files(draw):
+def train_files(draw, block):
     """(train, its file, the file mutated): a train with as many rows
-    as fill a byte block, one more, one fewer or only a few, the bytes
-    the per-row writer gave it, and those bytes after one mutation."""
-    base, text, edge = edge_train(draw(st.integers(0, 15)))
+    as fill a byte block of block bytes, one more, one fewer or only a
+    few, the bytes the per-row writer gave it, and those bytes after
+    one mutation."""
+    base, text, edge = edge_train(draw(st.integers(0, 15)), block)
     n = draw(st.sampled_from([0, 1, 2, 3, 40, edge - 1, edge, edge + 1]))
     train = SpikeTrain(bins=base.bins[:n], config=CFG3K, seed=None)
     lines = text.encode().splitlines(keepends=True)[:n + 1]
@@ -907,7 +939,7 @@ def train_files(draw):
     elif kind == "swap" and i + 1 < len(lines):
         lines[i], lines[i + 1] = lines[i + 1], lines[i]
     elif kind == "byte":
-        edge_byte = len(lines[0]) + BLOCK_BYTES
+        edge_byte = len(lines[0]) + block
         pos = draw(st.one_of(st.integers(0, len(data) - 1),
                              st.integers(edge_byte - 12, edge_byte + 12)))
         pos = min(pos, len(data) - 1)
@@ -932,13 +964,15 @@ def outcome(read, path):
 
 class TestTrainReaderAgainstTextReader:
     # 300 examples, or a tenth of the profile's count where that is
-    # more: CI's deep profile runs 2,000, since an example takes about
-    # 20 ms on 2 cores and its full 20,000 would take about 7 minutes
+    # more: CI's deep profile runs 2,000. Files are written and read
+    # MUTATION_BLOCK bytes at a time, so an example takes about 5 ms on
+    # 2 cores, against 20 ms at BLOCK_BYTES.
     @settings(max_examples=max(300, settings.default.max_examples // 10), deadline=None)
-    @given(train_files())
+    @given(train_files(MUTATION_BLOCK))
     def test_same_bins_or_same_message(self, case):
         train, written, data = case
-        with tempfile.TemporaryDirectory() as d:
+        with tempfile.TemporaryDirectory() as d, pytest.MonkeyPatch.context() as mp:
+            mp.setattr(_rows, "BLOCK_BYTES", MUTATION_BLOCK)
             path = os.path.join(d, "train.csv")
             write_spike_train(train, path)
             with open(path, "rb+") as fh:
