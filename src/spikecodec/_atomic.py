@@ -1,53 +1,55 @@
-"""Atomic file output shared by every writer in the package, the JSON
-writer built on it, and the two rules of the files a later stage reads
-back: how a JSON file is read, and where a CSV's JSON sidecar lives."""
+"""The one commit of the package's output files, the JSON layout they
+use, and the two rules of the files a later stage reads back: how a
+JSON file is read, and where a CSV's JSON sidecar lives."""
 
 from __future__ import annotations
 
 import contextlib
+import errno
 import json
 import os
 
 
-@contextlib.contextmanager
-def atomic_write(path: str, mode: str = "w"):
-    """Yield a handle on a temporary file next to path, opened in mode
-    ("w" for text without newline translation, "wb" for bytes).
-
-    On a clean exit the file replaces path in one step, so readers see
-    either the old file or the complete new one. If the body raises,
-    the temporary file is removed and path is left as it was. The body
-    may close the handle early; the file still replaces path only when
-    the body exits cleanly, so several of these in one ExitStack
-    replace their paths only once every file is complete. A temporary
-    file that cannot be opened (a missing directory) or cannot replace
-    path (a directory at path) is an OSError that names path alone.
-    """
-    tmp = f"{path}.tmp.{os.getpid()}"
+def write_files(files) -> None:
+    """Commit a batch of (path, chunks) files, chunks an iterable of
+    bytes: write each to {path}.tmp.{pid}, one handle open at a time and
+    in order, then replace the paths in order. A path that is a
+    directory (IsADirectoryError) or is named twice, as os.path.abspath
+    decides (ValueError), is refused before anything is written. Any
+    failure before the replacing removes every temporary file and
+    replaces nothing, and an OSError names the path, never its
+    temporary file. What cannot be caught in advance is a filesystem
+    error inside os.replace itself: the paths before it stay replaced."""
+    files = list(files)
+    named = set()
+    for path, _ in files:
+        if os.path.isdir(path):
+            raise OSError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+        if os.path.abspath(path) in named:
+            raise ValueError(f"{path} is written twice in one batch")
+        named.add(os.path.abspath(path))
+    tmps = []
     try:
-        fh = open(tmp, mode, newline=None if "b" in mode else "")
-    except OSError as exc:
-        raise OSError(exc.errno, exc.strerror, path) from None
-    try:
-        with fh:
-            yield fh
-        try:
+        for path, chunks in files:
+            tmps.append(f"{path}.tmp.{os.getpid()}")
+            with open(tmps[-1], "wb") as fh:
+                fh.writelines(chunks)
+        for tmp, (path, _) in zip(tmps, files):
             os.replace(tmp, path)
-        except OSError as exc:
+    except BaseException as exc:
+        for tmp in tmps:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(tmp)
+        if isinstance(exc, OSError) and exc.errno:
             raise OSError(exc.errno, exc.strerror, path) from None
-    except BaseException:
-        with contextlib.suppress(FileNotFoundError):
-            os.remove(tmp)
         raise
 
 
-def write_json(path: str, doc: dict) -> None:
-    """Write doc atomically as indented JSON with sorted keys and a
-    final newline, the layout of every JSON file the package writes;
-    Infinity and NaN, which strict JSON lacks, are a ValueError."""
-    with atomic_write(path) as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True, allow_nan=False)
-        fh.write("\n")
+def json_bytes(doc: dict) -> bytes:
+    """doc as indented JSON with sorted keys and a final newline, the
+    layout of every JSON file the package writes; Infinity and NaN,
+    which strict JSON lacks, are a ValueError."""
+    return (json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n").encode()
 
 
 def read_json(path: str):

@@ -1,10 +1,11 @@
-"""CSV rows, written and read in fixed blocks so memory stays flat
+"""CSV rows, rendered and read in fixed blocks so memory stays flat
 whatever the file length.
 
-This module alone decides how a number becomes text and opens every
-CSV file it writes. A cell is the repr of its column's .tolist() item
-(_texts), so callers hand over numpy arrays, never text, and no cell
-ever needs quoting; _cells alone turns a column into cells, NUL-padded
+This module alone decides how a number becomes text. It renders an
+output file's bytes and opens none (_atomic.write_files commits them).
+A cell is the repr of its column's .tolist() item (_texts), so
+callers hand over numpy arrays, never text, and no cell ever needs
+quoting; _cells alone turns a column into cells, NUL-padded
 S items, and rows are numpy byte matrices with each column's cells
 copied between the separators. No written byte is NUL, so dropping
 every NUL from a block of rows leaves their text. A float64 cell in
@@ -14,7 +15,7 @@ exact product gives x * 10**p as an integer and a fraction, and the
 shortest digits that read back as x are the multiple of the largest
 power of ten that lies strictly inside x's rounding gap (_shortest).
 Every other cell, and a tie between two shortest decimals, is its
-_texts. write_tables renders rows in blocks of at most BLOCK_CELLS
+_texts. table_files renders rows in blocks of at most BLOCK_CELLS
 cells (_rendered): a block may span tables of one column count and
 line end, its float64 columns are formatted in one call, and its text
 is handed on in one part per table it holds. A longer column, and
@@ -23,34 +24,29 @@ array (_joined), so they are never held twice. Rows of
 the form "<window>,<cell>\\n", the window running on from row to row
 and the cell that of a key (a train's bin, decode's voltage of a bin),
 are built and parsed in blocks of about BLOCK_BYTES (256 KiB)
-(write_keyed_rows, read_keyed_rows): each window digit column is a
+(keyed_rows, read_keyed_rows): each window digit column is a
 short run of digits repeated, cut from one tiling of 0..9 per block,
 with NUL for a leading zero, and a block's keys are read from the
 digits that end its lines. A keyed cell holds its line break, and
 rows fewer than the keys get cells for only the keys they hold (_table).
 
-write_tables writes a batch of tables, each (path, header, columns)
-and one file, in this process: the rows of table 0, then of table 1,
-and so on, rendered in blocks (_rendered) and written one table at a
-time with one output handle open. A column object that the batch holds
-more than once is formatted once. Every table goes to a temporary file
-next to its path (_atomic.atomic_write), and no path is replaced
-before the whole batch is written, so a failed batch leaves every path
-as it was.
+table_files turns a batch of tables, each (path, header, columns),
+into one (path, chunks) file each: the rows of table 0, then of table
+1, and so on, rendered in one pass of blocks (_rendered), whose runs
+of parts are each table's chunks, so write_files writes the tables in
+order with one output handle open. A column object that the batch
+holds more than once is formatted once.
 """
 
 from __future__ import annotations
 
 import collections
-import contextlib
 import itertools
 from typing import Optional
 
 import numpy as np
 
-from ._atomic import atomic_write
-
-# Cells per block of write_tables' rows, and of the cells of a longer
+# Cells per block of table_files' rows, and of the cells of a longer
 # column or of a keyed table. Smaller blocks lose speed to numpy's
 # per-call overhead; larger ones cost memory in proportion, 100-145 B a
 # cell at the peak. stream_noisy's error report (95,926 rows of three
@@ -350,15 +346,14 @@ def render_rows(lo: int, table: np.ndarray, keys: np.ndarray) -> bytes:
     return rows.tobytes().translate(None, b"\0")
 
 
-def write_keyed_rows(path: str, header: bytes, keys: np.ndarray, top: int, values_of=None) -> None:
-    """Write header, then row i as window i and the cell of keys[i], to
-    path (_atomic.atomic_write); see _table for top and values_of."""
+def keyed_rows(header: bytes, keys: np.ndarray, top: int, values_of=None):
+    """Yield header, then row i as window i and the cell of keys[i], in
+    blocks of about BLOCK_BYTES; see _table for top and values_of."""
+    yield header
     table, keys = _table(keys, top, values_of)
     step = max(1, BLOCK_BYTES // (len(str(len(keys))) + 1 + table.itemsize))
-    with atomic_write(path, "wb") as fh:
-        fh.write(header)
-        for lo in range(0, len(keys), step):
-            fh.write(render_rows(lo, table, keys[lo:lo + step]))
+    for lo in range(0, len(keys), step):
+        yield render_rows(lo, table, keys[lo:lo + step])
 
 
 def _parse_keys(block: bytes, top: int) -> Optional[np.ndarray]:
@@ -383,7 +378,7 @@ def _parse_keys(block: bytes, top: int) -> Optional[np.ndarray]:
 
 
 def read_keyed_rows(fh, header: bytes, top: int, rows: int) -> Optional[np.ndarray]:
-    """The keys of a file that write_keyed_rows wrote with this header
+    """The keys of a file that keyed_rows wrote with this header
     and keys 0..top, each its own value; None as soon as the file
     differs from such a file in any byte, or holds more than rows rows.
 
@@ -520,16 +515,17 @@ def _rendered(tables):
         del rows  # not held while the next block is formatted
 
 
-def write_tables(tables) -> None:
-    """Write each (path, header, columns) table to its path: header,
-    then for each row the text of each column's item (_texts), joined
-    by commas and ended by the header's own line end (\\r\\n or \\n).
+def table_files(tables) -> list:
+    """One (path, chunks) file of _atomic.write_files for each
+    (path, header, columns) table: header, then for each row the text
+    of each column's item (_texts), joined by commas and ended by the
+    header's own line end (\\r\\n or \\n).
 
     The columns are numpy arrays, all of one table's of equal length.
     A column object that the batch holds more than once is formatted
-    once, before any row. The batch is all or nothing: no path is
-    replaced before every table is written, and no output or temporary
-    file outlives a failed call.
+    once, here, before any row. The chunks are lazy runs of one pass
+    over the batch's blocks, so each file's must be read in full, in
+    order, before the next file's: write_files writes them so.
     """
     tables = [(path, header, list(columns), "\r\n" if header.endswith("\r\n") else "\n")
               for path, header, columns in tables]
@@ -540,10 +536,10 @@ def write_tables(tables) -> None:
     for _, _, columns, _ in tables:
         columns[:] = [formatted.get(id(c), c) for c in columns]
     parts = itertools.groupby(_rendered(tables), key=lambda part: part[0])
-    with contextlib.ExitStack() as outputs:
-        for path, header, columns, _ in tables:
-            fh = outputs.enter_context(atomic_write(path, "wb"))
-            fh.write(header.encode())
-            if len(columns[0]):  # the next run of parts is this table's
-                fh.writelines(data for _, data in next(parts)[1])
-            fh.close()
+
+    def chunks(header, rows):
+        yield header.encode()
+        if rows:  # the next run of parts is this table's
+            yield from (data for _, data in next(parts)[1])
+
+    return [(path, chunks(header, len(columns[0]))) for path, header, columns, _ in tables]

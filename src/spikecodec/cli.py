@@ -9,8 +9,8 @@ frequency sweep.
 Configuration is one JSON file with optional sections "encoder",
 "noise", "tuner", "sft" and "signal"; anything missing falls back to
 built-in defaults. --seed overrides the seeds found in the config.
-All outputs are CSV/JSON written atomically, and a rerun with the
-same config and seed reproduces them byte for byte.
+All of a command's CSV/JSON outputs replace their paths together, and
+a rerun with the same config and seed reproduces them byte for byte.
 """
 
 from __future__ import annotations
@@ -24,8 +24,8 @@ from typing import Optional
 
 import numpy as np
 
-from ._atomic import read_json, sidecar_path, write_json
-from ._rows import write_keyed_rows, write_tables
+from ._atomic import json_bytes, read_json, sidecar_path, write_files
+from ._rows import keyed_rows, table_files
 from .codec import (
     _is_finite_number,
     EncoderConfig,
@@ -294,9 +294,9 @@ def cmd_decode(args) -> int:
     params = read_decoder(args.tuning, enc) if args.mode == "linear" else None
     # A window's cell is its bin's voltage, "" for a silent window; each
     # bin is decoded once, and only the bins the train holds if fewer.
-    write_keyed_rows(args.out, b"window,u_hat\n", train.bins, enc.resolution, lambda bins: (
+    write_files([(args.out, keyed_rows(b"window,u_hat\n", train.bins, enc.resolution, lambda bins: (
         decode_ideal(bins * enc.reader_period, enc) if params is None
-        else decode_linear(bins * enc.reader_period, params)))
+        else decode_linear(bins * enc.reader_period, params))))])
     print(f"decoded {len(train)} windows ({args.mode}) -> {args.out}")
     return 0
 
@@ -398,17 +398,15 @@ def cmd_sft(args) -> int:
     noise, scfg, spec = _sft_setup(args, [*paths, json_path])
     measured, reference, rmse_mag, rmse_cplx = _sft_points(scfg, noise, spec, [spec.frequency])
     coefficients = _two_sided(np.concatenate([measured, reference]), scfg.frame_size)
-    write_tables(_spectrum_tables(paths, coefficients, scfg.encoder.sample_period))
-    write_json(
-        json_path,
-        {
-            "frequency_hz": spec.frequency,
-            "rmse_mag": float(rmse_mag[0]),
-            "rmse_complex": float(rmse_cplx[0]),
-            "frame_size": scfg.frame_size,
-            "decoder": asdict(scfg.decoder),
-        },
-    )
+    doc = {
+        "frequency_hz": spec.frequency,
+        "rmse_mag": float(rmse_mag[0]),
+        "rmse_complex": float(rmse_cplx[0]),
+        "frame_size": scfg.frame_size,
+        "decoder": asdict(scfg.decoder),
+    }
+    write_files([*table_files(_spectrum_tables(paths, coefficients, scfg.encoder.sample_period)),
+                 (json_path, [json_bytes(doc)])])
     print(f"nu={spec.frequency:g} Hz: rmse_mag={rmse_mag[0]:.6g} -> {paths[0]}")
     return 0
 
@@ -425,8 +423,9 @@ def cmd_sft_sweep(args) -> int:
     measured, _, rmse_mag, rmse_cplx = _sft_points(scfg, noise, spec, freqs)
     os.makedirs(args.out_dir, exist_ok=True)
     coefficients = _two_sided(measured, scfg.frame_size)
-    write_tables([*_spectrum_tables(paths, coefficients, scfg.encoder.sample_period),
-                  (summary, "freq_hz,rmse_mag,rmse_complex\n", (np.array(freqs), rmse_mag, rmse_cplx))])
+    tables = [*_spectrum_tables(paths, coefficients, scfg.encoder.sample_period),
+              (summary, "freq_hz,rmse_mag,rmse_complex\n", (np.array(freqs), rmse_mag, rmse_cplx))]
+    write_files(table_files(tables))
     for nu, rmse in zip(freqs, rmse_mag.tolist()):
         print(f"nu={nu:g} Hz: rmse_mag={rmse:.6g}")
     print(f"summary -> {summary}")

@@ -10,14 +10,13 @@ sample and as an RMS figure.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from ._atomic import sidecar_path, write_json
-from ._rows import write_tables
+from ._atomic import json_bytes, sidecar_path, write_files
+from ._rows import table_files
 from .codec import _check_offset, EncoderConfig, crossing_time, encode_time, decode_ideal
 
 __all__ = [
@@ -91,20 +90,19 @@ def empirical_errors(u_true, t_true, t_meas, cfg: EncoderConfig) -> ErrorReport:
 
 
 def write_error_reports(entries) -> None:
-    """Write (report, csv_path, json_path, meta) entries: every CSV of
-    per-sample errors in one write_tables batch, then each JSON
-    summary sidecar (json_path None puts it next to the CSV). A
-    json_path that names its own CSV is a ValueError, raised before
-    anything is written."""
+    """Write (report, csv_path, json_path, meta) entries: a CSV of
+    per-sample errors and a JSON summary sidecar each (json_path None
+    puts it next to the CSV), every file in one commit
+    (_atomic.write_files), so all replace their paths or none does. A
+    path named twice, a sidecar that names its own CSV among them, is
+    a ValueError, raised before anything is written."""
     entries = [(report, csv_path, sidecar_path(csv_path) if json_path is None else json_path, meta)
                for report, csv_path, json_path, meta in entries]
-    for _, csv_path, json_path, _ in entries:
-        if os.path.abspath(json_path) == os.path.abspath(csv_path):
-            raise ValueError(f"{csv_path} would be its own JSON sidecar; name the sidecar another path")
-    write_tables([(csv_path, "u_in,eps_u,eps_ts\r\n", (report.u_in, report.eps_u, report.eps_ts))
-                  for report, csv_path, _, _ in entries])
-    for report, _, json_path, meta in entries:
-        write_json(json_path, {"rmse": report.rmse, "samples": int(report.u_in.size), **(meta or {})})
+    tables = [(csv_path, "u_in,eps_u,eps_ts\r\n", (report.u_in, report.eps_u, report.eps_ts))
+              for report, csv_path, _, _ in entries]
+    docs = [(json_path, {"rmse": report.rmse, "samples": int(report.u_in.size), **(meta or {})})
+            for report, _, json_path, meta in entries]
+    write_files([*table_files(tables), *((path, [json_bytes(doc)]) for path, doc in docs)])
 
 
 def write_error_report(

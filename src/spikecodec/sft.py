@@ -27,9 +27,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._rows import write_tables
+from ._atomic import write_files
+from ._rows import table_files
 from .codec import _REL_EPS, EncoderConfig, LinearDecoderParams
-from .simulate import SpikeTrain
+from .simulate import _is_non_negative_int, SpikeTrain
 
 __all__ = [
     "SftConfig",
@@ -58,8 +59,8 @@ class SftConfig:
     frame_size: int = 128
 
     def __post_init__(self) -> None:
-        if self.frame_size < 2:
-            raise ValueError("frame_size must be at least 2")
+        if not (_is_non_negative_int(self.frame_size) and self.frame_size >= 2):
+            raise ValueError(f"frame_size must be an integer of at least 2, got {self.frame_size!r}")
         if not self.decoder.t_lin_max >= 0:
             raise ValueError(f"need decoder t_lin_max >= 0, got {self.decoder.t_lin_max!r} s: "
                              "silent windows enter the S-FT at that time")
@@ -231,8 +232,8 @@ def sft_stream(train: SpikeTrain, cfg: SftConfig, hop: int | None = None) -> Spe
     k = cfg.frame_size
     if hop is None:
         hop = k
-    if hop < 1:
-        raise ValueError("hop must be at least 1")
+    if not (_is_non_negative_int(hop) and hop >= 1):
+        raise ValueError(f"hop must be an integer of at least 1, got {hop!r}")
     if len(train) < k:
         raise ValueError(f"train has {len(train)} windows, need at least {k}")
     period, own = train.config.sample_period, cfg.encoder.sample_period
@@ -248,10 +249,10 @@ def sft_stream(train: SpikeTrain, cfg: SftConfig, hop: int | None = None) -> Spe
 
 
 def _spectrum_tables(paths, coefficients: np.ndarray, sample_period: float) -> list:
-    """write_tables tables of bin, physical frequency, re, im and
+    """_rows.table_files tables of bin, physical frequency, re, im and
     magnitude, one per row of an (F, K) stack of coefficients, to the
     F paths. Every table holds the same bin and frequency arrays, so
-    write_tables formats those once."""
+    table_files formats those once."""
     if len(paths) != len(coefficients):
         raise ValueError(f"{len(paths)} spectrum paths for {len(coefficients)} rows of coefficients")
     k = coefficients.shape[1]
@@ -265,4 +266,4 @@ def write_spectrum(spec: Spectrum, path: str) -> None:
     im, magnitude."""
     if spec.half.ndim != 1:
         raise ValueError(f"write_spectrum writes one frame's spectrum, got a stream of {len(spec)} frames")
-    write_tables(_spectrum_tables([path], spec.coefficients[None], spec.sample_period))
+    write_files(table_files(_spectrum_tables([path], spec.coefficients[None], spec.sample_period)))

@@ -23,9 +23,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from ._atomic import read_json, sidecar_path, write_json
+from ._atomic import json_bytes, read_json, sidecar_path, write_files
 from ._draws import window_doubles
-from ._rows import read_keyed_rows, write_keyed_rows
+from ._rows import keyed_rows, read_keyed_rows
 from .codec import _check_offset, _is_finite_number, EncoderConfig, crossing_time
 
 __all__ = [
@@ -140,7 +140,10 @@ class SpikeTrain:
     seed: Optional[int] = None
 
     def __post_init__(self) -> None:
-        b = np.asarray(self.bins, dtype=np.int64)
+        b = np.asarray(self.bins)
+        if b.size and b.dtype.kind not in "iu":  # a cast would cut 1.7 to bin 1
+            raise ValueError(f"bins must be integers, got an array of {b.dtype}")
+        b = np.asarray(b, dtype=np.int64)
         object.__setattr__(self, "bins", b)
         if b.ndim != 1:
             raise ValueError("bins must be one-dimensional")
@@ -257,15 +260,15 @@ _HEADER = b"window,bin\n"
 def write_spike_train(train: SpikeTrain, csv_path: str) -> None:
     """Write a train as CSV (window,bin; bin empty for silence) plus
     the JSON sidecar that sidecar_path names, holding the config and
-    seed."""
+    seed; both replace their paths in one commit, or neither does."""
     json_path = sidecar_path(csv_path)  # first: a train named like its sidecar writes nothing
-    write_keyed_rows(csv_path, _HEADER, train.bins, train.config.resolution)
     meta = {
         "encoder": asdict(train.config),
         "seed": train.seed,
         "windows": len(train),
     }
-    write_json(json_path, meta)
+    write_files([(csv_path, keyed_rows(_HEADER, train.bins, train.config.resolution)),
+                 (json_path, [json_bytes(meta)])])
 
 
 def _read_sidecar(json_path: str):

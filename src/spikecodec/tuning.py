@@ -26,7 +26,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from ._atomic import read_json, write_json
+from ._atomic import json_bytes, read_json, write_files
 from .codec import (
     _is_finite_number,
     EncoderConfig,
@@ -198,7 +198,7 @@ def write_tuning(result: TuningResult, cfg: EncoderConfig, path: str,
         "seed": seed,
         "encoder": asdict(cfg),
     }
-    write_json(path, doc)
+    write_files([(path, [json_bytes(doc)])])
 
 
 def read_decoder(path: str, enc: EncoderConfig) -> LinearDecoderParams:

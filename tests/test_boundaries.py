@@ -137,7 +137,8 @@ def test_every_public_method_is_reached():
     (r"\brepr\b[,(]", "the cell text rule (_rows._texts)"),
     (r"np\.sin\(", "the biased sine (signals.sine)"),
     (r"delta_u must stay below u_th", "the membrane offset rule (codec._check_offset)"),
-], ids=["sidecar", "json-load", "signal-merge", "cell-text", "sine", "offset"])
+    (r"\bos\.replace\(", "the commit (_atomic.write_files)"),
+], ids=["sidecar", "json-load", "signal-merge", "cell-text", "sine", "offset", "commit"])
 def test_boundary_rule_is_stated_once(pattern, what):
     where = [f"{path.name}:{i}" for path in sorted(PACKAGE.rglob("*.py"))
              for i, line in enumerate(path.read_text().splitlines(), start=1)
@@ -193,7 +194,7 @@ class TestOwnSidecar:
         with pytest.raises(ValueError, match="own JSON sidecar"):
             write_error_report(report, str(tmp_path / "r.json"))
         # an explicit sidecar path used to replace its own CSV unseen
-        with pytest.raises(ValueError, match="own JSON sidecar"):
+        with pytest.raises(ValueError, match="r.csv is written twice in one batch$"):
             write_error_report(report, str(tmp_path / "r.csv"), str(tmp_path / "." / "r.csv"))
         assert list(tmp_path.iterdir()) == []
 

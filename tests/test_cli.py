@@ -864,6 +864,54 @@ class TestFailureModes:
         assert rc == 1
 
 
+def file_bytes(directory) -> dict:
+    """The bytes of each file in directory, by name; None for a directory."""
+    return {p.name: None if p.is_dir() else p.read_bytes() for p in sorted(directory.iterdir())}
+
+
+class TestOneCommit:
+    """A command's CSVs and sidecars replace their paths together: a
+    directory at a sidecar path fails the command and leaves every
+    existing output with its bytes. Each command's CSVs used to be
+    replaced before its sidecar failed."""
+
+    def test_encode_leaves_the_train_when_its_sidecar_is_a_directory(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        out.mkdir()
+        assert main(["encode", "--config", write_config(tmp_path, BASE), "--out", str(out / "t.csv")]) == 0
+        (out / "t.json").unlink()
+        (out / "t.json").mkdir()
+        before = file_bytes(out)
+        longer = {**BASE, "signal": {**BASE["signal"], "windows": 20}}
+        assert main(["encode", "--config", write_config(tmp_path, longer), "--out", str(out / "t.csv")]) == 1
+        assert capsys.readouterr().err == f"error: [Errno 21] Is a directory: {str(out / 't.json')!r}\n"
+        assert file_bytes(out) == before
+
+    def test_sweep_constant_leaves_every_report_when_a_later_sidecar_is_a_directory(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        argv = ["sweep-constant", "--thresholds", "0.1,0.5", "--out-dir", str(out)]
+        assert main([*argv, "--points", "8"]) == 0
+        (out / "sweep_uth_0.5.json").unlink()
+        (out / "sweep_uth_0.5.json").mkdir()
+        before = file_bytes(out)
+        assert main([*argv, "--points", "16"]) == 1
+        assert capsys.readouterr().err == (
+            f"error: [Errno 21] Is a directory: {str(out / 'sweep_uth_0.5.json')!r}\n")
+        assert file_bytes(out) == before
+
+    def test_sft_leaves_both_spectra_when_its_json_is_a_directory(self, tmp_path, capsys):
+        prefix = tmp_path / "out" / "p"
+        prefix.parent.mkdir()
+        assert main(["sft", "--out-prefix", str(prefix)]) == 0
+        (prefix.parent / "p.json").unlink()
+        (prefix.parent / "p.json").mkdir()
+        before = file_bytes(prefix.parent)
+        config = write_config(tmp_path, {"signal": {"type": "sine", "frequency": 250.0}})
+        assert main(["sft", "--config", config, "--out-prefix", str(prefix)]) == 1
+        assert capsys.readouterr().err == f"error: [Errno 21] Is a directory: {str(prefix) + '.json'!r}\n"
+        assert file_bytes(prefix.parent) == before
+
+
 # Values of every kind. The one large integer lies past float range,
 # where every key refuses it; a smaller one would be taken as given by a
 # size key, which allocates in proportion to it.

@@ -55,7 +55,8 @@ from spikecodec import (
     write_spike_train,
 )
 from spikecodec import _rows
-from spikecodec._rows import BLOCK_BYTES, BLOCK_CELLS, read_keyed_rows, write_keyed_rows, write_tables
+from spikecodec._atomic import write_files
+from spikecodec._rows import BLOCK_BYTES, BLOCK_CELLS, keyed_rows, read_keyed_rows, table_files
 from spikecodec.simulate import _read_sidecar
 from spikecodec.cli import main
 from spikecodec.sft import _spectrum_tables, write_spectrum
@@ -167,13 +168,13 @@ def nothing_left():
 
 
 def block_rows(monkeypatch, rows, width):
-    """Make write_tables cut a batch of tables of width columns into
+    """Make table_files cut a batch of tables of width columns into
     blocks of rows rows."""
     monkeypatch.setattr(_rows, "BLOCK_CELLS", rows * width)
 
 
 class TestShares:
-    """write_tables gives every table of a batch the bytes of the
+    """table_files gives every table of a batch the bytes of the
     per-row loop however many tables share a column and wherever its
     blocks split the batch, and leaves no file or handle behind."""
 
@@ -185,7 +186,7 @@ class TestShares:
         cols, want = rows_case(n)
         paths = [tmp_path / f"rows_{t}.csv" for t in range(k)]
         with nothing_left():
-            write_tables([(str(p), "a,b,c\r\n", cols) for p in paths])
+            write_files(table_files([(str(p), "a,b,c\r\n", cols) for p in paths]))
         assert [p.read_bytes() for p in paths] == [want] * k
 
     # Row counts of a batch of six tables, and where blocks of 10 // k
@@ -216,7 +217,7 @@ class TestShares:
         cols = [float_columns(n, 2, seed=seed + t) for t, n in enumerate(sizes)]
         paths = [directory / f"table_{t}.csv" for t in range(len(sizes))]
         with nothing_left():
-            write_tables([(str(p), "a,b\r\n", c) for p, c in zip(paths, cols)])
+            write_files(table_files([(str(p), "a,b\r\n", c) for p, c in zip(paths, cols)]))
         for p, c in zip(paths, cols):
             assert p.read_bytes() == reference_csv(["a", "b"], zip(*c))
         assert sorted(directory.iterdir()) == sorted(paths)
@@ -225,8 +226,8 @@ class TestShares:
         cols = float_columns(BLOCK_ROWS + 1, 3, seed=7)
         shared = [tmp_path / f"shared_{t}.csv" for t in range(2)]
         own = [tmp_path / f"own_{t}.csv" for t in range(2)]
-        write_tables([(str(p), "a,b\r\n", (cols[0], c)) for p, c in zip(shared, cols[1:])])
-        write_tables([(str(p), "a,b\r\n", (cols[0].copy(), c)) for p, c in zip(own, cols[1:])])
+        write_files(table_files([(str(p), "a,b\r\n", (cols[0], c)) for p, c in zip(shared, cols[1:])]))
+        write_files(table_files([(str(p), "a,b\r\n", (cols[0].copy(), c)) for p, c in zip(own, cols[1:])]))
         for p, q, c in zip(shared, own, cols[1:]):
             assert p.read_bytes() == q.read_bytes() == reference_csv(["a", "b"], zip(cols[0], c))
 
@@ -240,7 +241,7 @@ class TestShares:
         cols = float_columns(n, k, seed=k)
         paths = [tmp_path / f"table_{t}.csv" for t in range(k)]
         with nothing_left():
-            write_tables([(str(p), "a,b\n", (counted, c)) for p, c in zip(paths, cols)])
+            write_files(table_files([(str(p), "a,b\n", (counted, c)) for p, c in zip(paths, cols)]))
         assert Counted.calls == n
         for p, c in zip(paths, cols):
             want = "a,b\n" + "".join(f"c{i},{v!r}\n" for i, v in enumerate(c.tolist()))
@@ -255,7 +256,7 @@ class TestShares:
         resource.setrlimit(resource.RLIMIT_NOFILE, (len(open_fds()) + 16, hard))
         try:
             paths = [tmp_path / f"table_{t}.csv" for t in range(300)]
-            write_tables([(str(p), "u\n", [np.array([t / 7])]) for t, p in enumerate(paths)])
+            write_files(table_files([(str(p), "u\n", [np.array([t / 7])]) for t, p in enumerate(paths)]))
         finally:
             resource.setrlimit(resource.RLIMIT_NOFILE, (soft, hard))
         assert [p.read_bytes() for p in paths] == [f"u\n{t / 7!r}\n".encode() for t in range(300)]
@@ -294,7 +295,8 @@ class TestBlockSize:
             monkeypatch.setattr(_rows, "BLOCK_CELLS", size)
             paths = [tmp_path / f"{size}_{t}.csv" for t in range(len(tables))]
             with nothing_left():
-                write_tables([(str(p), header, columns) for p, (header, columns) in zip(paths, tables)])
+                write_files(table_files([(str(p), header, columns)
+                                         for p, (header, columns) in zip(paths, tables)]))
             assert [p.read_bytes() for p in paths] == want, size
 
     # 1,000 rows hold a cell for every one of the 500 keys; 100 rows
@@ -309,7 +311,7 @@ class TestBlockSize:
         for size in self.SIZES:
             monkeypatch.setattr(_rows, "BLOCK_CELLS", size)
             path = tmp_path / f"{size}.csv"
-            write_keyed_rows(str(path), b"window,u\n", keys, top, lambda k: values[k - 1])
+            write_files([(str(path), keyed_rows(b"window,u\n", keys, top, lambda k: values[k - 1]))])
             assert path.read_bytes() == want, size
 
     # Keyed rows in byte blocks smaller than a row, of 4 KiB, of 64 KiB
@@ -328,8 +330,8 @@ class TestBlockSize:
         for size, rows in self.BYTE_SIZES:
             monkeypatch.setattr(_rows, "BLOCK_BYTES", size)
             path = tmp_path / f"{size}.csv"
-            write_keyed_rows(str(path), b"window,u\n", keys[:rows], top,
-                             None if values is None else lambda k: values[k - 1])
+            write_files([(str(path), keyed_rows(b"window,u\n", keys[:rows], top,
+                                                None if values is None else lambda k: values[k - 1]))])
             assert path.read_bytes() == want[rows], size
             if values is None:  # a train: its keys read back
                 with open(path, "rb") as fh:
@@ -369,7 +371,7 @@ class TestFailures:
     def test_a_failing_cell_writes_nothing(self, tmp_path):
         path = tmp_path / "rows.csv"
         with nothing_left(), pytest.raises(ZeroDivisionError):
-            write_tables([(str(path), "u\r\n", [boom_column(1000, 0)])])
+            write_files(table_files([(str(path), "u\r\n", [boom_column(1000, 0)])]))
         assert list(tmp_path.iterdir()) == []
 
     def test_a_failure_in_a_later_table_replaces_nothing(self, tmp_path):
@@ -382,7 +384,7 @@ class TestFailures:
         headers = ["u\r\n"] * 3 + ["u\n"]
         paths[0].write_text("old\n")
         with nothing_left(), pytest.raises(ZeroDivisionError, match="boom"):
-            write_tables([(str(p), h, c) for p, h, c in zip(paths, headers, cols)])
+            write_files(table_files([(str(p), h, c) for p, h, c in zip(paths, headers, cols)]))
         assert list(tmp_path.iterdir()) == [paths[0]]
         assert paths[0].read_text() == "old\n"
 
@@ -402,11 +404,36 @@ class TestFailures:
         assert os.listdir(tmp_path / "out") == []
 
 
+class TestTableBatchCommit:
+    """A batch of tables is refused before anything is written when a
+    path is a directory or is named twice."""
+
+    def test_a_directory_at_table_0_leaves_table_1(self, tmp_path):
+        # the batch replaced its paths last first, so b.csv was replaced
+        (tmp_path / "a.csv").mkdir()
+        (tmp_path / "b.csv").write_text("old\n")
+        tables = [(str(tmp_path / name), "u\n", [np.arange(3.0)]) for name in ("a.csv", "b.csv")]
+        with nothing_left(), pytest.raises(IsADirectoryError, match="Is a directory: .*a.csv'$"):
+            write_files(table_files(tables))
+        assert (tmp_path / "b.csv").read_text() == "old\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.csv", "b.csv"]
+
+    def test_a_path_named_twice_is_refused(self, tmp_path):
+        # both tables went to one temporary file, and a.csv took the
+        # second before a misleading "No such file" error
+        (tmp_path / "a.csv").write_text("old\n")
+        tables = [(str(tmp_path / "a.csv"), "u\n", [np.arange(n, dtype=float)]) for n in (3, 4)]
+        with nothing_left(), pytest.raises(ValueError, match="a.csv is written twice in one batch$"):
+            write_files(table_files(tables))
+        assert (tmp_path / "a.csv").read_text() == "old\n"
+        assert list(tmp_path.iterdir()) == [tmp_path / "a.csv"]
+
+
 @st.composite
 def row_cases(draw):
     """(columns, formatted, eol, lo, hi): one to four columns of n rows,
     each an array of floats with the SPECIAL values mixed in or of
-    integers, and the same columns as write_tables renders them (a
+    integers, and the same columns as table_files renders them (a
     column it formats once, as its cells, or the array), a line end,
     and rows lo..hi-1 of them, across block edges."""
     m = draw(st.integers(1, 4))
@@ -576,7 +603,7 @@ class TestWindowDigits:
         assert _rows.render_rows(lo, key_cells(values), keys) == reference_rows(lo, texts, keys)
         with tempfile.TemporaryDirectory() as tmp:  # no tmp_path fixture under @given
             path = os.path.join(tmp, "u.csv")
-            write_keyed_rows(path, b"window,u\n", keys, len(values), lambda k: values[k - 1])
+            write_files([(path, keyed_rows(b"window,u\n", keys, len(values), lambda k: values[k - 1]))])
             assert pathlib.Path(path).read_bytes() == b"window,u\n" + reference_rows(0, texts, keys)
 
     def test_read_block_edge_on_window_100000(self, tmp_path):
@@ -683,8 +710,8 @@ def write_spectrum_pin(directory) -> None:
     # straight into the tables write_spectrum writes
     coeff = np.empty(PIN_ROWS, dtype=complex)
     coeff.real, coeff.imag = float_columns(PIN_ROWS, 2, seed=PIN_ROWS + 1)
-    write_tables(_spectrum_tables([str(directory / "out" / "spectrum.csv")], coeff[None],
-                                  CFG3K.sample_period))
+    write_files(table_files(_spectrum_tables([str(directory / "out" / "spectrum.csv")], coeff[None],
+                                             CFG3K.sample_period)))
 
 
 def write_keyed_rows_pin(directory) -> None:
@@ -1041,7 +1068,8 @@ class TestMemory:
         assert max(len(repr(v)) for v in values.tolist()) == 18  # 17 digits and a point
         tracemalloc.start()
         try:
-            write_keyed_rows(str(tmp_path / "u.csv"), b"window,u_hat\n", keys, 100, lambda k: values[k - 1])
+            write_files([(str(tmp_path / "u.csv"),
+                          keyed_rows(b"window,u_hat\n", keys, 100, lambda k: values[k - 1]))])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -1056,7 +1084,7 @@ class TestMemory:
         path = tmp_path / "u.csv"
         tracemalloc.start()
         try:
-            write_keyed_rows(str(path), b"window,u_hat\n", keys, top, lambda k: values[k - 1])
+            write_files([(str(path), keyed_rows(b"window,u_hat\n", keys, top, lambda k: values[k - 1]))])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -1,5 +1,6 @@
 import csv
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -168,6 +169,16 @@ class TestSftStream:
         long_train = SpikeTrain(bins=np.tile([31], 8), config=cfg3k)
         with pytest.raises(ValueError, match="hop"):
             sft_stream(long_train, cfg, hop=0)
+
+    # 2.0 failed on a slice index with a TypeError
+    @pytest.mark.parametrize("hop", [2.0, True, "2", 0, -1, np.int64(0)])
+    def test_hop_must_be_an_integer_of_at_least_1(self, cfg3k, hop):
+        train = SpikeTrain(bins=np.tile([31], 8), config=cfg3k)
+        cfg = SftConfig.for_encoder(cfg3k, DEC, frame_size=4)
+        message = f"hop must be an integer of at least 1, got {hop!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            sft_stream(train, cfg, hop=hop)
+        assert len(sft_stream(train, cfg, hop=np.int64(2))) == 3
 
 
 @st.composite
@@ -618,6 +629,14 @@ class TestSftConfig:
     def test_validation(self, cfg3k):
         with pytest.raises(ValueError, match="frame_size"):
             SftConfig(cfg3k, DEC, frame_size=1)
+
+    # 4.0 was taken, and every transform then failed with a TypeError
+    @pytest.mark.parametrize("frame_size", [4.0, True, "4", None, 1, np.int64(1)])
+    def test_frame_size_must_be_an_integer_of_at_least_2(self, cfg3k, frame_size):
+        message = f"frame_size must be an integer of at least 2, got {frame_size!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            SftConfig(cfg3k, DEC, frame_size=frame_size)
+        assert SftConfig(cfg3k, DEC, frame_size=np.int64(4)).frame_size == 4
 
     # a silent window enters at t_lin_max; before the window starts, it
     # made sft_stream fail on spike times, or pass when no window was silent

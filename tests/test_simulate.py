@@ -426,6 +426,17 @@ class TestSpikeTrainIO:
         with pytest.raises(ValueError, match="bins must be one-dimensional"):
             SpikeTrain(bins=np.full((2, 2), 31), config=cfg3k)
 
+    # a cast to int64 cut these to the bins [1, 30] and [1, 2] unseen;
+    # integers of any width, and no bins at all, are a train
+    @pytest.mark.parametrize("bins, dtype", [([1.7, 30.2], "float64"), ([True, 2.9], "float64"),
+                                             ([True, False], "bool"), ([31, None], "object")])
+    def test_rejects_bins_that_are_not_integers(self, cfg3k, bins, dtype):
+        with pytest.raises(ValueError, match=f"^bins must be integers, got an array of {dtype}$"):
+            SpikeTrain(bins=np.array(bins), config=cfg3k)
+        for ints in (np.array([31, 0], np.uint8), np.array([31, 0], np.int32), [31, 0]):
+            assert SpikeTrain(bins=ints, config=cfg3k).bins.tolist() == [31, 0]
+        assert SpikeTrain(bins=[], config=cfg3k).bins.dtype == np.int64
+
     def test_spike_times_use_reader_period(self, cfg3k):
         train = SpikeTrain(bins=np.array([31, 0]), config=cfg3k)
         times = train.spike_times()
